@@ -6,11 +6,20 @@
 //! Three steady-state workloads run the *same* fixed-seed graph in
 //! both modes: an unrolled CG step (matvec + vector updates), a block
 //! matmul step and a batched FFT step. For each, the kernel floor —
-//! the identical math done with direct tensor ops, in place — is
-//! subtracted from the per-step wall time to isolate what the
-//! executor itself costs. Results (per-step nanoseconds, allocation
-//! counts, net allocated-byte growth, overhead ratio) are written to
+//! the identical math done with direct tensor ops, in place, under the
+//! same one-worker cap the sessions run with — is subtracted from the
+//! per-step wall time to isolate what the executor itself costs.
+//! Results (per-step nanoseconds, allocation counts, net
+//! allocated-byte growth and the two ratios below) are written to
 //! `BENCH_runtime.json`.
+//!
+//! Two ratios, not to be confused:
+//!   fast_over_floor  cached step ÷ kernel floor — the distance to the
+//!                    floor (1.0 = the executor costs nothing).
+//!   overhead_ratio   naive overhead ÷ fast overhead, overhead being
+//!                    step − floor: how much of the *executor's* cost
+//!                    step replay removes. It says nothing about how
+//!                    far the fast step is from the floor.
 //!
 //! Flags:
 //!   --smoke          short run (CI); fewer measured steps
@@ -18,7 +27,7 @@
 //!   --check <path>   compare against a committed baseline instead of
 //!                    writing: exit 1 if the CG speedup regressed by
 //!                    more than 25%, or if the integrity plane (wire
-//!                    checksums, see `measure_integrity`) costs ≥5% of
+//!                    checksums, see `measure_integrity`) costs ≥15% of
 //!                    the cached CG step. Machine-portable because it
 //!                    compares naive/fast *ratios*, not wall times.
 
@@ -86,7 +95,11 @@ struct WorkloadResult {
     fast: ModeStats,
     /// naive/fast per-step wall-time ratio (the stable CI gate).
     speedup: f64,
-    /// naive/fast ratio of (step − kernel floor): executor overhead.
+    /// Cached step ÷ kernel floor: the distance to the floor.
+    fast_over_floor: f64,
+    /// Naive overhead ÷ fast overhead, overhead being step − floor:
+    /// the share of the executor's own cost that step replay removes
+    /// (not the distance to the floor — that is `fast_over_floor`).
     overhead_ratio: f64,
 }
 
@@ -141,6 +154,9 @@ fn assert_bit_identical(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
+/// `--check` bound on the wire checksums' share of the cached CG step.
+const INTEGRITY_GATE_PCT: f64 = 15.0;
+
 fn session_for(g: Graph, step_replay: bool) -> Session {
     Session::with_options(
         Arc::new(g),
@@ -183,7 +199,10 @@ fn bench_workload(
     for (a, b) in outs[0].iter().zip(&outs[1]) {
         assert_bit_identical(a, b, name);
     }
-    let floor_stats = measure(floor, steps);
+    // The sessions run their kernels under `intra_op_threads: 1`;
+    // an uncapped floor would pay pool hand-offs the step never does
+    // (and on a small host come out *above* it).
+    let floor_stats = tfhpc_parallel::with_worker_limit(1, || measure(floor, steps));
     let (naive, fast) = (stats[0], stats[1]);
     let overhead = |m: &ModeStats| (m.step_ns - floor_stats.step_ns).max(1.0);
     WorkloadResult {
@@ -194,6 +213,7 @@ fn bench_workload(
         naive,
         fast,
         speedup: naive.step_ns / fast.step_ns,
+        fast_over_floor: fast.step_ns / floor_stats.step_ns,
         overhead_ratio: overhead(&naive) / overhead(&fast),
     }
 }
@@ -612,7 +632,7 @@ fn mode_json(m: &ModeStats) -> String {
 
 fn workload_json(w: &WorkloadResult) -> String {
     format!(
-        "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"steps\": {},\n      \"floor_ns\": {:.1},\n      \"naive\": {},\n      \"fast\": {},\n      \"speedup\": {:.3},\n      \"overhead_ratio\": {:.3}\n    }}",
+        "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"steps\": {},\n      \"floor_ns\": {:.1},\n      \"naive\": {},\n      \"fast\": {},\n      \"speedup\": {:.3},\n      \"fast_over_floor\": {:.3},\n      \"overhead_ratio\": {:.3}\n    }}",
         w.name,
         w.nodes,
         w.steps,
@@ -620,6 +640,7 @@ fn workload_json(w: &WorkloadResult) -> String {
         mode_json(&w.naive),
         mode_json(&w.fast),
         w.speedup,
+        w.fast_over_floor,
         w.overhead_ratio
     )
 }
@@ -670,26 +691,28 @@ fn main() {
     ];
 
     println!(
-        "{:<8} {:>6} {:>12} {:>12} {:>12} {:>9} {:>9} {:>10} {:>10}",
+        "{:<8} {:>6} {:>12} {:>12} {:>12} {:>9} {:>11} {:>9} {:>10} {:>10}",
         "workload",
         "nodes",
         "naive ns",
         "fast ns",
         "floor ns",
         "speedup",
+        "fast/floor",
         "ovh x",
         "allocs/st",
         "net B/st"
     );
     for w in &results {
         println!(
-            "{:<8} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>8.2}x {:>8.2}x {:>10.1} {:>10.1}",
+            "{:<8} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>8.2}x {:>10.2}x {:>8.2}x {:>10.1} {:>10.1}",
             w.name,
             w.nodes,
             w.naive.step_ns,
             w.fast.step_ns,
             w.floor_ns,
             w.speedup,
+            w.fast_over_floor,
             w.overhead_ratio,
             w.fast.allocs_per_step,
             w.fast.net_bytes_per_step
@@ -749,7 +772,7 @@ fn main() {
     }
 
     let body = format!(
-        "{{\n  \"schema\": \"tfhpc-bench-runtime-v3\",\n  \"smoke\": {},\n  \"simd\": \"{}\",\n  \"integrity\": {{\"wire_ns_per_step\": {:.1}, \"pct_of_fast_cg_step\": {:.2}}},\n  \"recovery\": {{\n    \"heartbeat_period_s\": {:.6},\n    \"heartbeat_timeout_s\": {:.6},\n    \"scenarios\": [\n{}\n    ]\n  }},\n  \"kernels\": [\n{}\n  ],\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"tfhpc-bench-runtime-v4\",\n  \"smoke\": {},\n  \"simd\": \"{}\",\n  \"integrity\": {{\"wire_ns_per_step\": {:.1}, \"pct_of_fast_cg_step\": {:.2}}},\n  \"recovery\": {{\n    \"heartbeat_period_s\": {:.6},\n    \"heartbeat_timeout_s\": {:.6},\n    \"scenarios\": [\n{}\n    ]\n  }},\n  \"kernels\": [\n{}\n  ],\n  \"workloads\": [\n{}\n  ]\n}}\n",
         smoke,
         if simd_avail { "avx2" } else { "none" },
         integrity.step_ns,
@@ -795,14 +818,22 @@ fn main() {
         }
         println!("OK: within 25% of baseline");
         // Hard gate, not baseline-relative: the integrity plane must
-        // cost less than 5% of the cached CG step.
-        if integrity_pct >= 5.0 {
+        // stay marginal next to the cached CG step. The bound was 5%
+        // while that step cost ~28 µs; the compiled step program cut
+        // the step ~2.7x with the checksums' own cost (~0.6-0.95 µs,
+        // 48 CRCs) unchanged, so the same cost now reads 5-9%. At 15%
+        // the gate still trips on a checksum regression (it is ~9-12%
+        // of the bare kernel floor) but not on the executor getting
+        // faster.
+        if integrity_pct >= INTEGRITY_GATE_PCT {
             eprintln!(
-                "FAIL: wire-checksum overhead {integrity_pct:.2}% of the cached cg step (gate: <5%)"
+                "FAIL: wire-checksum overhead {integrity_pct:.2}% of the cached cg step (gate: <{INTEGRITY_GATE_PCT}%)"
             );
             std::process::exit(1);
         }
-        println!("OK: integrity plane {integrity_pct:.2}% < 5% of the cached cg step");
+        println!(
+            "OK: integrity plane {integrity_pct:.2}% < {INTEGRITY_GATE_PCT}% of the cached cg step"
+        );
 
         // Per-kernel vectorization floors: in-run SIMD/scalar rate
         // ratios, so the gate is machine-portable. Only meaningful

@@ -66,7 +66,8 @@ impl EagerContext {
                 .charge_transfer(Placement::Cpu, placement, in_bytes);
         }
         let seed = self.op_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let outputs = kernels::execute(op, inputs, &self.resources, seed)?;
+        let mut outputs = Vec::new();
+        kernels::execute(op, inputs, &self.resources, seed, &mut outputs)?;
         let cost = kernels::cost_of(op, inputs, &outputs);
         let dp = kernels::is_double_precision(inputs, &outputs);
         self.devices.charge_kernel(placement, &cost, dp);

@@ -52,92 +52,91 @@ fn bytes_of(ts: &[Tensor]) -> f64 {
     ts.iter().map(|t| t.byte_size() as f64).sum()
 }
 
-/// Execute `op` on `inputs`. Placeholders are resolved by the session
-/// (never reach this function).
+/// Execute `op` on `inputs`, appending its outputs to `out` (the
+/// caller's reusable scratch — no per-call `Vec`). Placeholders are
+/// resolved by the session (never reach this function).
 pub fn execute(
     op: &Op,
     inputs: &[Tensor],
     resources: &Resources,
     run_seed: u64,
-) -> Result<Vec<Tensor>> {
-    match op {
-        Op::Placeholder { .. } => Err(CoreError::Graph(
-            "placeholder reached kernel execution without a feed".into(),
-        )),
-        Op::Const { value } => Ok(vec![value.clone()]),
-        Op::RandomUniform { dtype, shape, seed } => Ok(vec![tfhpc_tensor::rng::random_uniform(
-            *dtype,
-            shape.clone(),
-            mix_seed(*seed, run_seed),
-        )?]),
-        Op::RandomNormal { dtype, shape, seed } => Ok(vec![tfhpc_tensor::rng::random_normal(
-            *dtype,
-            shape.clone(),
-            mix_seed(*seed, run_seed),
-        )?]),
-        Op::VarRead { var } => Ok(vec![resources.variable(var)?.read()]),
-        Op::Assign { var } => Ok(vec![resources.variable(var)?.assign(inputs[0].clone())?]),
-        Op::AssignAdd { var } => Ok(vec![resources.variable(var)?.assign_add(&inputs[0])?]),
-        Op::Add => Ok(vec![ops::add(&inputs[0], &inputs[1])?]),
-        Op::Sub => Ok(vec![ops::sub(&inputs[0], &inputs[1])?]),
-        Op::Mul => Ok(vec![ops::mul(&inputs[0], &inputs[1])?]),
-        Op::Div => Ok(vec![ops::div(&inputs[0], &inputs[1])?]),
-        Op::Neg => Ok(vec![ops::neg(&inputs[0])?]),
-        Op::Scale { factor } => Ok(vec![ops::scale(&inputs[0], *factor)?]),
+    out: &mut Vec<Tensor>,
+) -> Result<()> {
+    let single = match op {
+        Op::Placeholder { .. } => {
+            return Err(CoreError::Graph(
+                "placeholder reached kernel execution without a feed".into(),
+            ))
+        }
+        Op::Const { value } => value.clone(),
+        Op::RandomUniform { dtype, shape, seed } => {
+            tfhpc_tensor::rng::random_uniform(*dtype, shape.clone(), mix_seed(*seed, run_seed))?
+        }
+        Op::RandomNormal { dtype, shape, seed } => {
+            tfhpc_tensor::rng::random_normal(*dtype, shape.clone(), mix_seed(*seed, run_seed))?
+        }
+        Op::VarRead { var } => resources.variable(var)?.read(),
+        Op::Assign { var } => resources.variable(var)?.assign(inputs[0].clone())?,
+        Op::AssignAdd { var } => resources.variable(var)?.assign_add(&inputs[0])?,
+        Op::Add => ops::add(&inputs[0], &inputs[1])?,
+        Op::Sub => ops::sub(&inputs[0], &inputs[1])?,
+        Op::Mul => ops::mul(&inputs[0], &inputs[1])?,
+        Op::Div => ops::div(&inputs[0], &inputs[1])?,
+        Op::Neg => ops::neg(&inputs[0])?,
+        Op::Scale { factor } => ops::scale(&inputs[0], *factor)?,
         Op::MulScalar => {
             let s = inputs[1].scalar_value_f64()?;
-            Ok(vec![ops::scale(&inputs[0], s)?])
+            ops::scale(&inputs[0], s)?
         }
         Op::AddN => {
             if inputs.is_empty() {
                 return Err(CoreError::Graph("AddN with no inputs".into()));
             }
-            Ok(vec![ops::add_n(inputs)?])
+            ops::add_n(inputs)?
         }
-        Op::MatMul => Ok(vec![matmul::matmul(&inputs[0], &inputs[1])?]),
-        Op::MatVec => Ok(vec![matmul::matvec(&inputs[0], &inputs[1])?]),
-        Op::Dot => Ok(vec![ops::dot(&inputs[0], &inputs[1])?]),
-        Op::Sum => Ok(vec![ops::sum(&inputs[0])?]),
-        Op::Norm2 => Ok(vec![ops::norm2(&inputs[0])?]),
-        Op::Max => Ok(vec![ops::max(&inputs[0])?]),
+        Op::MatMul => matmul::matmul(&inputs[0], &inputs[1])?,
+        Op::MatVec => matmul::matvec(&inputs[0], &inputs[1])?,
+        Op::Dot => ops::dot(&inputs[0], &inputs[1])?,
+        Op::Sum => ops::sum(&inputs[0])?,
+        Op::Norm2 => ops::norm2(&inputs[0])?,
+        Op::Max => ops::max(&inputs[0])?,
         Op::Sqrt => {
             let x = &inputs[0];
-            if x.is_synthetic() {
-                return Ok(vec![Tensor::synthetic(
-                    x.dtype(),
-                    x.shape().clone(),
-                    mix_seed(x.synthetic_seed().unwrap(), 0x5157),
-                )]);
-            }
-            match x.dtype() {
-                DType::F64 => {
-                    let v: Vec<f64> = x.as_f64()?.iter().map(|v| v.sqrt()).collect();
-                    Ok(vec![Tensor::from_f64(x.shape().clone(), v)?])
+            if let Some(seed) = x.synthetic_seed() {
+                Tensor::synthetic(x.dtype(), x.shape().clone(), mix_seed(seed, 0x5157))
+            } else {
+                match x.dtype() {
+                    DType::F64 => {
+                        let v: Vec<f64> = x.as_f64()?.iter().map(|v| v.sqrt()).collect();
+                        Tensor::from_f64(x.shape().clone(), v)?
+                    }
+                    DType::F32 => {
+                        let v: Vec<f32> = x.as_f32()?.iter().map(|v| v.sqrt()).collect();
+                        Tensor::from_f32(x.shape().clone(), v)?
+                    }
+                    other => {
+                        return Err(CoreError::Tensor(
+                            tfhpc_tensor::TensorError::UnsupportedDType {
+                                op: "sqrt",
+                                dtype: other,
+                            },
+                        ))
+                    }
                 }
-                DType::F32 => {
-                    let v: Vec<f32> = x.as_f32()?.iter().map(|v| v.sqrt()).collect();
-                    Ok(vec![Tensor::from_f32(x.shape().clone(), v)?])
-                }
-                other => Err(CoreError::Tensor(
-                    tfhpc_tensor::TensorError::UnsupportedDType {
-                        op: "sqrt",
-                        dtype: other,
-                    },
-                )),
             }
         }
-        Op::Fft => Ok(vec![fft::fft_tensor(&inputs[0])?]),
-        Op::Reshape { shape } => Ok(vec![inputs[0].reshape(shape.clone())?]),
-        Op::SliceRange { start, end } => Ok(vec![inputs[0].slice_range(*start, *end)?]),
-        Op::SliceRows { start, end } => Ok(vec![inputs[0].slice_rows(*start, *end)?]),
-        Op::ConcatVecs => Ok(vec![Tensor::concat_vecs(inputs)?]),
-        Op::Transpose => Ok(vec![matmul::transpose(&inputs[0])?]),
-        Op::Cast { to } => Ok(vec![cast(&inputs[0], *to)?]),
-        Op::Identity => Ok(vec![inputs[0].clone()]),
-        Op::NoOp => Ok(vec![]),
+        Op::Fft => fft::fft_tensor(&inputs[0])?,
+        Op::Reshape { shape } => inputs[0].reshape(shape.clone())?,
+        Op::SliceRange { start, end } => inputs[0].slice_range(*start, *end)?,
+        Op::SliceRows { start, end } => inputs[0].slice_rows(*start, *end)?,
+        Op::ConcatVecs => Tensor::concat_vecs(inputs)?,
+        Op::Transpose => matmul::transpose(&inputs[0])?,
+        Op::Cast { to } => cast(&inputs[0], *to)?,
+        Op::Identity => inputs[0].clone(),
+        Op::NoOp => return Ok(()),
         Op::QueueEnqueue { queue } => {
             resources.queue(queue)?.enqueue(inputs.to_vec())?;
-            Ok(vec![])
+            return Ok(());
         }
         Op::QueueDequeue { queue, arity } => {
             let tuple = resources.queue(queue)?.dequeue()?;
@@ -147,15 +146,14 @@ pub fn execute(
                     tuple.len()
                 )));
             }
-            Ok(tuple)
+            out.extend(tuple);
+            return Ok(());
         }
         Op::QueueClose { queue } => {
             resources.queue(queue)?.close();
-            Ok(vec![])
+            return Ok(());
         }
-        Op::QueueSize { queue } => Ok(vec![Tensor::scalar_i64(
-            resources.queue(queue)?.len() as i64
-        )]),
+        Op::QueueSize { queue } => Tensor::scalar_i64(resources.queue(queue)?.len() as i64),
         Op::DatasetNext { iterator, arity } => {
             let tuple = resources.iterator(iterator)?.get_next()?;
             if tuple.len() != *arity {
@@ -164,30 +162,37 @@ pub fn execute(
                     tuple.len()
                 )));
             }
-            Ok(tuple)
+            out.extend(tuple);
+            return Ok(());
         }
         Op::ReadTile { store } => {
             let key = inputs[0].as_i64()?.to_vec();
-            Ok(vec![resources.store(store)?.get(&key)?])
+            resources.store(store)?.get(&key)?
         }
         Op::WriteTile { store } => {
             let key = inputs[0].as_i64()?.to_vec();
             resources.store(store)?.put(key, inputs[1].clone());
-            Ok(vec![])
+            return Ok(());
         }
         Op::PyFunc { func, outputs, .. } => {
-            let out = func(resources, inputs)?;
-            if out.len() != *outputs {
+            let produced = func(resources, inputs)?;
+            if produced.len() != *outputs {
                 return Err(CoreError::Graph(format!(
                     "py_func returned {} outputs, declared {}",
-                    out.len(),
+                    produced.len(),
                     outputs
                 )));
             }
-            Ok(out)
+            out.extend(produced);
+            return Ok(());
         }
-        Op::Custom(k) => k.compute(resources, inputs),
-    }
+        Op::Custom(k) => {
+            out.extend(k.compute(resources, inputs)?);
+            return Ok(());
+        }
+    };
+    out.push(single);
+    Ok(())
 }
 
 /// Whether [`execute_owned`] has an in-place fast path for `op` —
@@ -212,54 +217,87 @@ pub fn forwardable(op: &Op) -> bool {
     )
 }
 
-/// Like [`execute`] but taking inputs by value: elementwise ops reuse
-/// a uniquely-held input buffer instead of allocating a fresh output
-/// (TensorFlow's output-buffer forwarding). Every other op delegates
-/// to [`execute`]. Results are bit-identical to the borrowing path —
-/// the in-place kernels evaluate the same per-element expressions with
-/// the same chunking, only the destination differs.
+/// Like [`execute`] but consuming the operand scratch: elementwise ops
+/// reuse a uniquely-held input buffer instead of allocating a fresh
+/// output (TensorFlow's output-buffer forwarding). Every other op
+/// delegates to [`execute`]. Operands a kernel did not consume stay
+/// in `inputs` for the caller to reclaim. Results are bit-identical to the borrowing path — the
+/// in-place kernels evaluate the same per-element expressions with the
+/// same chunking, only the destination differs.
 pub fn execute_owned(
     op: &Op,
-    mut inputs: Vec<Tensor>,
+    inputs: &mut Vec<Tensor>,
     resources: &Resources,
     run_seed: u64,
-) -> Result<Vec<Tensor>> {
-    match op {
+    out: &mut Vec<Tensor>,
+) -> Result<()> {
+    let single = match op {
         Op::Add | Op::Sub | Op::Mul | Op::Div if inputs.len() == 2 => {
             let b = inputs.pop().expect("len checked");
             let a = inputs.pop().expect("len checked");
-            let out = match op {
+            match op {
                 Op::Add => ops::add_owned(a, b)?,
                 Op::Sub => ops::sub_owned(a, b)?,
                 Op::Mul => ops::mul_owned(a, b)?,
                 Op::Div => ops::div_owned(a, b)?,
                 _ => unreachable!("matched above"),
-            };
-            Ok(vec![out])
+            }
         }
-        Op::Neg if inputs.len() == 1 => {
-            Ok(vec![ops::neg_owned(inputs.pop().expect("len checked"))?])
+        Op::Neg if inputs.len() == 1 => ops::neg_owned(inputs.pop().expect("len checked"))?,
+        Op::Scale { factor } if inputs.len() == 1 => {
+            ops::scale_owned(inputs.pop().expect("len checked"), *factor)?
         }
-        Op::Scale { factor } if inputs.len() == 1 => Ok(vec![ops::scale_owned(
-            inputs.pop().expect("len checked"),
-            *factor,
-        )?]),
         Op::MulScalar if inputs.len() == 2 => {
             let s = inputs[1].scalar_value_f64()?;
             inputs.truncate(1);
-            Ok(vec![ops::scale_owned(
-                inputs.pop().expect("len checked"),
-                s,
-            )?])
+            ops::scale_owned(inputs.pop().expect("len checked"), s)?
         }
-        Op::AddN if !inputs.is_empty() => Ok(vec![ops::add_n_owned(inputs)?]),
-        Op::Identity if inputs.len() == 1 => Ok(vec![inputs.pop().expect("len checked")]),
+        Op::AddN if !inputs.is_empty() => ops::add_n_drain(inputs)?,
+        Op::Identity if inputs.len() == 1 => inputs.pop().expect("len checked"),
         Op::QueueEnqueue { queue } => {
-            resources.queue(queue)?.enqueue(inputs)?;
-            Ok(vec![])
+            // The tuple leaves with the scratch's allocation.
+            resources.queue(queue)?.enqueue(std::mem::take(inputs))?;
+            return Ok(());
         }
-        _ => execute(op, &inputs, resources, run_seed),
-    }
+        _ => return execute(op, inputs, resources, run_seed, out),
+    };
+    out.push(single);
+    Ok(())
+}
+
+/// The fused form of `MulScalar(v, s)` / `Scale{factor}(v)` feeding an
+/// `Add`/`Sub` with `y`: `Some(alpha)` when `y ± s·v` may run as one
+/// [`ops::axpy_owned`]`(alpha, v, y)` pass and stay bit-identical to
+/// the two kernels it replaces, `None` when the pair must run as
+/// itself. `producer_inputs` are the producer's operands (`[v, s]` or
+/// `[v]`).
+///
+/// The one-pass form needs dense f32/f64 operands of one dtype and
+/// shape (synthetic operands derive their seeds per op; other dtypes
+/// have no axpy kernel). A NaN scalar is excluded because the `Sub`
+/// form negates it — `(-s)·v` carries the flipped sign bit into the
+/// result where `y − s·v` would not. Everything else rounds alike: the
+/// SIMD twins never contract to FMA, `s·v` is one rounding either way,
+/// and `(-s)·v = -(s·v)` exactly for non-NaN `s`.
+pub fn fused_axpy_alpha(
+    producer: &Op,
+    producer_inputs: &[Tensor],
+    y: &Tensor,
+    subtract: bool,
+) -> Option<f64> {
+    let v = producer_inputs.first()?;
+    let s = match producer {
+        Op::Scale { factor } => *factor,
+        Op::MulScalar => producer_inputs.get(1)?.scalar_value_f64().ok()?,
+        _ => return None,
+    };
+    let fusable = !s.is_nan()
+        && matches!(v.dtype(), DType::F32 | DType::F64)
+        && v.dtype() == y.dtype()
+        && v.shape() == y.shape()
+        && !v.is_synthetic()
+        && !y.is_synthetic();
+    fusable.then_some(if subtract { -s } else { s })
 }
 
 /// Bytes of output `op` will produce given `inputs`, for the session's
@@ -437,6 +475,13 @@ mod tests {
 
     fn r() -> std::sync::Arc<Resources> {
         Resources::new()
+    }
+
+    /// [`super::execute`] into a fresh output list.
+    fn execute(op: &Op, inputs: &[Tensor], res: &Resources, seed: u64) -> Result<Vec<Tensor>> {
+        let mut out = Vec::new();
+        super::execute(op, inputs, res, seed, &mut out)?;
+        Ok(out)
     }
 
     #[test]

@@ -15,21 +15,174 @@
 //! * the *device signature* covers everything placement resolution
 //!   depends on ([`crate::DeviceCtx::placement_signature`]), since
 //!   plans embed resolved placements;
-//! * the *run signature* is the session's sorted fetch/feed-node key.
+//! * the *run signature* is the session's sorted fetch/feed-node id
+//!   sets plus whether the plan-time rewrite was on. Lookups hash and
+//!   compare it by reference ([`KeyView`]); only an insert copies it.
 //!
 //! Capacity `0` means unbounded — the per-`Session` default, which
 //! keeps pre-existing step-replay behavior bit-identical. A bounded
 //! cache evicts the least-recently-used entry and counts it (also in
 //! the global `tfhpc_plan_cache_evictions_total` metric).
 
-use crate::session::{ExecutionPlan, PlanKey};
+use crate::graph::NodeId;
+use crate::session::ExecutionPlan;
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Full cache key: (graph fingerprint, device signature, run signature).
-pub(crate) type SharedKey = (u64, u64, PlanKey);
+/// A cache key by reference: what a run hashes and compares on a
+/// lookup, straight from its own id sets — nothing is allocated unless
+/// the lookup misses and the key has to be stored.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct KeyView<'a> {
+    /// Graph content + generation fingerprint.
+    pub fingerprint: u64,
+    /// [`crate::DeviceCtx::placement_signature`].
+    pub devices: u64,
+    /// Whether the plan was built with the plan-time rewrite on
+    /// (sessions with a debugger attached build without it and must
+    /// not be handed a fused plan, nor hand theirs out).
+    pub fused: bool,
+    /// Fetch ids, sorted and deduplicated.
+    pub fetches: &'a [NodeId],
+    /// Fed node ids, sorted and deduplicated.
+    pub feeds: &'a [NodeId],
+}
+
+impl KeyView<'_> {
+    fn to_key(self) -> SharedKey {
+        SharedKey {
+            fingerprint: self.fingerprint,
+            devices: self.devices,
+            fused: self.fused,
+            fetches: self.fetches.to_vec(),
+            feeds: self.feeds.to_vec(),
+        }
+    }
+}
+
+/// The stored form of a [`KeyView`].
+#[derive(Clone)]
+struct SharedKey {
+    fingerprint: u64,
+    devices: u64,
+    fused: bool,
+    fetches: Vec<NodeId>,
+    feeds: Vec<NodeId>,
+}
+
+/// Lets the map be probed with a borrowed [`KeyView`]: both key forms
+/// hash and compare as their view.
+trait AsKeyView {
+    fn view(&self) -> KeyView<'_>;
+}
+
+impl AsKeyView for SharedKey {
+    fn view(&self) -> KeyView<'_> {
+        KeyView {
+            fingerprint: self.fingerprint,
+            devices: self.devices,
+            fused: self.fused,
+            fetches: &self.fetches,
+            feeds: &self.feeds,
+        }
+    }
+}
+
+impl AsKeyView for KeyView<'_> {
+    fn view(&self) -> KeyView<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AsKeyView + 'a> for SharedKey {
+    fn borrow(&self) -> &(dyn AsKeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn AsKeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+impl PartialEq for dyn AsKeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn AsKeyView + '_ {}
+
+impl Hash for SharedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+impl PartialEq for SharedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for SharedKey {}
+
+/// A run's fetch or feed ids as the cache keys them — sorted and
+/// deduplicated — held inline for the usual handful of ids.
+pub(crate) struct IdSet {
+    inline: [NodeId; IdSet::INLINE],
+    spilled: Vec<NodeId>,
+    len: usize,
+}
+
+impl IdSet {
+    const INLINE: usize = 16;
+
+    pub(crate) fn new(ids: impl ExactSizeIterator<Item = NodeId>) -> IdSet {
+        let mut set = IdSet {
+            inline: [NodeId(0); IdSet::INLINE],
+            spilled: Vec::new(),
+            len: ids.len(),
+        };
+        if set.len <= IdSet::INLINE {
+            for (slot, id) in set.inline.iter_mut().zip(ids) {
+                *slot = id;
+            }
+        } else {
+            set.spilled.extend(ids);
+        }
+        let all = if set.len <= IdSet::INLINE {
+            &mut set.inline[..set.len]
+        } else {
+            &mut set.spilled[..]
+        };
+        if !all.windows(2).all(|w| w[0] < w[1]) {
+            all.sort_unstable();
+            let mut kept = 0;
+            for i in 0..all.len() {
+                if kept == 0 || all[i] != all[kept - 1] {
+                    all[kept] = all[i];
+                    kept += 1;
+                }
+            }
+            set.len = kept;
+        }
+        set
+    }
+
+    pub(crate) fn as_slice(&self) -> &[NodeId] {
+        if self.spilled.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled[..self.len]
+        }
+    }
+}
 
 /// FNV-1a over a byte slice.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
@@ -134,11 +287,11 @@ impl SharedPlanCache {
         }
     }
 
-    pub(crate) fn lookup(&self, key: &SharedKey) -> Option<Arc<ExecutionPlan>> {
+    pub(crate) fn lookup(&self, key: &KeyView<'_>) -> Option<Arc<ExecutionPlan>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
+        match inner.map.get_mut(key as &dyn AsKeyView) {
             Some(entry) => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -151,12 +304,12 @@ impl SharedPlanCache {
         }
     }
 
-    pub(crate) fn insert(&self, key: SharedKey, plan: Arc<ExecutionPlan>) {
+    pub(crate) fn insert(&self, key: &KeyView<'_>, plan: Arc<ExecutionPlan>) {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         inner.map.insert(
-            key,
+            key.to_key(),
             Entry {
                 plan,
                 last_used: tick,

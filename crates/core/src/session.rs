@@ -4,20 +4,27 @@
 //! the fetches, executes it with simple/soft device placement, and
 //! returns the fetched tensors — TensorFlow's Graph-mode contract.
 //!
-//! Real-mode runs go through a ready-set dataflow scheduler: per-node
-//! dependency counts over data + control edges, zero-in-degree nodes
-//! dispatched onto the session's inter-op thread pool, consumers
-//! decremented as producers finish. Independent ops therefore overlap,
-//! exactly like TensorFlow's `inter_op_parallelism_threads` executor.
-//! Simulated runs keep the single-stepped sequential path — the DES
-//! owns virtual time, so calibration numbers are unchanged.
+//! Each run signature is compiled once into a flat step program
+//! ([`ExecutionPlan`]: instructions over registers, every register's
+//! last read marked at build time, placements resolved, `scale →
+//! add/sub` pairs folded) and cached; a run interprets it.
+//!
+//! Real-mode runs go through a ready-set dataflow scheduler over that
+//! program: per-instruction dependency counts over data + control
+//! edges, zero-in-degree instructions dispatched onto the session's
+//! inter-op thread pool, consumers decremented as producers finish.
+//! Independent ops therefore overlap, exactly like TensorFlow's
+//! `inter_op_parallelism_threads` executor. Simulated runs (and
+//! `inter_op_threads == 1`) take the single-stepped interpreter — the
+//! DES owns virtual time, so calibration numbers are unchanged.
 
 use crate::debugger::Debugger;
-use crate::device::{DeviceCtx, Placement};
+use crate::device::{DeviceCtx, Placement, SimBinding};
 use crate::error::{CoreError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::kernels;
 use crate::op::Op;
+use crate::plan_cache::{IdSet, KeyView};
 use crate::resources::Resources;
 use crate::timeline::Timeline;
 use parking_lot::{Condvar, Mutex};
@@ -26,6 +33,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tfhpc_parallel::ThreadPool;
+use tfhpc_sim::device::Cost;
 use tfhpc_tensor::Tensor;
 
 /// Effective throughput of feeding placeholders through the Python
@@ -46,11 +54,13 @@ pub struct SessionOptions {
     /// Cap on pool workers a single kernel may use for its data-parallel
     /// loops (`0` = no cap, use the whole host pool).
     pub intra_op_threads: usize,
-    /// Step-replay fast path: memoize execution plans across runs and
-    /// forward dead input buffers into kernel outputs. `false` rebuilds
-    /// the plan and copies every tensor on every run (the pre-cache
-    /// cost profile — kept selectable for A/B benchmarking and
-    /// bit-identity tests). Results are identical either way.
+    /// Step replay: compile each run signature into a program once
+    /// (cached), forward dead input buffers into kernel outputs and
+    /// fold `scale → add/sub` pairs into one pass. `false` compiles a
+    /// fresh program on every run with forwarding and the fold off —
+    /// the reference the bit-identity tests and A/B benchmarks compare
+    /// against, run by the same interpreter. Results are identical
+    /// either way.
     pub step_replay: bool,
     /// Capacity of the session's *private* plan cache, in plans
     /// (`0` = unbounded — the default, which keeps the pre-cap
@@ -177,224 +187,233 @@ pub struct RunMetadata {
     pub step_stats: tfhpc_obs::StepStats,
 }
 
-/// Concurrency-safe accumulator behind [`RunMetadata`]: executor
-/// workers update it from many threads; `kernel_seconds` is an `f64`
-/// accumulated through its bit pattern with a CAS loop.
-#[derive(Default)]
-struct MetaAcc {
-    ops_executed: AtomicUsize,
-    output_bytes: AtomicU64,
-    kernel_seconds_bits: AtomicU64,
-    /// Whether the per-op breakdown is collected. Off when the caller
-    /// discards metadata (`Session::run`) — the name lookup and lock
-    /// are pure per-node overhead then.
-    per_op_enabled: bool,
+/// What one executor thread counted during a run: the raw material of
+/// [`RunMetadata`]. The sequential interpreter owns one; parallel
+/// workers each own one and merge it when they finish, so the per-node
+/// path touches no shared counter.
+struct Tally {
+    ops_executed: usize,
+    output_bytes: u64,
+    kernel_seconds: f64,
     /// Per-op execution count and charged device seconds, keyed by
-    /// node name (sorted — StepStats order is deterministic).
-    per_op: Mutex<BTreeMap<String, (u64, f64)>>,
+    /// node name (sorted — StepStats order is deterministic). `None`
+    /// when the caller discards metadata (`Session::run`): the name
+    /// clone and map insert are pure per-node overhead then.
+    per_op: Option<BTreeMap<String, (u64, f64)>>,
 }
 
-impl MetaAcc {
-    fn new(per_op_enabled: bool) -> Self {
-        MetaAcc {
-            per_op_enabled,
-            ..MetaAcc::default()
+impl Tally {
+    fn new(per_op_enabled: bool) -> Tally {
+        Tally {
+            ops_executed: 0,
+            output_bytes: 0,
+            kernel_seconds: 0.0,
+            per_op: per_op_enabled.then(BTreeMap::new),
         }
     }
 
-    fn add_kernel_seconds(&self, v: f64) {
-        if v == 0.0 {
-            return;
+    /// Record one executed op: `dev_secs` is what the per-op stats show
+    /// (charged time in sim mode, measured otherwise), `dur` the
+    /// modeled kernel seconds.
+    fn note_op(&mut self, name: &str, dev_secs: f64, dur: f64, out_bytes: u64) {
+        self.ops_executed += 1;
+        self.output_bytes += out_bytes;
+        self.kernel_seconds += dur;
+        if let Some(per_op) = &mut self.per_op {
+            let entry = per_op.entry(name.to_string()).or_insert((0, 0.0));
+            entry.0 += 1;
+            entry.1 += dev_secs;
         }
-        let mut cur = self.kernel_seconds_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.kernel_seconds_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.ops_executed += other.ops_executed;
+        self.output_bytes += other.output_bytes;
+        self.kernel_seconds += other.kernel_seconds;
+        if let (Some(mine), Some(theirs)) = (&mut self.per_op, other.per_op) {
+            for (name, (count, secs)) in theirs {
+                let entry = mine.entry(name).or_insert((0, 0.0));
+                entry.0 += count;
+                entry.1 += secs;
             }
         }
     }
-
-    /// Record one executed op (`dev_secs` of charged device time) for
-    /// the per-op step stats.
-    fn note_op(&self, name: &str, dev_secs: f64) {
-        if !self.per_op_enabled {
-            return;
-        }
-        let mut per_op = self.per_op.lock();
-        let entry = per_op.entry(name.to_string()).or_insert((0, 0.0));
-        entry.0 += 1;
-        entry.1 += dev_secs;
-    }
-
-    fn into_metadata(
-        self,
-        elapsed_s: f64,
-        retries: u64,
-        corruption_detected: u64,
-        retransmits: u64,
-        queues: Vec<tfhpc_obs::QueueStat>,
-        links: Vec<tfhpc_obs::LinkStat>,
-    ) -> RunMetadata {
-        let ops = self
-            .per_op
-            .into_inner()
-            .into_iter()
-            .map(|(name, (count, device_seconds))| tfhpc_obs::OpStat {
-                name,
-                count,
-                device_seconds,
-            })
-            .collect();
-        RunMetadata {
-            ops_executed: self.ops_executed.into_inner(),
-            output_bytes: self.output_bytes.into_inner(),
-            kernel_seconds: f64::from_bits(self.kernel_seconds_bits.into_inner()),
-            elapsed_s,
-            retries,
-            corruption_detected,
-            retransmits,
-            step_stats: tfhpc_obs::StepStats {
-                ops,
-                queues,
-                links,
-                retries,
-            },
-        }
-    }
 }
 
-/// Slot sentinel for graph nodes outside the pruned subgraph.
-const NO_SLOT: u32 = u32::MAX;
+/// Counters a run started from, read only when metadata was asked for.
+struct StatsStart {
+    run_t0: f64,
+    retries: u64,
+    corruption: u64,
+    retransmits: u64,
+    links: Vec<(String, f64)>,
+}
 
-/// A memoized, pruned execution schedule — everything `Session::run`
-/// used to re-derive per step (TensorFlow's per-signature executor
-/// cache). Stored in a [`crate::plan_cache::SharedPlanCache`] keyed by
-/// (graph fingerprint, device signature, fetch/feed signature); the
+/// Register sentinel for graph nodes that own no register in a program
+/// (pruned away, fused into their reader, or without outputs).
+const NO_REG: u32 = u32::MAX;
+
+/// Frames kept per plan between runs; more concurrent runs than this
+/// on one plan just build (and drop) their own.
+const MAX_FREE_FRAMES: usize = 4;
+
+/// One operand read: which register, whether this is the register's
+/// last read in program order (the value is then *moved* out — and may
+/// be overwritten in place by a forwarding kernel — instead of cloned),
+/// and where its producer was placed (for transfer charging).
+#[derive(Clone, Copy)]
+struct Operand {
+    reg: u32,
+    last_read: bool,
+    from: Placement,
+}
+
+/// The one plan-time rewrite: `MulScalar(v, s)` / `Scale{factor}(v)`
+/// whose only reader is the next node, an `Add`/`Sub` on the same
+/// device, folded into that reader as `y ± s·v`. The instruction's
+/// node is the reader; its operands are the producer's, then `y`.
+#[derive(Clone, Copy)]
+struct FusedScale {
+    producer: NodeId,
+    subtract: bool,
+    /// The product was the reader's first operand (only matters when
+    /// the pair has to run as two kernels after all).
+    product_first: bool,
+}
+
+/// One step of a compiled program.
+struct Instr {
+    /// The graph node (for its `Op`, name and control edges); the
+    /// reader, for a fused pair.
+    node: NodeId,
+    fused: Option<FusedScale>,
+    /// This instruction's slice of [`ExecutionPlan::operands`].
+    operands: std::ops::Range<u32>,
+    /// First output register; outputs occupy `out .. out + n_out`.
+    out: u32,
+    n_out: u32,
+    /// Resolved device placement (placeholders: CPU).
+    placement: Placement,
+    /// Dispatch by value (`kernels::execute_owned`) so a uniquely-held
+    /// operand can be overwritten in place.
+    forwardable: bool,
+}
+
+/// Per-run scratch of the sequential interpreter: the register file
+/// and the operand/output lists handed to kernels. A frame *at rest*
+/// (on its plan's free list) holds no tensor — every register is
+/// `None`, both lists are empty — only their capacity, so nothing is
+/// pinned between runs and nothing crosses sessions.
+#[derive(Default)]
+struct Frame {
+    regs: Vec<Option<Tensor>>,
+    ins: Vec<Tensor>,
+    outs: Vec<Tensor>,
+}
+
+/// A compiled, memoized step program — everything `Session::run` used
+/// to re-derive per step, decided once (TensorFlow's per-signature
+/// executor cache): the pruned schedule as a flat instruction list,
+/// operands resolved to registers with their last read marked,
+/// placements resolved, the `scale → add/sub` pairs rewritten. Stored
+/// in a [`crate::plan_cache::SharedPlanCache`] keyed by (graph
+/// fingerprint, device signature, fetch/feed signature); the
 /// fingerprint mixes in the graph generation, so a mutated graph
 /// re-keys its plans instead of hitting stale ones.
 pub(crate) struct ExecutionPlan {
-    /// Pruned node ids, ascending (a valid topological order).
-    nodes: Vec<NodeId>,
-    /// Graph node index → slot in `nodes` (`NO_SLOT` if pruned away).
-    slot_of: Vec<u32>,
-    /// Per-slot data inputs resolved to (producer slot, output index).
-    inputs: Vec<Vec<(u32, u32)>>,
-    /// Per-slot consumer slots over data + control edges (duplicate
-    /// edges kept so pending-count decrements stay balanced).
+    /// In ascending node-id order (a valid topological order).
+    instrs: Vec<Instr>,
+    /// All operand reads, instruction after instruction.
+    operands: Vec<Operand>,
+    n_regs: usize,
+    /// Graph node index → first output register (`NO_REG` if none).
+    reg_of: Vec<u32>,
+    /// Per-instruction consumer instructions over data + control edges
+    /// (duplicate edges kept so pending-count decrements stay
+    /// balanced) and initial dependency counts: the parallel
+    /// executor's view of the same list.
     consumers: Vec<Vec<u32>>,
-    /// Initial dependency count per slot.
     pending_init: Vec<u32>,
-    /// Resolved device placement per slot (placeholders: CPU).
-    placements: Vec<Placement>,
-    /// Per-slot placements of each data input's producer — gathered
-    /// once at plan time so the executors don't rebuild the vector on
-    /// every node visit of every step.
-    input_placements: Vec<Vec<Placement>>,
-    /// Prefix offsets into `use_init`: outputs of slot `i` occupy
-    /// `out_offset[i] .. out_offset[i + 1]`.
-    out_offset: Vec<u32>,
-    /// Data-edge read count per (slot, output) — the executor's
-    /// last-consumer bookkeeping for buffer forwarding starts here.
-    use_init: Vec<u32>,
     /// Whether any planned op may block (forces the sequential path).
     any_may_block: bool,
+    /// Frames at rest. On the plan, not the session: plans are shared
+    /// across sessions and a frame is sized by its plan.
+    frames: Mutex<Vec<Frame>>,
 }
 
 impl ExecutionPlan {
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn slot(&self, id: NodeId) -> Option<usize> {
-        match self.slot_of.get(id.index()).copied() {
-            Some(s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
+    fn operands_of(&self, instr: &Instr) -> &[Operand] {
+        &self.operands[instr.operands.start as usize..instr.operands.end as usize]
     }
 }
 
-/// Plan-cache run signature: sorted + deduped fetch and feed-node id
-/// sets. The full shared-cache key prepends the graph fingerprint and
-/// device signature (see [`crate::plan_cache`]).
-pub(crate) type PlanKey = (Vec<NodeId>, Vec<NodeId>);
-
-fn plan_key(fetches: &[NodeId], feeds: &[(NodeId, Tensor)]) -> PlanKey {
-    let mut f: Vec<NodeId> = fetches.to_vec();
-    f.sort_unstable();
-    f.dedup();
-    let mut d: Vec<NodeId> = feeds.iter().map(|(id, _)| *id).collect();
-    d.sort_unstable();
-    d.dedup();
-    (f, d)
+/// A frame checked out of its plan for one run. Dropping it — on every
+/// exit path, errors included — reclaims whatever tensors the run left
+/// behind into the tensor recycle pool and puts the emptied frame back.
+struct FrameGuard<'p> {
+    plan: &'p ExecutionPlan,
+    frame: Frame,
 }
 
-/// The tensors a finished run left behind, plus the bookkeeping to
-/// hand fetches out by move instead of clone.
-struct RunOutputs {
-    plan: Arc<ExecutionPlan>,
-    arena: Vec<Option<Vec<Tensor>>>,
-    /// Outstanding reads per (slot, output): data edges (sequential
-    /// runs decrement them while executing) plus one per fetch
-    /// occurrence.
-    remaining: Vec<u32>,
-    /// Fetches may be moved out (sequential step-replay runs only).
-    may_move: bool,
+impl<'p> FrameGuard<'p> {
+    fn checkout(plan: &'p ExecutionPlan) -> FrameGuard<'p> {
+        let frame = plan.frames.lock().pop().unwrap_or_else(|| Frame {
+            regs: (0..plan.n_regs).map(|_| None).collect(),
+            ..Frame::default()
+        });
+        FrameGuard { plan, frame }
+    }
 }
 
-/// Allocation-free placeholder left behind when a tensor is moved out
-/// of the run arena (scalar shape ⇒ no dims buffer).
-fn taken_marker() -> Tensor {
-    Tensor::synthetic(tfhpc_tensor::DType::F32, tfhpc_tensor::Shape::scalar(), 0)
-}
-
-impl Drop for RunOutputs {
-    /// End of run: every tensor still in the arena is dead (fetches
-    /// were extracted first), so uniquely-held buffers go back to the
-    /// tensor recycle pool for the next run's outputs.
+impl Drop for FrameGuard<'_> {
     fn drop(&mut self) {
-        for outs in self.arena.iter_mut().flatten() {
-            for t in outs.drain(..) {
-                tfhpc_tensor::arena::recycle_tensor(t);
-            }
+        let Frame { regs, ins, outs } = &mut self.frame;
+        // Every tensor still here is dead (fetches were moved out
+        // first): uniquely-held buffers feed the next run's outputs.
+        for t in regs.iter_mut().filter_map(Option::take) {
+            tfhpc_tensor::arena::recycle_tensor(t);
+        }
+        for t in ins.drain(..).chain(outs.drain(..)) {
+            tfhpc_tensor::arena::recycle_tensor(t);
+        }
+        let mut free = self.plan.frames.lock();
+        if free.len() < MAX_FREE_FRAMES {
+            free.push(std::mem::take(&mut self.frame));
         }
     }
 }
 
-impl RunOutputs {
-    /// Extract the value of fetch `f` (output 0 of the node): moved out
-    /// of the arena on its last outstanding read, cloned otherwise.
-    fn take_fetch(&mut self, graph: &Graph, f: NodeId) -> Result<Tensor> {
-        let node = graph.node(f);
-        let slot = self
-            .plan
-            .slot(f)
-            .ok_or_else(|| CoreError::Graph(format!("fetch `{}` not computed", node.name)))?;
-        let outs = self.arena[slot]
-            .as_mut()
-            .ok_or_else(|| CoreError::Graph(format!("fetch `{}` not computed", node.name)))?;
-        if outs.is_empty() {
-            return Err(CoreError::Graph(format!(
-                "fetch `{}` has no outputs (op `{}`)",
-                node.name,
-                node.op.name()
-            )));
-        }
-        let use_idx = self.plan.out_offset[slot] as usize;
-        self.remaining[use_idx] -= 1;
-        if self.may_move && self.remaining[use_idx] == 0 {
-            Ok(std::mem::replace(&mut outs[0], taken_marker()))
-        } else {
-            Ok(outs[0].clone())
-        }
-    }
+/// What does not change from one instruction of a run to the next,
+/// read once per run.
+struct RunCtx<'r> {
+    feeds: &'r [(NodeId, Tensor)],
+    run_seed: u64,
+    /// The simulation binding, if any. Without one nothing observes
+    /// the cost, transfer and memory-capacity arithmetic (`charge_*`
+    /// return 0, `usable_memory` `None`), so the interpreter skips it.
+    sim: Option<&'r SimBinding>,
+    /// The global tracer, when it is recording.
+    tracer: Option<&'static tfhpc_obs::Tracer>,
+    /// Read the clock around kernels: someone consumes the span — the
+    /// per-op stats, the timeline or the tracer. Sim mode always counts
+    /// as timed (spans carry virtual timestamps there).
+    timed: bool,
+    /// Forwardable instructions may consume their operands (the
+    /// sequential executor only: parallel readers share registers).
+    forward: bool,
+    /// Keep the per-op breakdown (metadata was asked for).
+    per_op: bool,
 }
+
+/// The four process-wide counters a run updates, resolved once.
+static PLAN_HITS: tfhpc_obs::LazyCounter =
+    tfhpc_obs::LazyCounter::new("tfhpc_plan_cache_hits_total");
+static PLAN_MISSES: tfhpc_obs::LazyCounter =
+    tfhpc_obs::LazyCounter::new("tfhpc_plan_cache_misses_total");
+static OPS_EXECUTED: tfhpc_obs::LazyCounter =
+    tfhpc_obs::LazyCounter::new("tfhpc_ops_executed_total");
+static OUTPUT_BYTES: tfhpc_obs::LazyCounter =
+    tfhpc_obs::LazyCounter::new("tfhpc_output_bytes_total");
 
 /// An execution handle over a graph (TensorFlow's `tf.Session`).
 pub struct Session {
@@ -457,7 +476,10 @@ impl Session {
         self.timeline = Some(timeline);
     }
 
-    /// Attach a `tfdbg`-style tensor debugger.
+    /// Attach a `tfdbg`-style tensor debugger. A debugger records every
+    /// node's output *value*, so a session with one attached runs
+    /// programs built without the plan-time rewrite (and never shares
+    /// a cache entry with a rewritten one).
     pub fn set_debugger(&mut self, debugger: Arc<Debugger>) {
         self.debugger = Some(debugger);
     }
@@ -511,11 +533,8 @@ impl Session {
     /// Execute the subgraph required for `fetches`, feeding
     /// placeholders from `feeds`. Returns one tensor per fetch.
     pub fn run(&self, fetches: &[NodeId], feeds: &[(NodeId, Tensor)]) -> Result<Vec<Tensor>> {
-        let (mut outputs, _) = self.exec_subgraph(fetches, feeds, false)?;
-        fetches
-            .iter()
-            .map(|f| outputs.take_fetch(&self.graph, *f))
-            .collect()
+        let (values, _) = self.exec_subgraph(fetches, feeds, false, true, true)?;
+        Ok(values)
     }
 
     /// Execute the same fetch set once per feed set, paying the
@@ -531,17 +550,14 @@ impl Session {
         fetches: &[NodeId],
         feed_sets: &[Vec<(NodeId, Tensor)>],
     ) -> Vec<Result<Vec<Tensor>>> {
-        if let (Some(me), Some(sim)) = (tfhpc_sim::des::current(), self.devices.sim.as_ref()) {
+        if let (Some(sim), Some(me)) = (self.devices.sim.as_ref(), tfhpc_sim::des::current()) {
             me.advance(sim.cluster.platform.net.session_dispatch_s);
         }
         feed_sets
             .iter()
             .map(|feeds| {
-                let (mut outputs, _) = self.exec_subgraph_inner(fetches, feeds, false, false)?;
-                fetches
-                    .iter()
-                    .map(|f| outputs.take_fetch(&self.graph, *f))
-                    .collect()
+                self.exec_subgraph(fetches, feeds, false, false, true)
+                    .map(|(values, _)| values)
             })
             .collect()
     }
@@ -570,12 +586,8 @@ impl Session {
         fetches: &[NodeId],
         feeds: &[(NodeId, Tensor)],
     ) -> Result<(Vec<Tensor>, RunMetadata)> {
-        let (mut outputs, meta) = self.exec_subgraph(fetches, feeds, true)?;
-        let fetched: Result<Vec<Tensor>> = fetches
-            .iter()
-            .map(|f| outputs.take_fetch(&self.graph, *f))
-            .collect();
-        Ok((fetched?, meta))
+        let (values, meta) = self.exec_subgraph(fetches, feeds, true, true, true)?;
+        Ok((values, meta.expect("metadata was requested")))
     }
 
     /// Cache statistics of the memoized-plan store: `(hits, misses)`
@@ -592,7 +604,26 @@ impl Session {
     /// "do not return the evaluated value" mode the paper's STREAM
     /// benchmark uses to avoid measuring the client transfer.
     pub fn run_no_fetch(&self, targets: &[NodeId], feeds: &[(NodeId, Tensor)]) -> Result<()> {
-        self.exec_subgraph(targets, feeds, false).map(|_| ())
+        self.exec_subgraph(targets, feeds, false, true, false)
+            .map(|_| ())
+    }
+
+    /// How many instructions the program for `fetches` has — fewer
+    /// than the nodes it covers by one per rewritten `scale → add/sub`
+    /// pair. Builds the program the way a run of this session would
+    /// (rewrite off under `step_replay = false` or with a debugger
+    /// attached) without touching the plan cache; for tests and
+    /// diagnostics.
+    #[doc(hidden)]
+    pub fn program_len(&self, fetches: &[NodeId]) -> Result<usize> {
+        let fetches = IdSet::new(fetches.iter().copied());
+        let replay = self.options.step_replay;
+        let plan = self.build_plan(
+            fetches.as_slice(),
+            replay,
+            replay && self.debugger.is_none(),
+        )?;
+        Ok(plan.instrs.len())
     }
 
     /// Fingerprint of the session's graph content, recomputed whenever
@@ -620,46 +651,56 @@ impl Session {
         fp
     }
 
-    /// Look up (or build) the execution plan for a run signature in
-    /// the session's plan cache (private by default, shared across
-    /// sessions once [`Session::set_plan_cache`] injected one).
-    /// With `step_replay` off every run rebuilds from scratch and is
-    /// counted as a miss — the pre-cache cost profile.
+    /// Look up (or build) the program for a run signature in the
+    /// session's plan cache (private by default, shared across
+    /// sessions once [`Session::set_plan_cache`] injected one). A hit
+    /// hashes and compares the caller's own id lists — no allocation.
+    /// With `step_replay` off every run rebuilds from scratch, with
+    /// the rewrite and forwarding off, and is counted as a miss — the
+    /// tests' reference, run by the same interpreter.
     fn plan_for(
         &self,
         targets: &[NodeId],
         feeds: &[(NodeId, Tensor)],
     ) -> Result<Arc<ExecutionPlan>> {
-        let key = plan_key(targets, feeds);
-        let reg = tfhpc_obs::global();
+        let fetches = IdSet::new(targets.iter().copied());
         if !self.options.step_replay {
             self.plan_misses.fetch_add(1, Ordering::Relaxed);
-            reg.counter("tfhpc_plan_cache_misses_total").add(1);
-            return Ok(Arc::new(self.build_plan(&key.0)?));
+            PLAN_MISSES.add(1);
+            return Ok(Arc::new(self.build_plan(
+                fetches.as_slice(),
+                false,
+                false,
+            )?));
         }
-        let shared_key = (
-            self.graph_fingerprint(),
-            self.devices.placement_signature(),
-            key,
-        );
-        if let Some(plan) = self.plan_cache.lookup(&shared_key) {
+        let fed = IdSet::new(feeds.iter().map(|(id, _)| *id));
+        let key = KeyView {
+            fingerprint: self.graph_fingerprint(),
+            devices: self.devices.placement_signature(),
+            fused: self.debugger.is_none(),
+            fetches: fetches.as_slice(),
+            feeds: fed.as_slice(),
+        };
+        if let Some(plan) = self.plan_cache.lookup(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            reg.counter("tfhpc_plan_cache_hits_total").add(1);
+            PLAN_HITS.add(1);
             return Ok(plan);
         }
-        let plan = Arc::new(self.build_plan(&shared_key.2 .0)?);
+        let plan = Arc::new(self.build_plan(key.fetches, true, key.fused)?);
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        reg.counter("tfhpc_plan_cache_misses_total").add(1);
-        self.plan_cache.insert(shared_key, Arc::clone(&plan));
+        PLAN_MISSES.add(1);
+        self.plan_cache.insert(&key, Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// Derive the pruned schedule, dependency counts, consumer lists,
-    /// per-output use counts and device placements for `fetches` —
-    /// everything both executors need that does not change between
-    /// identical runs. Placement resolution is deterministic, so
-    /// resolving here (once) is equivalent to resolving per step.
-    fn build_plan(&self, fetches: &[NodeId]) -> Result<ExecutionPlan> {
+    /// Compile the program for `fetches` (sorted, deduplicated):
+    /// prune, resolve placements, rewrite `scale → add/sub` pairs
+    /// (`fuse`), lay the instructions out over registers and mark
+    /// every register's last read. Nothing here depends on a run's
+    /// values, and placement resolution is deterministic, so deciding
+    /// it once is equivalent to deciding it per step.
+    fn build_plan(&self, fetches: &[NodeId], forward: bool, fuse: bool) -> Result<ExecutionPlan> {
+        const NO_SLOT: u32 = u32::MAX;
         let nodes = self.graph.required_for(fetches);
         let n = nodes.len();
         let cap = nodes.last().map(|id| id.index() + 1).unwrap_or(0);
@@ -667,107 +708,219 @@ impl Session {
         for (i, id) in nodes.iter().enumerate() {
             slot_of[id.index()] = i as u32;
         }
-        let mut inputs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(n);
-        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut pending_init = vec![0u32; n];
+        let slot = |id: NodeId| match slot_of[id.index()] {
+            NO_SLOT => Err(CoreError::Graph("input not computed (cycle?)".into())),
+            s => Ok(s as usize),
+        };
+
+        // Per planned node: placement, how often its first output is
+        // read, whether a control edge touches it.
         let mut placements = Vec::with_capacity(n);
-        let mut out_offset = Vec::with_capacity(n + 1);
-        let mut use_init: Vec<u32> = Vec::new();
+        let mut reads = vec![0u32; n];
+        let mut has_control = vec![false; n];
         let mut any_may_block = false;
-        out_offset.push(0u32);
         for (i, id) in nodes.iter().enumerate() {
             let node = self.graph.node(*id);
             any_may_block |= node.op.may_block();
-            let mut ins = Vec::with_capacity(node.inputs.len());
-            for (src, out_idx) in &node.inputs {
-                let s = slot_of[src.index()];
-                if s == NO_SLOT {
-                    return Err(CoreError::Graph("input not computed (cycle?)".into()));
-                }
-                ins.push((s, *out_idx as u32));
-                consumers[s as usize].push(i as u32);
-                pending_init[i] += 1;
-            }
-            for src in &node.control_inputs {
-                let s = slot_of[src.index()];
-                if s == NO_SLOT {
-                    return Err(CoreError::Graph("input not computed (cycle?)".into()));
-                }
-                consumers[s as usize].push(i as u32);
-                pending_init[i] += 1;
-            }
-            inputs.push(ins);
             placements.push(if matches!(node.op, Op::Placeholder { .. }) {
                 Placement::Cpu
             } else {
                 self.devices.resolve(node.device, node.op.gpu_capable())?
             });
-            let n_out = node.op.n_outputs();
-            out_offset.push(out_offset[i] + n_out as u32);
-            use_init.resize(use_init.len() + n_out, 0);
-        }
-        for ins in &inputs {
-            for &(src, out_idx) in ins {
-                use_init[out_offset[src as usize] as usize + out_idx as usize] += 1;
+            for (src, _) in &node.inputs {
+                reads[slot(*src)?] += 1;
+            }
+            has_control[i] |= !node.control_inputs.is_empty();
+            for src in &node.control_inputs {
+                has_control[slot(*src)?] = true;
             }
         }
-        let input_placements: Vec<Vec<Placement>> = inputs
-            .iter()
-            .map(|ins| {
-                ins.iter()
-                    .map(|&(src, _)| placements[src as usize])
-                    .collect()
+
+        // The rewrite: slot `i` folds into slot `i + 1` when it is a
+        // scale whose only reader is that node — the *next* one in
+        // the schedule, so every charge and every per-op record of a
+        // simulated run keeps its order — an `Add`/`Sub` on the same
+        // device reading the product exactly once (as the subtrahend,
+        // for `Sub`), with no control edge on the scale and the scale
+        // not fetched.
+        let fused_into_next = |i: usize| -> Option<FusedScale> {
+            let (producer, reader) = (
+                self.graph.node(nodes[i]),
+                self.graph.node(*nodes.get(i + 1)?),
+            );
+            let scale = matches!(producer.op, Op::MulScalar | Op::Scale { .. });
+            let subtract = match reader.op {
+                Op::Add => false,
+                Op::Sub => true,
+                _ => return None,
+            };
+            let position = reader
+                .inputs
+                .iter()
+                .position(|(src, _)| *src == producer.id)?;
+            let ok = fuse
+                && scale
+                && reads[i] == 1
+                && reader.inputs.len() == 2
+                && !(subtract && position == 0)
+                && !has_control[i]
+                && placements[i] == placements[i + 1]
+                && fetches.binary_search(&producer.id).is_err();
+            ok.then_some(FusedScale {
+                producer: producer.id,
+                subtract,
+                product_first: position == 0,
             })
-            .collect();
+        };
+
+        // Lay out instructions, registers and operands.
+        let mut instrs: Vec<Instr> = Vec::with_capacity(n);
+        let mut operands: Vec<Operand> = Vec::new();
+        let mut reg_of = vec![NO_REG; cap];
+        let mut instr_of_slot = vec![0u32; n];
+        let mut n_regs = 0u32;
+        let mut pending_fuse: Option<FusedScale> = None;
+        for (i, id) in nodes.iter().enumerate() {
+            let node = self.graph.node(*id);
+            instr_of_slot[i] = instrs.len() as u32;
+            if pending_fuse.is_none() {
+                if let Some(f) = fused_into_next(i) {
+                    // Emitted with its reader, next iteration.
+                    pending_fuse = Some(f);
+                    continue;
+                }
+            }
+            let fused = pending_fuse.take();
+            let start = operands.len() as u32;
+            let mut read = |src: NodeId, out_idx: usize| -> Result<()> {
+                let base = reg_of[src.index()];
+                if base == NO_REG {
+                    return Err(CoreError::Graph("input not computed (cycle?)".into()));
+                }
+                operands.push(Operand {
+                    reg: base + out_idx as u32,
+                    last_read: false,
+                    from: placements[slot(src)?],
+                });
+                Ok(())
+            };
+            if let Some(f) = &fused {
+                for (src, out_idx) in &self.graph.node(f.producer).inputs {
+                    read(*src, *out_idx)?;
+                }
+            }
+            for (src, out_idx) in &node.inputs {
+                if fused.is_some_and(|f| *src == f.producer) {
+                    continue;
+                }
+                read(*src, *out_idx)?;
+            }
+            let n_out = node.op.n_outputs() as u32;
+            if n_out > 0 {
+                reg_of[id.index()] = n_regs;
+            }
+            instrs.push(Instr {
+                node: *id,
+                fused,
+                operands: start..operands.len() as u32,
+                out: n_regs,
+                n_out,
+                placement: placements[i],
+                forwardable: forward && kernels::forwardable(&node.op),
+            });
+            n_regs += n_out;
+        }
+
+        // A register's last read in program order moves the value out
+        // instead of cloning it — unless it is fetched: a fetch reads
+        // after every instruction, so no instruction's read is the last.
+        let mut last_read = vec![usize::MAX; n_regs as usize];
+        for (i, o) in operands.iter().enumerate() {
+            last_read[o.reg as usize] = i;
+        }
+        for f in fetches {
+            let base = reg_of[f.index()];
+            if base != NO_REG {
+                last_read[base as usize] = usize::MAX;
+            }
+        }
+        for i in last_read {
+            if i != usize::MAX {
+                operands[i].last_read = true;
+            }
+        }
+
+        // The same list as a dependency graph, for the parallel
+        // executor: one edge per operand read and per control input.
+        let mut producer_of = vec![0u32; n_regs as usize];
+        for (i, instr) in instrs.iter().enumerate() {
+            for r in instr.out..instr.out + instr.n_out {
+                producer_of[r as usize] = i as u32;
+            }
+        }
+        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); instrs.len()];
+        let mut pending_init = vec![0u32; instrs.len()];
+        for (i, instr) in instrs.iter().enumerate() {
+            let data = operands[instr.operands.start as usize..instr.operands.end as usize]
+                .iter()
+                .map(|o| producer_of[o.reg as usize]);
+            let control = self
+                .graph
+                .node(instr.node)
+                .control_inputs
+                .iter()
+                .map(|src| instr_of_slot[slot_of[src.index()] as usize]);
+            for dep in data.chain(control) {
+                consumers[dep as usize].push(i as u32);
+                pending_init[i] += 1;
+            }
+        }
+
         Ok(ExecutionPlan {
-            nodes,
-            slot_of,
-            inputs,
+            instrs,
+            operands,
+            n_regs: n_regs as usize,
+            reg_of,
             consumers,
             pending_init,
-            placements,
-            input_placements,
-            out_offset,
-            use_init,
             any_may_block,
+            frames: Mutex::new(Vec::new()),
         })
     }
 
     /// The single entry behind every run flavour: dispatch + feed
-    /// costs, then either the sequential or the parallel executor
-    /// driven off the (cached) execution plan.
+    /// costs, the (cached) program, then the sequential interpreter or
+    /// the parallel executor over it, then the fetched values moved
+    /// out of the register file. On a plan-cache hit nothing here
+    /// allocates except what leaves the session — and the metadata,
+    /// which is only assembled when `want_stats`.
     fn exec_subgraph(
         &self,
         targets: &[NodeId],
         feeds: &[(NodeId, Tensor)],
         want_stats: bool,
-    ) -> Result<(RunOutputs, RunMetadata)> {
-        self.exec_subgraph_inner(targets, feeds, want_stats, true)
-    }
-
-    fn exec_subgraph_inner(
-        &self,
-        targets: &[NodeId],
-        feeds: &[(NodeId, Tensor)],
-        want_stats: bool,
         charge_dispatch: bool,
-    ) -> Result<(RunOutputs, RunMetadata)> {
+        want_values: bool,
+    ) -> Result<(Vec<Tensor>, Option<RunMetadata>)> {
         // A request whose propagated budget is already spent fails here
         // rather than queueing work it can no longer use.
         crate::deadline::check("Session::run")?;
-        let run_t0 = self.now();
-        let retries_t0 = self.resources.retries_total();
-        let corruption_t0 = self.resources.corruption_detected_total();
-        let retransmits_t0 = self.resources.retransmits_total();
-        let links_t0 = sim_link_counters();
+        let stats_t0 = want_stats.then(|| StatsStart {
+            run_t0: self.now(),
+            retries: self.resources.retries_total(),
+            corruption: self.resources.corruption_detected_total(),
+            retransmits: self.resources.retransmits_total(),
+            links: sim_link_counters(),
+        });
         let run_seed = self.run_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        let sim = self.devices.sim.as_ref();
 
         // Every invocation goes through the client→server dispatch the
         // paper measures as part of STREAM (gRPC administrative path),
         // plus Python-side serialization of any fed tensors. Batched
         // runs pay the dispatch once up front (in `run_batch`) and skip
         // it here.
-        if let (Some(me), Some(sim)) = (tfhpc_sim::des::current(), self.devices.sim.as_ref()) {
+        if let (Some(sim), Some(me)) = (sim, tfhpc_sim::des::current()) {
             if charge_dispatch {
                 me.advance(sim.cluster.platform.net.session_dispatch_s);
             }
@@ -777,138 +930,162 @@ impl Session {
             }
         }
 
-        let feed_map: HashMap<NodeId, &Tensor> = feeds.iter().map(|(id, t)| (*id, t)).collect();
         let plan = self.plan_for(targets, feeds)?;
-        let meta = MetaAcc::new(want_stats);
 
         // Simulated runs stay sequential (the DES owns time, and one
         // sim process steps the whole run); blocking ops must not tie
         // up inter-op workers, so queue/dataset graphs do too.
         let parallel = self.options.inter_op_threads > 1
-            && plan.len() > 1
-            && self.devices.sim.is_none()
-            && tfhpc_sim::des::current().is_none()
-            && !plan.any_may_block;
+            && plan.instrs.len() > 1
+            && sim.is_none()
+            && !plan.any_may_block
+            && tfhpc_sim::des::current().is_none();
 
-        // Outstanding reads per (slot, output): the plan's data-edge
-        // counts plus one per fetch occurrence, reserved up front so a
-        // consumer can never forward a buffer a fetch still needs.
-        let mut remaining = plan.use_init.clone();
-        for t in targets {
-            if let Some(slot) = plan.slot(*t) {
-                let o = plan.out_offset[slot] as usize;
-                if (plan.out_offset[slot + 1] as usize) > o {
-                    remaining[o] += 1;
-                }
-            }
+        let tracer = Some(tfhpc_obs::trace::global()).filter(|t| t.is_enabled());
+        let ctx = RunCtx {
+            feeds,
+            run_seed,
+            sim,
+            tracer,
+            timed: sim.is_some() || want_stats || self.timeline.is_some() || tracer.is_some(),
+            forward: !parallel,
+            per_op: want_stats,
+        };
+        let mut tally = Tally::new(ctx.per_op);
+        let mut guard = FrameGuard::checkout(&plan);
+        if parallel {
+            self.exec_parallel(&plan, &ctx, &mut guard.frame.regs, &mut tally)?;
+        } else {
+            tfhpc_parallel::with_worker_limit(self.options.intra_op_threads, || {
+                self.exec_sequential(&plan, &ctx, &mut guard.frame, &mut tally)
+            })?;
         }
 
-        let outputs = if parallel {
-            self.exec_parallel(&plan, remaining, &feed_map, run_seed, &meta)?
-        } else {
-            self.exec_sequential(&plan, remaining, &feed_map, run_seed, &meta)?
-        };
+        let mut values = Vec::with_capacity(if want_values { targets.len() } else { 0 });
+        if want_values {
+            for (i, f) in targets.iter().enumerate() {
+                let node = self.graph.node(*f);
+                let no_outputs = || {
+                    CoreError::Graph(format!(
+                        "fetch `{}` has no outputs (op `{}`)",
+                        node.name,
+                        node.op.name()
+                    ))
+                };
+                // Output 0, moved out unless the same fetch is listed
+                // again further on.
+                let slot = guard
+                    .frame
+                    .regs
+                    .get_mut(plan.reg_of[f.index()] as usize)
+                    .ok_or_else(no_outputs)?;
+                let value = if targets[i + 1..].contains(f) {
+                    slot.clone()
+                } else {
+                    slot.take()
+                };
+                values.push(value.ok_or_else(no_outputs)?);
+            }
+        }
+        drop(guard);
 
-        let metadata = meta.into_metadata(
-            self.now() - run_t0,
-            self.resources.retries_total() - retries_t0,
-            self.resources.corruption_detected_total() - corruption_t0,
-            self.resources.retransmits_total() - retransmits_t0,
-            self.resources.queue_step_stats(),
-            link_deltas(&links_t0, &sim_link_counters()),
-        );
-        let reg = tfhpc_obs::global();
-        reg.counter("tfhpc_ops_executed_total")
-            .add(metadata.ops_executed as u64);
-        reg.counter("tfhpc_output_bytes_total")
-            .add(metadata.output_bytes);
-        Ok((outputs, metadata))
+        OPS_EXECUTED.add(tally.ops_executed as u64);
+        OUTPUT_BYTES.add(tally.output_bytes);
+        let metadata = stats_t0.map(|t0| {
+            let retries = self.resources.retries_total() - t0.retries;
+            RunMetadata {
+                ops_executed: tally.ops_executed,
+                output_bytes: tally.output_bytes,
+                kernel_seconds: tally.kernel_seconds,
+                elapsed_s: self.now() - t0.run_t0,
+                retries,
+                corruption_detected: self.resources.corruption_detected_total() - t0.corruption,
+                retransmits: self.resources.retransmits_total() - t0.retransmits,
+                step_stats: tfhpc_obs::StepStats {
+                    ops: tally
+                        .per_op
+                        .unwrap_or_default()
+                        .into_iter()
+                        .map(|(name, (count, device_seconds))| tfhpc_obs::OpStat {
+                            name,
+                            count,
+                            device_seconds,
+                        })
+                        .collect(),
+                    queues: self.resources.queue_step_stats(),
+                    links: link_deltas(&t0.links, &sim_link_counters()),
+                    retries,
+                },
+            }
+        });
+        Ok((values, metadata))
     }
 
-    /// In-order executor: walks the plan's slots (a valid topological
-    /// order) on the calling thread. Used for simulated runs and when
-    /// `inter_op_threads == 1`. This is the only executor that
-    /// forwards buffers: a last-consumer read moves the producer's
-    /// output out of the arena instead of cloning it, which lets
+    /// The interpreter: one pass over the program's instructions (a
+    /// valid topological order) on the calling thread. Used for
+    /// simulated runs and when `inter_op_threads == 1`. This is the
+    /// only executor that forwards buffers: a register's last read
+    /// moves the tensor out instead of cloning it, which lets
     /// elementwise kernels reuse the allocation in place.
     fn exec_sequential(
         &self,
-        plan: &Arc<ExecutionPlan>,
-        mut remaining: Vec<u32>,
-        feed_map: &HashMap<NodeId, &Tensor>,
-        run_seed: u64,
-        meta: &MetaAcc,
-    ) -> Result<RunOutputs> {
-        let n = plan.len();
-        let forward = self.options.step_replay;
-        let mut arena: Vec<Option<Vec<Tensor>>> = (0..n).map(|_| None).collect();
-        for slot in 0..n {
-            let node = self.graph.node(plan.nodes[slot]);
-            let n_in = plan.inputs[slot].len();
-            let mut inputs = Vec::with_capacity(n_in);
-            for &(src, out_idx) in &plan.inputs[slot] {
-                let (src, out_idx) = (src as usize, out_idx as usize);
-                let outs = arena[src]
-                    .as_mut()
-                    .ok_or_else(|| CoreError::Graph("input not computed (cycle?)".into()))?;
-                let t = outs
-                    .get_mut(out_idx)
-                    .ok_or_else(|| CoreError::Graph("missing producer output".into()))?;
-                let use_idx = plan.out_offset[src] as usize + out_idx;
-                remaining[use_idx] -= 1;
-                inputs.push(if remaining[use_idx] == 0 {
-                    // Last outstanding read (fetches hold their own
-                    // count, so zero means truly dead): hand the kernel
-                    // the actual buffer instead of a copy. With
-                    // forwarding on it may be reused in place; either
-                    // way it is recycled rather than freed when it dies.
-                    std::mem::replace(t, taken_marker())
+        plan: &ExecutionPlan,
+        ctx: &RunCtx,
+        frame: &mut Frame,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let Frame { regs, ins, outs } = frame;
+        for instr in &plan.instrs {
+            for o in plan.operands_of(instr) {
+                let slot = &mut regs[o.reg as usize];
+                // On its last read (fetches are never one, so it is
+                // truly dead afterwards) the kernel gets the actual
+                // buffer instead of a copy. With forwarding it may be
+                // reused in place; either way it is recycled rather
+                // than freed when it dies.
+                let t = if o.last_read {
+                    slot.take()
                 } else {
-                    t.clone()
-                });
+                    slot.clone()
+                };
+                // Program order is topological, so an empty register
+                // means its (custom) producer came up short.
+                ins.push(t.ok_or_else(|| CoreError::Graph("missing producer output".into()))?);
             }
-            let outputs = self.exec_node(
-                node,
-                plan.placements[slot],
-                inputs,
-                &plan.input_placements[slot],
-                feed_map,
-                run_seed,
-                meta,
-                forward,
-            )?;
-            arena[slot] = Some(outputs);
+            self.exec_instr(plan, instr, ctx, ins, outs, tally)?;
+            // A kernel returning fewer outputs than its op declares
+            // leaves the rest empty (an error only if someone reads
+            // them); extra ones are dropped.
+            let owned = &mut regs[instr.out as usize..][..instr.n_out as usize];
+            for (slot, t) in owned.iter_mut().zip(outs.drain(..)) {
+                *slot = Some(t);
+            }
         }
-        Ok(RunOutputs {
-            plan: Arc::clone(plan),
-            arena,
-            remaining,
-            may_move: forward,
-        })
+        Ok(())
     }
 
-    /// Ready-set dataflow executor: the plan's dependency counts seed
-    /// per-run atomics, zero-in-degree nodes are dispatched onto the
-    /// inter-op pool, consumers decremented as producers finish. The
-    /// first error stops scheduling new nodes; in-flight kernels drain
-    /// before the error is returned. Inputs are cloned (never moved):
-    /// a `OnceLock` result may be read concurrently by several
-    /// consumers, so buffer forwarding is sequential-executor-only.
+    /// Ready-set dataflow executor over the same program: its
+    /// dependency counts seed per-run atomics, zero-in-degree
+    /// instructions are dispatched onto the inter-op pool, consumers
+    /// decremented as producers finish. The first error stops
+    /// scheduling; in-flight kernels drain before the error is
+    /// returned. Operands are cloned (never moved): a register may be
+    /// read concurrently by several consumers, so buffer forwarding is
+    /// sequential-executor-only. On success `regs` holds every value.
     fn exec_parallel(
         &self,
-        plan: &Arc<ExecutionPlan>,
-        remaining: Vec<u32>,
-        feed_map: &HashMap<NodeId, &Tensor>,
-        run_seed: u64,
-        meta: &MetaAcc,
-    ) -> Result<RunOutputs> {
-        let n = plan.len();
+        plan: &ExecutionPlan,
+        ctx: &RunCtx,
+        regs: &mut [Option<Tensor>],
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let n = plan.instrs.len();
         let pending: Vec<AtomicUsize> = plan
             .pending_init
             .iter()
             .map(|&c| AtomicUsize::new(c as usize))
             .collect();
-        let results: Vec<OnceLock<Vec<Tensor>>> = (0..n).map(|_| OnceLock::new()).collect();
+        let results: Vec<OnceLock<Tensor>> = (0..plan.n_regs).map(|_| OnceLock::new()).collect();
         let sched = Scheduler {
             ready: Mutex::new(ReadySet {
                 queue: VecDeque::new(),
@@ -917,6 +1094,7 @@ impl Session {
             cv: Condvar::new(),
             remaining: AtomicUsize::new(n),
             error: Mutex::new(None),
+            tally: Mutex::new(Tally::new(ctx.per_op)),
         };
         {
             let mut rs = sched.ready.lock();
@@ -931,9 +1109,9 @@ impl Session {
         tfhpc_parallel::scope_on(self.inter_pool(), |s| {
             for _ in 0..workers {
                 s.spawn(|| {
-                    self.scheduler_worker(
-                        &sched, plan, &pending, &results, feed_map, run_seed, meta,
-                    )
+                    tfhpc_parallel::with_worker_limit(self.options.intra_op_threads, || {
+                        self.scheduler_worker(&sched, plan, ctx, &pending, &results)
+                    })
                 });
             }
         });
@@ -941,36 +1119,30 @@ impl Session {
         if let Some(err) = sched.error.lock().take() {
             return Err(err);
         }
-        let mut arena = Vec::with_capacity(n);
-        for (slot, cell) in results.into_iter().enumerate() {
-            let out = cell.into_inner().ok_or_else(|| {
-                CoreError::Graph(format!(
-                    "node `{}` was never scheduled (executor bug)",
-                    self.graph.node(plan.nodes[slot]).name
-                ))
-            })?;
-            arena.push(Some(out));
+        tally.merge(sched.tally.into_inner());
+        for (slot, cell) in regs.iter_mut().zip(results) {
+            *slot = cell.into_inner();
         }
-        Ok(RunOutputs {
-            plan: Arc::clone(plan),
-            arena,
-            remaining,
-            may_move: false,
-        })
+        match sched.remaining.into_inner() {
+            0 => Ok(()),
+            left => Err(CoreError::Graph(format!(
+                "{left} instructions were never scheduled (executor bug)"
+            ))),
+        }
     }
 
-    /// One inter-op worker: pop ready slots, execute, release consumers.
-    #[allow(clippy::too_many_arguments)]
+    /// One inter-op worker: pop ready instructions, execute, release
+    /// consumers.
     fn scheduler_worker(
         &self,
         sched: &Scheduler,
         plan: &ExecutionPlan,
+        ctx: &RunCtx,
         pending: &[AtomicUsize],
-        results: &[OnceLock<Vec<Tensor>>],
-        feed_map: &HashMap<NodeId, &Tensor>,
-        run_seed: u64,
-        meta: &MetaAcc,
+        results: &[OnceLock<Tensor>],
     ) {
+        let mut tally = Tally::new(ctx.per_op);
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
         loop {
             let idx = {
                 let mut rs = sched.ready.lock();
@@ -979,43 +1151,34 @@ impl Session {
                         break i;
                     }
                     if !rs.open {
+                        drop(rs);
+                        sched.tally.lock().merge(tally);
                         return;
                     }
                     sched.cv.wait(&mut rs);
                 }
             };
 
-            let node = self.graph.node(plan.nodes[idx]);
-            let result = (|| -> Result<Vec<Tensor>> {
-                let n_in = plan.inputs[idx].len();
-                let mut inputs = Vec::with_capacity(n_in);
-                for &(src, out_idx) in &plan.inputs[idx] {
-                    // The producer finished before this node became
-                    // ready; OnceLock::get also publishes its writes.
-                    let outs = results[src as usize].get().ok_or_else(|| {
-                        CoreError::Graph("input not computed (executor bug)".into())
-                    })?;
-                    let t = outs
-                        .get(out_idx as usize)
-                        .ok_or_else(|| CoreError::Graph("missing producer output".into()))?
-                        .clone();
-                    inputs.push(t);
+            let instr = &plan.instrs[idx];
+            let result = (|| -> Result<()> {
+                for o in plan.operands_of(instr) {
+                    // The producer finished before this instruction
+                    // became ready; OnceLock::get also publishes its
+                    // writes.
+                    let t = results[o.reg as usize]
+                        .get()
+                        .ok_or_else(|| CoreError::Graph("missing producer output".into()))?;
+                    ins.push(t.clone());
                 }
-                self.exec_node(
-                    node,
-                    plan.placements[idx],
-                    inputs,
-                    &plan.input_placements[idx],
-                    feed_map,
-                    run_seed,
-                    meta,
-                    false,
-                )
+                self.exec_instr(plan, instr, ctx, &mut ins, &mut outs, &mut tally)
             })();
 
             match result {
-                Ok(out) => {
-                    let _ = results[idx].set(out);
+                Ok(()) => {
+                    let owned = &results[instr.out as usize..][..instr.n_out as usize];
+                    for (cell, t) in owned.iter().zip(outs.drain(..)) {
+                        let _ = cell.set(t);
+                    }
                     for &c in &plan.consumers[idx] {
                         if pending[c as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
                             let mut rs = sched.ready.lock();
@@ -1050,30 +1213,30 @@ impl Session {
         }
     }
 
-    /// Execute one node: transfer/PFS charging, pre-dispatch memory
-    /// feasibility, the kernel itself (under the intra-op worker cap),
-    /// cost charging and timeline/debugger hooks. Placement comes
-    /// precomputed from the plan. With `forward` set, ops on the
-    /// forwardable list take inputs by value so a uniquely-held buffer
-    /// can be reused in place. Shared by both executors; everything it
-    /// touches is concurrency-safe.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_node(
+    /// Execute one instruction over the operands gathered in `ins`,
+    /// leaving its outputs in `outs` (and `ins` empty). Shared by both
+    /// executors; everything it touches is concurrency-safe.
+    fn exec_instr(
         &self,
-        node: &crate::graph::NodeDef,
-        placement: Placement,
-        inputs: Vec<Tensor>,
-        input_placements: &[Placement],
-        feed_map: &HashMap<NodeId, &Tensor>,
-        run_seed: u64,
-        meta: &MetaAcc,
-        forward: bool,
-    ) -> Result<Vec<Tensor>> {
-        // Placeholders resolve straight from feeds.
+        plan: &ExecutionPlan,
+        instr: &Instr,
+        ctx: &RunCtx,
+        ins: &mut Vec<Tensor>,
+        outs: &mut Vec<Tensor>,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let node = self.graph.node(instr.node);
+        // Placeholders resolve straight from feeds (a handful: a scan,
+        // last entry winning like the map this replaces).
         if let Op::Placeholder { dtype, shape } = &node.op {
-            let fed = feed_map.get(&node.id).ok_or_else(|| {
-                CoreError::Graph(format!("placeholder `{}` was not fed", node.name))
-            })?;
+            let (_, fed) = ctx
+                .feeds
+                .iter()
+                .rev()
+                .find(|(id, _)| *id == node.id)
+                .ok_or_else(|| {
+                    CoreError::Graph(format!("placeholder `{}` was not fed", node.name))
+                })?;
             if fed.dtype() != *dtype {
                 return Err(CoreError::Graph(format!(
                     "placeholder `{}` fed {} but declared {}",
@@ -1092,105 +1255,234 @@ impl Session {
                     )));
                 }
             }
-            meta.ops_executed.fetch_add(1, Ordering::Relaxed);
-            meta.note_op(&node.name, 0.0);
-            return Ok(vec![(*fed).clone()]);
+            tally.note_op(&node.name, 0.0, 0.0, 0);
+            outs.push(fed.clone());
+            return Ok(());
         }
 
-        // Charge host↔device transfers for inputs whose producer sat on
-        // a different device.
-        for (t, src_placement) in inputs.iter().zip(input_placements) {
-            self.devices
-                .charge_transfer(*src_placement, placement, t.byte_size() as u64);
-        }
-
-        // PFS traffic for tile I/O in simulated runs.
-        if let (Some(sim), Op::ReadTile { store }) = (self.devices.sim.as_ref(), &node.op) {
-            if let Ok(key) = inputs[0].as_i64() {
-                if let Ok(tile) = self.resources.store(store)?.get(key) {
-                    sim.cluster.pfs.read(sim.node, tile.byte_size() as u64);
-                }
-            }
-        }
-        if let (Some(sim), Op::WriteTile { .. }) = (self.devices.sim.as_ref(), &node.op) {
-            sim.cluster
-                .pfs
-                .write(sim.node, inputs[1].byte_size() as u64);
-        }
-
-        // Device-memory feasibility BEFORE dispatch: input working set
-        // plus the inferred output size must fit. Catching this up
-        // front keeps infeasible kernels from running (and mutating
-        // state) first.
-        let input_bytes: u64 = inputs.iter().map(|t| t.byte_size() as u64).sum();
-        if let Some(capacity) = self.devices.usable_memory(placement) {
-            let working_set = input_bytes + kernels::infer_output_bytes(&node.op, &inputs);
-            if working_set > capacity {
-                return Err(CoreError::OutOfMemory {
-                    device: self.devices.device_name(placement),
-                    needed: working_set,
-                    capacity,
-                });
-            }
-        }
-
-        // Clock reads only when someone consumes the span: per-op
-        // stats, the timeline, or the tracer. Sim mode always counts
-        // as timed — `dev_secs` is the charged virtual duration there
-        // and timeline spans use virtual timestamps.
-        let tr = tfhpc_obs::trace::global();
-        let timed = self.devices.sim.is_some()
-            || meta.per_op_enabled
-            || self.timeline.is_some()
-            || tr.is_enabled();
-        let start = if timed { self.now() } else { 0.0 };
-        let (outputs, cost, dp) = if forward && kernels::forwardable(&node.op) {
-            // By-value dispatch: the kernel may consume input buffers
-            // in place. Forwardable ops' cost depends only on input
-            // metadata, so charge it before the buffers move — no
-            // shell tensors, no extra allocation on the fast path.
-            let cost = kernels::forward_cost(&node.op, &inputs);
-            let dp = kernels::is_double_precision(&inputs, &[]);
-            let outputs = tfhpc_parallel::with_worker_limit(self.options.intra_op_threads, || {
-                kernels::execute_owned(&node.op, inputs, &self.resources, run_seed)
-            })?;
-            (outputs, cost, dp)
-        } else {
-            let outputs = tfhpc_parallel::with_worker_limit(self.options.intra_op_threads, || {
-                kernels::execute(&node.op, &inputs, &self.resources, run_seed)
-            })?;
-            let cost = kernels::cost_of(&node.op, &inputs, &outputs);
-            let dp = kernels::is_double_precision(&inputs, &outputs);
-            // Inputs moved in by a last-consumer read die here; donate
-            // uniquely-held buffers to the tensor arena instead of the
-            // allocator (shared/synthetic ones just drop).
-            for t in inputs {
-                tfhpc_tensor::arena::recycle_tensor(t);
-            }
-            (outputs, cost, dp)
+        let operands = plan.operands_of(instr);
+        let forward = instr.forwardable && ctx.forward;
+        let Some(fused) = instr.fused else {
+            let from = operands.iter().map(|o| o.from);
+            return self.run_node(node, instr.placement, forward, from, ctx, ins, outs, tally);
         };
 
-        // Re-check with actual output sizes for ops whose outputs
-        // cannot be inferred up front (dequeues, tile reads, py_funcs).
-        if let Some(capacity) = self.devices.usable_memory(placement) {
-            let working_set =
-                input_bytes + outputs.iter().map(|t| t.byte_size() as u64).sum::<u64>();
-            if working_set > capacity {
-                return Err(CoreError::OutOfMemory {
-                    device: self.devices.device_name(placement),
-                    needed: working_set,
-                    capacity,
-                });
-            }
-        }
+        // A rewritten pair: operands are the scale's, then `y`.
+        let producer = self.graph.node(fused.producer);
+        let (scale_from, y_from) = operands.split_at(operands.len() - 1);
+        let y_from = y_from[0].from;
+        let y = ins
+            .pop()
+            .ok_or_else(|| CoreError::Graph(format!("fused `{}` lost its operand", node.name)))?;
+        // The reader's operands / their placements, in its own order.
+        let reader_order = |product: Tensor, y: Tensor| match fused.product_first {
+            true => [product, y],
+            false => [y, product],
+        };
+        let reader_from = match fused.product_first {
+            true => [instr.placement, y_from],
+            false => [y_from, instr.placement],
+        };
+        let scale_from = scale_from.iter().map(|o| o.from);
+        let Some(alpha) = kernels::fused_axpy_alpha(&producer.op, ins, &y, fused.subtract) else {
+            // These operands need the pair as itself: the scale, then
+            // its reader over (y, product) — exactly the unfused steps.
+            self.run_node(
+                producer,
+                instr.placement,
+                forward,
+                scale_from,
+                ctx,
+                ins,
+                outs,
+                tally,
+            )?;
+            let product = outs.pop().ok_or_else(|| {
+                CoreError::Graph(format!("`{}` produced no output", producer.name))
+            })?;
+            ins.extend(reader_order(product, y));
+            let from = reader_from.into_iter();
+            return self.run_node(node, instr.placement, forward, from, ctx, ins, outs, tally);
+        };
 
-        let dur = self.devices.charge_kernel(placement, &cost, dp);
+        // One pass, the bookkeeping of both nodes replayed in order.
+        // Both are forwardable ops, whose accounting reads operand
+        // metadata only — and the product's metadata is `v`'s.
+        let begun = self.begin_op(ctx, producer, instr.placement, ins, scale_from)?;
+        let charge = forward_charge(ctx, &producer.op, ins);
+        let v = ins.swap_remove(0);
+        for t in ins.drain(..) {
+            tfhpc_tensor::arena::recycle_tensor(t);
+        }
+        let product_bytes = v.byte_size() as u64;
+        // The measured interval (real mode) goes to the reader; the
+        // scale records zero.
+        self.finish_op(
+            ctx,
+            producer,
+            instr.placement,
+            begun,
+            charge,
+            product_bytes,
+            false,
+            tally,
+        )?;
+        // Simulated runs account the reader over stand-in handles (`v`
+        // for the product); they go before the kernel runs so it still
+        // finds its operands uniquely held.
+        let stand_in = ctx.sim.map(|_| reader_order(v.clone(), y.clone()));
+        let reader_inputs = stand_in.as_ref().map_or(&[][..], |pair| &pair[..]);
+        let begun = self.begin_op(
+            ctx,
+            node,
+            instr.placement,
+            reader_inputs,
+            reader_from.into_iter(),
+        )?;
+        let charge = forward_charge(ctx, &node.op, reader_inputs);
+        drop(stand_in);
+        let out = tfhpc_tensor::ops::axpy_owned(alpha, v, y)?;
+        let out_bytes = out.byte_size() as u64;
+        outs.push(out);
+        self.finish_op(
+            ctx,
+            node,
+            instr.placement,
+            begun,
+            charge,
+            out_bytes,
+            true,
+            tally,
+        )
+    }
+
+    /// Execute one graph node: accounting before, the kernel itself,
+    /// accounting after, debugger hook. With `forward` the kernel takes
+    /// its operands by value so a uniquely-held buffer can be reused in
+    /// place; either way `ins` comes back empty.
+    #[allow(clippy::too_many_arguments)]
+    fn run_node(
+        &self,
+        node: &crate::graph::NodeDef,
+        placement: Placement,
+        forward: bool,
+        from: impl Iterator<Item = Placement>,
+        ctx: &RunCtx,
+        ins: &mut Vec<Tensor>,
+        outs: &mut Vec<Tensor>,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let begun = self.begin_op(ctx, node, placement, ins, from)?;
+        let charge = if forward {
+            // By-value dispatch: the kernel may consume input buffers
+            // in place. Forwardable ops' cost depends only on input
+            // metadata, so work it out before the buffers move — no
+            // shell tensors, no extra allocation on the fast path.
+            let charge = forward_charge(ctx, &node.op, ins);
+            kernels::execute_owned(&node.op, ins, &self.resources, ctx.run_seed, outs)?;
+            charge
+        } else {
+            kernels::execute(&node.op, ins, &self.resources, ctx.run_seed, outs)?;
+            ctx.sim.map(|_| {
+                (
+                    kernels::cost_of(&node.op, ins, outs),
+                    kernels::is_double_precision(ins, outs),
+                )
+            })
+        };
+        // Operands moved in by a last read die here; donate
+        // uniquely-held buffers to the tensor arena instead of the
+        // allocator (shared/synthetic ones just drop).
+        for t in ins.drain(..) {
+            tfhpc_tensor::arena::recycle_tensor(t);
+        }
+        let out_bytes = outs.iter().map(|t| t.byte_size() as u64).sum();
+        self.finish_op(ctx, node, placement, begun, charge, out_bytes, true, tally)?;
+        if let Some(dbg) = &self.debugger {
+            dbg.record(&node.name, outs);
+        }
+        Ok(())
+    }
+
+    /// What precedes a kernel: in simulated runs, transfer and PFS
+    /// charging and the pre-dispatch memory feasibility check; the
+    /// start timestamp when the run is timed.
+    fn begin_op(
+        &self,
+        ctx: &RunCtx,
+        node: &crate::graph::NodeDef,
+        placement: Placement,
+        inputs: &[Tensor],
+        from: impl Iterator<Item = Placement>,
+    ) -> Result<Begun> {
+        let mut input_bytes = 0;
+        if let Some(sim) = ctx.sim {
+            // Charge host↔device transfers for inputs whose producer
+            // sat on a different device.
+            for (t, src_placement) in inputs.iter().zip(from) {
+                self.devices
+                    .charge_transfer(src_placement, placement, t.byte_size() as u64);
+            }
+            // PFS traffic for tile I/O.
+            if let Op::ReadTile { store } = &node.op {
+                if let Ok(key) = inputs[0].as_i64() {
+                    if let Ok(tile) = self.resources.store(store)?.get(key) {
+                        sim.cluster.pfs.read(sim.node, tile.byte_size() as u64);
+                    }
+                }
+            }
+            if let Op::WriteTile { .. } = &node.op {
+                sim.cluster
+                    .pfs
+                    .write(sim.node, inputs[1].byte_size() as u64);
+            }
+            // Device-memory feasibility BEFORE dispatch: input working
+            // set plus the inferred output size must fit. Catching
+            // this up front keeps infeasible kernels from running (and
+            // mutating state) first.
+            input_bytes = inputs.iter().map(|t| t.byte_size() as u64).sum();
+            self.check_memory(
+                placement,
+                input_bytes + kernels::infer_output_bytes(&node.op, inputs),
+            )?;
+        }
+        Ok(Begun {
+            start: if ctx.timed { self.now() } else { 0.0 },
+            input_bytes,
+        })
+    }
+
+    /// What follows a kernel: in simulated runs, the feasibility
+    /// re-check against the actual output size (for ops whose outputs
+    /// cannot be inferred up front — dequeues, tile reads, py_funcs)
+    /// and the kernel charge; then the timeline, tracer and tally
+    /// records. `measured` is false for the scale of a fused pair,
+    /// which hands its real-mode interval to its reader.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_op(
+        &self,
+        ctx: &RunCtx,
+        node: &crate::graph::NodeDef,
+        placement: Placement,
+        begun: Begun,
+        charge: Option<(Cost, bool)>,
+        out_bytes: u64,
+        measured: bool,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let mut dur = 0.0;
+        if let Some((cost, double_precision)) = charge {
+            self.check_memory(placement, begun.input_bytes + out_bytes)?;
+            dur = self
+                .devices
+                .charge_kernel(placement, &cost, double_precision);
+        }
         // Charged time in sim mode, measured wall time otherwise —
         // what the timeline, the tracer and the per-op stats all show.
-        let dev_secs = if self.devices.sim.is_some() {
+        let dev_secs = if ctx.sim.is_some() {
             dur
-        } else if timed {
-            self.now() - start
+        } else if ctx.timed && measured {
+            self.now() - begun.start
         } else {
             0.0
         };
@@ -1198,31 +1490,49 @@ impl Session {
             tl.record(
                 &node.name,
                 &self.devices.device_name(placement),
-                start,
+                begun.start,
                 dev_secs,
             );
         }
-        if tr.is_enabled() {
+        if let Some(tr) = ctx.tracer {
             tr.record(tfhpc_obs::TraceEvent::span(
                 &node.name,
                 &self.devices.device_name(placement),
-                start,
+                begun.start,
                 dev_secs,
             ));
         }
-        if let Some(dbg) = &self.debugger {
-            dbg.record(&node.name, &outputs);
-        }
-
-        meta.ops_executed.fetch_add(1, Ordering::Relaxed);
-        meta.note_op(&node.name, dev_secs);
-        meta.add_kernel_seconds(dur);
-        meta.output_bytes.fetch_add(
-            outputs.iter().map(|t| t.byte_size() as u64).sum::<u64>(),
-            Ordering::Relaxed,
-        );
-        Ok(outputs)
+        tally.note_op(&node.name, dev_secs, dur, out_bytes);
+        Ok(())
     }
+
+    fn check_memory(&self, placement: Placement, working_set: u64) -> Result<()> {
+        match self.devices.usable_memory(placement) {
+            Some(capacity) if working_set > capacity => Err(CoreError::OutOfMemory {
+                device: self.devices.device_name(placement),
+                needed: working_set,
+                capacity,
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// What a forwardable op will be charged in a simulated run (`None`
+/// in real mode), from its operands' metadata alone.
+fn forward_charge(ctx: &RunCtx, op: &Op, inputs: &[Tensor]) -> Option<(Cost, bool)> {
+    ctx.sim.map(|_| {
+        (
+            kernels::forward_cost(op, inputs),
+            kernels::is_double_precision(inputs, &[]),
+        )
+    })
+}
+
+/// What [`Session::begin_op`] hands to [`Session::finish_op`].
+struct Begun {
+    start: f64,
+    input_bytes: u64,
 }
 
 /// Shared state of one parallel run.
@@ -1231,6 +1541,8 @@ struct Scheduler {
     cv: Condvar,
     remaining: AtomicUsize,
     error: Mutex<Option<CoreError>>,
+    /// Workers merge their tallies here as they exit.
+    tally: Mutex<Tally>,
 }
 
 /// The ready queue plus its open/closed flag (closed on completion or
@@ -1259,6 +1571,109 @@ mod tests {
         let s = session(g);
         let out = s.run(&[d], &[]).unwrap();
         assert_eq!(out[0].scalar_value_f64().unwrap(), 25.0);
+    }
+
+    #[test]
+    fn program_marks_each_registers_last_read_and_never_a_fetch() {
+        let mut g = Graph::new();
+        let a = g.constant(Tensor::scalar_f64(2.0));
+        let b = g.constant(Tensor::scalar_f64(3.0));
+        let c = g.add(a, b);
+        let d = g.mul(c, c);
+        let e = g.neg(c);
+        let s = session(g);
+        let plan = s.build_plan(&[d, e], true, true).unwrap();
+        let reads: Vec<Vec<(u32, bool)>> = plan
+            .instrs
+            .iter()
+            .map(|i| {
+                plan.operands_of(i)
+                    .iter()
+                    .map(|o| (o.reg, o.last_read))
+                    .collect()
+            })
+            .collect();
+        // a, b die in the add; c is read three times, last by the neg;
+        // d and e are fetched, so no instruction owns their last read.
+        assert_eq!(
+            reads,
+            vec![
+                vec![],
+                vec![],
+                vec![(0, true), (1, true)],
+                vec![(2, false), (2, false)],
+                vec![(2, true)],
+            ]
+        );
+        assert_eq!(plan.n_regs, 5);
+        // Fetching c as well pins it: no read of it is the last.
+        let plan = s.build_plan(&[c, d, e], true, true).unwrap();
+        assert!(plan.operands.iter().all(|o| o.reg != 2 || !o.last_read));
+        // Dependency view of the same list: the add waits on both
+        // constants, the mul on the add twice.
+        assert_eq!(plan.pending_init, vec![0, 0, 2, 2, 1]);
+        assert_eq!(plan.consumers[2], vec![3, 3, 4]);
+    }
+
+    #[test]
+    fn rewrite_folds_a_scale_into_its_adjacent_reader() {
+        let mut g = Graph::new();
+        let v = g.placeholder(DType::F64, Some(Shape::vector(4)));
+        let y = g.placeholder(DType::F64, Some(Shape::vector(4)));
+        let s_ph = g.placeholder(DType::F64, Some(Shape::scalar()));
+        let p = g.mul_scalar(v, s_ph);
+        let out = g.sub(y, p);
+        let s = session(g);
+        let fused = s.build_plan(&[out], true, true).unwrap();
+        assert_eq!(fused.instrs.len(), 4);
+        let axpy = fused.instrs.last().unwrap();
+        let f = axpy.fused.expect("pair was folded");
+        assert_eq!((f.producer, f.subtract, f.product_first), (p, true, false));
+        // Operands: the scale's (v, s), then y — each read for the
+        // last time; the product owns no register.
+        let regs: Vec<u32> = fused.operands_of(axpy).iter().map(|o| o.reg).collect();
+        assert_eq!(regs, vec![0, 2, 1]);
+        assert!(fused.operands_of(axpy).iter().all(|o| o.last_read));
+        assert_eq!(fused.reg_of[p.index()], NO_REG);
+        assert_eq!(fused.n_regs, 4);
+        // Off: one instruction per node.
+        let plain = s.build_plan(&[out], true, false).unwrap();
+        assert_eq!(plain.instrs.len(), 5);
+        assert!(plain.instrs.iter().all(|i| i.fused.is_none()));
+
+        let feeds = [
+            (v, Tensor::from_f64([4], vec![1., 2., 3., 4.]).unwrap()),
+            (y, Tensor::from_f64([4], vec![10., 10., 10., 10.]).unwrap()),
+            (s_ph, Tensor::scalar_f64(2.0)),
+        ];
+        let (got, meta) = s.run_with_metadata(&[out], &feeds).unwrap();
+        assert_eq!(got[0].as_f64().unwrap(), &[8., 6., 4., 2.]);
+        // Both nodes of the pair are counted, the elided product's
+        // bytes included (feeds count as ops, not as output bytes).
+        assert_eq!(meta.ops_executed, 5);
+        assert_eq!(meta.output_bytes, 32 + 32);
+        assert_eq!(meta.step_stats.ops.len(), 5);
+    }
+
+    #[test]
+    fn frames_rest_empty_after_good_and_failed_runs() {
+        let mut g = Graph::new();
+        let p = g.placeholder(DType::F64, Some(Shape::vector(2)));
+        let n = g.neg(p);
+        let m = g.neg(n);
+        let s = session(g);
+        let fed = Tensor::from_f64([2], vec![1.0, -2.0]).unwrap();
+        s.run(&[m], &[(p, fed.clone())]).unwrap();
+        let wrong = Tensor::from_f64([3], vec![0.0; 3]).unwrap();
+        assert!(s.run(&[m], &[(p, wrong)]).is_err());
+        let plan = s.plan_for(&[m], &[(p, fed)]).unwrap();
+        let frames = plan.frames.lock();
+        assert_eq!(frames.len(), 1, "both runs shared one frame");
+        for f in frames.iter() {
+            assert_eq!(f.regs.len(), plan.n_regs);
+            assert!(f.regs.iter().all(Option::is_none));
+            assert!(f.ins.is_empty() && f.outs.is_empty());
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod sink;
 pub mod step_stats;
 pub mod trace;
 
-pub use metrics::{global, Counter, Gauge, Histogram, Registry};
+pub use metrics::{global, Counter, Gauge, Histogram, LazyCounter, Registry};
 pub use step_stats::{LinkStat, OpStat, QueueStat, StepStats};
 pub use trace::{flow_id, set_track, SpanGuard, TraceEvent, Tracer};
 

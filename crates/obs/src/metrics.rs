@@ -421,9 +421,47 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// A counter in the [`global`] registry, named at compile time and
+/// resolved on first use: a `static` handle for hot paths, which then
+/// pay one relaxed atomic add instead of a by-name lookup per update.
+/// The family still registers lazily, so a counter never touched never
+/// appears in the exposition.
+pub struct LazyCounter {
+    name: &'static str,
+    handle: OnceLock<Arc<Counter>>,
+}
+
+impl LazyCounter {
+    /// Handle for the unlabelled counter `name`.
+    pub const fn new(name: &'static str) -> LazyCounter {
+        LazyCounter {
+            name,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// Add `v`.
+    pub fn add(&self, v: u64) {
+        self.handle
+            .get_or_init(|| global().counter(self.name))
+            .add(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lazy_counter_shares_the_registry_series() {
+        static C: LazyCounter = LazyCounter::new("tfhpc_test_lazy_counter_total");
+        assert!(!global()
+            .to_prometheus()
+            .contains("tfhpc_test_lazy_counter_total"));
+        C.add(2);
+        C.add(3);
+        assert_eq!(global().counter("tfhpc_test_lazy_counter_total").get(), 5);
+    }
 
     #[test]
     fn counters_and_gauges_roundtrip() {

@@ -136,7 +136,7 @@ fn transform(data: &mut [Complex64], sign: f64) {
         }
         len <<= 1;
     }
-    crate::arena::recycle_c128(twbuf);
+    twbuf.recycle();
 }
 
 /// O(N²) reference DFT used by tests.
@@ -275,7 +275,8 @@ pub fn fft_tensor(t: &Tensor) -> Result<Tensor, TensorError> {
     let mut data = crate::arena::take_c128(t.num_elements());
     data.copy_from_slice(t.as_c128()?);
     fft_inplace(&mut data);
-    Tensor::from_c128(Shape::vector(data.len()), data)
+    let n = data.len();
+    data.into_tensor(Shape::vector(n))
 }
 
 #[cfg(test)]

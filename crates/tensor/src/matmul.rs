@@ -96,12 +96,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
                     // SAFETY: enabled() implies AVX2 was detected.
                     unsafe { gemm_panel_f32(pi * MR, av, bv, cpanel, k, n) };
                 });
-                return Tensor::from_f32(out_shape, c);
+                return c.into_tensor(out_shape);
             }
             par_chunks_mut(&mut c, n.max(1), |row, crow| {
                 gemm_row_f32(row, av, bv, crow, k, n);
             });
-            Tensor::from_f32(out_shape, c)
+            c.into_tensor(out_shape)
         }
         (TensorData::F64(av), TensorData::F64(bv)) => {
             let mut c = crate::arena::take_zeroed_f64(m * n);
@@ -111,12 +111,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
                     // SAFETY: enabled() implies AVX2 was detected.
                     unsafe { gemm_panel_f64(pi * MR, av, bv, cpanel, k, n) };
                 });
-                return Tensor::from_f64(out_shape, c);
+                return c.into_tensor(out_shape);
             }
             par_chunks_mut(&mut c, n.max(1), |row, crow| {
                 gemm_row_f64(row, av, bv, crow, k, n);
             });
-            Tensor::from_f64(out_shape, c)
+            c.into_tensor(out_shape)
         }
         (other, _) => Err(TensorError::UnsupportedDType {
             op: "matmul",
@@ -343,7 +343,7 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor, TensorError> {
                     *yo = simd::dot_f64(row, xv);
                 }
             });
-            Tensor::from_f64(Shape::vector(m), y)
+            y.into_tensor(Shape::vector(m))
         }
         (TensorData::F32(av), TensorData::F32(xv)) => {
             let mut y = crate::arena::take_f32(m);
@@ -354,7 +354,7 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor, TensorError> {
                     *yo = simd::dot_f32(row, xv) as f32;
                 }
             });
-            Tensor::from_f32(Shape::vector(m), y)
+            y.into_tensor(Shape::vector(m))
         }
         (other, _) => Err(TensorError::UnsupportedDType {
             op: "matvec",
@@ -420,12 +420,12 @@ pub fn transpose(a: &Tensor) -> Result<Tensor, TensorError> {
         TensorData::F64(v) => {
             let mut out = crate::arena::take_f64(m * n);
             transpose_blocked_f64(v, m, n, &mut out);
-            Tensor::from_f64(out_shape, out)
+            out.into_tensor(out_shape)
         }
         TensorData::F32(v) => {
             let mut out = crate::arena::take_f32(m * n);
             transpose_blocked_f32(v, m, n, &mut out);
-            Tensor::from_f32(out_shape, out)
+            out.into_tensor(out_shape)
         }
         other => Err(TensorError::UnsupportedDType {
             op: "transpose",

@@ -140,7 +140,7 @@ macro_rules! zip_elementwise {
                         let end = start + slice.len();
                         $f32k(&x[start..end], &y[start..end], slice);
                     });
-                    Tensor::from_f32(a.shape().clone(), out)
+                    out.into_tensor(a.shape().clone())
                 }
                 (TensorData::F64(x), TensorData::F64(y)) => {
                     let mut out = crate::arena::take_f64(n);
@@ -149,7 +149,7 @@ macro_rules! zip_elementwise {
                         let end = start + slice.len();
                         $f64k(&x[start..end], &y[start..end], slice);
                     });
-                    Tensor::from_f64(a.shape().clone(), out)
+                    out.into_tensor(a.shape().clone())
                 }
                 (TensorData::C128(x), TensorData::C128(y)) => {
                     let mut out = crate::arena::take_c128(n);
@@ -158,7 +158,7 @@ macro_rules! zip_elementwise {
                         let end = start + slice.len();
                         $c128k(&x[start..end], &y[start..end], slice);
                     });
-                    Tensor::from_c128(a.shape().clone(), out)
+                    out.into_tensor(a.shape().clone())
                 }
                 (other, _) => Err(TensorError::UnsupportedDType {
                     op: stringify!($name),
@@ -192,14 +192,14 @@ macro_rules! zip_minmax {
                     for i in 0..n {
                         out[i] = x[i].$sel(y[i]);
                     }
-                    Tensor::from_f32(a.shape().clone(), out)
+                    out.into_tensor(a.shape().clone())
                 }
                 (TensorData::F64(x), TensorData::F64(y)) => {
                     let mut out = crate::arena::take_f64(n);
                     for i in 0..n {
                         out[i] = x[i].$sel(y[i]);
                     }
-                    Tensor::from_f64(a.shape().clone(), out)
+                    out.into_tensor(a.shape().clone())
                 }
                 (other, _) => Err(TensorError::UnsupportedDType {
                     op: stringify!($name),
@@ -254,7 +254,7 @@ pub fn add_n(inputs: &[Tensor]) -> Result<Tensor, TensorError> {
                     simd::add_lhs_f32(slice, &x[start..end]);
                 }
             });
-            Tensor::from_f32(first.shape().clone(), out)
+            out.into_tensor(first.shape().clone())
         }
         DType::F64 => {
             let xs: Vec<&[f64]> = inputs
@@ -269,7 +269,7 @@ pub fn add_n(inputs: &[Tensor]) -> Result<Tensor, TensorError> {
                     simd::add_lhs_f64(slice, &x[start..end]);
                 }
             });
-            Tensor::from_f64(first.shape().clone(), out)
+            out.into_tensor(first.shape().clone())
         }
         DType::C128 => {
             let xs: Vec<&[Complex64]> = inputs
@@ -284,7 +284,7 @@ pub fn add_n(inputs: &[Tensor]) -> Result<Tensor, TensorError> {
                     c128_add_lhs(slice, &x[start..end]);
                 }
             });
-            Tensor::from_c128(first.shape().clone(), out)
+            out.into_tensor(first.shape().clone())
         }
         other => Err(TensorError::UnsupportedDType {
             op: "add_n",
@@ -317,7 +317,7 @@ pub fn scale(a: &Tensor, s: f64) -> Result<Tensor, TensorError> {
                 let start = ci * chunk;
                 simd::scale_f32(&x[start..start + slice.len()], s32, slice);
             });
-            Tensor::from_f32(a.shape().clone(), out)
+            out.into_tensor(a.shape().clone())
         }
         TensorData::F64(x) => {
             let mut out = crate::arena::take_f64(n);
@@ -325,7 +325,7 @@ pub fn scale(a: &Tensor, s: f64) -> Result<Tensor, TensorError> {
                 let start = ci * chunk;
                 simd::scale_f64(&x[start..start + slice.len()], s, slice);
             });
-            Tensor::from_f64(a.shape().clone(), out)
+            out.into_tensor(a.shape().clone())
         }
         TensorData::C128(x) => {
             // `Complex64::scale` is componentwise `* s` — exactly the
@@ -339,7 +339,7 @@ pub fn scale(a: &Tensor, s: f64) -> Result<Tensor, TensorError> {
                     simd::c128_as_f64_mut(slice),
                 );
             });
-            Tensor::from_c128(a.shape().clone(), out)
+            out.into_tensor(a.shape().clone())
         }
         other => Err(TensorError::UnsupportedDType {
             op: "scale",
@@ -364,7 +364,7 @@ pub fn axpy(alpha: f64, x: &Tensor, y: &Tensor) -> Result<Tensor, TensorError> {
                 let end = start + slice.len();
                 simd::axpy_f64(alpha, &xv[start..end], &yv[start..end], slice);
             });
-            Tensor::from_f64(x.shape().clone(), out)
+            out.into_tensor(x.shape().clone())
         }
         (TensorData::F32(xv), TensorData::F32(yv)) => {
             let a32 = alpha as f32;
@@ -374,7 +374,7 @@ pub fn axpy(alpha: f64, x: &Tensor, y: &Tensor) -> Result<Tensor, TensorError> {
                 let end = start + slice.len();
                 simd::axpy_f32(a32, &xv[start..end], &yv[start..end], slice);
             });
-            Tensor::from_f32(x.shape().clone(), out)
+            out.into_tensor(x.shape().clone())
         }
         (other, _) => Err(TensorError::UnsupportedDType {
             op: "axpy",
@@ -525,11 +525,19 @@ zip_elementwise_owned!(
 /// By-value [`add_n`]: sums into `inputs[0]`'s buffer when it is
 /// uniquely held, starting from the same `0 + x₀[i]` the allocating
 /// path performs so `-0.0` inputs round-trip identically.
+pub fn add_n_owned(mut inputs: Vec<Tensor>) -> Result<Tensor, TensorError> {
+    add_n_drain(&mut inputs)
+}
+
+/// [`add_n_owned`] over a caller-owned operand list, so the `Vec`'s
+/// capacity stays with the caller. Operands the sum consumed are
+/// removed (and recycled); any left behind — on an error, or for
+/// synthetic operands — are the caller's to drop.
 // Spelled as `*o = 0 + *o`, not `+=`: the expression must mirror the
 // borrowing kernel term for term to keep the bit-identity argument
 // auditable.
 #[allow(clippy::assign_op_pattern)]
-pub fn add_n_owned(mut inputs: Vec<Tensor>) -> Result<Tensor, TensorError> {
+pub fn add_n_drain(inputs: &mut Vec<Tensor>) -> Result<Tensor, TensorError> {
     let first = inputs.first().ok_or(TensorError::ShapeMismatch {
         op: "add_n",
         lhs: crate::Shape::scalar(),
@@ -600,13 +608,13 @@ pub fn add_n_owned(mut inputs: Vec<Tensor>) -> Result<Tensor, TensorError> {
     };
     if forwarded {
         let out = inputs.swap_remove(0);
-        for t in inputs {
+        for t in inputs.drain(..) {
             crate::arena::recycle_tensor(t);
         }
         return Ok(out);
     }
-    let out = add_n(&inputs);
-    for t in inputs {
+    let out = add_n(inputs);
+    for t in inputs.drain(..) {
         crate::arena::recycle_tensor(t);
     }
     out
@@ -766,7 +774,7 @@ pub fn dot(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
                 |lo, hi| simd::dot_f64(&x[lo..hi], &y[lo..hi]),
                 |p, q| p + q,
             );
-            Ok(Tensor::scalar_f64(s))
+            Ok(crate::arena::scalar_f64(s))
         }
         (TensorData::F32(x), TensorData::F32(y)) => {
             // Accumulate in f64 for reproducibility across chunkings.
@@ -777,7 +785,7 @@ pub fn dot(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
                 |lo, hi| simd::dot_f32(&x[lo..hi], &y[lo..hi]),
                 |p, q| p + q,
             );
-            Ok(Tensor::scalar_f32(s as f32))
+            Ok(crate::arena::scalar_f32(s as f32))
         }
         (other, _) => Err(TensorError::UnsupportedDType {
             op: "dot",
@@ -807,7 +815,7 @@ pub fn sum(a: &Tensor) -> Result<Tensor, TensorError> {
                 |lo, hi| simd::sum_f64(&x[lo..hi]),
                 |p, q| p + q,
             );
-            Ok(Tensor::scalar_f64(s))
+            Ok(crate::arena::scalar_f64(s))
         }
         TensorData::F32(x) => {
             let s = parallel_reduce(
@@ -817,7 +825,7 @@ pub fn sum(a: &Tensor) -> Result<Tensor, TensorError> {
                 |lo, hi| simd::sum_f32(&x[lo..hi]),
                 |p, q| p + q,
             );
-            Ok(Tensor::scalar_f32(s as f32))
+            Ok(crate::arena::scalar_f32(s as f32))
         }
         TensorData::I64(x) => {
             let s = parallel_reduce(
@@ -876,7 +884,7 @@ pub fn norm2(a: &Tensor) -> Result<Tensor, TensorError> {
             })
         }
     };
-    Ok(Tensor::scalar_f64(ssq.sqrt()))
+    Ok(crate::arena::scalar_f64(ssq.sqrt()))
 }
 
 /// Maximum element of a float tensor; rank-0 f64 result.
@@ -918,7 +926,7 @@ pub fn max(a: &Tensor) -> Result<Tensor, TensorError> {
             })
         }
     };
-    Ok(Tensor::scalar_f64(m))
+    Ok(crate::arena::scalar_f64(m))
 }
 
 #[cfg(test)]

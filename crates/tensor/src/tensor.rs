@@ -174,6 +174,25 @@ impl Tensor {
         })
     }
 
+    /// Dense tensor over an existing payload box (the arena's pooled
+    /// buffers come back with their `Arc`).
+    pub(crate) fn from_payload(
+        shape: Shape,
+        payload: Arc<TensorData>,
+    ) -> Result<Tensor, TensorError> {
+        if payload.len() != shape.num_elements() {
+            return Err(TensorError::LengthMismatch {
+                provided: payload.len(),
+                expected: shape.num_elements(),
+            });
+        }
+        Ok(Tensor {
+            dtype: payload.dtype(),
+            shape,
+            storage: Storage::Dense(payload),
+        })
+    }
+
     /// Dense f32 tensor from a buffer.
     pub fn from_f32(shape: impl Into<Shape>, data: Vec<f32>) -> Result<Tensor, TensorError> {
         Tensor::dense(shape.into(), TensorData::F32(data))
@@ -397,14 +416,15 @@ impl Tensor {
         }
     }
 
-    /// Consume the tensor and take its payload by value, only when this
-    /// tensor is the *sole* owner (`Arc` refcount 1) — the by-value
-    /// sibling of [`Tensor::try_unique_data`]. Used by the buffer arena
-    /// to reclaim a dead tensor's allocation for the next kernel output
-    /// instead of freeing it.
-    pub fn into_unique_data(self) -> Option<TensorData> {
+    /// Consume the tensor and take its payload box, only when this
+    /// tensor is the *sole* owner (no other strong or weak reference) —
+    /// the by-value sibling of [`Tensor::try_unique_data`]. Used by the
+    /// buffer arena to reclaim a dead tensor's allocations (the element
+    /// buffer *and* its `Arc` box) for the next kernel output instead
+    /// of freeing them.
+    pub fn into_unique_payload(self) -> Option<Arc<TensorData>> {
         match self.storage {
-            Storage::Dense(d) => Arc::try_unwrap(d).ok(),
+            Storage::Dense(mut d) => Arc::get_mut(&mut d).is_some().then_some(d),
             Storage::Synthetic { .. } => None,
         }
     }

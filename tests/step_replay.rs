@@ -371,3 +371,454 @@ fn apps_bit_identical_with_replay_on_and_off() {
     assert_eq!(real_on, real_off, "real-mode CG solution diverged");
     assert_eq!(fault_on, fault_off, "seeded fault run diverged");
 }
+
+// ---- the plan-time rewrite: scale → add/sub as one axpy pass -----------
+
+/// The platform's own NaN (what `0.0 / 0.0` produces at run time), so
+/// NaNs fed in and NaNs arising inside a kernel carry one bit pattern.
+/// IEEE 754 leaves the payload of an operation on two *different* NaNs
+/// to the implementation (and the compiler may commute an add), so that
+/// one case is outside every bit-identity contract in this repository.
+fn native_nan() -> f64 {
+    std::hint::black_box(0.0f64) / std::hint::black_box(0.0f64)
+}
+
+/// `n` values cycling through ordinary numbers and the IEEE corner
+/// cases, phase-shifted by `phase` so two operands meet every pairing.
+fn corner_values(n: usize, phase: usize) -> Vec<f64> {
+    let pool = [
+        1.5,
+        -0.0,
+        f64::INFINITY,
+        -2.25,
+        native_nan(),
+        f64::MIN_POSITIVE / 4.0,
+        f64::NEG_INFINITY,
+        0.0,
+        -f64::MIN_POSITIVE / 16.0,
+        1e300,
+        -1e-300,
+        3.0,
+    ];
+    (0..n)
+        .map(|i| pool[(i * (phase + 1) + phase) % pool.len()])
+        .collect()
+}
+
+fn tensor_of(dtype: DType, values: &[f64]) -> Tensor {
+    match dtype {
+        DType::F32 => {
+            Tensor::from_f32([values.len()], values.iter().map(|v| *v as f32).collect()).unwrap()
+        }
+        _ => Tensor::from_f64([values.len()], values.to_vec()).unwrap(),
+    }
+}
+
+fn bits_of(t: &Tensor) -> Vec<u64> {
+    match t.dtype() {
+        DType::F32 => t
+            .as_f32()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits() as u64)
+            .collect(),
+        _ => t.as_f64().unwrap().iter().map(|v| v.to_bits()).collect(),
+    }
+}
+
+/// `y ± s·v` as the two graph nodes, in every shape the rule looks at.
+#[derive(Clone, Copy, Debug)]
+struct ScaleThenCombine {
+    dtype: DType,
+    len: usize,
+    subtract: bool,
+    product_first: bool,
+    /// `Scale{factor}` instead of `MulScalar` with a fed scalar.
+    constant_factor: Option<f64>,
+    /// Route both vectors through a `neg` first, so the pair sees
+    /// uniquely-held intermediates (the in-place variants) rather than
+    /// caller-held feeds (the allocating one).
+    unique_operands: bool,
+}
+
+impl ScaleThenCombine {
+    /// Returns (graph, [v, y, s] placeholders, fetch).
+    fn build(&self) -> (Graph, [tfhpc_core::NodeId; 3], tfhpc_core::NodeId) {
+        let mut g = Graph::new();
+        let v = g.placeholder(self.dtype, Some(Shape::vector(self.len)));
+        let y = g.placeholder(self.dtype, Some(Shape::vector(self.len)));
+        let s = g.placeholder(DType::F64, Some(Shape::scalar()));
+        let (vv, yy) = if self.unique_operands {
+            (g.neg(v), g.neg(y))
+        } else {
+            (v, y)
+        };
+        let product = match self.constant_factor {
+            Some(factor) => g.scale(vv, factor),
+            None => g.mul_scalar(vv, s),
+        };
+        let (a, b) = if self.product_first {
+            (product, yy)
+        } else {
+            (yy, product)
+        };
+        let out = if self.subtract {
+            g.sub(a, b)
+        } else {
+            g.add(a, b)
+        };
+        (g, [v, y, s], out)
+    }
+
+    /// Whether the rule should fold the pair: always, except that
+    /// `product − y` has no axpy form.
+    fn fusable(&self) -> bool {
+        !(self.subtract && self.product_first)
+    }
+}
+
+#[test]
+fn fused_scale_add_sub_is_bit_identical_to_the_two_kernels() {
+    let scalars = [
+        0.75,
+        -3.5,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        native_nan(),
+        f64::MIN_POSITIVE / 8.0,
+        1e200,
+    ];
+    let mut fused_programs = 0;
+    for dtype in [DType::F32, DType::F64] {
+        for len in [1usize, 7, 64, 1000] {
+            for subtract in [false, true] {
+                for product_first in [false, true] {
+                    for unique_operands in [false, true] {
+                        for constant_factor in [None, Some(-1.25)] {
+                            let case = ScaleThenCombine {
+                                dtype,
+                                len,
+                                subtract,
+                                product_first,
+                                constant_factor,
+                                unique_operands,
+                            };
+                            let (g1, ph1, out1) = case.build();
+                            let (g2, ph2, out2) = case.build();
+                            let nodes = g1.len();
+                            let fast = session_for(Arc::new(g1), true);
+                            let reference = session_for(Arc::new(g2), false);
+                            // The pruned subgraph drops the unused
+                            // scalar placeholder of the constant form.
+                            let planned = nodes - usize::from(constant_factor.is_some());
+                            let expect = planned - usize::from(case.fusable());
+                            assert_eq!(
+                                fast.program_len(&[out1]).unwrap(),
+                                expect,
+                                "{case:?}: rewrite fired (or not) against the rule"
+                            );
+                            assert_eq!(reference.program_len(&[out2]).unwrap(), planned);
+                            fused_programs += usize::from(case.fusable());
+
+                            let v = tensor_of(dtype, &corner_values(len, 0));
+                            let y = tensor_of(dtype, &corner_values(len, 4));
+                            for s in scalars {
+                                if constant_factor.is_some() && s != scalars[0] {
+                                    continue;
+                                }
+                                let feeds = |ph: [tfhpc_core::NodeId; 3]| {
+                                    vec![
+                                        (ph[0], v.clone()),
+                                        (ph[1], y.clone()),
+                                        (ph[2], Tensor::scalar_f64(s)),
+                                    ]
+                                };
+                                let want = reference.run(&[out2], &feeds(ph2)).unwrap();
+                                // Twice: the plan-building run and a
+                                // cache hit on a recycled frame.
+                                for _ in 0..2 {
+                                    let got = fast.run(&[out1], &feeds(ph1)).unwrap();
+                                    assert_eq!(got[0].dtype(), want[0].dtype());
+                                    assert_eq!(
+                                        bits_of(&got[0]),
+                                        bits_of(&want[0]),
+                                        "{case:?} s={s:e}: fused result diverged"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(fused_programs > 0, "the rewrite never fired");
+}
+
+#[test]
+fn rewrite_leaves_every_pair_it_must_not_touch() {
+    let n = 32;
+    let v_t = vec_f64(n, 71);
+    let y_t = vec_f64(n, 72);
+    let s_t = Tensor::scalar_f64(-0.375);
+    // Each case: build the graph around (v, y, s) placeholders, name
+    // the fetches. None of them may lose an instruction.
+    type Build = fn(&mut Graph, [tfhpc_core::NodeId; 3]) -> Vec<tfhpc_core::NodeId>;
+    let cases: [(&str, Build); 6] = [
+        ("product fetched", |g, [v, y, s]| {
+            let p = g.mul_scalar(v, s);
+            vec![g.add(y, p), p]
+        }),
+        ("product read twice", |g, [v, y, s]| {
+            let p = g.mul_scalar(v, s);
+            let a = g.add(y, p);
+            vec![a, g.sub(a, p)]
+        }),
+        ("control edge on the product", |g, [v, y, s]| {
+            let p = g.mul_scalar(v, s);
+            let a = g.add(y, p);
+            let after = g.neg(a);
+            g.add_control(after, p).unwrap();
+            vec![after]
+        }),
+        ("reader on another device", |g, [v, y, s]| {
+            let p = g.with_device(tfhpc_core::Placement::Cpu, |g| g.mul_scalar(v, s));
+            vec![g.with_device(tfhpc_core::Placement::Gpu(0), |g| g.add(y, p))]
+        }),
+        ("elementwise product, not a scale", |g, [v, y, _]| {
+            let p = g.mul(v, y);
+            vec![g.add(y, p)]
+        }),
+        ("reader not the next node", |g, [v, y, s]| {
+            let p = g.mul_scalar(v, s);
+            let between = g.neg(y);
+            vec![g.add(between, p)]
+        }),
+    ];
+    for (what, build) in cases {
+        let make = |step_replay: bool| {
+            let mut g = Graph::new();
+            let ph = [
+                g.placeholder(DType::F64, Some(Shape::vector(n))),
+                g.placeholder(DType::F64, Some(Shape::vector(n))),
+                g.placeholder(DType::F64, Some(Shape::scalar())),
+            ];
+            let fetches = build(&mut g, ph);
+            let s = Session::with_options(
+                Arc::new(g),
+                Resources::new(),
+                // One GPU, so the cross-device case really splits.
+                DeviceCtx::real(1),
+                SessionOptions {
+                    inter_op_threads: 1,
+                    intra_op_threads: 1,
+                    step_replay,
+                    ..SessionOptions::default()
+                },
+            );
+            (s, ph, fetches)
+        };
+        let (fast, ph, fetches) = make(true);
+        let (reference, ph_ref, fetches_ref) = make(false);
+        assert_eq!(
+            fast.program_len(&fetches).unwrap(),
+            reference.program_len(&fetches_ref).unwrap(),
+            "{what}: the rewrite fired"
+        );
+        let feeds = |ph: [tfhpc_core::NodeId; 3]| {
+            vec![
+                (ph[0], v_t.clone()),
+                (ph[1], y_t.clone()),
+                (ph[2], s_t.clone()),
+            ]
+        };
+        let got = fast.run(&fetches, &feeds(ph)).unwrap();
+        let want = reference.run(&fetches_ref, &feeds(ph_ref)).unwrap();
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(bits_of(a), bits_of(b), "{what}: values diverged");
+        }
+    }
+}
+
+#[test]
+fn debugger_sessions_run_unfused_and_see_the_product() {
+    let case = ScaleThenCombine {
+        dtype: DType::F64,
+        len: 16,
+        subtract: true,
+        product_first: false,
+        constant_factor: None,
+        unique_operands: false,
+    };
+    let (g, ph, out) = case.build();
+    let g = Arc::new(g);
+    let cache = Arc::new(tfhpc_core::SharedPlanCache::unbounded());
+    let mut plain = session_for(Arc::clone(&g), true);
+    let mut watched = session_for(Arc::clone(&g), true);
+    plain.set_plan_cache(Arc::clone(&cache));
+    watched.set_plan_cache(Arc::clone(&cache));
+    let dbg = Arc::new(tfhpc_core::Debugger::new());
+    watched.set_debugger(Arc::clone(&dbg));
+    assert_eq!(
+        plain.program_len(&[out]).unwrap() + 1,
+        watched.program_len(&[out]).unwrap()
+    );
+
+    let feeds = vec![
+        (ph[0], vec_f64(16, 5)),
+        (ph[1], vec_f64(16, 6)),
+        (ph[2], Tensor::scalar_f64(2.5)),
+    ];
+    let a = plain.run(&[out], &feeds).unwrap();
+    let b = watched.run(&[out], &feeds).unwrap();
+    assert_eq!(bits_of(&a[0]), bits_of(&b[0]));
+    // Same graph, same devices, same fetches — two cache entries.
+    assert_eq!(cache.stats().entries, 2);
+    assert_eq!(cache.stats().hits, 0);
+    // Every kernel's output was recorded (placeholders never are),
+    // the otherwise elided product included.
+    let watched_nodes: Vec<String> = dbg.watches().into_iter().map(|w| w.node).collect();
+    for node in g.nodes().iter().filter(|n| !n.inputs.is_empty()) {
+        assert!(
+            watched_nodes.contains(&node.name),
+            "debugger missed `{}`",
+            node.name
+        );
+    }
+}
+
+// ---- frames, fetch extraction and sharing ------------------------------
+
+#[test]
+fn duplicate_fetches_return_the_value_twice() {
+    let build = || {
+        let mut g = Graph::new();
+        let p = g.placeholder(DType::F64, Some(Shape::vector(24)));
+        let x = g.scale(p, 1.5);
+        (g, p, x)
+    };
+    let (g1, p1, x1) = build();
+    let (g2, p2, x2) = build();
+    let fast = session_for(Arc::new(g1), true);
+    let reference = session_for(Arc::new(g2), false);
+    let fed = vec_f64(24, 9);
+    let want = reference.run(&[x2, x2], &[(p2, fed.clone())]).unwrap();
+    for _ in 0..2 {
+        let got = fast.run(&[x1, x1], &[(p1, fed.clone())]).unwrap();
+        assert_eq!(got.len(), 2);
+        assert_eq!(bits_of(&got[0]), bits_of(&got[1]));
+        assert_eq!(bits_of(&got[0]), bits_of(&want[0]));
+    }
+    // `[x, x]` and `[x]` are one run signature.
+    fast.run(&[x1], &[(p1, fed)]).unwrap();
+    assert_eq!(fast.plan_cache_stats(), (2, 1));
+}
+
+#[test]
+fn fetched_placeholders_and_constants_stay_intact_across_runs() {
+    let constant = Tensor::from_f64([6], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+    let mut g = Graph::new();
+    let c = g.constant(constant.clone());
+    let p = g.placeholder(DType::F64, Some(Shape::vector(6)));
+    // An in-place chain hanging off each: the first `neg` reads its
+    // operand for the last time and would overwrite a buffer it owned.
+    let pn = g.neg(p);
+    let chain_p = g.scale(pn, 3.0);
+    let cn = g.neg(c);
+    let chain_c = g.scale(cn, 3.0);
+    let s = session_for(Arc::new(g), true);
+
+    let fed = Tensor::from_f64([6], vec![-1.0, 0.5, 2.0, -4.0, 8.0, 0.25]).unwrap();
+    let fed_bits = bits_of(&fed);
+    let mut fetched_const = None;
+    for _ in 0..2 {
+        // Chains only (p and c are last-read by their `neg`), then
+        // the sources themselves as fetches.
+        let chains = s.run(&[chain_p, chain_c], &[(p, fed.clone())]).unwrap();
+        assert_eq!(chains[0].as_f64().unwrap()[0], 3.0);
+        assert_eq!(chains[1].as_f64().unwrap()[0], -3.0);
+        let sources = s.run(&[p, c], &[(p, fed.clone())]).unwrap();
+        assert_eq!(bits_of(&sources[0]), fed_bits);
+        assert_eq!(bits_of(&sources[1]), bits_of(&constant));
+        fetched_const = Some(sources[1].clone());
+    }
+    assert_eq!(bits_of(&fed), fed_bits, "the fed tensor was overwritten");
+    // Feed a fetched constant back in: it still shares the graph's
+    // buffer, so the chain must copy rather than scale it in place.
+    let fed_back = fetched_const.unwrap();
+    s.run(&[chain_p], &[(p, fed_back)]).unwrap();
+    let again = s.run(&[c], &[(p, fed)]).unwrap();
+    assert_eq!(
+        bits_of(&again[0]),
+        bits_of(&constant),
+        "the graph's constant was overwritten"
+    );
+}
+
+#[test]
+fn a_failed_run_leaves_the_session_usable() {
+    let mut g = Graph::new();
+    let p = g.placeholder(DType::F64, Some(Shape::vector(8)));
+    let q = g.placeholder(DType::F64, Some(Shape::vector(8)));
+    let a = g.neg(p);
+    let b = g.add(a, q);
+    let s = session_for(Arc::new(g), true);
+    let (x, y) = (vec_f64(8, 1), vec_f64(8, 2));
+    let good = s.run(&[b], &[(p, x.clone()), (q, y.clone())]).unwrap();
+
+    // Same fetch, `q` missing: the run dies half way, registers full.
+    // (A different feed set is a different run signature, so feed `q`
+    // a wrong shape to fail on the *cached* program too.)
+    assert!(s.run(&[b], &[(p, x.clone())]).is_err());
+    let wrong = vec_f64(9, 3);
+    assert!(s.run(&[b], &[(p, x.clone()), (q, wrong)]).is_err());
+
+    for _ in 0..2 {
+        let again = s.run(&[b], &[(p, x.clone()), (q, y.clone())]).unwrap();
+        assert_eq!(bits_of(&again[0]), bits_of(&good[0]));
+    }
+}
+
+#[test]
+fn concurrent_runs_on_one_session_agree() {
+    let case = ScaleThenCombine {
+        dtype: DType::F64,
+        len: 512,
+        subtract: false,
+        product_first: false,
+        constant_factor: None,
+        unique_operands: true,
+    };
+    let (g, ph, out) = case.build();
+    let s = session_for(Arc::new(g), true);
+    let feeds = vec![
+        (ph[0], vec_f64(512, 31)),
+        (ph[1], vec_f64(512, 32)),
+        (ph[2], Tensor::scalar_f64(0.125)),
+    ];
+    let want = bits_of(&s.run(&[out], &feeds).unwrap()[0]);
+    const THREADS: usize = 4;
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    // All four enter `run` together, so frames are
+                    // checked out of the one shared plan concurrently.
+                    barrier.wait();
+                    (0..50)
+                        .map(|_| bits_of(&s.run(&[out], &feeds).unwrap()[0]))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            for got in h.join().expect("runner thread panicked") {
+                assert_eq!(got, want);
+            }
+        }
+    });
+    assert_eq!(s.plan_cache_stats(), (THREADS as u64 * 50, 1));
+}
