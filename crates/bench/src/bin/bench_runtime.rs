@@ -27,9 +27,10 @@
 //!   --check <path>   compare against a committed baseline instead of
 //!                    writing: exit 1 if the CG speedup regressed by
 //!                    more than 25%, or if the integrity plane (wire
-//!                    checksums, see `measure_integrity`) costs ≥15% of
-//!                    the cached CG step. Machine-portable because it
-//!                    compares naive/fast *ratios*, not wall times.
+//!                    checksums, see `measure_integrity`) costs ≥18% of
+//!                    the CG step's kernel floor. Machine-portable
+//!                    because it compares in-run *ratios*, not wall
+//!                    times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,8 +155,11 @@ fn assert_bit_identical(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
-/// `--check` bound on the wire checksums' share of the cached CG step.
-const INTEGRITY_GATE_PCT: f64 = 15.0;
+/// `--check` bound on the wire checksums' cost, in percent of the CG
+/// step's kernel floor — a denominator executor changes do not move.
+/// 18% is the bound the gate was first calibrated to (5% of a 28.5 µs
+/// cached step whose floor was 7.86 µs), 1.5x the measured ~12%.
+const INTEGRITY_GATE_PCT_OF_FLOOR: f64 = 18.0;
 
 fn session_for(g: Graph, step_replay: bool) -> Session {
     Session::with_options(
@@ -623,10 +627,18 @@ fn recovery_json(r: &RecoveryResult) -> String {
     )
 }
 
+/// `x` to the one decimal the JSON carries, never as `-0.0` (a net of
+/// a few bytes freed over thousands of steps rounds to that).
+fn one_decimal(x: f64) -> f64 {
+    (x * 10.0).round() / 10.0 + 0.0
+}
+
 fn mode_json(m: &ModeStats) -> String {
     format!(
         "{{\"step_ns\": {:.1}, \"allocs_per_step\": {:.1}, \"net_bytes_per_step\": {:.1}}}",
-        m.step_ns, m.allocs_per_step, m.net_bytes_per_step
+        m.step_ns,
+        m.allocs_per_step,
+        one_decimal(m.net_bytes_per_step)
     )
 }
 
@@ -728,12 +740,15 @@ fn main() {
     }
 
     // Integrity plane: checksumming the CG step's wire payloads must
-    // stay marginal next to the cached step it rides on.
+    // stay marginal next to the step it rides on. Priced against the
+    // step's kernel floor — the part of the step no executor change
+    // moves — and, for the reader, against the cached step itself.
     let integrity = measure_integrity(64, 4, 2, cg_steps);
     let integrity_pct = 100.0 * integrity.step_ns / results[0].fast.step_ns;
+    let integrity_pct_of_floor = 100.0 * integrity.step_ns / results[0].floor_ns;
     println!(
-        "integrity: {:.0} ns/step of wire checksums = {:.2}% of the cached cg step",
-        integrity.step_ns, integrity_pct
+        "integrity: {:.0} ns/step of wire checksums = {:.2}% of the cg kernel floor, {:.2}% of the cached cg step",
+        integrity.step_ns, integrity_pct_of_floor, integrity_pct
     );
 
     // Compute kernels: scalar vs SIMD path, same process.
@@ -772,10 +787,11 @@ fn main() {
     }
 
     let body = format!(
-        "{{\n  \"schema\": \"tfhpc-bench-runtime-v4\",\n  \"smoke\": {},\n  \"simd\": \"{}\",\n  \"integrity\": {{\"wire_ns_per_step\": {:.1}, \"pct_of_fast_cg_step\": {:.2}}},\n  \"recovery\": {{\n    \"heartbeat_period_s\": {:.6},\n    \"heartbeat_timeout_s\": {:.6},\n    \"scenarios\": [\n{}\n    ]\n  }},\n  \"kernels\": [\n{}\n  ],\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"tfhpc-bench-runtime-v4\",\n  \"smoke\": {},\n  \"simd\": \"{}\",\n  \"integrity\": {{\"wire_ns_per_step\": {:.1}, \"pct_of_cg_floor\": {:.2}, \"pct_of_fast_cg_step\": {:.2}}},\n  \"recovery\": {{\n    \"heartbeat_period_s\": {:.6},\n    \"heartbeat_timeout_s\": {:.6},\n    \"scenarios\": [\n{}\n    ]\n  }},\n  \"kernels\": [\n{}\n  ],\n  \"workloads\": [\n{}\n  ]\n}}\n",
         smoke,
         if simd_avail { "avx2" } else { "none" },
         integrity.step_ns,
+        integrity_pct_of_floor,
         integrity_pct,
         hb_period,
         hb_timeout,
@@ -818,21 +834,15 @@ fn main() {
         }
         println!("OK: within 25% of baseline");
         // Hard gate, not baseline-relative: the integrity plane must
-        // stay marginal next to the cached CG step. The bound was 5%
-        // while that step cost ~28 µs; the compiled step program cut
-        // the step ~2.7x with the checksums' own cost (~0.6-0.95 µs,
-        // 48 CRCs) unchanged, so the same cost now reads 5-9%. At 15%
-        // the gate still trips on a checksum regression (it is ~9-12%
-        // of the bare kernel floor) but not on the executor getting
-        // faster.
-        if integrity_pct >= INTEGRITY_GATE_PCT {
+        // stay marginal next to the CG step's own kernels.
+        if integrity_pct_of_floor >= INTEGRITY_GATE_PCT_OF_FLOOR {
             eprintln!(
-                "FAIL: wire-checksum overhead {integrity_pct:.2}% of the cached cg step (gate: <{INTEGRITY_GATE_PCT}%)"
+                "FAIL: wire-checksum overhead {integrity_pct_of_floor:.2}% of the cg kernel floor (gate: <{INTEGRITY_GATE_PCT_OF_FLOOR}%)"
             );
             std::process::exit(1);
         }
         println!(
-            "OK: integrity plane {integrity_pct:.2}% < {INTEGRITY_GATE_PCT}% of the cached cg step"
+            "OK: integrity plane {integrity_pct_of_floor:.2}% < {INTEGRITY_GATE_PCT_OF_FLOOR}% of the cg kernel floor"
         );
 
         // Per-kernel vectorization floors: in-run SIMD/scalar rate

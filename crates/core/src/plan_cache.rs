@@ -27,15 +27,15 @@
 use crate::graph::NodeId;
 use crate::session::ExecutionPlan;
 use parking_lot::Mutex;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A cache key by reference: what a run hashes and compares on a
-/// lookup, straight from its own id sets — nothing is allocated unless
-/// the lookup misses and the key has to be stored.
+/// lookup, straight from its own id sets — the key itself is copied
+/// only when the lookup misses and it has to be stored.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct KeyView<'a> {
     /// Graph content + generation fingerprint.
@@ -133,55 +133,16 @@ impl PartialEq for SharedKey {
 impl Eq for SharedKey {}
 
 /// A run's fetch or feed ids as the cache keys them — sorted and
-/// deduplicated — held inline for the usual handful of ids.
-pub(crate) struct IdSet {
-    inline: [NodeId; IdSet::INLINE],
-    spilled: Vec<NodeId>,
-    len: usize,
-}
-
-impl IdSet {
-    const INLINE: usize = 16;
-
-    pub(crate) fn new(ids: impl ExactSizeIterator<Item = NodeId>) -> IdSet {
-        let mut set = IdSet {
-            inline: [NodeId(0); IdSet::INLINE],
-            spilled: Vec::new(),
-            len: ids.len(),
-        };
-        if set.len <= IdSet::INLINE {
-            for (slot, id) in set.inline.iter_mut().zip(ids) {
-                *slot = id;
-            }
-        } else {
-            set.spilled.extend(ids);
-        }
-        let all = if set.len <= IdSet::INLINE {
-            &mut set.inline[..set.len]
-        } else {
-            &mut set.spilled[..]
-        };
-        if !all.windows(2).all(|w| w[0] < w[1]) {
-            all.sort_unstable();
-            let mut kept = 0;
-            for i in 0..all.len() {
-                if kept == 0 || all[i] != all[kept - 1] {
-                    all[kept] = all[i];
-                    kept += 1;
-                }
-            }
-            set.len = kept;
-        }
-        set
+/// deduplicated. Ids that already are (the usual case) pass through
+/// untouched, borrowed ones without a copy.
+pub(crate) fn sorted_unique(ids: Cow<'_, [NodeId]>) -> Cow<'_, [NodeId]> {
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return ids;
     }
-
-    pub(crate) fn as_slice(&self) -> &[NodeId] {
-        if self.spilled.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spilled[..self.len]
-        }
-    }
+    let mut ids = ids.into_owned();
+    ids.sort_unstable();
+    ids.dedup();
+    Cow::Owned(ids)
 }
 
 /// FNV-1a over a byte slice.
@@ -336,5 +297,22 @@ impl SharedPlanCache {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sorted_unique_borrows_canonical_ids_and_canonicalizes_the_rest() {
+        let canonical = [NodeId(1), NodeId(4), NodeId(9)];
+        assert!(matches!(
+            sorted_unique(Cow::Borrowed(&canonical[..])),
+            Cow::Borrowed(_)
+        ));
+        let messy = [NodeId(9), NodeId(1), NodeId(9), NodeId(4), NodeId(1)];
+        assert_eq!(&*sorted_unique(Cow::Borrowed(&messy[..])), &canonical[..]);
+        assert!(sorted_unique(Cow::Borrowed(&[][..])).is_empty());
     }
 }

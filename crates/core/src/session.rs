@@ -24,10 +24,11 @@ use crate::error::{CoreError, Result};
 use crate::graph::{Graph, NodeId};
 use crate::kernels;
 use crate::op::Op;
-use crate::plan_cache::{IdSet, KeyView};
+use crate::plan_cache::{sorted_unique, KeyView};
 use crate::resources::Resources;
 use crate::timeline::Timeline;
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -608,24 +609,6 @@ impl Session {
             .map(|_| ())
     }
 
-    /// How many instructions the program for `fetches` has — fewer
-    /// than the nodes it covers by one per rewritten `scale → add/sub`
-    /// pair. Builds the program the way a run of this session would
-    /// (rewrite off under `step_replay = false` or with a debugger
-    /// attached) without touching the plan cache; for tests and
-    /// diagnostics.
-    #[doc(hidden)]
-    pub fn program_len(&self, fetches: &[NodeId]) -> Result<usize> {
-        let fetches = IdSet::new(fetches.iter().copied());
-        let replay = self.options.step_replay;
-        let plan = self.build_plan(
-            fetches.as_slice(),
-            replay,
-            replay && self.debugger.is_none(),
-        )?;
-        Ok(plan.instrs.len())
-    }
-
     /// Fingerprint of the session's graph content, recomputed whenever
     /// the graph generation changes. Serialized-GraphDef bytes mixed
     /// with the generation — so identically-built graphs collide (the
@@ -654,7 +637,8 @@ impl Session {
     /// Look up (or build) the program for a run signature in the
     /// session's plan cache (private by default, shared across
     /// sessions once [`Session::set_plan_cache`] injected one). A hit
-    /// hashes and compares the caller's own id lists — no allocation.
+    /// hashes and compares the caller's own fetch list (when it is
+    /// already sorted and unique) and one copy of the fed ids.
     /// With `step_replay` off every run rebuilds from scratch, with
     /// the rewrite and forwarding off, and is counted as a miss — the
     /// tests' reference, run by the same interpreter.
@@ -663,23 +647,19 @@ impl Session {
         targets: &[NodeId],
         feeds: &[(NodeId, Tensor)],
     ) -> Result<Arc<ExecutionPlan>> {
-        let fetches = IdSet::new(targets.iter().copied());
+        let fetches = sorted_unique(Cow::Borrowed(targets));
         if !self.options.step_replay {
             self.plan_misses.fetch_add(1, Ordering::Relaxed);
             PLAN_MISSES.add(1);
-            return Ok(Arc::new(self.build_plan(
-                fetches.as_slice(),
-                false,
-                false,
-            )?));
+            return Ok(Arc::new(self.build_plan(&fetches, false, false)?));
         }
-        let fed = IdSet::new(feeds.iter().map(|(id, _)| *id));
+        let fed = sorted_unique(feeds.iter().map(|(id, _)| *id).collect());
         let key = KeyView {
             fingerprint: self.graph_fingerprint(),
             devices: self.devices.placement_signature(),
             fused: self.debugger.is_none(),
-            fetches: fetches.as_slice(),
-            feeds: fed.as_slice(),
+            fetches: &fetches,
+            feeds: &fed,
         };
         if let Some(plan) = self.plan_cache.lookup(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);

@@ -11,7 +11,8 @@
 //! What is pooled is the whole uniquely-owned payload — the element
 //! `Vec` *inside its `Arc<TensorData>` box* — so a recycled buffer
 //! becomes the next tensor without allocating either. Scalars (`dot`,
-//! `sum` results) ride the same pools as one-element buffers.
+//! `sum` results) ride the same pools as one-element buffers, and
+//! never take a buffer of more than [`SMALL_ELEMS`] elements.
 //!
 //! Complementary to `tfhpc_parallel::arena`, which hands out 64-byte
 //! *aligned scratch* that never escapes a kernel; buffers here become
@@ -33,6 +34,11 @@ use std::sync::Arc;
 const MAX_POOL_VECS: usize = 8;
 /// Buffers above this many bytes are never pooled.
 const MAX_POOL_BYTES: usize = 64 << 20;
+/// A request for at most this many elements (a reduction's scalar)
+/// only takes a pooled buffer that is itself this small: a `dot`
+/// result held in a variable must not pin a vector's megabytes, nor
+/// take that vector out of the pool on every step.
+const SMALL_ELEMS: usize = 8;
 
 /// Every pooled payload is uniquely owned: strong count 1, no weak.
 type Pool = Vec<Arc<TensorData>>;
@@ -122,10 +128,17 @@ fn take<T: Pooled>(n: usize, zeroed: bool) -> Buf<T> {
         let pool = &mut p.borrow_mut()[T::POOL];
         let cap = |a: &Arc<TensorData>| T::vec(a).map_or(0, Vec::capacity);
         // Smallest pooled buffer whose capacity fits, so big blocks stay
-        // available for big requests.
+        // available for big requests; small requests see small buffers
+        // only.
+        let limit = if n <= SMALL_ELEMS {
+            SMALL_ELEMS
+        } else {
+            usize::MAX
+        };
         let mut best: Option<usize> = None;
         for (i, a) in pool.iter().enumerate() {
-            if cap(a) >= n && best.is_none_or(|j| cap(a) < cap(&pool[j])) {
+            let fits = (n..=limit).contains(&cap(a));
+            if fits && best.is_none_or(|j| cap(a) < cap(&pool[j])) {
                 best = Some(i);
             }
         }
@@ -266,6 +279,25 @@ mod tests {
         assert!(s.shape().is_scalar());
         // The large buffer is still there for a large request.
         assert!(take_f32(200).len() == 200);
+    }
+
+    #[test]
+    fn scalars_leave_large_pooled_buffers_alone() {
+        // A dead 1M-element vector is pooled; a `dot` result must not
+        // ride (and pin) its 8 MB.
+        let big = Tensor::from_f64([1 << 20], vec![1.0; 1 << 20]).unwrap();
+        let ptr = big.as_f64().unwrap().as_ptr() as usize;
+        recycle_tensor(big);
+        let x = Tensor::from_f64([4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let rho = crate::ops::dot(&x, &x).unwrap();
+        assert_eq!(rho.scalar_value_f64().unwrap(), 30.0);
+        assert_ne!(rho.as_f64().unwrap().as_ptr() as usize, ptr);
+        // The vector's buffer is still there for the next vector.
+        assert_eq!(take_f64(1 << 20).as_ptr() as usize, ptr);
+        // A dead scalar is what the next scalar reuses.
+        let ptr = rho.as_f64().unwrap().as_ptr() as usize;
+        recycle_tensor(rho);
+        assert_eq!(scalar_f64(2.0).as_f64().unwrap().as_ptr() as usize, ptr);
     }
 
     #[test]

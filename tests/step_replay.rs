@@ -426,6 +426,24 @@ fn bits_of(t: &Tensor) -> Vec<u64> {
     }
 }
 
+/// How many product nodes (`MulScalar`, `Scale`, `Mul`) a real-mode run
+/// folded into their readers, read off what `run_with_metadata` reports
+/// anyway: a folded scale hands its measured interval to its reader and
+/// records exactly zero device seconds (DESIGN.md §10), while one run
+/// as itself records the wall time of its kernel.
+fn folded_products(meta: &tfhpc_core::RunMetadata) -> usize {
+    meta.step_stats
+        .ops
+        .iter()
+        .filter(|op| {
+            ["MulScalar_", "Scale_", "Mul_"]
+                .iter()
+                .any(|p| op.name.starts_with(p))
+        })
+        .filter(|op| op.device_seconds == 0.0)
+        .count()
+}
+
 /// `y ± s·v` as the two graph nodes, in every shape the rule looks at.
 #[derive(Clone, Copy, Debug)]
 struct ScaleThenCombine {
@@ -507,39 +525,39 @@ fn fused_scale_add_sub_is_bit_identical_to_the_two_kernels() {
                             };
                             let (g1, ph1, out1) = case.build();
                             let (g2, ph2, out2) = case.build();
-                            let nodes = g1.len();
                             let fast = session_for(Arc::new(g1), true);
                             let reference = session_for(Arc::new(g2), false);
-                            // The pruned subgraph drops the unused
-                            // scalar placeholder of the constant form.
-                            let planned = nodes - usize::from(constant_factor.is_some());
-                            let expect = planned - usize::from(case.fusable());
-                            assert_eq!(
-                                fast.program_len(&[out1]).unwrap(),
-                                expect,
-                                "{case:?}: rewrite fired (or not) against the rule"
-                            );
-                            assert_eq!(reference.program_len(&[out2]).unwrap(), planned);
-                            fused_programs += usize::from(case.fusable());
-
                             let v = tensor_of(dtype, &corner_values(len, 0));
                             let y = tensor_of(dtype, &corner_values(len, 4));
+                            let feeds = |ph: [tfhpc_core::NodeId; 3], s: f64| {
+                                vec![
+                                    (ph[0], v.clone()),
+                                    (ph[1], y.clone()),
+                                    (ph[2], Tensor::scalar_f64(s)),
+                                ]
+                            };
+                            let (_, meta) = fast
+                                .run_with_metadata(&[out1], &feeds(ph1, scalars[0]))
+                                .unwrap();
+                            assert_eq!(
+                                folded_products(&meta),
+                                usize::from(case.fusable()),
+                                "{case:?}: rewrite fired (or not) against the rule"
+                            );
+                            let (_, meta) = reference
+                                .run_with_metadata(&[out2], &feeds(ph2, scalars[0]))
+                                .unwrap();
+                            assert_eq!(folded_products(&meta), 0);
+                            fused_programs += usize::from(case.fusable());
+
                             for s in scalars {
                                 if constant_factor.is_some() && s != scalars[0] {
                                     continue;
                                 }
-                                let feeds = |ph: [tfhpc_core::NodeId; 3]| {
-                                    vec![
-                                        (ph[0], v.clone()),
-                                        (ph[1], y.clone()),
-                                        (ph[2], Tensor::scalar_f64(s)),
-                                    ]
-                                };
-                                let want = reference.run(&[out2], &feeds(ph2)).unwrap();
-                                // Twice: the plan-building run and a
-                                // cache hit on a recycled frame.
+                                let want = reference.run(&[out2], &feeds(ph2, s)).unwrap();
+                                // Twice: cache hits on a recycled frame.
                                 for _ in 0..2 {
-                                    let got = fast.run(&[out1], &feeds(ph1)).unwrap();
+                                    let got = fast.run(&[out1], &feeds(ph1, s)).unwrap();
                                     assert_eq!(got[0].dtype(), want[0].dtype());
                                     assert_eq!(
                                         bits_of(&got[0]),
@@ -622,11 +640,6 @@ fn rewrite_leaves_every_pair_it_must_not_touch() {
         };
         let (fast, ph, fetches) = make(true);
         let (reference, ph_ref, fetches_ref) = make(false);
-        assert_eq!(
-            fast.program_len(&fetches).unwrap(),
-            reference.program_len(&fetches_ref).unwrap(),
-            "{what}: the rewrite fired"
-        );
         let feeds = |ph: [tfhpc_core::NodeId; 3]| {
             vec![
                 (ph[0], v_t.clone()),
@@ -634,7 +647,8 @@ fn rewrite_leaves_every_pair_it_must_not_touch() {
                 (ph[2], s_t.clone()),
             ]
         };
-        let got = fast.run(&fetches, &feeds(ph)).unwrap();
+        let (got, meta) = fast.run_with_metadata(&fetches, &feeds(ph)).unwrap();
+        assert_eq!(folded_products(&meta), 0, "{what}: the rewrite fired");
         let want = reference.run(&fetches_ref, &feeds(ph_ref)).unwrap();
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(bits_of(a), bits_of(b), "{what}: values diverged");
@@ -661,18 +675,16 @@ fn debugger_sessions_run_unfused_and_see_the_product() {
     watched.set_plan_cache(Arc::clone(&cache));
     let dbg = Arc::new(tfhpc_core::Debugger::new());
     watched.set_debugger(Arc::clone(&dbg));
-    assert_eq!(
-        plain.program_len(&[out]).unwrap() + 1,
-        watched.program_len(&[out]).unwrap()
-    );
 
     let feeds = vec![
         (ph[0], vec_f64(16, 5)),
         (ph[1], vec_f64(16, 6)),
         (ph[2], Tensor::scalar_f64(2.5)),
     ];
-    let a = plain.run(&[out], &feeds).unwrap();
-    let b = watched.run(&[out], &feeds).unwrap();
+    let (a, plain_meta) = plain.run_with_metadata(&[out], &feeds).unwrap();
+    let (b, watched_meta) = watched.run_with_metadata(&[out], &feeds).unwrap();
+    assert_eq!(folded_products(&plain_meta), 1);
+    assert_eq!(folded_products(&watched_meta), 0);
     assert_eq!(bits_of(&a[0]), bits_of(&b[0]));
     // Same graph, same devices, same fetches — two cache entries.
     assert_eq!(cache.stats().entries, 2);
