@@ -245,6 +245,24 @@ fn extract_field(json: &str, tenant: Option<&str>, field: &str) -> Option<f64> {
     tail[..end].trim().parse().ok()
 }
 
+/// One `run_load`, with the simulator's own cost for it on stderr
+/// (stdout and the JSON carry virtual-time results only).
+fn timed_load(label: &str, cfg: &ServeConfig, load: &[TenantSpec], seed: u64) -> LoadReport {
+    let started = std::time::Instant::now();
+    let report = run_load(cfg, load, seed).unwrap_or_else(|e| panic!("{label} run failed: {e}"));
+    let host_s = started.elapsed().as_secs_f64();
+    eprintln!(
+        "des self-cost [{label}]: {} dispatches ({:.2}/job, {:.0}/host-s), {} timers fired, {:.1} host ms ({:.3} host-s per virtual-s)",
+        report.des.dispatches,
+        report.des.dispatches as f64 / report.submitted.max(1) as f64,
+        report.des.dispatches as f64 / host_s,
+        report.des.timers_fired,
+        host_s * 1e3,
+        host_s / report.makespan_s,
+    );
+    report
+}
+
 fn print_report(report: &LoadReport) {
     println!(
         "{:<12} {:>9} {:>9} {:>9} {:>7} {:>10} {:>10} {:>10} {:>11} {:>8} {:>7}",
@@ -295,7 +313,7 @@ fn main() {
     let cfg = ServeConfig::from_env().expect("malformed TFHPC_SERVE_* environment");
     let load = tenants(smoke);
 
-    let report: LoadReport = run_load(&cfg, &load, seed).expect("load run failed");
+    let report = timed_load("load", &cfg, &load, seed);
 
     println!(
         "serving: seed {} | {} workers, window {:.1} ms, max batch {} | {} jobs in {:.4}s virtual = {:.0} jobs/s",
@@ -327,8 +345,12 @@ fn main() {
         queue_bound: OVERLOAD_QUEUE_BOUND,
         ..cfg.clone()
     };
-    let overload: LoadReport = run_load(&overload_cfg, &flood_tenants(smoke), seed ^ 0xF100D)
-        .expect("overload run failed");
+    let overload = timed_load(
+        "overload",
+        &overload_cfg,
+        &flood_tenants(smoke),
+        seed ^ 0xF100D,
+    );
     println!(
         "overload drill: besteffort x100 flood, EDF queue bound {} | {} jobs in {:.4}s virtual, {} shed",
         OVERLOAD_QUEUE_BOUND, overload.completed, overload.makespan_s, overload.shed

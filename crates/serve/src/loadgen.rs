@@ -20,7 +20,7 @@ use std::sync::Arc;
 use tfhpc_apps::RequestSpec;
 use tfhpc_core::{CoreError, PlanCacheStats, Result};
 use tfhpc_sim::topology::ClusterSim;
-use tfhpc_sim::{platform, SeededStream, Sim};
+use tfhpc_sim::{platform, SeededStream, Sim, SimStats};
 use tfhpc_slurm::{Distribution, JobRequest, SlurmCluster};
 
 use crate::admission::TenantQuota;
@@ -116,6 +116,10 @@ pub struct LoadReport {
     pub batched_jobs: u64,
     /// batched_jobs / batches.
     pub mean_batch: f64,
+    /// What the run cost the simulator, in scheduler events. The same
+    /// for every run of one build, but a property of the scheduler and
+    /// not of the served load, so [`LoadReport::to_json`] leaves it out.
+    pub des: SimStats,
 }
 
 /// Exact order statistic: the `q`-quantile of an ascending-sorted
@@ -366,6 +370,7 @@ pub fn run_load(cfg: &ServeConfig, tenants: &[TenantSpec], seed: u64) -> Result<
         } else {
             0.0
         },
+        des: sim.stats(),
     })
 }
 

@@ -100,9 +100,49 @@ struct ServeState {
     open: bool,
 }
 
+/// A condition on [`ServeState`], in wall-clock or virtual time.
 enum ServeCv {
     Real(Condvar),
     Sim(SimCondvar),
+}
+
+impl ServeCv {
+    fn notify_all(&self) {
+        match self {
+            ServeCv::Real(cv) => {
+                cv.notify_all();
+            }
+            ServeCv::Sim(cv) => cv.notify_all(),
+        }
+    }
+
+    /// Block until `ready` yields a value from the state. In sim mode
+    /// this must be called from a simulated process.
+    fn wait_for<T>(
+        &self,
+        state: &Mutex<ServeState>,
+        mut ready: impl FnMut(&ServeState) -> Option<T>,
+    ) -> T {
+        match self {
+            ServeCv::Real(cv) => {
+                let mut st = state.lock();
+                loop {
+                    if let Some(v) = ready(&st) {
+                        return v;
+                    }
+                    cv.wait(&mut st);
+                }
+            }
+            ServeCv::Sim(cv) => loop {
+                if let Some(v) = ready(&state.lock()) {
+                    return v;
+                }
+                // No yield point between the unlock above and the wait
+                // registering, so the wakeup cannot be lost.
+                cv.wait();
+            },
+        }
+    }
 }
 
 /// One worker's cached executable for a spec: canonical graph wrapped
@@ -119,7 +159,13 @@ pub struct SessionServer {
     admission: AdmissionController,
     plan_cache: Arc<SharedPlanCache>,
     state: Mutex<ServeState>,
-    cv: ServeCv,
+    /// Workers wait here for a job, a batch deadline or the close;
+    /// `submit` and `shutdown` notify.
+    work_cv: ServeCv,
+    /// `wait` and `quiesce` wait here for results; `finish` and
+    /// `shutdown` notify. Apart from `work_cv`, so that a submit does not
+    /// wake the waiting clients nor a finish the idle workers.
+    done_cv: ServeCv,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     started: Instant,
     batches: AtomicU64,
@@ -127,7 +173,7 @@ pub struct SessionServer {
 }
 
 impl SessionServer {
-    fn new(cfg: ServeConfig, cv: ServeCv) -> SessionServer {
+    fn new(cfg: ServeConfig, work_cv: ServeCv, done_cv: ServeCv) -> SessionServer {
         SessionServer {
             admission: AdmissionController::new(cfg.default_quota),
             plan_cache: Arc::new(SharedPlanCache::new(cfg.plan_cache_cap)),
@@ -139,7 +185,8 @@ impl SessionServer {
                 outstanding: 0,
                 open: true,
             }),
-            cv,
+            work_cv,
+            done_cv,
             workers: Mutex::new(Vec::new()),
             started: Instant::now(),
             batches: AtomicU64::new(0),
@@ -152,7 +199,11 @@ impl SessionServer {
     /// dense feeds, wall-clock timestamps.
     pub fn start_real(cfg: ServeConfig) -> Arc<SessionServer> {
         let n = cfg.workers.max(1);
-        let server = Arc::new(SessionServer::new(cfg, ServeCv::Real(Condvar::new())));
+        let server = Arc::new(SessionServer::new(
+            cfg,
+            ServeCv::Real(Condvar::new()),
+            ServeCv::Real(Condvar::new()),
+        ));
         let mut handles = Vec::with_capacity(n);
         for w in 0..n {
             let srv = Arc::clone(&server);
@@ -178,6 +229,7 @@ impl SessionServer {
         let server = Arc::new(SessionServer::new(
             cfg,
             ServeCv::Sim(sim.condvar("serve.work")),
+            ServeCv::Sim(sim.condvar("serve.done")),
         ));
         for (w, &node) in worker_nodes.iter().enumerate() {
             let srv = Arc::clone(&server);
@@ -221,15 +273,6 @@ impl SessionServer {
         match tfhpc_sim::des::current() {
             Some(me) => me.now(),
             None => self.started.elapsed().as_secs_f64(),
-        }
-    }
-
-    fn notify_all(&self) {
-        match &self.cv {
-            ServeCv::Real(cv) => {
-                cv.notify_all();
-            }
-            ServeCv::Sim(cv) => cv.notify_all(),
         }
     }
 
@@ -319,7 +362,7 @@ impl SessionServer {
             // immediately with the errored result.
             self.finish(results);
         }
-        self.notify_all();
+        self.work_cv.notify_all();
         Ok(id)
     }
 
@@ -327,56 +370,22 @@ impl SessionServer {
     /// mode this must be called from a simulated process (closed-loop
     /// clients are DES processes).
     pub fn wait(&self, id: u64) -> JobResult {
-        match &self.cv {
-            ServeCv::Real(cv) => {
-                let mut st = self.state.lock();
-                loop {
-                    if let Some(r) = st.done.get(&id) {
-                        return r.clone();
-                    }
-                    cv.wait(&mut st);
-                }
-            }
-            ServeCv::Sim(cv) => loop {
-                {
-                    let st = self.state.lock();
-                    if let Some(r) = st.done.get(&id) {
-                        return r.clone();
-                    }
-                }
-                // No yield point between the unlock above and the wait
-                // registering, so the wakeup cannot be lost.
-                cv.wait();
-            },
-        }
+        self.done_cv
+            .wait_for(&self.state, |st| st.done.get(&id).cloned())
     }
 
     /// Block until every submitted job has finished.
     pub fn quiesce(&self) {
-        match &self.cv {
-            ServeCv::Real(cv) => {
-                let mut st = self.state.lock();
-                while st.outstanding > 0 {
-                    cv.wait(&mut st);
-                }
-            }
-            ServeCv::Sim(cv) => loop {
-                {
-                    let st = self.state.lock();
-                    if st.outstanding == 0 {
-                        return;
-                    }
-                }
-                cv.wait();
-            },
-        }
+        self.done_cv
+            .wait_for(&self.state, |st| (st.outstanding == 0).then_some(()))
     }
 
     /// Stop accepting submissions; workers drain the queues and exit.
     /// Real-mode worker threads are joined.
     pub fn shutdown(&self) {
         self.state.lock().open = false;
-        self.notify_all();
+        self.work_cv.notify_all();
+        self.done_cv.notify_all();
         let handles = std::mem::take(&mut *self.workers.lock());
         for h in handles {
             let _ = h.join();
@@ -407,7 +416,7 @@ impl SessionServer {
                         break None;
                     }
                     let deadline = st.batch.next_deadline();
-                    match &self.cv {
+                    match &self.work_cv {
                         ServeCv::Real(cv) => match deadline {
                             Some(d) => {
                                 let dur = (d - now).max(0.0);
@@ -552,7 +561,7 @@ impl SessionServer {
             st.done.insert(r.id, r);
         }
         drop(st);
-        self.notify_all();
+        self.done_cv.notify_all();
     }
 }
 

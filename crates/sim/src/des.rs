@@ -12,6 +12,15 @@
 //! [`SimResource`]s serialize in correct timestamp order and the whole
 //! simulation is deterministic.
 //!
+//! ## Hand-off
+//!
+//! The right to run is a baton. A yielding process picks its successor
+//! under the scheduler lock, releases the lock, unparks that one thread
+//! and parks itself; nobody else is woken. The thread inside
+//! [`Sim::run`] sleeps until the last process finishes. Only an aborted
+//! run (deadlock or a panicking process) wakes every parked thread,
+//! once, so that each can unwind and be joined.
+//!
 //! ## Discipline
 //!
 //! Code running inside a process must not hold an application mutex
@@ -26,12 +35,12 @@
 //! per-process states — the same failure mode a hung distributed
 //! TensorFlow job exhibits, and a useful oracle for queue-protocol bugs.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 /// Identifier of a simulated process.
 pub type ProcId = usize;
@@ -48,23 +57,61 @@ struct ProcState {
     name: String,
     time: f64,
     status: Status,
-    waiting_on: Option<String>,
-    /// Virtual deadline of a `wait_until` in progress: when no process
-    /// is Ready, the scheduler fires the earliest such timer instead of
-    /// declaring deadlock.
-    wake_at: Option<f64>,
+    /// The backing OS thread; the scheduler hands it the baton with
+    /// `unpark`.
+    thread: Thread,
+    /// While Blocked: the one condvar this process is queued on and the
+    /// virtual deadline of a `wait_until` in progress.
+    waiting_on: Option<(usize, Option<f64>)>,
     /// Set by the scheduler when the process was resumed by its timer
     /// rather than a notify; consumed by `wait_until`.
     timed_out: bool,
+    /// Message of the panic that ended the process body.
+    panicked: Option<String>,
+}
+
+/// A virtual time as an integer that sorts the way the time does, so
+/// `(time_key, pid)` tuples order the scheduler's sets. `-0.0` maps to
+/// the key of `0.0`.
+fn time_key(t: f64) -> u64 {
+    let bits = (t + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The scheduler's own event counts for one simulation: what a run cost
+/// the host, in hand-offs rather than seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Times the scheduler gave a process the baton.
+    pub dispatches: u64,
+    /// Wake-ups sent to process threads: one per dispatch, plus one per
+    /// unfinished process when a run aborts.
+    pub thread_wakeups: u64,
+    /// Dispatches made by a `wait_until` deadline instead of a notify.
+    pub timers_fired: u64,
 }
 
 struct SchedState {
     procs: Vec<ProcState>,
     running: Option<ProcId>,
-    started: bool,
-    deadlock: bool,
-    /// waiter lists per condvar id
-    cv_waiters: Vec<Vec<ProcId>>,
+    /// Ready processes by `(time, pid)`: the first is the next to run.
+    ready: BTreeSet<(u64, ProcId)>,
+    /// Blocked processes holding a `wait_until` timer, by
+    /// `(deadline, pid)`.
+    timers: BTreeSet<(u64, ProcId)>,
+    /// Processes not yet Done.
+    live: usize,
+    /// The thread inside `Sim::run`, once it has been called.
+    runner: Option<Thread>,
+    /// The process dump of an aborted run (deadlock or process panic).
+    failure: Option<String>,
+    stats: SimStats,
+    /// waiter queue per condvar id, longest-waiting first
+    cv_waiters: Vec<VecDeque<ProcId>>,
     cv_names: Vec<String>,
     /// availability time per resource id
     res_available: Vec<f64>,
@@ -76,6 +123,70 @@ struct SchedState {
     /// execution trace (when enabled): device/process occupancy segments
     tracing: bool,
     trace: Vec<TraceSegment>,
+}
+
+impl SchedState {
+    /// Running -> Blocked on condvar `cv`, with a timer if `deadline`.
+    fn block(&mut self, id: ProcId, cv: usize, deadline: Option<f64>) {
+        debug_assert_eq!(self.running, Some(id), "wait from non-running process");
+        let p = &mut self.procs[id];
+        p.status = Status::Blocked;
+        p.waiting_on = Some((cv, deadline));
+        if let Some(d) = deadline {
+            self.timers.insert((time_key(d), id));
+        }
+        self.cv_waiters[cv].push_back(id);
+        self.running = None;
+    }
+
+    /// Blocked -> Ready: a notify at virtual time `now` reached `id`,
+    /// already taken off its condvar's queue.
+    fn wake(&mut self, id: ProcId, now: f64) {
+        let p = &mut self.procs[id];
+        if let Some((_, Some(deadline))) = p.waiting_on.take() {
+            self.timers.remove(&(time_key(deadline), id));
+        }
+        p.time = p.time.max(now);
+        p.status = Status::Ready;
+        self.ready.insert((time_key(p.time), id));
+    }
+
+    /// Pick the minimum-time Ready process and mark it Running; when a
+    /// blocked process's `wait_until` deadline precedes every Ready
+    /// process, fire that timer instead (its clock jumps to exactly the
+    /// deadline — this is what makes `DeadlineExceeded` land at the
+    /// precise virtual instant). `None` when nothing can run. Must be
+    /// called with no process Running.
+    fn schedule(&mut self) -> Option<ProcId> {
+        debug_assert!(self.running.is_none());
+        let ready = self.ready.first().copied();
+        let timer = self.timers.first().copied();
+        // A Ready process at the same instant runs first: a notify that
+        // already happened beats a timeout that would fire concurrently.
+        let next = match (ready, timer) {
+            (_, Some((tt, i))) if ready.is_none_or(|(tr, _)| tt < tr) => {
+                self.timers.pop_first();
+                let p = &mut self.procs[i];
+                let Some((cv, Some(deadline))) = p.waiting_on.take() else {
+                    unreachable!("a timer belongs to a process in wait_until");
+                };
+                p.time = p.time.max(deadline);
+                p.timed_out = true;
+                self.cv_waiters[cv].retain(|w| *w != i);
+                self.stats.timers_fired += 1;
+                i
+            }
+            (Some((_, i)), _) => {
+                self.ready.pop_first();
+                i
+            }
+            (None, _) => return None,
+        };
+        self.procs[next].status = Status::Running;
+        self.running = Some(next);
+        self.stats.dispatches += 1;
+        Some(next)
+    }
 }
 
 /// One occupancy segment of the execution trace: `track` (a process or
@@ -96,9 +207,13 @@ pub struct TraceSegment {
 /// A discrete-event simulation instance.
 pub struct Sim {
     state: Mutex<SchedState>,
-    cv: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
+
+/// Panic payload that unwinds a parked process thread out of an aborted
+/// run. Raised with `resume_unwind`, so the panic hook stays silent;
+/// `Sim::run` reports the failure.
+struct Aborted;
 
 thread_local! {
     static CURRENT: RefCell<Option<(Arc<Sim>, ProcId)>> = const { RefCell::new(None) };
@@ -156,8 +271,12 @@ impl Sim {
             state: Mutex::new(SchedState {
                 procs: Vec::new(),
                 running: None,
-                started: false,
-                deadlock: false,
+                ready: BTreeSet::new(),
+                timers: BTreeSet::new(),
+                live: 0,
+                runner: None,
+                failure: None,
+                stats: SimStats::default(),
                 cv_waiters: Vec::new(),
                 cv_names: Vec::new(),
                 res_available: Vec::new(),
@@ -167,7 +286,6 @@ impl Sim {
                 tracing: false,
                 trace: Vec::new(),
             }),
-            cv: Condvar::new(),
             threads: Mutex::new(Vec::new()),
         }
     }
@@ -184,127 +302,123 @@ impl Sim {
     where
         F: FnOnce() + Send + 'static,
     {
-        let id;
-        {
-            let mut st = self.state.lock();
-            let t0 = current()
-                .filter(|c| Arc::ptr_eq(&c.sim, self))
-                .map(|c| st.procs[c.id].time)
-                .unwrap_or(0.0);
-            id = st.procs.len();
-            st.procs.push(ProcState {
-                name: name.to_string(),
-                time: t0,
-                status: Status::Ready,
-                waiting_on: None,
-                wake_at: None,
-                timed_out: false,
-            });
-        }
+        // The lock is held across the thread spawn so that the process
+        // and its thread handle become visible to the scheduler
+        // together; the new thread parks before it touches the lock.
+        let mut st = self.state.lock();
+        let t0 = current()
+            .filter(|c| Arc::ptr_eq(&c.sim, self))
+            .map(|c| st.procs[c.id].time)
+            .unwrap_or(0.0);
+        let id = st.procs.len();
         let sim = Arc::clone(self);
-        let tname = format!("sim-{name}");
         let handle = std::thread::Builder::new()
-            .name(tname)
-            .spawn(move || {
-                CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&sim), id)));
-                // Park until scheduled for the first time.
-                {
-                    let mut st = sim.state.lock();
-                    while st.running != Some(id) && !st.deadlock {
-                        sim.cv.wait(&mut st);
-                    }
-                    if st.deadlock {
-                        return;
-                    }
-                }
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                let mut st = sim.state.lock();
-                st.procs[id].status = Status::Done;
-                if st.running == Some(id) {
-                    st.running = None;
-                }
-                if let Err(payload) = result {
-                    // Propagate by poisoning the run: mark deadlock with a note.
-                    st.procs[id].waiting_on = Some(format!(
-                        "PANICKED: {}",
-                        payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic>".into())
-                    ));
-                    st.deadlock = true;
-                }
-                if !st.deadlock && st.running.is_none() {
-                    Self::schedule(&mut st);
-                }
-                sim.cv.notify_all();
-            })
+            .name(format!("sim-{name}"))
+            .spawn(move || sim.process_main(id, f))
             .expect("failed to spawn sim process thread");
+        st.procs.push(ProcState {
+            name: name.to_string(),
+            time: t0,
+            status: Status::Ready,
+            thread: handle.thread().clone(),
+            waiting_on: None,
+            timed_out: false,
+            panicked: None,
+        });
+        st.ready.insert((time_key(t0), id));
+        st.live += 1;
+        drop(st);
         self.threads.lock().push(handle);
         id
     }
 
-    /// Pick the minimum-time Ready process and mark it Running; when a
-    /// blocked process's `wait_until` deadline precedes every Ready
-    /// process, fire that timer instead (its clock jumps to exactly the
-    /// deadline — this is what makes `DeadlineExceeded` land at the
-    /// precise virtual instant). Must be called with no process Running.
-    fn schedule(st: &mut SchedState) {
-        debug_assert!(st.running.is_none());
-        let next_ready = st
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.status == Status::Ready)
-            .min_by(|(ia, a), (ib, b)| {
-                a.time
-                    .partial_cmp(&b.time)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(ia.cmp(ib))
-            })
-            .map(|(i, p)| (i, p.time));
-        let next_timer = st
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.status == Status::Blocked)
-            .filter_map(|(i, p)| p.wake_at.map(|t| (i, t)))
-            .min_by(|(ia, ta), (ib, tb)| {
-                ta.partial_cmp(tb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(ia.cmp(ib))
-            });
-        // A Ready process at the same instant runs first: a notify that
-        // already happened beats a timeout that would fire concurrently.
-        let fire_timer = match (next_ready, next_timer) {
-            (Some((_, tr)), Some((_, tt))) => tt < tr,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if fire_timer {
-            let (i, deadline) = next_timer.unwrap();
-            for waiters in st.cv_waiters.iter_mut() {
-                waiters.retain(|w| *w != i);
-            }
-            let p = &mut st.procs[i];
-            p.time = p.time.max(deadline);
-            p.wake_at = None;
-            p.timed_out = true;
-            p.status = Status::Running;
-            st.running = Some(i);
+    /// Body of a process thread: wait for the first dispatch, run `f`,
+    /// pass the baton on.
+    fn process_main(self: Arc<Sim>, id: ProcId, f: impl FnOnce()) {
+        CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&self), id)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(self.await_dispatch(id));
+            f()
+        }));
+        let mut st = self.state.lock();
+        if st.failure.is_some() {
+            // Unwound out of an aborted run; `Sim::run` has the report.
             return;
         }
-        match next_ready {
-            Some((i, _)) => {
-                st.procs[i].status = Status::Running;
-                st.running = Some(i);
+        st.procs[id].status = Status::Done;
+        st.running = None;
+        st.live -= 1;
+        match result {
+            Ok(()) => self.hand_off(st),
+            Err(payload) => {
+                st.procs[id].panicked = Some(
+                    payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "<non-string panic>".into()),
+                );
+                self.abort(st);
             }
-            None => {
-                let live = st.procs.iter().filter(|p| p.status != Status::Done).count();
-                if live > 0 {
-                    st.deadlock = true;
+        }
+    }
+
+    /// Pass the baton: pick the next process and wake its thread, and
+    /// only that one. Called with no process Running, by whoever just
+    /// gave the baton up. When nothing can run, either the simulation
+    /// is over (wake `Sim::run`) or it is deadlocked.
+    fn hand_off(&self, mut st: MutexGuard<'_, SchedState>) {
+        match st.schedule() {
+            Some(next) => {
+                let thread = st.procs[next].thread.clone();
+                st.stats.thread_wakeups += 1;
+                // Unlock first: the woken thread takes the lock next.
+                drop(st);
+                thread.unpark();
+            }
+            None if st.live == 0 => {
+                let runner = st.runner.clone();
+                drop(st);
+                if let Some(runner) = runner {
+                    runner.unpark();
                 }
+            }
+            None => self.abort(st),
+        }
+    }
+
+    /// Fail the run: record the process dump, then wake every
+    /// unfinished process (each unwinds out of its parked call) and
+    /// `Sim::run` (which joins them and reports).
+    fn abort(&self, mut st: MutexGuard<'_, SchedState>) {
+        st.failure = Some(Self::dump(&st));
+        let parked: Vec<Thread> = st
+            .procs
+            .iter()
+            .filter(|p| p.status != Status::Done)
+            .map(|p| p.thread.clone())
+            .collect();
+        st.stats.thread_wakeups += parked.len() as u64;
+        let runner = st.runner.clone();
+        drop(st);
+        for thread in parked.iter().chain(&runner) {
+            thread.unpark();
+        }
+    }
+
+    /// Park the calling process thread until the scheduler has made
+    /// `id` Running. If the run was aborted instead, unwind the thread.
+    fn await_dispatch(&self, id: ProcId) -> MutexGuard<'_, SchedState> {
+        loop {
+            // A wake-up sent before this call makes it return at once.
+            std::thread::park();
+            let st = self.state.lock();
+            if st.failure.is_some() {
+                drop(st);
+                std::panic::resume_unwind(Box::new(Aborted));
+            }
+            if st.running == Some(id) {
+                return st;
             }
         }
     }
@@ -323,82 +437,79 @@ impl Sim {
             st.trace.push(seg);
         }
         st.procs[id].time += dt;
-        let my_time = st.procs[id].time;
+        let now = time_key(st.procs[id].time);
         // Yield if someone Ready is further behind, or a blocked
         // process holds a `wait_until` deadline this advance just
         // crossed — otherwise a sole runner advancing in large steps
         // starves every timer until it blocks, and an event scheduled
         // at t1 would execute after work at t2 > t1.
-        let behind = st.procs.iter().any(|p| {
-            (p.status == Status::Ready && p.time < my_time)
-                || (p.status == Status::Blocked && p.wake_at.is_some_and(|t| t < my_time))
-        });
-        if behind {
+        let behind = |set: &BTreeSet<(u64, ProcId)>| set.first().is_some_and(|&(t, _)| t < now);
+        if behind(&st.ready) || behind(&st.timers) {
             st.procs[id].status = Status::Ready;
+            st.ready.insert((now, id));
             st.running = None;
-            Self::schedule(&mut st);
-            self.cv.notify_all();
-            while st.running != Some(id) && !st.deadlock {
-                self.cv.wait(&mut st);
-            }
-            if st.deadlock && st.running != Some(id) {
-                // Unwind this thread quietly; run() reports the failure.
-                drop(st);
-                panic!("simulation aborted");
-            }
+            self.hand_off(st);
+            drop(self.await_dispatch(id));
         }
     }
 
     /// Run the simulation to completion; returns the final virtual time
-    /// (max over process clocks). Panics on deadlock or process panic.
+    /// (max over process clocks). Panics on deadlock or process panic,
+    /// after every process thread has unwound and been joined.
     pub fn run(self: &Arc<Sim>) -> f64 {
-        {
-            let mut st = self.state.lock();
-            assert!(!st.started, "Sim::run called twice");
-            st.started = true;
-            Self::schedule(&mut st);
-            self.cv.notify_all();
-            while !st.deadlock && st.procs.iter().any(|p| p.status != Status::Done) {
-                self.cv.wait(&mut st);
+        let mut st = self.state.lock();
+        assert!(st.runner.is_none(), "Sim::run called twice");
+        st.runner = Some(std::thread::current());
+        self.hand_off(st);
+        loop {
+            let st = self.state.lock();
+            if st.live == 0 || st.failure.is_some() {
+                break;
             }
-            if st.deadlock {
-                let dump = Self::dump(&st);
-                st.deadlock = true;
-                self.cv.notify_all();
-                drop(st);
-                panic!("simulation deadlock or process panic:\n{dump}");
-            }
+            drop(st);
+            std::thread::park();
         }
-        for t in self.threads.lock().drain(..) {
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for t in threads {
             let _ = t.join();
         }
-        let st = self.state.lock();
+        let mut st = self.state.lock();
+        if let Some(dump) = st.failure.take() {
+            drop(st);
+            panic!("simulation deadlock or process panic:\n{dump}");
+        }
         st.procs.iter().map(|p| p.time).fold(0.0, f64::max)
     }
 
     fn dump(st: &SchedState) -> String {
         let mut s = String::new();
         for (i, p) in st.procs.iter().enumerate() {
+            let waiting_on = match (&p.panicked, p.waiting_on) {
+                (Some(msg), _) => format!(" waiting on PANICKED: {msg}"),
+                (None, Some((cv, None))) => format!(" waiting on {}", st.cv_names[cv]),
+                (None, Some((cv, Some(deadline)))) => {
+                    format!(" waiting on {} (deadline t={deadline:.6})", st.cv_names[cv])
+                }
+                (None, None) => String::new(),
+            };
             s.push_str(&format!(
                 "  [{}] {:<24} t={:<12.6} {:?}{}\n",
-                i,
-                p.name,
-                p.time,
-                p.status,
-                p.waiting_on
-                    .as_deref()
-                    .map(|w| format!(" waiting on {w}"))
-                    .unwrap_or_default()
+                i, p.name, p.time, p.status, waiting_on
             ));
         }
         s
+    }
+
+    /// The scheduler's event counts so far.
+    pub fn stats(&self) -> SimStats {
+        self.state.lock().stats
     }
 
     /// Create a virtual condition variable.
     pub fn condvar(self: &Arc<Sim>, name: &str) -> SimCondvar {
         let mut st = self.state.lock();
         let id = st.cv_waiters.len();
-        st.cv_waiters.push(Vec::new());
+        st.cv_waiters.push(VecDeque::new());
         st.cv_names.push(name.to_string());
         SimCondvar {
             sim: Arc::clone(self),
@@ -523,29 +634,7 @@ impl SimCondvar {
     /// As with real condvars, callers must re-check their predicate in
     /// a loop (a notify may wake several waiters).
     pub fn wait(&self) {
-        let me = current().expect("SimCondvar::wait outside a sim process");
-        assert!(
-            Arc::ptr_eq(&me.sim, &self.sim),
-            "condvar used across simulations"
-        );
-        let mut st = self.sim.state.lock();
-        let id = me.id;
-        debug_assert_eq!(st.running, Some(id));
-        st.procs[id].status = Status::Blocked;
-        let cv_name = st.cv_names[self.id].clone();
-        st.procs[id].waiting_on = Some(cv_name);
-        st.cv_waiters[self.id].push(id);
-        st.running = None;
-        Sim::schedule(&mut st);
-        self.sim.cv.notify_all();
-        while st.running != Some(id) && !st.deadlock {
-            self.sim.cv.wait(&mut st);
-        }
-        if st.deadlock && st.running != Some(id) {
-            drop(st);
-            panic!("simulation aborted");
-        }
-        st.procs[id].waiting_on = None;
+        self.block(None);
     }
 
     /// Like [`SimCondvar::wait`] but with an absolute virtual-time
@@ -554,33 +643,22 @@ impl SimCondvar {
     /// `false` when a notify woke it first. Callers re-check their
     /// predicate either way.
     pub fn wait_until(&self, deadline: f64) -> bool {
-        let me = current().expect("SimCondvar::wait_until outside a sim process");
+        self.block(Some(deadline))
+    }
+
+    /// Queue the calling process on this condvar and give up the baton;
+    /// returns whether its timer, not a notify, brought it back.
+    fn block(&self, deadline: Option<f64>) -> bool {
+        let me = current().expect("SimCondvar::wait outside a sim process");
         assert!(
             Arc::ptr_eq(&me.sim, &self.sim),
             "condvar used across simulations"
         );
         let mut st = self.sim.state.lock();
-        let id = me.id;
-        debug_assert_eq!(st.running, Some(id));
-        st.procs[id].status = Status::Blocked;
-        let cv_name = st.cv_names[self.id].clone();
-        st.procs[id].waiting_on = Some(format!("{cv_name} (deadline t={deadline:.6})"));
-        st.procs[id].wake_at = Some(deadline);
-        st.procs[id].timed_out = false;
-        st.cv_waiters[self.id].push(id);
-        st.running = None;
-        Sim::schedule(&mut st);
-        self.sim.cv.notify_all();
-        while st.running != Some(id) && !st.deadlock {
-            self.sim.cv.wait(&mut st);
-        }
-        if st.deadlock && st.running != Some(id) {
-            drop(st);
-            panic!("simulation aborted");
-        }
-        st.procs[id].waiting_on = None;
-        st.procs[id].wake_at = None;
-        std::mem::take(&mut st.procs[id].timed_out)
+        st.block(me.id, self.id, deadline);
+        self.sim.hand_off(st);
+        let mut st = self.sim.await_dispatch(me.id);
+        std::mem::take(&mut st.procs[me.id].timed_out)
     }
 
     /// Wake every waiter; their clocks jump to at least the notifier's.
@@ -588,11 +666,8 @@ impl SimCondvar {
         let me = current().expect("SimCondvar::notify_all outside a sim process");
         let mut st = self.sim.state.lock();
         let now = st.procs[me.id].time;
-        let waiters = std::mem::take(&mut st.cv_waiters[self.id]);
-        for w in waiters {
-            st.procs[w].status = Status::Ready;
-            st.procs[w].time = st.procs[w].time.max(now);
-            st.procs[w].wake_at = None;
+        while let Some(w) = st.cv_waiters[self.id].pop_front() {
+            st.wake(w, now);
         }
     }
 
@@ -601,11 +676,8 @@ impl SimCondvar {
         let me = current().expect("SimCondvar::notify_one outside a sim process");
         let mut st = self.sim.state.lock();
         let now = st.procs[me.id].time;
-        if !st.cv_waiters[self.id].is_empty() {
-            let w = st.cv_waiters[self.id].remove(0);
-            st.procs[w].status = Status::Ready;
-            st.procs[w].time = st.procs[w].time.max(now);
-            st.procs[w].wake_at = None;
+        if let Some(w) = st.cv_waiters[self.id].pop_front() {
+            st.wake(w, now);
         }
     }
 }
@@ -986,5 +1058,246 @@ mod tests {
         }
         sim.run();
         assert!((sim.resource_busy(&res) - 2.0).abs() < 1e-12);
+    }
+
+    /// Every process logs `(pid, clock bits)` at its start and after
+    /// each yielding call returns, so the log is the order in which the
+    /// scheduler handed out the baton.
+    fn dispatch_trace() -> Vec<(ProcId, u64)> {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mark = {
+            let log = Arc::clone(&log);
+            move || {
+                let me = current().unwrap();
+                log.lock().push((me.id(), me.now().to_bits()));
+            }
+        };
+        let queue = sim.condvar("queue");
+        let timed = sim.condvar("timed");
+        let never = sim.condvar("never");
+        // pids 0-3: clocks collide at every multiple of 0.5.
+        for i in 0..4usize {
+            let mark = mark.clone();
+            sim.spawn(&format!("tick{i}"), move || {
+                mark();
+                for _ in 0..3 {
+                    current().unwrap().advance(0.25 * (i % 2 + 1) as f64);
+                    mark();
+                }
+            });
+        }
+        // pids 4-6: a notify_one queue, registered in the order 6, 5, 4.
+        for j in 0..3usize {
+            let (mark, queue) = (mark.clone(), queue.clone());
+            sim.spawn(&format!("queued{j}"), move || {
+                mark();
+                current().unwrap().advance(0.3 - 0.1 * j as f64);
+                queue.wait();
+                mark();
+                current().unwrap().advance(0.25);
+                mark();
+            });
+        }
+        // pid 7: a timer at t = 1.0, the instant pid 8 notifies; then one
+        // that fires.
+        {
+            let (mark, timed) = (mark.clone(), timed.clone());
+            sim.spawn("timed", move || {
+                mark();
+                assert!(!timed.wait_until(1.0), "a notify at the deadline wins");
+                mark();
+                assert!(timed.wait_until(1.5), "nobody notifies again");
+                mark();
+            });
+        }
+        // pid 8: the notifier; spawns pid 10 from inside.
+        {
+            let (mark, sim2) = (mark.clone(), Arc::clone(&sim));
+            let (queue, timed, never) = (queue.clone(), timed.clone(), never.clone());
+            sim.spawn("notifier", move || {
+                let me = current().unwrap();
+                mark();
+                me.advance(1.0);
+                mark();
+                timed.notify_all();
+                queue.notify_one();
+                me.advance(0.5);
+                mark();
+                queue.notify_one();
+                queue.notify_one();
+                queue.notify_one(); // empty queue: no-op
+                let mark2 = mark.clone();
+                sim2.spawn("late", move || {
+                    mark2();
+                    current().unwrap().advance(0.25);
+                    mark2();
+                });
+                assert!(never.wait_until(1.75));
+                mark();
+            });
+        }
+        // pid 9: a timer that expires at an instant where others are Ready.
+        {
+            let (mark, never) = (mark.clone(), never.clone());
+            sim.spawn("sleeper", move || {
+                mark();
+                assert!(never.wait_until(0.5));
+                mark();
+                current().unwrap().advance(1.0);
+                mark();
+            });
+        }
+        assert_eq!(sim.run(), 1.75);
+        let out = log.lock().clone();
+        out
+    }
+
+    /// The scheduling rule, pinned: this sequence was captured on the
+    /// global-condvar scheduler that preceded baton passing. It covers
+    /// colliding clocks (ties go to the lowest pid), a notify and a
+    /// timer at the same instant (t = 1.0: the notify wins), timers
+    /// expiring among Ready processes (t = 0.5 and 1.5: they run last),
+    /// a `notify_one` queue (pid 6 waited longest) and a process
+    /// spawned from inside (pid 10).
+    #[test]
+    fn golden_dispatch_trace_is_unchanged() {
+        const T0_25: u64 = 0x3fd0000000000000;
+        const T0_5: u64 = 0x3fe0000000000000;
+        const T0_75: u64 = 0x3fe8000000000000;
+        const T1: u64 = 0x3ff0000000000000;
+        const T1_25: u64 = 0x3ff4000000000000;
+        const T1_5: u64 = 0x3ff8000000000000;
+        const T1_75: u64 = 0x3ffc000000000000;
+        #[rustfmt::skip]
+        let golden: [(ProcId, u64); 37] = [
+            (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0),
+            (0, T0_25), (2, T0_25),
+            (0, T0_5), (1, T0_5), (2, T0_5), (3, T0_5), (9, T0_5),
+            (0, T0_75), (2, T0_75),
+            (1, T1), (3, T1), (8, T1), (6, T1), (7, T1),
+            (6, T1_25),
+            (1, T1_5), (3, T1_5), (8, T1_5), (4, T1_5), (5, T1_5), (9, T1_5), (10, T1_5), (7, T1_5),
+            (4, T1_75), (5, T1_75), (10, T1_75), (8, T1_75),
+        ];
+        assert_eq!(dispatch_trace(), golden);
+    }
+
+    #[test]
+    fn one_thread_wakeup_per_dispatch() {
+        // 64 processes take turns 50 times each: every turn is one
+        // dispatch, and each dispatch wakes one thread, not the herd.
+        const PROCS: u64 = 64;
+        const TURNS: u64 = 50;
+        let sim = Sim::new();
+        for i in 0..PROCS {
+            sim.spawn(&format!("p{i}"), || {
+                for _ in 0..TURNS {
+                    current().unwrap().advance(1.0);
+                }
+            });
+        }
+        assert_eq!(sim.run(), TURNS as f64);
+        let stats = sim.stats();
+        // 64 first dispatches, 63 on exits, and one for each advance
+        // that found somebody strictly behind (all but 113 of 3 200:
+        // whoever runs last at an instant finds the others level).
+        assert_eq!(stats.dispatches, 3214);
+        assert_eq!(stats.thread_wakeups, stats.dispatches);
+        assert_eq!(stats.timers_fired, 0);
+    }
+
+    /// Counts its drops: one per process closure that was released.
+    struct Token(Arc<AtomicUsize>);
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// 64 processes parked on a condvar nobody notifies, plus `last`;
+    /// the run must fail, and leave no process thread behind.
+    fn failed_run_joins_everyone(last: impl FnOnce() + Send + 'static) -> String {
+        let sim = Sim::new();
+        let cv = sim.condvar("never");
+        let released = Arc::new(AtomicUsize::new(0));
+        for i in 0..64 {
+            let cv = cv.clone();
+            let token = Token(Arc::clone(&released));
+            sim.spawn(&format!("parked{i}"), move || {
+                let _token = token;
+                cv.wait();
+                unreachable!("nobody notifies");
+            });
+        }
+        sim.spawn("last", last);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("the run fails");
+        // Joined, not merely told to stop: every closure has been
+        // dropped by the time `run` returns.
+        assert_eq!(released.load(Ordering::SeqCst), 64);
+        assert!(sim.threads.lock().is_empty());
+        err.downcast_ref::<String>().expect("a message").clone()
+    }
+
+    #[test]
+    fn deadlock_with_many_parked_processes_joins_every_thread() {
+        let msg = failed_run_joins_everyone(|| current().unwrap().advance(1.0));
+        assert!(msg.contains("deadlock"), "{msg}");
+        assert!(msg.contains("parked63"), "{msg}");
+        assert!(msg.contains("Blocked waiting on never"), "{msg}");
+    }
+
+    #[test]
+    fn process_panic_with_many_parked_processes_joins_every_thread() {
+        let msg = failed_run_joins_everyone(|| {
+            current().unwrap().advance(1.0);
+            panic!("kernel exploded");
+        });
+        assert!(msg.contains("PANICKED: kernel exploded"), "{msg}");
+        assert!(msg.contains("Blocked waiting on never"), "{msg}");
+    }
+
+    #[test]
+    fn abort_releases_processes_that_never_ran() {
+        // pid 0 panics before anyone else gets the baton: the others
+        // unwind out of their wait for a first dispatch, bodies unrun.
+        let sim = Sim::new();
+        sim.spawn("boom", || panic!("early"));
+        let released = Arc::new(AtomicUsize::new(0));
+        for i in 0..8 {
+            let token = Token(Arc::clone(&released));
+            sim.spawn(&format!("unrun{i}"), move || {
+                let _token = token;
+                unreachable!("the run aborted first");
+            });
+        }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("the run fails");
+        assert_eq!(released.load(Ordering::SeqCst), 8);
+        assert_eq!(sim.stats().dispatches, 1);
+    }
+
+    #[test]
+    fn timer_fire_leaves_other_condvars_alone() {
+        // A timer expiring on condvar `a` takes its process off `a`'s
+        // queue only: the waiter on `b` is still there for the notify.
+        let sim = Sim::new();
+        let (a, b) = (sim.condvar("a"), sim.condvar("b"));
+        let woke_at = Arc::new(Mutex::new(None));
+        {
+            let (b, woke_at) = (b.clone(), Arc::clone(&woke_at));
+            sim.spawn("waiter", move || {
+                b.wait();
+                *woke_at.lock() = Some(current().unwrap().now());
+            });
+        }
+        sim.spawn("timed", move || {
+            assert!(a.wait_until(1.0));
+            b.notify_one();
+        });
+        assert_eq!(sim.run(), 1.0);
+        assert_eq!(*woke_at.lock(), Some(1.0));
+        assert_eq!(sim.stats().timers_fired, 1);
     }
 }

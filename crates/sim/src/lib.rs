@@ -32,7 +32,7 @@ pub mod sync;
 pub mod topology;
 pub mod workload;
 
-pub use des::{current, CurrentProc, ProcId, Sim, SimCondvar, SimResource};
+pub use des::{current, CurrentProc, ProcId, Sim, SimCondvar, SimResource, SimStats};
 pub use device::{Cost, DeviceModel};
 pub use fault::{FaultEvent, FaultPlan};
 pub use net::Protocol;

@@ -1,7 +1,8 @@
 //! Serving-plane integration tests: admission quotas under concurrent
 //! multi-tenant load, quota release on both completion and supervised
 //! death, batched-vs-unbatched bit-identity, shared plan cache
-//! behaviour, strict env parsing and load-report determinism.
+//! behaviour, strict env parsing, load-report determinism and the
+//! simulated server's wake-up discipline.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -12,7 +13,9 @@ use tfhpc_serve::{
 };
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
-use tfhpc_sim::platform::tegner_k420;
+use tfhpc_sim::platform::{tegner_k420, tegner_k80};
+use tfhpc_sim::topology::ClusterSim;
+use tfhpc_sim::Sim;
 
 /// A gate custom jobs can block on, so tests can pin a tenant's
 /// in-flight count at an exact value.
@@ -371,4 +374,80 @@ fn same_seed_load_runs_are_byte_identical() {
     assert_eq!(a, b, "same seed must reproduce the report byte-for-byte");
     let c = run_load(&cfg, &tiny_load(), 7).unwrap().to_json();
     assert_ne!(a, c, "different seeds must differ");
+}
+
+#[test]
+fn load_report_equals_the_single_condvar_bytes() {
+    // Captured before the server's condvar was split into work/done and
+    // the DES moved to baton passing: neither may move a virtual time.
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let report = run_load(&cfg, &tiny_load(), 1337).unwrap();
+    assert_eq!(
+        report.to_json(),
+        include_str!("golden/serving_tiny_seed1337.json")
+    );
+    assert_eq!(report.des.thread_wakeups, report.des.dispatches);
+}
+
+#[test]
+fn sim_server_wakes_only_who_it_can_unblock() {
+    // Closed-loop clients against a simulated server, unbatched so that
+    // every job is one dispatch. While a client waits for its result the
+    // others keep submitting, and while a worker idles the others keep
+    // finishing: a submit that woke the waiting clients, or a finish
+    // that woke the idle workers, would show up as extra DES dispatches.
+    const CLIENTS: usize = 8;
+    const JOBS_EACH: usize = 12;
+    const WORKERS: usize = 4;
+    let sim = Sim::new();
+    let cluster = Arc::new(ClusterSim::new(&sim, tegner_k80(), WORKERS + 1));
+    let cfg = ServeConfig {
+        workers: WORKERS,
+        batch_window_s: 0.0,
+        max_batch: 1,
+        ..ServeConfig::default()
+    };
+    let nodes: Vec<usize> = (1..=WORKERS).collect();
+    let server = SessionServer::start_sim(cfg, &sim, &cluster, &nodes);
+    let clients_left = Arc::new(parking_lot::Mutex::new(CLIENTS));
+    for c in 0..CLIENTS {
+        let server = Arc::clone(&server);
+        let clients_left = Arc::clone(&clients_left);
+        sim.spawn(&format!("client-{c}"), move || {
+            let me = tfhpc_sim::current().expect("sim proc");
+            for k in 0..JOBS_EACH {
+                let id = server
+                    .submit(
+                        "closed",
+                        JobPayload::Step {
+                            spec: RequestSpec::new(RequestKind::Stream, 64),
+                            seed: (c * JOBS_EACH + k) as u64,
+                        },
+                    )
+                    .expect("within quota");
+                assert!(server.wait(id).error.is_none());
+                me.advance(0.0005 * (c + 1) as f64);
+            }
+            let mut left = clients_left.lock();
+            *left -= 1;
+            if *left == 0 {
+                server.shutdown();
+            }
+        });
+    }
+    sim.run();
+    let jobs = (CLIENTS * JOBS_EACH) as u64;
+    assert_eq!(server.take_results().len() as u64, jobs);
+    let stats = sim.stats();
+    assert_eq!(stats.thread_wakeups, stats.dispatches);
+    // 701 dispatches for the 96 jobs (7.3 per job); with one condvar
+    // shared by workers and clients the same run takes 991 (10.3).
+    assert!(
+        stats.dispatches <= 8 * jobs,
+        "{} dispatches for {jobs} jobs",
+        stats.dispatches
+    );
 }
