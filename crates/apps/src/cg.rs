@@ -581,25 +581,17 @@ pub fn run_cg_with_store(
 /// checkpoint common to all workers (cold-starting when none exists),
 /// and the report carries the restart count. Because checkpoints are
 /// bit-preserving, the final residual is identical to a fault-free run
-/// of the same configuration.
+/// of the same configuration. Also returns the run's
+/// [`SupervisedStats`](crate::SupervisedStats) — per-task attempt
+/// counters, partial-restart replacements and (when heartbeats are
+/// enabled) the liveness detector's death verdicts with their
+/// detection latencies — and the store.
 pub fn run_cg_supervised(
     platform: &Platform,
     cfg: &CgConfig,
     faults: &FaultSetup,
-) -> Result<(CgReport, Arc<TileStore>), AppError> {
-    run_cg_inner(platform, cfg, None, false, Some(faults)).map(|(r, s, _, _)| (r, s))
-}
-
-/// [`run_cg_supervised`] also returning the run's
-/// [`SupervisedStats`] — per-task attempt counters, partial-restart
-/// replacements and (when heartbeats are enabled) the liveness
-/// detector's death verdicts with their detection latencies.
-pub fn run_cg_supervised_with_stats(
-    platform: &Platform,
-    cfg: &CgConfig,
-    faults: &FaultSetup,
-) -> Result<(CgReport, Arc<TileStore>, crate::SupervisedStats), AppError> {
-    run_cg_inner(platform, cfg, None, false, Some(faults)).map(|(r, s, _, st)| (r, s, st))
+) -> Result<(CgReport, crate::SupervisedStats, Arc<TileStore>), AppError> {
+    run_cg_inner(platform, cfg, None, false, Some(faults)).map(|(r, s, _, st)| (r, st, s))
 }
 
 /// Run CG with DES occupancy tracing and return the Chrome-trace JSON
@@ -986,7 +978,7 @@ mod tests {
         // crash it mid-run and let the supervisor restart the gang
         // from the latest common checkpoint.
         let faults = crate::FaultSetup::new(FaultPlan::new().crash(2, clean.elapsed_s * 0.5), 2);
-        let (faulty, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+        let (faulty, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
         assert_eq!(faulty.restarts, 1);
         // Bit-identical residual: the checkpoint preserves the exact
         // trajectory, and the rerun costs extra virtual time.
@@ -1016,7 +1008,7 @@ mod tests {
         let (hang_at, period, timeout) = (t * 0.5, t * 0.05, t * 0.2);
         let faults = crate::FaultSetup::new(FaultPlan::new().hang(2, hang_at), 2)
             .with_heartbeats(period, timeout);
-        let (faulty, _, stats) = run_cg_supervised_with_stats(&p, &cfg, &faults).unwrap();
+        let (faulty, stats, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
         assert_eq!(faulty.restarts, 1, "{stats:?}");
         assert_eq!(stats.deaths.len(), 1, "{stats:?}");
         let (ref task, detected_at, silence) = stats.deaths[0];

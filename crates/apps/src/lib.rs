@@ -27,10 +27,7 @@ pub(crate) mod observe;
 pub mod stream;
 pub mod supervised;
 
-pub use cg::{
-    run_cg, run_cg_supervised, run_cg_supervised_with_stats, run_cg_with_store, CgConfig,
-    CgReduction, CgReport,
-};
+pub use cg::{run_cg, run_cg_supervised, run_cg_with_store, CgConfig, CgReduction, CgReport};
 pub use fft::{run_fft, run_fft_supervised, run_fft_with_store, FftConfig, FftReport};
 pub use jobs::{digest_tensors, RequestKind, RequestSpec, StepGraph};
 pub use matmul::{run_matmul, run_matmul_supervised, MatmulConfig, MatmulReport};

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use tfhpc_core::{
     CoreError, Graph, OpKernel, Resources, Result as CoreResult, SessionOptions, TensorProto,
 };
-use tfhpc_dist::{launch, JobSpec, LaunchConfig, TaskKey};
+use tfhpc_dist::{launch, JobSpec, LaunchConfig, Launched, TaskKey};
 use tfhpc_proto::Message;
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::Platform;
@@ -87,45 +87,86 @@ impl OpKernel for AssignAddRemote {
     }
 }
 
-/// Run STREAM on `platform` and report bandwidth.
-pub fn run_stream(platform: &Platform, cfg: &StreamConfig) -> Result<StreamReport, AppError> {
+/// One launch of the ps/worker pair. Under `supervision` (`ckpt_every`,
+/// `faults`) the worker checkpoints the ps-resident accumulator through
+/// its [`Checkpointer`] (sealed, torn/stale-injectable), reinstates the
+/// newest valid snapshot after a restart and publishes the final
+/// accumulator under key `[-1]` of the cluster's `"stream"` store.
+/// Returns the launch and the seconds the worker's loop took.
+fn run_stream_inner(
+    platform: &Platform,
+    cfg: &StreamConfig,
+    supervision: Option<(usize, &FaultSetup)>,
+) -> Result<(Launched, f64), AppError> {
     crate::observe::run_started();
     let n = (cfg.size_bytes / 8).max(1) as usize; // f64 elements
     let gpus = usize::from(cfg.on_gpu);
     let jobs = vec![JobSpec::new("ps", 1, gpus), JobSpec::new("worker", 1, gpus)];
-    let launch_cfg = if cfg.simulated {
+    let mut launch_cfg = if cfg.simulated {
         LaunchConfig::simulated(platform.clone(), jobs, cfg.protocol)
     } else {
         LaunchConfig::real(platform.clone(), jobs, cfg.protocol)
     };
-
-    let elapsed = Arc::new(Mutex::new(0.0f64));
-    let elapsed2 = Arc::clone(&elapsed);
+    if let Some((_, faults)) = supervision {
+        launch_cfg = faults.apply(launch_cfg);
+    }
+    let ckpt_every = supervision.map(|(every, _)| every);
+    let loop_s = Arc::new(Mutex::new(0.0f64));
+    let loop_s2 = Arc::clone(&loop_s);
     let cfg2 = cfg.clone();
 
-    launch(&launch_cfg, move |ctx| {
+    let launched = launch(&launch_cfg, move |ctx| {
+        let ckpt = ckpt_every.map(|every| {
+            let store = ctx.server.cluster().shared_store("stream");
+            ctx.server.resources.register_store(Arc::clone(&store));
+            (
+                every,
+                Checkpointer::new(Arc::clone(&store), 0, CKPT_KEEP),
+                store,
+            )
+        });
         let gpu = cfg2.on_gpu.then_some(0usize);
-        if ctx.job() == "ps" {
-            // The accumulator lives on the ps device.
-            let init = if cfg2.simulated {
-                Tensor::synthetic(DType::F64, [n], 0xACC)
+        // Metadata-only in virtual time, `fill` everywhere on the host.
+        let vector = |seed: u64, fill: f64| {
+            if cfg2.simulated {
+                Tensor::synthetic(DType::F64, [n], seed)
             } else {
-                Tensor::zeros(DType::F64, [n])
-            };
-            ctx.server.resources.create_variable("stream_acc", init);
+                Tensor::full_f64([n], fill)
+            }
+        };
+        let acc_init = || vector(0xACC, 0.0);
+        if ctx.job() == "ps" {
+            // The accumulator lives on the ps device. A gang restart
+            // rebuilds the server with it; the worker then reinstates
+            // the checkpointed state before replaying.
+            ctx.server
+                .resources
+                .create_variable("stream_acc", acc_init());
             return Ok(());
         }
+        let ps = TaskKey::new("ps", 0);
+        let mut start_iter = 0usize;
+        if let (Some((_, ckpt, _)), true) = (&ckpt, ctx.attempt() > 0) {
+            // Overwrite (not add): after a *partial* restart the
+            // surviving ps still holds the crashed attempt's sums, past
+            // the checkpoint — or, when no checkpoint survived, past
+            // zero, and replaying from there would double-count.
+            let acc = match ckpt.latest_valid(&ctx) {
+                Some((it, payload)) => {
+                    start_iter = it as usize;
+                    TensorProto::decode(&payload).map_err(CoreError::from)?.0
+                }
+                None => acc_init(),
+            };
+            ctx.server
+                .remote_assign(&ps, "stream_acc", &acc, gpu, gpu)?;
+        }
         // Worker: build the assign_add graph and invoke it repeatedly.
-        let vector = if cfg2.simulated {
-            Tensor::synthetic(DType::F64, [n], 0x57EA)
-        } else {
-            Tensor::full_f64([n], 1.0)
-        };
         let mut g = Graph::new();
         let kernel: Arc<dyn OpKernel> = Arc::new(AssignAddRemote {
             worker: Arc::clone(&ctx.server),
-            ps: TaskKey::new("ps", 0),
-            vector,
+            ps: ps.clone(),
+            vector: vector(0x57EA, 1.0),
             src_gpu: gpu,
             dst_gpu: gpu,
         });
@@ -135,158 +176,77 @@ pub fn run_stream(platform: &Platform, cfg: &StreamConfig) -> Result<StreamRepor
             .session_with_options(Arc::new(g), SessionOptions::from_env()?);
         let tr = tfhpc_obs::trace::global();
         let t0 = ctx.now();
-        for _ in 0..cfg2.invocations {
+        for it in start_iter..cfg2.invocations {
             ctx.check_faults()?;
             // Invoke through the session without returning the value.
             let _s = tr.span("stream.assign_add");
             sess.run_no_fetch(&[op], &[])?;
+            let done = it + 1;
+            if let Some((every, ckpt, _)) = &ckpt {
+                if done % every == 0 {
+                    let _c = tr.span("stream.checkpoint");
+                    let acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
+                    let payload = TensorProto(acc).to_bytes().map_err(CoreError::from)?;
+                    ckpt.save(&ctx, (done / every) as u64, done as u64, &payload)?;
+                }
+            }
         }
-        *elapsed2.lock() = ctx.now() - t0;
+        *loop_s2.lock() = ctx.now() - t0;
+        if let Some((_, _, store)) = &ckpt {
+            // Publish the final accumulator for bit-exact verification.
+            let final_acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
+            store.put(vec![-1], final_acc);
+        }
         Ok(())
     })
-    .map_err(AppError::Core)
-    .map(|launched| crate::observe::run_finished("stream", launched.sim.as_ref(), false))?;
+    .map_err(AppError::Core)?;
 
-    let elapsed_s = *elapsed.lock();
+    crate::observe::run_finished("stream", launched.sim.as_ref(), false);
+    let loop_s = *loop_s.lock();
+    Ok((launched, loop_s))
+}
+
+fn report(cfg: &StreamConfig, elapsed_s: f64) -> StreamReport {
     let total_bytes = cfg.size_bytes as f64 * cfg.invocations as f64;
-    Ok(StreamReport {
+    StreamReport {
         mbs: total_bytes / elapsed_s / 1e6,
         elapsed_s,
         size_bytes: cfg.size_bytes,
         protocol: cfg.protocol,
-    })
+    }
+}
+
+/// Run STREAM on `platform` and report bandwidth over the worker's
+/// invocation loop.
+pub fn run_stream(platform: &Platform, cfg: &StreamConfig) -> Result<StreamReport, AppError> {
+    let (_, loop_s) = run_stream_inner(platform, cfg, None)?;
+    Ok(report(cfg, loop_s))
 }
 
 /// Run STREAM under checkpoint-restart supervision with fault
-/// injection: every `ckpt_every` invocations the worker snapshots the
-/// ps-resident accumulator through its [`Checkpointer`] (sealed,
-/// torn/stale-injectable), and after a gang restart it reinstates the
-/// newest valid snapshot on the rebuilt parameter server and replays
-/// the remaining invocations. Returns the report, the integrity-plane
-/// stats and the final accumulator tensor — bit-identical to a
-/// fault-free run's under any injected corruption + crash schedule.
+/// injection, checkpointing every `ckpt_every` invocations. Returns
+/// the report (over the whole launch, restarts included), the
+/// integrity-plane stats and the final accumulator tensor —
+/// bit-identical to a fault-free run's under any injected corruption +
+/// crash schedule.
 pub fn run_stream_supervised(
     platform: &Platform,
     cfg: &StreamConfig,
     ckpt_every: usize,
     faults: &FaultSetup,
 ) -> Result<(StreamReport, SupervisedStats, Tensor), AppError> {
-    crate::observe::run_started();
     if ckpt_every == 0 {
         return Err(AppError::Config("ckpt_every must be > 0".into()));
     }
-    let n = (cfg.size_bytes / 8).max(1) as usize;
-    let gpus = usize::from(cfg.on_gpu);
-    let jobs = vec![JobSpec::new("ps", 1, gpus), JobSpec::new("worker", 1, gpus)];
-    let launch_cfg = faults.apply(if cfg.simulated {
-        LaunchConfig::simulated(platform.clone(), jobs, cfg.protocol)
-    } else {
-        LaunchConfig::real(platform.clone(), jobs, cfg.protocol)
-    });
-
-    let cfg2 = cfg.clone();
-    let launched = launch(&launch_cfg, move |ctx| {
-        let store = ctx.server.cluster().shared_store("stream");
-        ctx.server.resources.register_store(Arc::clone(&store));
-        let gpu = cfg2.on_gpu.then_some(0usize);
-        if ctx.job() == "ps" {
-            // A gang restart rebuilds the server, so the accumulator
-            // comes back at its initial value; the worker reinstates
-            // the checkpointed state before replaying.
-            let init = if cfg2.simulated {
-                Tensor::synthetic(DType::F64, [n], 0xACC)
-            } else {
-                Tensor::zeros(DType::F64, [n])
-            };
-            ctx.server.resources.create_variable("stream_acc", init);
-            return Ok(());
-        }
-        let ps = TaskKey::new("ps", 0);
-        let ckpt = Checkpointer::new(Arc::clone(&store), 0, CKPT_KEEP);
-        let mut start_iter = 0usize;
-        if ctx.attempt() > 0 {
-            match ckpt.latest_valid(&ctx) {
-                Some((it, payload)) => {
-                    // Overwrite (not add): after a *partial* restart the
-                    // surviving ps still holds sums past the checkpoint.
-                    let acc = TensorProto::decode(&payload).map_err(CoreError::from)?.0;
-                    ctx.server
-                        .remote_assign(&ps, "stream_acc", &acc, gpu, gpu)?;
-                    start_iter = it as usize;
-                }
-                None => {
-                    // No checkpoint survived. A gang restart rebuilt the
-                    // ps at its initial value, but a partial restart left
-                    // the accumulator polluted with the crashed attempt's
-                    // additions — reset it before replaying from zero or
-                    // the replay double-counts.
-                    let init = if cfg2.simulated {
-                        Tensor::synthetic(DType::F64, [n], 0xACC)
-                    } else {
-                        Tensor::zeros(DType::F64, [n])
-                    };
-                    ctx.server
-                        .remote_assign(&ps, "stream_acc", &init, gpu, gpu)?;
-                }
-            }
-        }
-        let vector = if cfg2.simulated {
-            Tensor::synthetic(DType::F64, [n], 0x57EA)
-        } else {
-            Tensor::full_f64([n], 1.0)
-        };
-        let mut g = Graph::new();
-        let kernel: Arc<dyn OpKernel> = Arc::new(AssignAddRemote {
-            worker: Arc::clone(&ctx.server),
-            ps: ps.clone(),
-            vector,
-            src_gpu: gpu,
-            dst_gpu: gpu,
-        });
-        let op = g.custom(kernel, &[], &[]);
-        let sess = ctx
-            .server
-            .session_with_options(Arc::new(g), SessionOptions::from_env()?);
-        let tr = tfhpc_obs::trace::global();
-        for it in start_iter..cfg2.invocations {
-            ctx.check_faults()?;
-            let _s = tr.span("stream.assign_add");
-            sess.run_no_fetch(&[op], &[])?;
-            if (it + 1) % ckpt_every == 0 {
-                let _c = tr.span("stream.checkpoint");
-                let acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
-                let payload = TensorProto(acc).to_bytes().map_err(CoreError::from)?;
-                ckpt.save(
-                    &ctx,
-                    ((it + 1) / ckpt_every) as u64,
-                    (it + 1) as u64,
-                    &payload,
-                )?;
-            }
-        }
-        // Publish the final accumulator for bit-exact verification.
-        let final_acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
-        store.put(vec![-1], final_acc);
-        Ok(())
-    })
-    .map_err(AppError::Core)?;
-
-    crate::observe::run_finished("stream", launched.sim.as_ref(), false);
-    let stats = stats_of(&launched);
+    let (launched, _) = run_stream_inner(platform, cfg, Some((ckpt_every, faults)))?;
     let final_acc = launched
         .cluster
         .shared_store("stream")
         .get(&[-1])
         .map_err(AppError::Core)?;
-    let total_bytes = cfg.size_bytes as f64 * cfg.invocations as f64;
     Ok((
-        StreamReport {
-            mbs: total_bytes / launched.elapsed_s / 1e6,
-            elapsed_s: launched.elapsed_s,
-            size_bytes: cfg.size_bytes,
-            protocol: cfg.protocol,
-        },
-        stats,
+        report(cfg, launched.elapsed_s),
+        stats_of(&launched),
         final_acc,
     ))
 }

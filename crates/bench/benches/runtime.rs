@@ -8,7 +8,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use tfhpc_bench::{print_timing, time_case};
-use tfhpc_core::{DeviceCtx, Graph, Resources, Session, SessionOptions, Timeline};
+use tfhpc_core::{DeviceCtx, Graph, Resources, Session, SessionOptions};
+use tfhpc_obs::Tracer;
 use tfhpc_proto::Message;
 use tfhpc_sim::des::Sim;
 use tfhpc_tensor::{DType, Tensor};
@@ -48,8 +49,9 @@ fn bench_inter_op_scaling() {
         };
         let mut sess =
             Session::with_options(Arc::clone(&g), Resources::new(), DeviceCtx::real(0), opts);
-        let timeline = Arc::new(Timeline::new());
-        sess.set_timeline(Arc::clone(&timeline));
+        let timeline = Arc::new(Tracer::new());
+        timeline.enable();
+        sess.set_tracer(Arc::clone(&timeline));
         sess.run(&fetches, &[]).unwrap(); // warm-up (pool spin-up)
         let mut best = f64::INFINITY;
         for _ in 0..5 {
@@ -57,7 +59,7 @@ fn bench_inter_op_scaling() {
             sess.run(&fetches, &[]).unwrap();
             best = best.min(t0.elapsed().as_secs_f64());
         }
-        let events = timeline.events();
+        let events = timeline.snapshot();
         let matmuls: Vec<_> = events
             .iter()
             .filter(|e| e.name.contains("MatMul"))

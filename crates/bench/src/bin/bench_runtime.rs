@@ -388,8 +388,7 @@ fn cg_wire_payloads(n: usize, unroll: usize, workers: usize) -> Vec<Tensor> {
 /// Per-step cost of the data-integrity plane on the CG step's wire
 /// traffic: checksum every payload's raw storage bytes at both
 /// endpoints and compare — exactly what `tfhpc-dist`'s wire layer adds
-/// per fast-path transfer with `TFHPC_WIRE_CHECKSUM=1` (the default)
-/// and skips entirely with `=0`. (The framed encode/verify/decode slow
+/// per fast-path transfer. (The framed encode/verify/decode slow
 /// path only runs inside an injected corruption window, so it is not
 /// part of the steady-state price.)
 fn measure_integrity(n: usize, unroll: usize, workers: usize, steps: usize) -> ModeStats {
@@ -431,9 +430,7 @@ struct RecoveryResult {
 /// slow task exactly like a hang). Each run must still reproduce the
 /// fault-free CG residual bit for bit.
 fn measure_recovery() -> (f64, f64, Vec<RecoveryResult>) {
-    use tfhpc_apps::{
-        run_cg_supervised_with_stats, run_cg_with_store, CgConfig, CgReduction, FaultSetup,
-    };
+    use tfhpc_apps::{run_cg_supervised, run_cg_with_store, CgConfig, CgReduction, FaultSetup};
     use tfhpc_sim::fault::FaultPlan;
     use tfhpc_sim::net::Protocol;
     use tfhpc_sim::platform;
@@ -474,7 +471,7 @@ fn measure_recovery() -> (f64, f64, Vec<RecoveryResult>) {
         let faults = FaultSetup::new(plan, 2)
             .with_heartbeats(period, timeout)
             .with_backoff(period);
-        let (report, _, stats) = run_cg_supervised_with_stats(&p, &cfg, &faults)
+        let (report, stats, _) = run_cg_supervised(&p, &cfg, &faults)
             .unwrap_or_else(|e| panic!("recovery drill {name} failed: {e}"));
         // A crash aborts the task's server at the fault instant and the
         // error report reaches the supervisor synchronously — there is

@@ -16,7 +16,6 @@
 //! * [`dataset`] — input pipelines with sharding and prefetch.
 //! * [`serialize`] — GraphDef/TensorProto wire formats (2 GB limit
 //!   included) and variable checkpointing.
-//! * [`timeline`] — Chrome-trace op timelines (TensorFlow Timeline).
 //! * [`kernels`] — op execution + roofline cost accounting.
 //! * [`optimizer`] — Grappler-style graph passes (constant folding,
 //!   CSE, identity elimination) — the §II "optimize execution" point.
@@ -43,7 +42,6 @@ pub mod resources;
 pub mod retry;
 pub mod serialize;
 pub mod session;
-pub mod timeline;
 
 pub use dataset::{Dataset, DatasetIterator};
 pub use debugger::{Debugger, TensorWatch};
@@ -60,4 +58,3 @@ pub use resources::{Resources, TileStore, Variable};
 pub use retry::RetryConfig;
 pub use serialize::{graph_from_bytes, graph_to_bytes, Saver, TensorProto};
 pub use session::{RunMetadata, Session, SessionOptions};
-pub use timeline::Timeline;

@@ -149,6 +149,14 @@ impl Resources {
             .ok_or_else(|| CoreError::NotFound(format!("variable `{name}`")))
     }
 
+    /// Look up a variable, waiting up to `timeout_s` for its owner to
+    /// create it (see [`Resources::queue_wait`]).
+    pub fn variable_wait(&self, name: &str, timeout_s: f64) -> Result<Arc<Variable>> {
+        self.resolve_within("variable", name, timeout_s, || {
+            self.variables.read().get(name).cloned()
+        })
+    }
+
     /// Names of all variables (sorted — checkpoint order).
     pub fn variable_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.variables.read().keys().cloned().collect();
@@ -204,7 +212,7 @@ impl Resources {
 
     /// Look up a queue, waiting up to `timeout_s` for it to appear.
     ///
-    /// Remote queue ops resolve names on the *owner's* manager, and the
+    /// Remote ops resolve names on the *owner's* manager, and the
     /// owner may still be executing its startup code when the first
     /// request lands — in real mode gang tasks are free-running OS
     /// threads, so "arrived before the queue was registered" is a brief
@@ -213,17 +221,31 @@ impl Resources {
     /// sticky task fault aborts it immediately, and a queue that never
     /// appears still surfaces as `NotFound` once the budget is spent.
     pub fn queue_wait(&self, name: &str, timeout_s: f64) -> Result<Arc<FifoQueue>> {
+        self.resolve_within("queue", name, timeout_s, || {
+            self.queues.read().get(name).cloned()
+        })
+    }
+
+    /// Poll `lookup` until it yields, the task faults or `timeout_s`
+    /// is spent. A hit on the first lookup costs exactly that lookup.
+    fn resolve_within<T>(
+        &self,
+        kind: &str,
+        name: &str,
+        timeout_s: f64,
+        lookup: impl Fn() -> Option<T>,
+    ) -> Result<T> {
         const POLL_S: f64 = 500e-6;
         let mut waited = 0.0;
         loop {
-            if let Some(q) = self.queues.read().get(name).cloned() {
-                return Ok(q);
+            if let Some(found) = lookup() {
+                return Ok(found);
             }
             if let Some(err) = self.fault.lock().clone() {
                 return Err(err);
             }
             if waited >= timeout_s {
-                return Err(CoreError::NotFound(format!("queue `{name}`")));
+                return Err(CoreError::NotFound(format!("{kind} `{name}`")));
             }
             match tfhpc_sim::des::current() {
                 Some(me) => me.advance(POLL_S),
@@ -397,15 +419,22 @@ mod tests {
         let creator = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             r2.create_queue("late", 1);
+            r2.create_variable("late", Tensor::scalar_f64(1.0));
         });
         let q = r.queue_wait("late", 5.0).unwrap();
         assert_eq!(q.name(), "late");
+        let v = r.variable_wait("late", 5.0).unwrap();
+        assert_eq!(v.name(), "late");
         creator.join().unwrap();
-        // A queue that never appears still fails once the budget is
+        // A name that never appears still fails once the budget is
         // spent.
         assert!(matches!(
             r.queue_wait("absent", 0.002),
             Err(CoreError::NotFound(_))
+        ));
+        assert!(matches!(
+            r.variable_wait("absent", 0.002),
+            Err(CoreError::NotFound(what)) if what == "variable `absent`"
         ));
     }
 

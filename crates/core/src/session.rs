@@ -26,7 +26,6 @@ use crate::kernels;
 use crate::op::Op;
 use crate::plan_cache::{sorted_unique, KeyView};
 use crate::resources::Resources;
-use crate::timeline::Timeline;
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -50,7 +49,9 @@ pub const FEED_GBS: f64 = 0.08;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Worker threads for the inter-op scheduler (independent graph
-    /// nodes run concurrently). `1` selects the sequential executor.
+    /// nodes run concurrently). `1`, the default, selects the
+    /// sequential executor; more pays off only on graphs of large
+    /// independent ops (a scoped spawn per run, no buffer forwarding).
     pub inter_op_threads: usize,
     /// Cap on pool workers a single kernel may use for its data-parallel
     /// loops (`0` = no cap, use the whole host pool).
@@ -73,9 +74,7 @@ pub struct SessionOptions {
 impl Default for SessionOptions {
     fn default() -> SessionOptions {
         SessionOptions {
-            inter_op_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            inter_op_threads: 1,
             intra_op_threads: 0,
             step_replay: true,
             plan_cache_cap: 0,
@@ -84,12 +83,9 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
-    /// Options selecting the sequential executor (no inter-op overlap).
+    /// The default, spelled out: the sequential executor.
     pub fn sequential() -> SessionOptions {
-        SessionOptions {
-            inter_op_threads: 1,
-            ..SessionOptions::default()
-        }
+        SessionOptions::default()
     }
 
     /// Defaults overridden by `TFHPC_INTER_OP_THREADS` /
@@ -393,11 +389,11 @@ struct RunCtx<'r> {
     /// the cost, transfer and memory-capacity arithmetic (`charge_*`
     /// return 0, `usable_memory` `None`), so the interpreter skips it.
     sim: Option<&'r SimBinding>,
-    /// The global tracer, when it is recording.
-    tracer: Option<&'static tfhpc_obs::Tracer>,
+    /// The session's tracer (else the global one), when it is recording.
+    tracer: Option<&'r tfhpc_obs::Tracer>,
     /// Read the clock around kernels: someone consumes the span — the
-    /// per-op stats, the timeline or the tracer. Sim mode always counts
-    /// as timed (spans carry virtual timestamps there).
+    /// per-op stats or the tracer. Sim mode always counts as timed
+    /// (spans carry virtual timestamps there).
     timed: bool,
     /// Forwardable instructions may consume their operands (the
     /// sequential executor only: parallel readers share registers).
@@ -422,7 +418,7 @@ pub struct Session {
     resources: Arc<Resources>,
     devices: DeviceCtx,
     options: SessionOptions,
-    timeline: Option<Arc<Timeline>>,
+    tracer: Option<Arc<tfhpc_obs::Tracer>>,
     debugger: Option<Arc<Debugger>>,
     run_counter: AtomicU64,
     created: Instant,
@@ -460,7 +456,7 @@ impl Session {
             resources,
             devices,
             options,
-            timeline: None,
+            tracer: None,
             debugger: None,
             run_counter: AtomicU64::new(0),
             created: Instant::now(),
@@ -472,9 +468,11 @@ impl Session {
         }
     }
 
-    /// Enable op-level tracing into `timeline`.
-    pub fn set_timeline(&mut self, timeline: Arc<Timeline>) {
-        self.timeline = Some(timeline);
+    /// Record this session's op spans (the paper's Fig. 3 Timeline,
+    /// one lane per device) into `tracer` while it is enabled, instead
+    /// of the process-wide [`tfhpc_obs::trace::global`].
+    pub fn set_tracer(&mut self, tracer: Arc<tfhpc_obs::Tracer>) {
+        self.tracer = Some(tracer);
     }
 
     /// Attach a `tfdbg`-style tensor debugger. A debugger records every
@@ -921,13 +919,17 @@ impl Session {
             && !plan.any_may_block
             && tfhpc_sim::des::current().is_none();
 
-        let tracer = Some(tfhpc_obs::trace::global()).filter(|t| t.is_enabled());
+        let tracer: &tfhpc_obs::Tracer = match &self.tracer {
+            Some(t) => t,
+            None => tfhpc_obs::trace::global(),
+        };
+        let tracer = Some(tracer).filter(|t| t.is_enabled());
         let ctx = RunCtx {
             feeds,
             run_seed,
             sim,
             tracer,
-            timed: sim.is_some() || want_stats || self.timeline.is_some() || tracer.is_some(),
+            timed: sim.is_some() || want_stats || tracer.is_some(),
             forward: !parallel,
             per_op: want_stats,
         };
@@ -1435,8 +1437,8 @@ impl Session {
     /// What follows a kernel: in simulated runs, the feasibility
     /// re-check against the actual output size (for ops whose outputs
     /// cannot be inferred up front — dequeues, tile reads, py_funcs)
-    /// and the kernel charge; then the timeline, tracer and tally
-    /// records. `measured` is false for the scale of a fused pair,
+    /// and the kernel charge; then the tracer and tally records.
+    /// `measured` is false for the scale of a fused pair,
     /// which hands its real-mode interval to its reader.
     #[allow(clippy::too_many_arguments)]
     fn finish_op(
@@ -1458,7 +1460,7 @@ impl Session {
                 .charge_kernel(placement, &cost, double_precision);
         }
         // Charged time in sim mode, measured wall time otherwise —
-        // what the timeline, the tracer and the per-op stats all show.
+        // what the tracer and the per-op stats both show.
         let dev_secs = if ctx.sim.is_some() {
             dur
         } else if ctx.timed && measured {
@@ -1466,14 +1468,6 @@ impl Session {
         } else {
             0.0
         };
-        if let Some(tl) = &self.timeline {
-            tl.record(
-                &node.name,
-                &self.devices.device_name(placement),
-                begun.start,
-                dev_secs,
-            );
-        }
         if let Some(tr) = ctx.tracer {
             tr.record(tfhpc_obs::TraceEvent::span(
                 &node.name,
@@ -1748,17 +1742,18 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_ops() {
+    fn session_tracer_records_ops() {
         let mut g = Graph::new();
         let a = g.constant(Tensor::scalar_f64(1.0));
         let b = g.neg(a);
         let mut s = session(g);
-        let tl = Arc::new(Timeline::new());
-        s.set_timeline(Arc::clone(&tl));
+        let tr = Arc::new(tfhpc_obs::Tracer::new());
+        tr.enable();
+        s.set_tracer(Arc::clone(&tr));
         s.run(&[b], &[]).unwrap();
-        assert!(tl.len() >= 2);
-        let names: Vec<String> = tl.events().iter().map(|e| e.name.clone()).collect();
-        assert!(names.iter().any(|n| n.starts_with("Neg")));
+        let spans = tr.snapshot();
+        assert!(spans.len() >= 2);
+        assert!(spans.iter().any(|e| e.name.starts_with("Neg")));
     }
 
     #[test]
@@ -1838,10 +1833,9 @@ mod tests {
     #[test]
     fn session_options_env_and_defaults() {
         let d = SessionOptions::default();
-        assert!(d.inter_op_threads >= 1);
+        assert_eq!(d.inter_op_threads, 1);
         assert_eq!(d.intra_op_threads, 0);
-        let s = SessionOptions::sequential();
-        assert_eq!(s.inter_op_threads, 1);
+        assert_eq!(SessionOptions::sequential(), d);
     }
 
     #[test]

@@ -628,17 +628,17 @@ pub fn select_all_reduce(
 /// `rhd`); unset or `auto` keeps the cost-model choice, malformed is a
 /// loud error per the env-knob contract.
 fn env_collective() -> Result<Option<AllReduceAlgo>> {
-    match std::env::var("TFHPC_COLLECTIVE") {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(None),
-            "ring" => Ok(Some(AllReduceAlgo::Ring)),
-            "tree" => Ok(Some(AllReduceAlgo::Tree)),
-            "rhd" => Ok(Some(AllReduceAlgo::Rhd)),
-            _ => Err(CoreError::InvalidArgument(format!(
-                "TFHPC_COLLECTIVE=`{raw}` is not one of auto/ring/tree/rhd"
-            ))),
-        },
+    let Some(raw) = tfhpc_core::env::env_str("TFHPC_COLLECTIVE")? else {
+        return Ok(None);
+    };
+    match raw.to_ascii_lowercase().as_str() {
+        "auto" => Ok(None),
+        "ring" => Ok(Some(AllReduceAlgo::Ring)),
+        "tree" => Ok(Some(AllReduceAlgo::Tree)),
+        "rhd" => Ok(Some(AllReduceAlgo::Rhd)),
+        _ => Err(CoreError::InvalidArgument(format!(
+            "TFHPC_COLLECTIVE=`{raw}` is not one of auto/ring/tree/rhd"
+        ))),
     }
 }
 

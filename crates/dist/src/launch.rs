@@ -54,6 +54,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use tfhpc_core::env::env_f64;
 use tfhpc_core::{CoreError, Result, RetryConfig};
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::fault::{FaultEvent, FaultPlan};
@@ -61,13 +62,6 @@ use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::Platform;
 use tfhpc_sim::topology::ClusterSim;
 use tfhpc_slurm::{Distribution, JobRequest, SlurmCluster};
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(default)
-}
 
 /// Checkpoint-restart supervision policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,12 +77,14 @@ pub struct SupervisorConfig {
     /// after a fatal failure before detaching them (wall seconds in
     /// real mode, virtual in simulated mode).
     pub drain_timeout_s: f64,
-    /// Heartbeat period, seconds (`TFHPC_HEARTBEAT_PERIOD`, default
-    /// 0.05). Only meaningful while `heartbeat_timeout_s > 0`.
+    /// Heartbeat period, seconds (default 0.05). Only meaningful
+    /// while detection is on.
     pub heartbeat_period_s: f64,
-    /// Heartbeat silence declared a death, seconds
-    /// (`TFHPC_HEARTBEAT_TIMEOUT`). 0 disables liveness detection —
-    /// the default, so fault-free runs carry no detector processes.
+    /// Heartbeat silence declared a death, seconds. 0 — the default,
+    /// so fault-free runs carry no detector processes — leaves
+    /// liveness detection to the `TFHPC_HEARTBEAT_TIMEOUT` /
+    /// `TFHPC_HEARTBEAT_PERIOD` knobs, which [`launch`] reads: off
+    /// when unset.
     pub heartbeat_timeout_s: f64,
     /// Jobs whose task failures are repaired by restarting *only* the
     /// failed task (no epoch bump, healthy tasks keep running). Empty
@@ -105,8 +101,8 @@ impl Default for SupervisorConfig {
             max_restarts: 0,
             restart_backoff_s: 0.0,
             drain_timeout_s: 5.0,
-            heartbeat_period_s: env_f64("TFHPC_HEARTBEAT_PERIOD", 0.05),
-            heartbeat_timeout_s: env_f64("TFHPC_HEARTBEAT_TIMEOUT", 0.0),
+            heartbeat_period_s: 0.05,
+            heartbeat_timeout_s: 0.0,
             partial_restart_jobs: Vec::new(),
             spare_nodes: 0,
         }
@@ -349,7 +345,7 @@ where
 
 /// [`launch_with_setup`] with DES occupancy tracing enabled — the
 /// returned `Launched::sim` then carries a Fig. 3-style execution
-/// trace (`Sim::trace` / `Sim::trace_chrome_json`).
+/// trace (`Sim::trace`).
 pub fn launch_traced<S, F>(cfg: &LaunchConfig, setup: S, body: F) -> Result<Launched>
 where
     S: FnOnce(&Arc<TfCluster>),
@@ -960,11 +956,29 @@ where
     );
 }
 
+/// The heartbeat `(period, timeout)` a launch runs under: the
+/// config's when it switches detection on, else the
+/// `TFHPC_HEARTBEAT_*` knobs' (timeout 0 = off when unset). A
+/// malformed knob fails the launch either way.
+fn heartbeat_policy(sup: &SupervisorConfig) -> Result<(f64, f64)> {
+    let period = env_f64("TFHPC_HEARTBEAT_PERIOD")?;
+    let timeout = env_f64("TFHPC_HEARTBEAT_TIMEOUT")?;
+    Ok(if sup.heartbeat_timeout_s > 0.0 {
+        (sup.heartbeat_period_s, sup.heartbeat_timeout_s)
+    } else {
+        (
+            period.unwrap_or(sup.heartbeat_period_s),
+            timeout.unwrap_or(0.0),
+        )
+    })
+}
+
 fn launch_inner<S, F>(cfg: &LaunchConfig, setup: S, body: F, trace: bool) -> Result<Launched>
 where
     S: FnOnce(&Arc<TfCluster>),
     F: Fn(TaskCtx) -> Result<()> + Send + Sync + 'static,
 {
+    let (hb_period_s, hb_timeout_s) = heartbeat_policy(&cfg.supervisor)?;
     let tasks_per_node = cfg.platform.node.tf_instances_per_node.max(1);
     let n_nodes = nodes_needed(&cfg.jobs, tasks_per_node);
     if n_nodes == 0 {
@@ -1023,12 +1037,8 @@ where
     cluster.set_faults(cfg.faults.clone());
     cluster.set_retry(cfg.retry.clone());
 
-    let membership = (cfg.supervisor.heartbeat_timeout_s > 0.0).then(|| {
-        Arc::new(Membership::new(
-            cfg.supervisor.heartbeat_period_s.max(1e-6),
-            cfg.supervisor.heartbeat_timeout_s,
-        ))
-    });
+    let membership = (hb_timeout_s > 0.0)
+        .then(|| Arc::new(Membership::new(hb_period_s.max(1e-6), hb_timeout_s)));
 
     let servers: Vec<(TaskKey, Arc<Server>, Vec<usize>)> = resolved
         .tasks

@@ -647,11 +647,11 @@ impl Server {
         })
     }
 
-    /// How long a remote queue op waits for the owner to register the
-    /// queue before reporting `NotFound` — rides out the startup race
-    /// where a gang task's first request lands while the peer is still
-    /// in its setup code.
-    const QUEUE_RESOLVE_TIMEOUT_S: f64 = 5.0;
+    /// How long a remote queue or variable op waits for the owner to
+    /// register the name before reporting `NotFound` — rides out the
+    /// startup race where a gang task's first request lands while the
+    /// peer is still in its setup code.
+    const RESOLVE_TIMEOUT_S: f64 = 5.0;
 
     /// Open a session on this server over `graph`.
     pub fn session(&self, graph: Arc<Graph>) -> Session {
@@ -806,9 +806,7 @@ impl Server {
                 &tuple,
                 self.transport_to(peer),
             )?;
-            let q = peer
-                .resources
-                .queue_wait(queue, Self::QUEUE_RESOLVE_TIMEOUT_S)?;
+            let q = peer.resources.queue_wait(queue, Self::RESOLVE_TIMEOUT_S)?;
             let dup_window = self
                 .try_cluster()?
                 .faults()
@@ -848,7 +846,7 @@ impl Server {
         let (tuple, peer_node, transport) = self.remote_op("remote_dequeue", target, |peer| {
             let tuple = peer
                 .resources
-                .queue_wait(queue, Self::QUEUE_RESOLVE_TIMEOUT_S)?
+                .queue_wait(queue, Self::RESOLVE_TIMEOUT_S)?
                 .dequeue()?;
             let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
             peer.charge_transfer_to(self, None, dst_gpu, bytes);
@@ -883,7 +881,7 @@ impl Server {
         let peer = self.peer_checked(target)?;
         let tuple = peer
             .resources
-            .queue_wait(queue, timeout_s.min(Self::QUEUE_RESOLVE_TIMEOUT_S))?
+            .queue_wait(queue, timeout_s.min(Self::RESOLVE_TIMEOUT_S))?
             .dequeue_timeout(timeout_s)?;
         let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
         peer.charge_transfer_to(self, None, dst_gpu, bytes);
@@ -925,7 +923,9 @@ impl Server {
                 std::slice::from_ref(value),
                 self.transport_to(peer),
             )?;
-            peer.resources.variable(var)?.assign_add(&verified[0])?;
+            peer.resources
+                .variable_wait(var, Self::RESOLVE_TIMEOUT_S)?
+                .assign_add(&verified[0])?;
             // The add itself executes on the target's device.
             let placement = match dst_gpu {
                 Some(g) => tfhpc_core::Placement::Gpu(g),
@@ -971,7 +971,9 @@ impl Server {
                 CoreError::Invalid("remote_assign: wire transfer returned no tensors".into())
             })?;
             let stored_bytes = value.byte_size() as f64;
-            peer.resources.variable(var)?.assign(value)?;
+            peer.resources
+                .variable_wait(var, Self::RESOLVE_TIMEOUT_S)?
+                .assign(value)?;
             let placement = match dst_gpu {
                 Some(g) => tfhpc_core::Placement::Gpu(g),
                 None => tfhpc_core::Placement::Cpu,
@@ -996,7 +998,10 @@ impl Server {
         dst_gpu: Option<usize>,
     ) -> Result<Tensor> {
         self.remote_op("remote_var_read", target, |peer| {
-            let value = peer.resources.variable(var)?.read();
+            let value = peer
+                .resources
+                .variable_wait(var, Self::RESOLVE_TIMEOUT_S)?
+                .read();
             peer.charge_transfer_to(self, None, dst_gpu, value.byte_size() as u64);
             // Reads are idempotent: a corrupted return transfer
             // retries the whole read, recharging the wire like a

@@ -98,10 +98,10 @@ impl Transport {
 /// resolution, otherwise forces one transport cluster-wide. Malformed
 /// values are a loud error per the env-knob contract.
 pub fn env_transport() -> Result<Option<Transport>> {
-    match std::env::var("TFHPC_TRANSPORT") {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().eq_ignore_ascii_case("auto") => Ok(None),
-        Ok(raw) => Transport::parse(&raw).map(Some),
+    match tfhpc_core::env::env_str("TFHPC_TRANSPORT")? {
+        None => Ok(None),
+        Some(raw) if raw.eq_ignore_ascii_case("auto") => Ok(None),
+        Some(raw) => Transport::parse(&raw).map(Some),
     }
 }
 

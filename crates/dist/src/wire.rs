@@ -30,27 +30,12 @@
 //! The two paths agree on delivered bytes: the framed round-trip is
 //! bit-exact on success (pinned by the chaos suite), so returning the
 //! sender's tensors on the fast path is observationally identical.
-//!
-//! Verification can be disabled for A/B overhead measurement with
-//! `TFHPC_WIRE_CHECKSUM=0` (the bench harness uses this to keep the
-//! integrity plane's cost honest); it is on by default.
 
 use crate::server::Server;
 use crate::transport::Transport;
-use std::sync::OnceLock;
 use tfhpc_core::{CoreError, Result, TensorProto};
 use tfhpc_proto::{frame, Message};
 use tfhpc_tensor::Tensor;
-
-/// Whether wire checksumming is enabled (`TFHPC_WIRE_CHECKSUM` != `0`).
-pub fn checksum_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("TFHPC_WIRE_CHECKSUM")
-            .map(|v| v != "0")
-            .unwrap_or(true)
-    })
-}
 
 /// CRC32C over a tensor's payload bytes (dtype, dims, raw storage),
 /// computed in place with zero allocation. This is the checksum both
@@ -82,9 +67,6 @@ pub(crate) fn transfer(
     tensors: &[Tensor],
     transport: Transport,
 ) -> Result<Vec<Tensor>> {
-    if !checksum_enabled() {
-        return Ok(tensors.to_vec());
-    }
     let plan = server.try_cluster()?.faults();
     let now = tfhpc_sim::des::current().map(|p| p.now()).unwrap_or(0.0);
     // Bind the plan together with the corrupt node so the slow path

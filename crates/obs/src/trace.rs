@@ -29,8 +29,8 @@ pub enum EventKind {
 }
 
 /// One recorded trace event. Constructors are public so callers can
-/// convert foreign records (the DES's `TraceSegment`s, the core
-/// `Timeline`) into the same stream before export.
+/// convert foreign records (the DES's `TraceSegment`s) into the same
+/// stream before export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event name (op, scope or counter name).
@@ -100,6 +100,17 @@ impl TraceEvent {
             id: 0,
             value,
         }
+    }
+
+    /// End time in seconds.
+    pub fn end_s(&self) -> f64 {
+        self.start_s + self.dur_s
+    }
+
+    /// Whether this span and `other` overlap in time (touching
+    /// endpoints do not).
+    pub fn overlaps(&self, other: &TraceEvent) -> bool {
+        self.start_s < other.end_s() && other.start_s < self.end_s()
     }
 }
 
@@ -433,6 +444,40 @@ mod tests {
                 .and_then(JsonValue::as_f64),
             Some(3.0)
         );
+    }
+
+    #[test]
+    fn overlap_predicate() {
+        let a = TraceEvent::span("a", "d", 0.0, 1.0);
+        let b = TraceEvent::span("b", "d", 0.5, 1.0);
+        let c = TraceEvent::span("c", "d", 1.0, 1.0);
+        assert!(a.overlaps(&b));
+        assert!(b.overlaps(&a));
+        assert!(!a.overlaps(&c)); // touching endpoints do not overlap
+        assert_eq!(b.end_s(), 1.5);
+    }
+
+    #[test]
+    fn concurrent_recording_keeps_every_event() {
+        let t = Tracer::new();
+        t.enable();
+        std::thread::scope(|s| {
+            for w in 0..8 {
+                let t = &t;
+                s.spawn(move || {
+                    for i in 0..100 {
+                        t.record(TraceEvent::span(
+                            &format!("op{w}_{i}"),
+                            "/cpu:0",
+                            i as f64,
+                            1.0,
+                        ));
+                    }
+                });
+            }
+        });
+        assert_eq!(t.snapshot().len(), 800);
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

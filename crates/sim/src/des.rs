@@ -568,34 +568,11 @@ impl Sim {
         self.state.lock().tracing = true;
     }
 
-    /// Snapshot of the recorded trace.
+    /// Snapshot of the recorded trace, one row per process/resource
+    /// (`tfhpc_obs::trace::chrome_trace_json` renders it for
+    /// `chrome://tracing` / Perfetto).
     pub fn trace(&self) -> Vec<TraceSegment> {
         self.state.lock().trace.clone()
-    }
-
-    /// Export the trace as Chrome trace-event JSON (`chrome://tracing`
-    /// / Perfetto-compatible), one row per process/resource — the
-    /// distributed analogue of the paper's Fig. 3 TensorFlow Timeline.
-    pub fn trace_chrome_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let st = self.state.lock();
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, seg) in st.trace.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":\"{}\"}}",
-                esc(&seg.label),
-                seg.start * 1e6,
-                seg.dur * 1e6,
-                esc(&seg.track),
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Per-resource busy seconds for the whole run, sorted descending —
@@ -1009,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_segments_and_exports_json() {
+    fn tracing_records_segments() {
         let sim = Sim::new();
         sim.enable_tracing();
         let res = sim.resource("gpu0.stream");
@@ -1029,10 +1006,6 @@ mod tests {
         assert!(trace
             .iter()
             .any(|s| s.track == "gpu0.stream" && s.label == "worker" && s.dur == 1.0));
-        let json = sim.trace_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("gpu0.stream"));
-        assert!(json.ends_with("]}"));
     }
 
     #[test]

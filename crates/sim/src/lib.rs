@@ -28,7 +28,6 @@ pub mod fault;
 pub mod net;
 pub mod pfs;
 pub mod platform;
-pub mod sync;
 pub mod topology;
 pub mod workload;
 
@@ -37,5 +36,4 @@ pub use device::{Cost, DeviceModel};
 pub use fault::{FaultEvent, FaultPlan};
 pub use net::Protocol;
 pub use platform::Platform;
-pub use sync::{SimBarrier, SimSemaphore};
 pub use workload::SeededStream;

@@ -8,8 +8,9 @@
 //! Run with: `cargo run --release --example model_parallel`
 
 use std::sync::Arc;
-use tfhpc::core::{Graph, Placement, Timeline};
+use tfhpc::core::{Graph, Placement};
 use tfhpc::dist::{launch, JobSpec, LaunchConfig};
+use tfhpc::obs::Tracer;
 use tfhpc::sim::net::Protocol;
 use tfhpc::sim::platform::kebnekaise_v100;
 use tfhpc::tensor::{DType, Tensor};
@@ -22,7 +23,8 @@ fn main() {
         vec![JobSpec::new("worker", 1, 2)],
         Protocol::Rdma,
     );
-    let timeline = Arc::new(Timeline::new());
+    let timeline = Arc::new(Tracer::new());
+    timeline.enable();
     let tl = Arc::clone(&timeline);
     let out = launch(&cfg, move |ctx| {
         let n = 4096;
@@ -39,7 +41,7 @@ fn main() {
         let c2 = g.with_device(Placement::Gpu(1), |g| g.matmul(c1, b));
 
         let mut sess = ctx.server.session(Arc::new(g));
-        sess.set_timeline(Arc::clone(&tl));
+        sess.set_tracer(Arc::clone(&tl));
         let t0 = ctx.now();
         sess.run(&[c2], &[])?;
         println!(
@@ -53,15 +55,15 @@ fn main() {
 
     println!("\nop placements (from the Timeline):");
     let mut devices = Vec::new();
-    for ev in timeline.events() {
+    for ev in timeline.snapshot() {
         if ev.name.starts_with("MatMul") {
             println!(
                 "  {:<12} on {:<14} ({:.2} ms)",
                 ev.name,
-                ev.device,
+                ev.track,
                 ev.dur_s * 1e3
             );
-            devices.push(ev.device.clone());
+            devices.push(ev.track);
         }
     }
     assert_eq!(devices.len(), 2, "two pipeline stages expected");

@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use std::sync::Arc;
-use tfhpc_core::{DeviceCtx, Graph, Placement, Resources, Session, Timeline};
+use tfhpc_core::{DeviceCtx, Graph, Placement, Resources, Session};
+use tfhpc_obs::Tracer;
 use tfhpc_tensor::DType;
 
 fn main() {
@@ -30,8 +31,9 @@ fn main() {
 
     // with tf.Session(graph=g) as sess: ret_c = sess.run(c)
     let mut sess = Session::new(Arc::new(g), Resources::new(), DeviceCtx::real(1));
-    let timeline = Arc::new(Timeline::new());
-    sess.set_timeline(Arc::clone(&timeline));
+    let timeline = Arc::new(Tracer::new());
+    timeline.enable();
+    sess.set_tracer(Arc::clone(&timeline));
 
     let ret_c = sess.run(&[c], &[]).expect("session run");
     let m = &ret_c[0];
@@ -47,16 +49,17 @@ fn main() {
     }
 
     // The TensorFlow-Timeline analogue (paper Fig. 3): a Chrome trace.
-    println!("\nop timeline ({} events):", timeline.len());
-    for ev in timeline.events() {
+    let events = timeline.snapshot();
+    println!("\nop timeline ({} events):", events.len());
+    for ev in &events {
         println!(
             "  {:<20} on {:<8} ({:.1} us)",
             ev.name,
-            ev.device,
+            ev.track,
             ev.dur_s * 1e6
         );
     }
     let trace_path = std::env::temp_dir().join("tfhpc_quickstart_trace.json");
-    std::fs::write(&trace_path, timeline.to_chrome_trace()).expect("write trace");
+    std::fs::write(&trace_path, timeline.to_chrome_json()).expect("write trace");
     println!("\nChrome trace written to {}", trace_path.display());
 }

@@ -161,6 +161,9 @@ fn allocations_per_step(step: Step) -> f64 {
         }
     });
     assert_eq!(session.plan_cache_stats(), (19 + STEPS, 1));
+    // No tracer on the session, the global one off: a run records no
+    // span (two `String`s per node would blow either budget below).
+    assert!(tfhpc_obs::trace::global().snapshot().is_empty());
     calls as f64 / STEPS as f64
 }
 

@@ -19,9 +19,9 @@
 //! never report an error and only silence gives them away.
 
 use tfhpc_apps::{
-    matmul::c_key, run_cg_supervised, run_cg_supervised_with_stats, run_cg_with_store,
-    run_fft_supervised, run_matmul_supervised, run_stream_supervised, CgConfig, CgReduction,
-    FaultSetup, FftConfig, MatmulConfig, StreamConfig,
+    matmul::c_key, run_cg_supervised, run_cg_with_store, run_fft_supervised, run_matmul_supervised,
+    run_stream_supervised, CgConfig, CgReduction, FaultSetup, FftConfig, MatmulConfig,
+    StreamConfig,
 };
 use tfhpc_core::{RetryConfig, TensorProto};
 use tfhpc_proto::Message;
@@ -168,7 +168,7 @@ fn cg_recovers_bit_identically_under_chaos() {
         .get();
     let t = clean.elapsed_s;
     let faults = FaultSetup::new(chaos_plan(3, 2, t), 3).with_retry(retry_for(t));
-    let (report, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+    let (report, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
     assert!(report.restarts >= 1, "seed {}: no restart", fault_seed());
     assert_corruption_exported(before);
     assert_eq!(
@@ -210,7 +210,7 @@ fn cg_recovers_bit_identically_under_liveness_chaos() {
     // lands after the window closes, so replacements run clean) and a
     // hang kills exactly once — 6 covers the worst draw with margin.
     let faults = FaultSetup::new(plan, 6).with_heartbeats(t * 0.05, t * 0.2);
-    let (report, _, stats) = run_cg_supervised_with_stats(&p, &cfg, &faults).unwrap();
+    let (report, stats, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
     if has_hang {
         assert!(report.restarts >= 1, "seed {}: no restart", fault_seed());
         assert!(

@@ -539,8 +539,8 @@ fn crash_injected_cg_restarts_from_checkpoint_bit_exactly() {
     assert_eq!(clean.restarts, 0);
 
     let faults = FaultSetup::new(FaultPlan::new().crash(2, clean.elapsed_s * 0.5), 2);
-    let (a, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
-    let (b, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+    let (a, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+    let (b, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
     assert_eq!(a.restarts, 1, "one gang restart expected");
     assert_eq!(
         a.rs_final.to_bits(),
@@ -576,8 +576,8 @@ fn seeded_fault_plan_perturbs_timing_not_results() {
 
     let plan = FaultPlan::seeded(seed, 3, clean.elapsed_s);
     let setup = FaultSetup::new(plan, 0).with_retry(RetryConfig::new(10, clean.elapsed_s * 0.05));
-    let (a, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
-    let (b, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
+    let (a, _, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
+    let (b, _, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
     assert_eq!(a.restarts, 0, "transient faults must not consume restarts");
     assert_eq!(
         a.rs_final.to_bits(),

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use tfhpc_core::{
-    graph_from_bytes, graph_to_bytes, DeviceCtx, Graph, Resources, Session, Timeline,
+    graph_from_bytes, graph_to_bytes, DeviceCtx, Graph, OpKernel, Resources, Result, Session,
 };
 use tfhpc_dist::{launch, resolve, JobSpec, LaunchConfig, TaskKey};
 use tfhpc_sim::net::Protocol;
@@ -144,7 +144,8 @@ fn timeline_spans_simulated_ops() {
         vec![JobSpec::new("worker", 1, 1)],
         Protocol::Rdma,
     );
-    let timeline = Arc::new(Timeline::new());
+    let timeline = Arc::new(tfhpc_obs::Tracer::new());
+    timeline.enable();
     let tl2 = Arc::clone(&timeline);
     launch(&cfg, move |ctx| {
         let mut g = Graph::new();
@@ -152,21 +153,89 @@ fn timeline_spans_simulated_ops() {
         let b = g.random_uniform(DType::F32, [64, 64], 2);
         let c = g.with_device(tfhpc_core::Placement::Gpu(0), |g| g.matmul(a, b));
         let mut sess = ctx.server.session(Arc::new(g));
-        sess.set_timeline(Arc::clone(&tl2));
+        sess.set_tracer(Arc::clone(&tl2));
         sess.run(&[c], &[])?;
         Ok(())
     })
     .unwrap();
-    let events = timeline.events();
+    let events = timeline.snapshot();
     assert!(events.iter().any(|e| e.name.starts_with("MatMul")));
     // GPU op events carry the simulated device name.
     let mm = events
         .iter()
         .find(|e| e.name.starts_with("MatMul"))
         .unwrap();
-    assert!(mm.device.contains("GK210"), "device = {}", mm.device);
-    let json = timeline.to_chrome_trace();
+    assert!(mm.track.contains("GK210"), "device = {}", mm.track);
+    let json = timeline.to_chrome_json();
     assert!(json.contains("traceEvents"));
+}
+
+/// A session's own tracer takes its op spans instead of the global
+/// one — also when switched off.
+#[test]
+fn session_tracer_takes_precedence_over_the_global_one() {
+    // A kernel name no other test of this binary runs: they share the
+    // global tracer while it is enabled here.
+    struct Probe;
+    impl OpKernel for Probe {
+        fn name(&self) -> &str {
+            "TracerProbe"
+        }
+        fn compute(&self, _: &Resources, _: &[Tensor]) -> Result<Vec<Tensor>> {
+            Ok(vec![])
+        }
+    }
+    let probes = |t: &tfhpc_obs::Tracer| {
+        let is_probe = |e: &&tfhpc_obs::TraceEvent| e.name.starts_with("TracerProbe");
+        t.snapshot().iter().filter(is_probe).count()
+    };
+    let mut g = Graph::new();
+    let probe = g.custom(Arc::new(Probe), &[], &[]);
+    let mut sess = Session::new(Arc::new(g), Resources::new(), DeviceCtx::real(0));
+    let global = tfhpc_obs::trace::global();
+    global.enable();
+    sess.run_no_fetch(&[probe], &[]).unwrap();
+    assert_eq!(probes(global), 1, "no session tracer: the global one");
+
+    let private = Arc::new(tfhpc_obs::Tracer::new());
+    private.enable();
+    sess.set_tracer(Arc::clone(&private));
+    sess.run_no_fetch(&[probe], &[]).unwrap();
+    assert_eq!((probes(&private), probes(global)), (1, 1));
+    assert_eq!(private.snapshot()[0].track, "/cpu:0");
+
+    private.disable();
+    sess.run_no_fetch(&[probe], &[]).unwrap();
+    global.disable();
+    assert_eq!((probes(&private), probes(global)), (1, 1));
+}
+
+/// Real-mode tasks are free-running threads: the worker's first remote
+/// variable op may land before the ps body has created the variable.
+/// That is a brief stall, not `NotFound`.
+#[test]
+fn real_mode_worker_rides_out_late_variable_creation() {
+    let jobs = vec![JobSpec::new("ps", 1, 0), JobSpec::new("worker", 1, 0)];
+    let cfg = LaunchConfig::real(tegner_k420(), jobs, Protocol::Grpc);
+    let ps = TaskKey::new("ps", 0);
+    let ps2 = ps.clone();
+    let out = launch(&cfg, move |ctx| {
+        if ctx.job() == "ps" {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let one = Tensor::scalar_f64(1.0);
+            ctx.server.resources.create_variable("acc", one);
+            return Ok(());
+        }
+        let two = Tensor::scalar_f64(2.0);
+        ctx.server
+            .remote_assign_add(&ps2, "acc", &two, None, None)?;
+        let read = ctx.server.remote_var_read(&ps2, "acc", None)?;
+        assert_eq!(read.scalar_value_f64()?, 3.0);
+        ctx.server.remote_assign(&ps2, "acc", &two, None, None)
+    })
+    .unwrap();
+    let acc = out.cluster.server(&ps).unwrap().resources.variable("acc");
+    assert_eq!(acc.unwrap().read().scalar_value_f64().unwrap(), 2.0);
 }
 
 #[test]

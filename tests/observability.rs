@@ -15,6 +15,10 @@ use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::{tegner_k420, tegner_k80};
 use tfhpc_tensor::Tensor;
 
+/// An app run drains the process-wide tracer when it finishes, so run
+/// concurrently one test's run would take another's traced spans.
+static APP_RUNS: Mutex<()> = Mutex::new(());
+
 fn cg_cfg() -> CgConfig {
     CgConfig {
         n: 2048,
@@ -30,6 +34,7 @@ fn cg_cfg() -> CgConfig {
 
 #[test]
 fn cg_results_identical_with_and_without_observability() {
+    let _serial = APP_RUNS.lock();
     let cfg = cg_cfg();
     let plain = run_cg(&tegner_k80(), &cfg).expect("plain run");
     let (traced, json) = run_cg_traced(&tegner_k80(), &cfg).expect("traced run");
@@ -44,6 +49,7 @@ fn cg_results_identical_with_and_without_observability() {
 
 #[test]
 fn traced_cg_trace_parses_with_spans_flows_and_queue_depths() {
+    let _serial = APP_RUNS.lock();
     let (_report, json) = run_cg_traced(&tegner_k80(), &cg_cfg()).expect("traced run");
     let doc = json::parse(&json).expect("trace JSON parses");
     let events = doc
@@ -92,6 +98,7 @@ fn traced_cg_trace_parses_with_spans_flows_and_queue_depths() {
 
 #[test]
 fn prometheus_snapshot_covers_queues_links_and_retries() {
+    let _serial = APP_RUNS.lock();
     run_cg(&tegner_k80(), &cg_cfg()).expect("sim run");
     let text = tfhpc_obs::global().to_prometheus();
     for needle in [

@@ -3,9 +3,7 @@
 //! thread counts, and clean error propagation mid-graph.
 
 use std::sync::Arc;
-use tfhpc_core::{
-    CoreError, DeviceCtx, Graph, NodeId, Resources, Session, SessionOptions, Timeline,
-};
+use tfhpc_core::{CoreError, DeviceCtx, Graph, NodeId, Resources, Session, SessionOptions};
 use tfhpc_tensor::{rng, DType, Tensor};
 
 fn options(inter: usize) -> SessionOptions {
@@ -43,11 +41,12 @@ fn independent_matmuls_overlap_on_timeline() {
         })
         .collect();
     let mut sess = session_with(g, 4);
-    let timeline = Arc::new(Timeline::new());
-    sess.set_timeline(Arc::clone(&timeline));
+    let timeline = Arc::new(tfhpc_obs::Tracer::new());
+    timeline.enable();
+    sess.set_tracer(Arc::clone(&timeline));
     sess.run(&fetches, &[]).unwrap();
 
-    let events = timeline.events();
+    let events = timeline.snapshot();
     let matmuls: Vec<_> = events
         .iter()
         .filter(|e| e.name.contains("MatMul"))

@@ -203,7 +203,7 @@ fn cg_resumes_bit_identically_after_partition_heals() {
     let plan = FaultPlan::new().partition(vec![vec![1]], 0.35 * t, 0.6 * t);
     let before = tfhpc_obs::global().counter("tfhpc_fenced_total").get();
     let faults = FaultSetup::new(plan, 2).with_retry(retry_for(t));
-    let (faulted, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+    let (faulted, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
 
     assert!(
         tfhpc_obs::global().counter("tfhpc_fenced_total").get() > before,
@@ -244,7 +244,7 @@ fn cg_survives_seeded_partition_plan() {
     let plan = FaultPlan::seeded_partition(fault_seed(), 3, t);
     assert!(plan.has_partition_events(), "seeded plan must partition");
     let faults = FaultSetup::new(plan, 4).with_retry(retry_for(t));
-    let (faulted, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+    let (faulted, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
 
     assert_eq!(
         faulted.rs_final.to_bits(),

@@ -14,16 +14,15 @@
 //!   survives). The contract is therefore: identical bits for every
 //!   non-NaN result — including ±0.0 and ±Inf — and NaN-for-NaN.
 //!
-//! * **App-level tests pick deterministic topologies.** CG's queue-pair
-//!   reducer accumulates partials in *arrival* order, which races real
-//!   threads; the ring all-reduce combines in fixed ring order and is
-//!   run-to-run reproducible, so cross-path equality is meaningful.
-//!   Chaos runs (mid-run crash + seeded corruption) exist only under
-//!   the virtual-time simulator — real mode pins virtual time at 0 so
-//!   scheduled windows never fire — and simulated payloads are
-//!   synthetic (metadata-only). The chaos tests therefore guard the
-//!   *control plane*: recovery decisions, checkpoint bytes and the
-//!   final report must not change with the SIMD mode.
+//! * **Chaos runs guard the control plane.** Mid-run crashes and seeded
+//!   corruption exist only under the virtual-time simulator — real
+//!   mode pins virtual time at 0 so scheduled windows never fire — and
+//!   simulated payloads are synthetic (metadata-only): recovery
+//!   decisions, checkpoint bytes and the final report must not change
+//!   with the SIMD mode. The plain app runs are real-mode and compare
+//!   numbers; both of CG's reductions fold in a fixed order (the
+//!   queue-pair reducer slots partials by worker, the ring combines in
+//!   ring order), so they are run-to-run reproducible on real threads.
 //!
 //! Dispatch is flipped in-process with `simd::set_forced`, the same
 //! switch the `TFHPC_SIMD` env var drives; a process-wide lock keeps
@@ -370,25 +369,28 @@ fn matmul_end_to_end_bit_identical_across_paths() {
 #[test]
 fn cg_end_to_end_bit_identical_across_paths() {
     let p = tegner_k80();
-    // Ring reduction: fixed combine order, so real-mode runs are
-    // run-to-run reproducible (queue-pair accumulates in thread
-    // arrival order, which is not).
-    let cfg = CgConfig {
-        n: 96,
-        workers: 3,
-        iterations: 25,
-        protocol: Protocol::Mpi,
-        simulated: false,
-        checkpoint_every: None,
-        resume: false,
-        reduction: CgReduction::Ring,
-    };
-    let (s, v) = both_paths(|| {
-        let (report, store) = run_cg_with_store(&p, &cfg, None).unwrap();
-        let x = gather_solution(&store, &cfg).unwrap();
-        (bit64(report.rs_final), bits64(x.as_f64().unwrap()))
-    });
-    assert_eq!(s, v, "CG solution diverged between SIMD paths");
+    // The paper's queue-pair reducer and the ring all-reduce.
+    for reduction in [CgReduction::QueuePair, CgReduction::Ring] {
+        let cfg = CgConfig {
+            n: 96,
+            workers: 3,
+            iterations: 25,
+            protocol: Protocol::Mpi,
+            simulated: false,
+            checkpoint_every: None,
+            resume: false,
+            reduction,
+        };
+        let (s, v) = both_paths(|| {
+            let (report, store) = run_cg_with_store(&p, &cfg, None).unwrap();
+            let x = gather_solution(&store, &cfg).unwrap();
+            (bit64(report.rs_final), bits64(x.as_f64().unwrap()))
+        });
+        assert_eq!(
+            s, v,
+            "{reduction:?}: CG solution diverged between SIMD paths"
+        );
+    }
 }
 
 #[test]
@@ -480,7 +482,7 @@ fn cg_chaos_recovery_bit_identical_across_paths() {
         let (clean, _) = run_cg_with_store(&p, &cfg, None).unwrap();
         let t = clean.elapsed_s;
         let faults = FaultSetup::new(chaos_plan(3, 2, t), 3).with_retry(retry_for(t));
-        let (report, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
+        let (report, _, _) = run_cg_supervised(&p, &cfg, &faults).unwrap();
         assert!(report.restarts >= 1, "seed {}: no restart", fault_seed());
         (bit64(report.rs_final), bit64(clean.rs_final))
     });

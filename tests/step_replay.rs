@@ -345,7 +345,7 @@ fn apps_bit_identical_with_replay_on_and_off() {
         let plan = FaultPlan::seeded(seed, 3, clean.elapsed_s);
         let setup =
             FaultSetup::new(plan, 0).with_retry(RetryConfig::new(10, clean.elapsed_s * 0.05));
-        let (r, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
+        let (r, _, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
         (r.rs_final.to_bits(), r.elapsed_s.to_bits(), r.restarts)
     };
 
