@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tfhpc_tensor::{Tensor, TensorError};
+use tfhpc_tensor::{DType, Shape, Tensor, TensorError};
 
 /// A mutable named tensor (`tf.Variable`) — the only mutable state in
 /// the framework.
@@ -43,10 +43,25 @@ impl Variable {
         Ok(v)
     }
 
-    /// `value += v`; returns the new value.
+    /// `value += v`; returns the new value. The sum is written into the
+    /// variable's own buffer when the variable is that buffer's only
+    /// owner, and into a fresh one while anyone still holds a snapshot
+    /// (`read()`, an earlier return value, a queued tuple).
     pub fn assign_add(&self, v: &Tensor) -> Result<Tensor> {
         let mut cur = self.value.lock();
-        let next = tfhpc_tensor::ops::add(&cur, v)?;
+        // `add_owned` consumes its operands even when it rejects them.
+        // It accepts every same-shape pair of one floating dtype, so
+        // only then is the value moved out to it; any other pair is
+        // lent as a clone and the error leaves the value where it is.
+        let accepted =
+            cur.shape() == v.shape() && cur.dtype() == v.dtype() && cur.dtype().is_floating();
+        let held = if accepted {
+            let hole = Tensor::synthetic(DType::F64, Shape::scalar(), 0);
+            std::mem::replace(&mut *cur, hole)
+        } else {
+            cur.clone()
+        };
+        let next = tfhpc_tensor::ops::add_owned(held, v.clone())?;
         *cur = next.clone();
         Ok(next)
     }
@@ -387,7 +402,6 @@ impl Resources {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfhpc_tensor::DType;
 
     #[test]
     fn variable_lifecycle() {
@@ -410,6 +424,83 @@ mod tests {
         assert!(v.assign(Tensor::zeros(DType::F64, [4])).is_err());
         assert!(v.assign(Tensor::zeros(DType::F32, [3])).is_err());
         assert!(v.assign(Tensor::zeros(DType::F64, [3])).is_ok());
+    }
+
+    #[test]
+    fn assign_add_accumulates_in_place_when_unshared() {
+        let r = Resources::new();
+        let v = r.create_variable("acc", Tensor::zeros(DType::F64, [64]));
+        let one = Tensor::full_f64([64], 1.0);
+        // The caller drops each returned value at once, so from the
+        // second call on the variable owns its buffer alone.
+        v.assign_add(&one).unwrap();
+        let ptr = v.read().dense_ptr();
+        for _ in 0..5 {
+            v.assign_add(&one).unwrap();
+            assert_eq!(v.read().dense_ptr(), ptr);
+        }
+        assert!(v.read().as_f64().unwrap().iter().all(|x| *x == 6.0));
+        // The addend was only read.
+        assert!(one.as_f64().unwrap().iter().all(|x| *x == 1.0));
+    }
+
+    #[test]
+    fn assign_add_never_writes_into_a_held_snapshot() {
+        let r = Resources::new();
+        let v = r.create_variable("acc", Tensor::full_f64([64], 2.0));
+        let one = Tensor::full_f64([64], 1.0);
+        let snapshot = v.read();
+        let returned = v.assign_add(&one).unwrap();
+        assert!(snapshot.as_f64().unwrap().iter().all(|x| *x == 2.0));
+        assert_ne!(v.read().dense_ptr(), snapshot.dense_ptr());
+        // A returned value is a snapshot too.
+        v.assign_add(&one).unwrap();
+        assert!(returned.as_f64().unwrap().iter().all(|x| *x == 3.0));
+        assert_ne!(v.read().dense_ptr(), returned.dense_ptr());
+        assert!(v.read().as_f64().unwrap().iter().all(|x| *x == 4.0));
+    }
+
+    #[test]
+    fn rejected_assign_add_leaves_the_value_intact() {
+        use tfhpc_tensor::ops;
+        let r = Resources::new();
+        let init = Tensor::full_f64([3], 5.0);
+        let v = r.create_variable("x", init.clone());
+        for bad in [
+            Tensor::zeros(DType::F64, [4]),
+            Tensor::zeros(DType::F32, [3]),
+        ] {
+            let want = CoreError::Tensor(ops::add(&init, &bad).unwrap_err());
+            assert_eq!(v.assign_add(&bad).unwrap_err(), want);
+            assert_eq!(v.read().as_f64().unwrap(), &[5.0; 3]);
+        }
+        // A dtype `add` is not defined on is rejected the same way.
+        let n = r.create_variable("n", Tensor::scalar_i64(1));
+        let want = CoreError::Tensor(
+            ops::add(&Tensor::scalar_i64(1), &Tensor::scalar_i64(1)).unwrap_err(),
+        );
+        assert_eq!(n.assign_add(&Tensor::scalar_i64(1)).unwrap_err(), want);
+        assert_eq!(n.read().scalar_value_i64().unwrap(), 1);
+    }
+
+    #[test]
+    fn synthetic_assign_add_mixes_seeds_like_add() {
+        use tfhpc_tensor::ops;
+        let r = Resources::new();
+        let init = Tensor::synthetic(DType::F32, [1 << 20], 11);
+        let inc = Tensor::synthetic(DType::F32, [1 << 20], 12);
+        let v = r.create_variable("s", init.clone());
+        v.assign_add(&inc).unwrap();
+        v.assign_add(&inc).unwrap();
+        let want = ops::add(&ops::add(&init, &inc).unwrap(), &inc).unwrap();
+        assert!(want.synthetic_seed().is_some());
+        assert_eq!(v.read().synthetic_seed(), want.synthetic_seed());
+        // Dense into synthetic stays synthetic, with `add`'s seed.
+        let d = r.create_variable("d", Tensor::zeros(DType::F64, [4]));
+        let syn = Tensor::synthetic(DType::F64, [4], 3);
+        d.assign_add(&syn).unwrap();
+        let want = ops::add(&Tensor::zeros(DType::F64, [4]), &syn).unwrap();
+        assert_eq!(d.read().synthetic_seed(), want.synthetic_seed());
     }
 
     #[test]

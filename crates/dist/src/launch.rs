@@ -956,6 +956,18 @@ where
     );
 }
 
+/// Tells a real-mode launch's join loop that the task thread in this
+/// slot is exiting, whether its body returned or panicked.
+struct ExitSignal(std::sync::mpsc::Sender<usize>, usize);
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        // The join loop has stopped listening once its drain deadline
+        // passed; a detached straggler's signal goes nowhere.
+        let _ = self.0.send(self.1);
+    }
+}
+
 /// The heartbeat `(period, timeout)` a launch runs under: the
 /// config's when it switches detection on, else the
 /// `TFHPC_HEARTBEAT_*` knobs' (timeout 0 = off when unset). A
@@ -1144,8 +1156,13 @@ where
                         .expect("spawn liveness monitor thread"),
                 );
             }
+            // Each task thread sends its slot as its last act (from a
+            // drop guard, so a panicking body sends too): the join loop
+            // sleeps on the channel rather than polling the handles.
+            let (exit_tx, exit_rx) = std::sync::mpsc::channel::<usize>();
             let mut handles = Vec::new();
             for (key, server, gpu_ids) in servers {
+                let exiting = ExitSignal(exit_tx.clone(), handles.len());
                 let body = Arc::clone(&body);
                 let errors = Arc::clone(&errors);
                 let exits = Arc::clone(&exits);
@@ -1180,10 +1197,11 @@ where
                     start,
                     attempt: 0,
                 };
-                handles.push(
+                handles.push(Some(
                     std::thread::Builder::new()
                         .name(key.to_string())
                         .spawn(move || {
+                            let _exiting = exiting;
                             let result = body(ctx);
                             done.store(true, std::sync::atomic::Ordering::SeqCst);
                             match result {
@@ -1214,7 +1232,7 @@ where
                             }
                         })
                         .expect("spawn task thread"),
-                );
+                ));
             }
             // Teardown discipline: join everything that finishes, but a
             // panicked task can leave siblings parked on queues forever
@@ -1222,34 +1240,30 @@ where
             // grace period instead of hanging the caller, and report
             // any still-running tasks in the error.
             let drain = std::time::Duration::from_secs_f64(cfg.supervisor.drain_timeout_s.max(0.0));
-            let mut handles = handles;
+            let mut running = handles.len();
             let mut panicked = 0usize;
             let mut deadline: Option<Instant> = None;
-            while !handles.is_empty() {
+            while running > 0 {
                 let failed_so_far = panicked > 0 || !errors.lock().is_empty();
                 if failed_so_far && deadline.is_none() {
                     deadline = Some(Instant::now() + drain);
                 }
-                if let Some(d) = deadline {
-                    if Instant::now() > d {
-                        break; // leak stragglers, but report it below
-                    }
+                // Every failure arrives with its task's exit signal, so
+                // with none seen yet there is nothing to time out on.
+                let slot = match deadline {
+                    None => exit_rx.recv().ok(),
+                    Some(d) => exit_rx
+                        .recv_timeout(d.saturating_duration_since(Instant::now()))
+                        .ok(),
+                };
+                let Some(slot) = slot else {
+                    break; // leak stragglers, but report it below
+                };
+                let handle = handles[slot].take().expect("one exit signal per task");
+                if handle.join().is_err() {
+                    panicked += 1;
                 }
-                let mut progressed = false;
-                let mut i = 0;
-                while i < handles.len() {
-                    if handles[i].is_finished() {
-                        if handles.swap_remove(i).join().is_err() {
-                            panicked += 1;
-                        }
-                        progressed = true;
-                    } else {
-                        i += 1;
-                    }
-                }
-                if !progressed && !handles.is_empty() {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
+                running -= 1;
             }
             stop.store(true, std::sync::atomic::Ordering::SeqCst);
             for h in aux {
@@ -1258,10 +1272,9 @@ where
             if panicked > 0 {
                 errors.lock().push(format!("{panicked} task(s) panicked"));
             }
-            if !handles.is_empty() {
+            if running > 0 {
                 errors.lock().push(format!(
-                    "{} task(s) still blocked after failure; detached",
-                    handles.len()
+                    "{running} task(s) still blocked after failure; detached"
                 ));
             }
             let errs = errors.lock();

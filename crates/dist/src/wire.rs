@@ -11,8 +11,9 @@
 //!   [`Tensor::visit_payload_bytes`] — no frame materialization, no
 //!   proto encode/decode, zero allocation — and the receiver keeps the
 //!   sender's buffer on match. This is the steady-state cost of the
-//!   integrity plane, and what the runtime bench gates at <5% of a
-//!   cached CG step.
+//!   integrity plane, and what `bench_runtime --check` gates at
+//!   `INTEGRITY_GATE_PCT_OF_FLOOR` = 18 % of the CG step's kernel
+//!   floor.
 //! * **Slow path** (a `LinkCorrupt` window from the injected
 //!   [`FaultPlan`](tfhpc_sim::fault::FaultPlan) is active at the
 //!   current virtual instant): the tensor is round-tripped through a

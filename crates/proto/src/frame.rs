@@ -7,7 +7,12 @@
 //! verbs and torn PFS writes). The checksum is implemented in-tree
 //! because the build environment is offline: the SSE4.2 `crc32`
 //! instruction when the CPU has it (detected at runtime), falling back
-//! to slicing-by-8 over compile-time tables.
+//! to slicing-by-8 over compile-time tables. The hardware path runs
+//! three interleaved `crc32` chains over 4 KiB lanes while at least
+//! 12 KiB remain, then over 80-byte lanes, then word by word; the long
+//! lanes hash 1 MiB at the instruction's one-per-cycle limit (~32 µs,
+//! ~33 GB/s on the benchmark's reference host; 80-byte lanes alone
+//! managed ~54 µs), and a buffer under 12 KiB never sees them.
 //!
 //! Layout: `magic (4) | uvarint payload_len | payload | crc32c (4, LE)`
 //! with the CRC covering everything before it.
@@ -93,31 +98,71 @@ fn hw_crc_available() -> bool {
 /// Bytes per lane of the 3-way interleaved hardware path. The `crc32`
 /// instruction has a 3-cycle latency but 1-cycle throughput, so three
 /// independent chains run ~3x faster than one; lane results are merged
-/// with a precomputed shift-by-`LANE`-zero-bytes table.
+/// with a precomputed shift-by-lane-zero-bytes table. The merge costs
+/// eight dependent table look-ups per block, which at `LANE` bytes is
+/// a third of the time: buffers of `3 * LONG_LANE` bytes or more run
+/// long lanes first, where the merge vanishes and the instruction's
+/// one-per-cycle issue rate is the limit. Everything shorter (and the
+/// tail of everything longer) runs the short lanes.
 #[cfg(target_arch = "x86_64")]
 const LANE: usize = 80;
+#[cfg(target_arch = "x86_64")]
+const LONG_LANE: usize = 4096;
 
 #[cfg(target_arch = "x86_64")]
-static SHIFT_LANE: [[u32; 256]; 4] = build_shift_tables(LANE);
+type ShiftTables = [[u32; 256]; 4];
+
+#[cfg(target_arch = "x86_64")]
+static SHIFT_LANE: ShiftTables = build_shift_tables(LANE);
+#[cfg(target_arch = "x86_64")]
+static SHIFT_LONG_LANE: ShiftTables = build_shift_tables(LONG_LANE);
 
 /// Tables applying the linear operator "advance the CRC state over
 /// `len` zero bytes", one per state byte, built at compile time. CRC
 /// updates are linear over GF(2), so
 /// `update(s, A || B) = shift(update(s, A)) ^ update(0, B)`.
+///
+/// The operators for different lengths are powers of the one-byte
+/// operator, so the table is built by square-and-multiply over the
+/// bits of `len` (a dozen table compositions) rather than by stepping
+/// every entry through `len` bytes.
 #[cfg(target_arch = "x86_64")]
-const fn build_shift_tables(len: usize) -> [[u32; 256]; 4] {
+const fn build_shift_tables(len: usize) -> ShiftTables {
+    // Zero bytes: the identity. One byte: one step of the byte-wise
+    // update with no data XORed in.
+    let mut result = [[0u32; 256]; 4];
+    let mut power = [[0u32; 256]; 4];
+    let mut byte = 0;
+    while byte < 4 {
+        let mut v = 0;
+        while v < 256 {
+            let state = (v as u32) << (8 * byte);
+            result[byte][v] = state;
+            power[byte][v] = (state >> 8) ^ CRC_TABLES[0][(state & 0xFF) as usize];
+            v += 1;
+        }
+        byte += 1;
+    }
+    let mut n = len;
+    while n > 0 {
+        if n & 1 != 0 {
+            result = compose_shift(&result, &power);
+        }
+        power = compose_shift(&power, &power);
+        n >>= 1;
+    }
+    result
+}
+
+/// The operator "`first`, then `then`" as tables.
+#[cfg(target_arch = "x86_64")]
+const fn compose_shift(first: &ShiftTables, then: &ShiftTables) -> ShiftTables {
     let mut tables = [[0u32; 256]; 4];
     let mut byte = 0;
     while byte < 4 {
         let mut v = 0;
         while v < 256 {
-            let mut state = (v as u32) << (8 * byte);
-            let mut k = 0;
-            while k < len {
-                state = (state >> 8) ^ CRC_TABLES[0][(state & 0xFF) as usize];
-                k += 1;
-            }
-            tables[byte][v] = state;
+            tables[byte][v] = apply_shift(then, first[byte][v]);
             v += 1;
         }
         byte += 1;
@@ -127,11 +172,53 @@ const fn build_shift_tables(len: usize) -> [[u32; 256]; 4] {
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn shift_lane(s: u32) -> u32 {
-    SHIFT_LANE[0][(s & 0xFF) as usize]
-        ^ SHIFT_LANE[1][((s >> 8) & 0xFF) as usize]
-        ^ SHIFT_LANE[2][((s >> 16) & 0xFF) as usize]
-        ^ SHIFT_LANE[3][(s >> 24) as usize]
+const fn apply_shift(t: &ShiftTables, s: u32) -> u32 {
+    t[0][(s & 0xFF) as usize]
+        ^ t[1][((s >> 8) & 0xFF) as usize]
+        ^ t[2][((s >> 16) & 0xFF) as usize]
+        ^ t[3][(s >> 24) as usize]
+}
+
+/// Advance `state` over as many whole `3 * L`-byte blocks of `data` as
+/// there are, three `L`-byte lanes at a time (`shift` is the table for
+/// `L` zero bytes), and return the bytes left over.
+///
+/// # Safety
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+#[inline]
+unsafe fn crc_lanes_hw<'a, const L: usize>(
+    state: &mut u64,
+    data: &'a [u8],
+    shift: &ShiftTables,
+) -> &'a [u8] {
+    use std::arch::x86_64::_mm_crc32_u64;
+    const { assert!(L.is_multiple_of(8)) };
+    let mut rest = data;
+    while rest.len() >= 3 * L {
+        let (head, tail) = rest.split_at(3 * L);
+        let (mut sa, mut sb, mut sc) = (*state, 0u64, 0u64);
+        // SAFETY: `head` is exactly 3*L bytes and L is a multiple of
+        // 8, so lane `i` reads stay within `[i*L, (i+1)*L)`; unaligned
+        // reads are fine on x86_64 and skip the per-word bounds checks
+        // the slice indexing forms would carry into this hot loop.
+        let p = head.as_ptr();
+        let mut k = 0;
+        while k < L {
+            let a = (p.add(k) as *const u64).read_unaligned();
+            let b = (p.add(L + k) as *const u64).read_unaligned();
+            let c = (p.add(2 * L + k) as *const u64).read_unaligned();
+            sa = _mm_crc32_u64(sa, u64::from_le(a));
+            sb = _mm_crc32_u64(sb, u64::from_le(b));
+            sc = _mm_crc32_u64(sc, u64::from_le(c));
+            k += 8;
+        }
+        let merged = apply_shift(shift, sa as u32) ^ sb as u32;
+        *state = (apply_shift(shift, merged) ^ sc as u32) as u64;
+        rest = tail;
+    }
+    rest
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -139,28 +226,8 @@ fn shift_lane(s: u32) -> u32 {
 unsafe fn crc_update_hw(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let mut state = crc as u64;
-    let mut rest = data;
-    while rest.len() >= 3 * LANE {
-        let (head, tail) = rest.split_at(3 * LANE);
-        let (mut sb, mut sc) = (0u64, 0u64);
-        // SAFETY: `head` is exactly 3*LANE bytes, so lane `i` reads
-        // stay within `[i*LANE, (i+1)*LANE)`; unaligned reads are fine
-        // on x86_64 and skip the per-word bounds checks the slice
-        // indexing forms would carry into this hot loop.
-        let p = head.as_ptr();
-        let mut k = 0;
-        while k < LANE {
-            let a = (p.add(k) as *const u64).read_unaligned();
-            let b = (p.add(LANE + k) as *const u64).read_unaligned();
-            let c = (p.add(2 * LANE + k) as *const u64).read_unaligned();
-            state = _mm_crc32_u64(state, u64::from_le(a));
-            sb = _mm_crc32_u64(sb, u64::from_le(b));
-            sc = _mm_crc32_u64(sc, u64::from_le(c));
-            k += 8;
-        }
-        state = (shift_lane(shift_lane(state as u32) ^ sb as u32) ^ sc as u32) as u64;
-        rest = tail;
-    }
+    let rest = crc_lanes_hw::<LONG_LANE>(&mut state, data, &SHIFT_LONG_LANE);
+    let rest = crc_lanes_hw::<LANE>(&mut state, rest, &SHIFT_LANE);
     let mut chunks = rest.chunks_exact(8);
     for c in chunks.by_ref() {
         state = _mm_crc32_u64(state, u64::from_le_bytes(c.try_into().unwrap()));
@@ -248,6 +315,13 @@ pub fn flip_bit(frame: &mut [u8], entropy: u64) {
 mod tests {
     use super::*;
 
+    /// `n` bytes with no period a lane length could line up with.
+    fn test_bytes(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect()
+    }
+
     #[test]
     fn crc32c_check_value() {
         // The standard Castagnoli test vector.
@@ -272,13 +346,21 @@ mod tests {
         // Both CRC implementations must compute the identical function
         // across every chunk-boundary alignment, so a frame sealed on a
         // CPU with SSE4.2 opens on one without it (and vice versa).
-        let data: Vec<u8> = (0..2048u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
+        let data: Vec<u8> = test_bytes((1 << 20) + 16);
+        // Either side of one long-lane block, a second block with a
+        // short-lane block and a byte behind it, and the benchmark's
+        // 1 MiB with an odd tail.
+        const L: usize = 4096;
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(L, LONG_LANE);
+        let long = [3 * L - 1, 3 * L, 3 * L + 1, 6 * L + 241, (1 << 20) + 5];
         for start in [0usize, 1, 3, 7, 8] {
             for len in [
                 0usize, 1, 7, 8, 9, 63, 64, 65, 239, 240, 241, 480, 512, 1024,
-            ] {
+            ]
+            .into_iter()
+            .chain(long)
+            {
                 let slice = &data[start..start + len];
                 let sw = !crc_update_sw(!0, slice);
                 assert_eq!(crc32c(slice), sw, "start {start} len {len}");
@@ -289,6 +371,24 @@ mod tests {
                     assert_eq!(hw, sw, "hw/sw divergence at start {start} len {len}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn append_across_any_split_equals_one_shot() {
+        // The state carried between `crc32c_append` calls must not
+        // depend on which lane scheme either half ran: every split
+        // below puts a different mix of long lanes, short lanes and
+        // tail words on each side.
+        let data = test_bytes(1 << 20);
+        let whole = crc32c(&data);
+        assert_eq!(whole, !crc_update_sw(!0, &data));
+        for split in [
+            1usize, 7, 239, 241, 4_095, 12_287, 12_289, 24_577, 65_537, 524_289, 1_036_289,
+            1_048_575,
+        ] {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(crc32c_append(crc32c(head), tail), whole, "split at {split}");
         }
     }
 

@@ -8,7 +8,9 @@
 //! runs the paper's CG worker update (`mul_scalar → sub`,
 //! `mul_scalar → add` on `Gpu(0)`) in virtual time and checks that the
 //! rewritten program charges, counts and reports exactly what the
-//! node-by-node program does.
+//! node-by-node program does. Last, the receive side of the wire: a
+//! steady-state `remote_assign_add` of a 1 MiB vector between two
+//! real-mode tasks allocates no buffer at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,8 +20,10 @@ use parking_lot::Mutex;
 use tfhpc_core::{
     DeviceCtx, Graph, NodeId, Placement, Resources, RunMetadata, Session, SessionOptions,
 };
+use tfhpc_dist::{launch, JobSpec, LaunchConfig, TaskKey};
 use tfhpc_sim::des::Sim;
-use tfhpc_sim::platform::tegner_k80;
+use tfhpc_sim::net::Protocol;
+use tfhpc_sim::platform::{tegner_k420, tegner_k80};
 use tfhpc_sim::topology::ClusterSim;
 use tfhpc_tensor::{rng, DType, Shape, Tensor};
 
@@ -29,12 +33,21 @@ struct CountingAlloc;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// The calls among them that asked for `LARGE_BYTES` or more.
+    static LARGE_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note() {
+/// A tenth of the smallest tensor buffer the wire test moves, and far
+/// above any bookkeeping allocation.
+const LARGE_BYTES: usize = 64 << 10;
+
+fn note(bytes: usize) {
     // `try_with`: the allocator is also called while a thread's locals
     // are being torn down.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    if bytes >= LARGE_BYTES {
+        let _ = LARGE_CALLS.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -42,17 +55,17 @@ fn note() {
 // const-initialised thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -65,9 +78,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = CALLS.with(Cell::get);
+    allocations_and_large(f).0
+}
+
+/// Allocation calls `f` makes on this thread, and how many of them
+/// were large.
+fn allocations_and_large(f: impl FnOnce()) -> (u64, u64) {
+    let before = (CALLS.with(Cell::get), LARGE_CALLS.with(Cell::get));
     f();
-    CALLS.with(Cell::get) - before
+    (
+        CALLS.with(Cell::get) - before.0,
+        LARGE_CALLS.with(Cell::get) - before.1,
+    )
 }
 
 fn uniform(shape: impl Into<Shape>, seed: u64) -> Tensor {
@@ -340,4 +362,60 @@ fn rewritten_program_reports_what_the_node_by_node_program_does_in_virtual_time(
             assert_eq!(fast.end_time_bits, reference.end_time_bits);
         }
     }
+}
+
+#[test]
+fn steady_state_remote_assign_add_allocates_no_buffer() {
+    // The benchmark's `dist-stream` op: ps x 1 + worker x 1 in real
+    // mode over a staged-copy (gRPC) link, a 131 072-element f64
+    // vector. Both checksums read the sender's tensor in place and the
+    // ps accumulates into its variable's own storage, so once the
+    // first push has left the variable sole owner of its buffer a push
+    // allocates nothing of tensor size.
+    const ELEMS: usize = 131_072;
+    const PUSHES: u64 = 50;
+    let cfg = LaunchConfig::real(
+        tegner_k420(),
+        vec![JobSpec::new("ps", 1, 0), JobSpec::new("worker", 1, 0)],
+        Protocol::Grpc,
+    );
+    let counted = Arc::new(Mutex::new((0u64, 0u64)));
+    let sink = Arc::clone(&counted);
+    let out = launch(&cfg, move |ctx| {
+        if ctx.job() == "ps" {
+            let zeros = Tensor::zeros(DType::F64, [ELEMS]);
+            ctx.server.resources.create_variable("acc", zeros);
+            return Ok(());
+        }
+        let ps = TaskKey::new("ps", 0);
+        let vector = Tensor::full_f64([ELEMS], 3.0);
+        // One worker, as on the benchmark's pinned CPU: the add runs
+        // on this thread and the pool's task boxes stay out of the
+        // count.
+        tfhpc_parallel::with_worker_limit(1, || {
+            let push = || {
+                ctx.server
+                    .remote_assign_add(&ps, "acc", &vector, None, None)
+            };
+            for _ in 0..5 {
+                push()?;
+            }
+            *sink.lock() = allocations_and_large(|| {
+                for _ in 0..PUSHES {
+                    push().unwrap();
+                }
+            });
+            Ok(())
+        })
+    })
+    .unwrap();
+    let (calls, large) = *counted.lock();
+    assert_eq!(large, 0, "tensor-sized allocations in {PUSHES} pushes");
+    // What is left per push is `wire::transfer`'s delivered-tensor
+    // list.
+    assert_eq!(calls, PUSHES, "allocation calls in {PUSHES} pushes");
+    let ps = out.cluster.server(&TaskKey::new("ps", 0)).unwrap();
+    let acc = ps.resources.variable("acc").unwrap().read();
+    let want = 3.0 * (5 + PUSHES) as f64;
+    assert!(acc.as_f64().unwrap().iter().all(|v| *v == want));
 }

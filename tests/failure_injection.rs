@@ -361,6 +361,55 @@ fn transient_link_fault_is_retried_and_counted_in_run_metadata() {
 }
 
 #[test]
+fn corrupted_push_is_verified_before_the_in_place_accumulate() {
+    // The ps accumulates into its variable's own buffer, so a payload
+    // applied before it was verified could not be taken back. The ps
+    // node's links flip a bit during [0.1, 0.3): the push at t=0.15
+    // is detected and retransmitted past the window, and the
+    // accumulator ends at exactly one application of it — still in
+    // the buffer the clean pushes before it wrote into.
+    const N: usize = 4096;
+    let cfg = LaunchConfig::simulated(
+        tegner_k420(),
+        vec![JobSpec::new("ps", 1, 0), JobSpec::new("worker", 1, 0)],
+        Protocol::Grpc,
+    )
+    .with_faults(FaultPlan::new().link_corrupt(0, 0.1, 0.3))
+    .with_retry(RetryConfig::new(5, 0.2));
+    let counts = Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
+    let c2 = Arc::clone(&counts);
+    let out = launch(&cfg, move |ctx| {
+        let ps = TaskKey::new("ps", 0);
+        if ctx.job() == "ps" {
+            let init = Tensor::zeros(DType::F64, [N]);
+            ctx.server.resources.create_variable("acc", init);
+            return Ok(());
+        }
+        let ramp = Tensor::from_f64([N], (0..N).map(|i| i as f64 + 0.5).collect()).unwrap();
+        let peer = ctx.server.try_cluster()?.server(&ps)?;
+        let acc = peer.resources.variable_wait("acc", 1.0)?;
+        ctx.server
+            .remote_assign_add(&ps, "acc", &ramp, None, None)?;
+        ctx.server
+            .remote_assign_add(&ps, "acc", &ramp, None, None)?;
+        let buffer = acc.read().dense_ptr();
+        tfhpc_sim::des::current().unwrap().advance(0.15);
+        ctx.server
+            .remote_assign_add(&ps, "acc", &ramp, None, None)?;
+        assert_eq!(acc.read().dense_ptr(), buffer, "accumulated in place");
+        let r = &ctx.server.resources;
+        *c2.lock() = (r.corruption_detected_total(), r.retransmits_total());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(*counts.lock(), (1, 1), "one detection, one retransmission");
+    let ps = out.cluster.server(&TaskKey::new("ps", 0)).unwrap();
+    let acc = ps.resources.variable("acc").unwrap().read();
+    let want: Vec<f64> = (0..N).map(|i| 3.0 * (i as f64 + 0.5)).collect();
+    assert_eq!(acc.as_f64().unwrap(), want.as_slice());
+}
+
+#[test]
 fn partial_restart_fences_deadlines_to_exact_virtual_instants() {
     // A healthy consumer holds timed waits (`recv_deadline`,
     // `dequeue_timeout`) while its peer crashes and is *partially*
