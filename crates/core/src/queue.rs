@@ -4,7 +4,14 @@
 //! A queue blocks consumers when empty and producers when full, in both
 //! execution modes:
 //!
-//! * **real mode** — parking_lot mutex + condvars across OS threads;
+//! * **real mode** — parking_lot mutex + condvars across OS threads.
+//!   Wake rule: a thread counts itself in `parked_consumers` /
+//!   `parked_producers` under the queue mutex around each condvar wait,
+//!   and whoever changes the queue reads that count under the same
+//!   mutex. It then drops the mutex *before* `notify_one`, and skips
+//!   the notify when the count was zero — the woken thread never finds
+//!   the lock still held by its waker, and nobody pays a wake-up
+//!   syscall for an empty wait list;
 //! * **sim mode** — [`tfhpc_sim::des::SimCondvar`]s, so blocking
 //!   dequeues park the simulated process and wake at the notifier's
 //!   virtual time (this is what makes the queue-pair reducer pattern
@@ -15,7 +22,7 @@
 //! `QueueClosed` (TensorFlow's `OutOfRangeError`).
 
 use crate::error::{CoreError, Result};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,6 +39,11 @@ struct QueueState {
     /// error. Set when the owning task dies or the supervisor tears a
     /// generation down.
     aborted: Option<CoreError>,
+    /// Real-mode threads inside `not_empty.wait` / `wait_for` right
+    /// now, written only under the queue mutex (see the module docs).
+    parked_consumers: usize,
+    /// Real-mode threads inside `not_full.wait` right now.
+    parked_producers: usize,
 }
 
 enum Waiters {
@@ -82,6 +94,16 @@ impl QueueStats {
     }
 }
 
+/// The second half of the real-mode wake rule (module docs): release
+/// the queue mutex first, then wake one waiter if `parked` — the count
+/// read under that mutex — says there is one.
+fn unlock_then_wake(st: MutexGuard<'_, QueueState>, parked: usize, cv: &Condvar) {
+    drop(st);
+    if parked > 0 {
+        cv.notify_one();
+    }
+}
+
 /// A bounded FIFO queue of tensor tuples.
 pub struct FifoQueue {
     name: String,
@@ -112,6 +134,8 @@ impl FifoQueue {
                 items: VecDeque::new(),
                 closed: false,
                 aborted: None,
+                parked_consumers: 0,
+                parked_producers: 0,
             }),
             waiters,
             stats: QueueStats::new(name),
@@ -204,7 +228,9 @@ impl FifoQueue {
             } => {
                 let mut st = self.state.lock();
                 while st.items.len() >= self.capacity && !st.closed && st.aborted.is_none() {
+                    st.parked_producers += 1;
                     not_full.wait(&mut st);
+                    st.parked_producers -= 1;
                 }
                 if let Some(err) = &st.aborted {
                     return Err(err.clone());
@@ -214,8 +240,8 @@ impl FifoQueue {
                 }
                 st.items.push_back((tfhpc_obs::now_seconds(), tuple));
                 let depth = st.items.len();
-                not_empty.notify_one();
-                drop(st);
+                let parked = st.parked_consumers;
+                unlock_then_wake(st, parked, not_empty);
                 self.note_enqueue(depth);
                 Ok(())
             }
@@ -275,15 +301,17 @@ impl FifoQueue {
                     }
                     if let Some((ts, tuple)) = st.items.pop_front() {
                         let depth = st.items.len();
-                        not_full.notify_one();
-                        drop(st);
+                        let parked = st.parked_producers;
+                        unlock_then_wake(st, parked, not_full);
                         self.note_dequeue(ts, depth);
                         return Ok(tuple);
                     }
                     if st.closed {
                         return Err(CoreError::QueueClosed(self.name.clone()));
                     }
+                    st.parked_consumers += 1;
                     not_empty.wait(&mut st);
+                    st.parked_consumers -= 1;
                 }
             }
             Waiters::Sim {
@@ -332,8 +360,8 @@ impl FifoQueue {
                     }
                     if let Some((ts, tuple)) = st.items.pop_front() {
                         let depth = st.items.len();
-                        not_full.notify_one();
-                        drop(st);
+                        let parked = st.parked_producers;
+                        unlock_then_wake(st, parked, not_full);
                         self.note_dequeue(ts, depth);
                         return Ok(tuple);
                     }
@@ -347,7 +375,9 @@ impl FifoQueue {
                             self.name
                         )));
                     }
+                    st.parked_consumers += 1;
                     not_empty.wait_for(&mut st, deadline - now);
+                    st.parked_consumers -= 1;
                 }
             }
             Waiters::Sim {
@@ -398,33 +428,41 @@ impl FifoQueue {
     /// signal [`FifoQueue::dequeue`] gives, so pollers can tell "retry
     /// later" from "no more elements will ever arrive".
     pub fn try_dequeue(&self) -> Result<Option<Vec<Tensor>>> {
-        let out = {
-            let mut st = self.state.lock();
-            if let Some(err) = &st.aborted {
-                return Err(err.clone());
+        let mut st = self.state.lock();
+        if let Some(err) = &st.aborted {
+            return Err(err.clone());
+        }
+        let Some((ts, tuple)) = st.items.pop_front() else {
+            if st.closed {
+                return Err(CoreError::QueueClosed(self.name.clone()));
             }
-            match st.items.pop_front() {
-                Some((ts, tuple)) => {
-                    let depth = st.items.len();
-                    drop(st);
-                    self.note_dequeue(ts, depth);
-                    Some(tuple)
-                }
-                None if st.closed => return Err(CoreError::QueueClosed(self.name.clone())),
-                None => None,
-            }
+            return Ok(None);
         };
-        if out.is_some() {
-            match &self.waiters {
-                Waiters::Real { not_full, .. } => {
+        let depth = st.items.len();
+        let wake = st.parked_producers > 0;
+        drop(st);
+        self.note_dequeue(ts, depth);
+        match &self.waiters {
+            Waiters::Real { not_full, .. } => {
+                if wake {
                     not_full.notify_one();
                 }
-                Waiters::Sim { not_full, .. } => {
-                    self.notify_sim(not_full);
-                }
+            }
+            Waiters::Sim { not_full, .. } => {
+                self.notify_sim(not_full);
             }
         }
-        Ok(out)
+        Ok(Some(tuple))
+    }
+
+    /// Real-mode threads parked in this queue right now, as
+    /// `(consumers, producers)`; `(0, 0)` on a sim-bound queue, whose
+    /// waits belong to the DES. Lets tests wait for "the other thread
+    /// is parked" instead of sleeping and hoping.
+    #[doc(hidden)]
+    pub fn parked(&self) -> (usize, usize) {
+        let st = self.state.lock();
+        (st.parked_consumers, st.parked_producers)
     }
 
     /// Close the queue: wake all waiters; enqueues fail from now on.
@@ -528,6 +566,21 @@ mod tests {
         vec![Tensor::scalar_f64(v)]
     }
 
+    /// Spin (bounded) until `q` reports exactly `want` parked
+    /// `(consumers, producers)`.
+    fn await_parked(q: &FifoQueue, want: (usize, usize)) {
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while q.parked() != want {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "queue `{}` never reached parked {want:?} (at {:?})",
+                q.name(),
+                q.parked()
+            );
+            thread::yield_now();
+        }
+    }
+
     #[test]
     fn fifo_order() {
         let q = FifoQueue::new("q", 10);
@@ -545,7 +598,7 @@ mod tests {
         let q = FifoQueue::new("q", 4);
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || q2.dequeue().unwrap()[0].scalar_value_f64().unwrap());
-        thread::sleep(Duration::from_millis(20));
+        await_parked(&q, (1, 0));
         q.enqueue(t(7.0)).unwrap();
         assert_eq!(h.join().unwrap(), 7.0);
     }
@@ -558,8 +611,8 @@ mod tests {
         let h = thread::spawn(move || {
             q2.enqueue(t(2.0)).unwrap();
         });
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.len(), 1); // producer is parked
+        await_parked(&q, (0, 1));
+        assert_eq!(q.len(), 1);
         assert_eq!(q.dequeue().unwrap()[0].scalar_value_f64().unwrap(), 1.0);
         h.join().unwrap();
         assert_eq!(q.dequeue().unwrap()[0].scalar_value_f64().unwrap(), 2.0);
@@ -580,7 +633,7 @@ mod tests {
         let q = FifoQueue::new("q", 4);
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || q2.dequeue());
-        thread::sleep(Duration::from_millis(20));
+        await_parked(&q, (1, 0));
         q.close();
         assert!(matches!(h.join().unwrap(), Err(CoreError::QueueClosed(_))));
     }
@@ -608,7 +661,7 @@ mod tests {
             let q2 = Arc::clone(&q);
             parked.push(thread::spawn(move || q2.dequeue()));
         }
-        thread::sleep(Duration::from_millis(30));
+        await_parked(&q, (3, 0));
         q.close_with_cancel(true);
         for h in parked {
             assert!(matches!(h.join().unwrap(), Err(CoreError::QueueClosed(_))));
@@ -706,7 +759,7 @@ mod tests {
         let q = FifoQueue::new("q", 4);
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || q2.dequeue());
-        thread::sleep(Duration::from_millis(20));
+        await_parked(&q, (1, 0));
         q.abort(CoreError::Unavailable("peer died".into()));
         assert!(matches!(h.join().unwrap(), Err(CoreError::Unavailable(_))));
         // Sticky: later operations fail the same way, no drain.
@@ -747,7 +800,7 @@ mod tests {
         let q = FifoQueue::new("q", 4);
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || q2.dequeue_timeout(5.0));
-        thread::sleep(Duration::from_millis(20));
+        await_parked(&q, (1, 0));
         q.enqueue(t(3.0)).unwrap();
         assert_eq!(
             h.join().unwrap().unwrap()[0].scalar_value_f64().unwrap(),
@@ -788,6 +841,126 @@ mod tests {
         assert_eq!(s.dequeued, 1);
         assert_eq!(s.depth, 1);
         assert!(s.residency_seconds >= 0.0);
+    }
+
+    #[test]
+    fn parked_count_follows_every_way_out_of_a_wait() {
+        // Woken by an enqueue.
+        let q = FifoQueue::new("q", 4);
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.dequeue());
+        await_parked(&q, (1, 0));
+        q.enqueue(t(1.0)).unwrap();
+        assert!(h.join().unwrap().is_ok());
+        assert_eq!(q.parked(), (0, 0));
+        // Timed out.
+        assert!(q.dequeue_timeout(0.005).is_err());
+        assert_eq!(q.parked(), (0, 0));
+        // Closed, then aborted, under a parked consumer.
+        let closed = FifoQueue::new("closed", 4);
+        let aborted = FifoQueue::new("aborted", 4);
+        for (q, end) in [
+            (&closed, FifoQueue::close as fn(&FifoQueue)),
+            (&aborted, |q| q.abort(CoreError::Cancelled("test".into()))),
+        ] {
+            let q2 = Arc::clone(q);
+            let h = thread::spawn(move || q2.dequeue());
+            await_parked(q, (1, 0));
+            end(q);
+            assert!(h.join().unwrap().is_err());
+            assert_eq!(q.parked(), (0, 0));
+        }
+    }
+
+    #[test]
+    fn back_to_back_enqueues_wake_both_parked_consumers() {
+        let q = FifoQueue::new("q", 4);
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.dequeue().unwrap()[0].scalar_value_f64().unwrap())
+            })
+            .collect();
+        await_parked(&q, (2, 0));
+        // The second enqueue may still read a count of 2 (the first
+        // consumer has not re-taken the lock yet): it must notify again.
+        q.enqueue(t(1.0)).unwrap();
+        q.enqueue(t(2.0)).unwrap();
+        let mut got: Vec<f64> = consumers.into_iter().map(|h| h.join().unwrap()).collect();
+        got.sort_by(f64::total_cmp);
+        assert_eq!(got, [1.0, 2.0]);
+        assert_eq!(q.parked(), (0, 0));
+    }
+
+    #[test]
+    fn try_dequeue_wakes_a_producer_parked_at_capacity() {
+        let q = FifoQueue::new("q", 1);
+        q.enqueue(t(1.0)).unwrap();
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || q2.enqueue(t(2.0)));
+        await_parked(&q, (0, 1));
+        assert!(q.try_dequeue().unwrap().is_some());
+        h.join().unwrap().unwrap();
+        assert_eq!(q.parked(), (0, 0));
+        assert_eq!(q.dequeue().unwrap()[0].scalar_value_f64().unwrap(), 2.0);
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_under_contention() {
+        // A wrong wake rule shows as a hang, so every thread reports on
+        // a channel and the test gives up after a minute.
+        const PRODUCERS: usize = 4;
+        const CONSUMERS: usize = 4;
+        const PER_PRODUCER: usize = 50_000;
+        let q = FifoQueue::new("stress", 2);
+        let (done, finished) = std::sync::mpsc::channel::<Option<Vec<usize>>>();
+        let mut threads = Vec::new();
+        for p in 0..PRODUCERS {
+            let (q, done) = (Arc::clone(&q), done.clone());
+            threads.push(thread::spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    let id = (p * PER_PRODUCER + i) as i64;
+                    q.enqueue(vec![Tensor::scalar_i64(id)]).unwrap();
+                }
+                done.send(None).unwrap();
+            }));
+        }
+        for _ in 0..CONSUMERS {
+            let (q, done) = (Arc::clone(&q), done.clone());
+            threads.push(thread::spawn(move || {
+                let mut got = Vec::new();
+                while let Ok(tuple) = q.dequeue() {
+                    got.push(tuple[0].scalar_value_i64().unwrap() as usize);
+                }
+                done.send(Some(got)).unwrap();
+            }));
+        }
+        let give_up = std::time::Instant::now() + Duration::from_secs(60);
+        let next = || {
+            let left = give_up.saturating_duration_since(std::time::Instant::now());
+            finished.recv_timeout(left).unwrap_or_else(|_| {
+                panic!("stalled with {} queued, parked {:?}", q.len(), q.parked())
+            })
+        };
+        let mut seen = vec![0u8; PRODUCERS * PER_PRODUCER];
+        // Producers report `None`; close once all of them have.
+        let mut producers_left = PRODUCERS;
+        for _ in 0..PRODUCERS + CONSUMERS {
+            match next() {
+                Some(got) => got.into_iter().for_each(|id| seen[id] += 1),
+                None => {
+                    producers_left -= 1;
+                    if producers_left == 0 {
+                        q.close();
+                    }
+                }
+            }
+        }
+        for h in threads {
+            h.join().unwrap();
+        }
+        assert!(seen.iter().all(|n| *n == 1), "a tuple was lost or doubled");
+        assert_eq!(q.parked(), (0, 0));
     }
 
     #[test]

@@ -507,11 +507,22 @@ mod tests {
     fn queue_wait_rides_out_late_creation() {
         let r = Arc::new(Resources::new());
         let r2 = Arc::clone(&r);
+        // The creator parks on a gate this thread opens only once it
+        // is about to wait, so the names never exist beforehand.
+        let gate = FifoQueue::new("gate", 1);
+        let gate2 = Arc::clone(&gate);
         let creator = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            gate2.dequeue().unwrap();
             r2.create_queue("late", 1);
             r2.create_variable("late", Tensor::scalar_f64(1.0));
         });
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while gate.parked() != (1, 0) {
+            assert!(std::time::Instant::now() < give_up, "creator never parked");
+            std::thread::yield_now();
+        }
+        assert!(r.queue("late").is_err());
+        gate.enqueue(vec![]).unwrap();
         let q = r.queue_wait("late", 5.0).unwrap();
         assert_eq!(q.name(), "late");
         let v = r.variable_wait("late", 5.0).unwrap();

@@ -32,17 +32,42 @@ impl Default for RetryConfig {
     }
 }
 
+/// FNV-1a as a running state (with this codebase's multiplier). Bytes
+/// go in through [`Fnv1a::eat`]; a `Display` value goes in through
+/// `write!`, with no `String` in between.
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Mix `bytes` in, in order.
+    pub fn eat(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// FNV-1a over the salt and attempt, mapped to `[0, 1)` — the
 /// deterministic stand-in for random jitter. Shared with the
 /// circuit-breaker probe timing in `tfhpc-dist`, which jitters its
 /// half-open probes the same seedless way.
 pub fn unit_hash(salt: &str, attempt: usize) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in salt.bytes().chain(attempt.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    let mut h = Fnv1a::default();
+    h.eat(salt.as_bytes());
+    h.eat(&attempt.to_le_bytes());
+    (h.0 >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Sleep `secs` in the caller's time domain: virtual time inside a

@@ -177,11 +177,11 @@ fn verified_send(
     let q = peer.resources.get_or_create_queue(queue, cap);
     let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
     let retry = worker.cluster().retry_config();
-    let transport = worker.transport_to(peer);
     retry.run(what, Some(&worker.resources), || {
-        worker.charge_transfer_to(peer, gpu, None, bytes);
+        let route = worker.route_to(peer)?;
+        route.charge_transfer(worker, gpu, peer, None, bytes);
         let verified =
-            crate::wire::transfer(worker, what, &[worker.node, peer.node], &tuple, transport)?;
+            crate::wire::transfer(worker, &route, what, &[worker.node, peer.node], &tuple)?;
         q.enqueue(verified)
     })
 }
@@ -756,7 +756,8 @@ fn resilient_round(
         let q = right_server
             .resources
             .get_or_create_queue(&resilient_queue(round, kind, right), cap);
-        worker.charge_transfer_to(&right_server, gpu, None, chunk.byte_size() as u64);
+        let route = worker.route_to(&right_server)?;
+        route.charge_transfer(worker, gpu, &right_server, None, chunk.byte_size() as u64);
         q.enqueue(vec![chunk])
     };
     let recv = |kind: &str| -> Result<Tensor> {

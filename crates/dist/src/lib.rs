@@ -43,4 +43,4 @@ pub use rendezvous::{
 };
 pub use resolver::{resolve, resolve_with_policy, JobSpec, Resolved, ResolvedTask};
 pub use server::{Server, TfCluster};
-pub use transport::Transport;
+pub use transport::{Route, Transport};

@@ -29,7 +29,7 @@
 use crate::cluster_spec::TaskKey;
 use crate::server::Server;
 use std::sync::Arc;
-use tfhpc_core::{CoreError, Result};
+use tfhpc_core::{CoreError, FifoQueue, Result};
 use tfhpc_sim::device::{Cost, KernelClass};
 use tfhpc_tensor::{ops, Tensor};
 
@@ -102,8 +102,10 @@ pub fn canonical_reduce(op: ReduceOp, parts: Vec<Tensor>) -> Result<Tensor> {
 /// Server-side reduction service over a queue pair.
 pub struct Reducer {
     server: Arc<Server>,
-    name: String,
-    n_workers: usize,
+    /// `<name>.in`: workers push tagged partials here.
+    in_q: Arc<FifoQueue>,
+    /// `<name>.out.<w>`, by worker index: each worker's result queue.
+    out_qs: Vec<Arc<FifoQueue>>,
     op: ReduceOp,
 }
 
@@ -112,16 +114,16 @@ impl Reducer {
     /// `server` and return the service handle.
     pub fn new(server: Arc<Server>, name: &str, n_workers: usize, op: ReduceOp) -> Reducer {
         assert!(n_workers > 0);
-        server
+        let in_q = server
             .resources
-            .create_queue(&format!("{name}.in"), n_workers.max(1) * 2);
-        for w in 0..n_workers {
-            server.resources.create_queue(&format!("{name}.out.{w}"), 2);
-        }
+            .create_queue(&format!("{name}.in"), n_workers * 2);
+        let out_qs = (0..n_workers)
+            .map(|w| server.resources.create_queue(&format!("{name}.out.{w}"), 2))
+            .collect();
         Reducer {
             server,
-            name: name.to_string(),
-            n_workers,
+            in_q,
+            out_qs,
             op,
         }
     }
@@ -134,10 +136,10 @@ impl Reducer {
         if let Some(me) = tfhpc_sim::des::current() {
             me.advance(ROUND_OVERHEAD_S);
         }
-        let in_q = self.server.resources.queue(&format!("{}.in", self.name))?;
-        let mut slots: Vec<Option<Tensor>> = vec![None; self.n_workers];
-        for _ in 0..self.n_workers {
-            let mut tuple = in_q.dequeue()?.into_iter();
+        let n_workers = self.out_qs.len();
+        let mut slots: Vec<Option<Tensor>> = vec![None; n_workers];
+        for _ in 0..n_workers {
+            let mut tuple = self.in_q.dequeue()?.into_iter();
             let (tag, value) = match (tuple.next(), tuple.next()) {
                 (Some(tag), Some(value)) => (tag, value),
                 _ => {
@@ -147,10 +149,9 @@ impl Reducer {
                 }
             };
             let w = tag.scalar_value_i64()? as usize;
-            if w >= self.n_workers {
+            if w >= n_workers {
                 return Err(CoreError::Invalid(format!(
-                    "reducer partial tagged for worker {w} of {}",
-                    self.n_workers
+                    "reducer partial tagged for worker {w} of {n_workers}"
                 )));
             }
             if slots[w].replace(value).is_some() {
@@ -176,11 +177,8 @@ impl Reducer {
             },
             true,
         );
-        for w in 0..self.n_workers {
-            self.server
-                .resources
-                .queue(&format!("{}.out.{w}", self.name))?
-                .enqueue(vec![reduced.clone()])?;
+        for out_q in &self.out_qs {
+            out_q.enqueue(vec![reduced.clone()])?;
         }
         Ok(())
     }
@@ -207,16 +205,8 @@ impl Reducer {
 
     /// Close the reducer's queues (shutdown).
     pub fn close(&self) -> Result<()> {
-        self.server
-            .resources
-            .queue(&format!("{}.in", self.name))?
-            .close();
-        for w in 0..self.n_workers {
-            self.server
-                .resources
-                .queue(&format!("{}.out.{w}", self.name))?
-                .close();
-        }
+        self.in_q.close();
+        self.out_qs.iter().for_each(|q| q.close());
         Ok(())
     }
 }
@@ -268,6 +258,15 @@ mod tests {
             .map(|i| c.start_server(TaskKey::new("worker", i), 1 + i, vec![0]))
             .collect();
         (c, red, workers)
+    }
+
+    /// Spin (bounded) until a consumer is parked on `q`.
+    fn await_parked_consumer(q: &FifoQueue) {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while q.parked().0 == 0 {
+            assert!(std::time::Instant::now() < give_up, "nobody parked");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -340,8 +339,82 @@ mod tests {
         let reducer = Arc::new(Reducer::new(Arc::clone(&red), "c", 2, ReduceOp::Sum));
         let r2 = Arc::clone(&reducer);
         let svc = std::thread::spawn(move || r2.serve_until_closed().unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        await_parked_consumer(&reducer.in_q);
         reducer.close().unwrap();
         assert_eq!(svc.join().unwrap(), 0);
+    }
+
+    #[test]
+    fn malformed_tuple_is_invalid() {
+        let (_c, red, _workers) = cluster(2);
+        let reducer = Reducer::new(Arc::clone(&red), "bad", 2, ReduceOp::Sum);
+        // A bare partial with no worker-index tag in front of it.
+        reducer.in_q.enqueue(vec![Tensor::scalar_f64(1.0)]).unwrap();
+        let err = reducer.serve_round().unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Invalid(m) if m.contains("[worker_index, partial]")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn two_partials_from_one_worker_in_a_round_are_invalid() {
+        let (_c, red, _workers) = cluster(2);
+        let reducer = Reducer::new(Arc::clone(&red), "twice", 2, ReduceOp::Sum);
+        for v in [1.0, 2.0] {
+            let tuple = vec![Tensor::scalar_i64(1), Tensor::scalar_f64(v)];
+            reducer.in_q.enqueue(tuple).unwrap();
+        }
+        let err = reducer.serve_round().unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Invalid(m) if m.contains("two partials from worker 1")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn every_round_of_a_long_run_is_exact() {
+        // Three workers hammer one reducer; a lost wake-up anywhere on
+        // the queue pair shows as a hang, so a watchdog bounds the run.
+        const WORKERS: usize = 3;
+        const ROUNDS: usize = 5_000;
+        let (_c, red, workers) = cluster(WORKERS);
+        let reducer = Arc::new(Reducer::new(
+            Arc::clone(&red),
+            "long",
+            WORKERS,
+            ReduceOp::Sum,
+        ));
+        let r2 = Arc::clone(&reducer);
+        let svc = std::thread::spawn(move || r2.serve_until_closed().unwrap());
+        let (done, finished) = std::sync::mpsc::channel();
+        let handles: Vec<_> = workers
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let key = TaskKey::new("reducer", 0);
+                    for round in 0..ROUNDS {
+                        let mine = Tensor::scalar_f64((round * WORKERS + i) as f64);
+                        let sum = worker_all_reduce(&w, &key, "long", i, mine, None).unwrap();
+                        // Σ_i (round·W + i), exact in f64.
+                        let want = (round * WORKERS * WORKERS + WORKERS * (WORKERS - 1) / 2) as f64;
+                        assert_eq!(sum.scalar_value_f64().unwrap(), want, "round {round}");
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..WORKERS {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a worker stalled or failed");
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        reducer.close().unwrap();
+        assert_eq!(svc.join().unwrap(), ROUNDS);
     }
 }

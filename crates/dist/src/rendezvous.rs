@@ -153,14 +153,15 @@ fn send_channel(
                 "consumer {dst} is down: {reason}"
             )));
         }
-        let peer = cluster.server(dst)?;
-        worker.charge_transfer_to(&peer, gpu, None, value.byte_size() as u64);
+        let route = worker.route_to(&cluster.server(dst)?)?;
+        let peer = &route.peer;
+        route.charge_transfer(worker, gpu, peer, None, value.byte_size() as u64);
         let verified = crate::wire::transfer(
             worker,
+            &route,
             channel,
             &[worker.node, peer.node],
             std::slice::from_ref(&value),
-            worker.transport_to(&peer),
         )?;
         let q = peer.resources.get_or_create_queue(channel, 1);
         q.enqueue(verified)?;
@@ -239,13 +240,8 @@ fn verify_recv(worker: &Arc<Server>, channel: &str, tuple: Vec<Tensor>) -> Resul
             // Consumer-side landing check on the consumer's own link
             // (the producer job is not recoverable from the channel
             // string; rendezvous links are intra-job in practice).
-            crate::wire::transfer(
-                worker,
-                channel,
-                &[worker.node],
-                &tuple,
-                worker.transport_to(worker),
-            )
+            let own_link = worker.route_to(worker)?;
+            crate::wire::transfer(worker, &own_link, channel, &[worker.node], &tuple)
         })
 }
 
@@ -387,9 +383,15 @@ mod tests {
     fn recv_blocks_until_send() {
         let (_c, a, b) = pair();
         let key = RendezvousKey::new(a.key.clone(), b.key.clone(), "y", 3);
-        let k2 = key.clone();
-        let h = std::thread::spawn(move || recv(&b, &k2, None).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        let (k2, b2) = (key.clone(), Arc::clone(&b));
+        let h = std::thread::spawn(move || recv(&b2, &k2, None).unwrap());
+        // The receiver parks on its own channel queue.
+        let q = b.resources.get_or_create_queue(&key.channel(), 1);
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while q.parked().0 == 0 {
+            assert!(std::time::Instant::now() < give_up, "receiver never parked");
+            std::thread::yield_now();
+        }
         send(&a, &key, Tensor::scalar_f64(9.0), None).unwrap();
         assert_eq!(h.join().unwrap().scalar_value_f64().unwrap(), 9.0);
     }

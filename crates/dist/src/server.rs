@@ -11,7 +11,7 @@
 
 use crate::breaker::BreakerSet;
 use crate::cluster_spec::{ClusterSpec, TaskKey};
-use crate::transport::Transport;
+use crate::transport::{Route, Transport};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -424,9 +424,16 @@ impl Server {
     /// decider, and rejoins only when the partition heals (or unwinds
     /// once supervision supersedes it).
     pub fn check_alive(&self) -> Result<()> {
+        self.resolve_alive().map(drop)
+    }
+
+    /// [`Server::check_alive`], handing back the cluster and fault plan
+    /// it checked against so a remote op resolves them once.
+    fn resolve_alive(&self) -> Result<(Arc<TfCluster>, Option<Arc<FaultPlan>>)> {
         let cluster = self.try_cluster()?;
         self.fenced(&cluster)?;
-        if let Some(plan) = cluster.faults() {
+        let plan = cluster.faults();
+        if let Some(plan) = &plan {
             let now = self.now_s();
             if plan.crashed(self.node, self.born_at, now) {
                 return Err(CoreError::Aborted(format!(
@@ -435,13 +442,12 @@ impl Server {
                 )));
             }
             if plan.hung(self.node, self.born_at, now) {
-                return self.park_hung(&cluster);
-            }
-            if plan.has_partition_events() && !cluster.has_quorum(self.node, now) {
-                return self.park_fenced(&cluster, &plan);
+                self.park_hung(&cluster)?;
+            } else if plan.has_partition_events() && !cluster.has_quorum(self.node, now) {
+                self.park_fenced(&cluster, plan)?;
             }
         }
-        Ok(())
+        Ok((cluster, plan))
     }
 
     /// The pure fencing predicates (no fault-plan consultation):
@@ -554,17 +560,16 @@ impl Server {
     /// crashed, the route is partitioned/blackholed, or a link fault
     /// is active on either endpoint, and charges active delay spikes
     /// to the caller's virtual clock.
-    fn peer_checked(&self, target: &TaskKey) -> Result<Arc<Server>> {
-        self.check_alive()?;
+    fn peer_checked(&self, target: &TaskKey) -> Result<Route> {
+        let (cluster, plan) = self.resolve_alive()?;
         tfhpc_core::deadline::check("remote op")?;
-        let cluster = self.try_cluster()?;
         if let Some(reason) = cluster.death_reason(target) {
             return Err(CoreError::Unavailable(format!(
                 "task {target} is down: {reason}"
             )));
         }
         let peer = cluster.server(target)?;
-        if let Some(plan) = cluster.faults() {
+        if let Some(plan) = &plan {
             let now = self.now_s();
             if plan.crashed(peer.node, peer.born_at, now) {
                 return Err(CoreError::Unavailable(format!(
@@ -600,16 +605,15 @@ impl Server {
                 }
             }
         }
-        Ok(peer)
+        Ok(Route::new(cluster, plan, self, peer))
     }
 
-    /// The cluster's retry policy (cheap clone); retries are disabled
-    /// when the cluster is already torn down.
-    fn retry(&self) -> RetryConfig {
-        self.cluster
-            .upgrade()
-            .map(|c| c.retry_config())
-            .unwrap_or_else(RetryConfig::disabled)
+    /// The route to an already-resolved `peer` with no failure-plane
+    /// check — for collectives and rendezvous, which do their own.
+    pub fn route_to(&self, peer: &Arc<Server>) -> Result<Route> {
+        let cluster = self.try_cluster()?;
+        let plan = cluster.faults();
+        Ok(Route::new(cluster, plan, self, Arc::clone(peer)))
     }
 
     /// The retried remote-op shell every primitive runs in: per-
@@ -623,11 +627,14 @@ impl Server {
         &self,
         what: &str,
         target: &TaskKey,
-        mut f: impl FnMut(&Arc<Server>) -> Result<T>,
+        mut f: impl FnMut(Route) -> Result<T>,
     ) -> Result<T> {
-        let breakers = self.cluster.upgrade().and_then(|c| c.breakers());
+        // Retries are disabled once the cluster is torn down.
+        let cluster = self.cluster.upgrade();
+        let breakers = cluster.as_ref().and_then(|c| c.breakers());
+        let retry = cluster.map_or_else(RetryConfig::disabled, |c| c.retry_config());
         let mut attempt = 0usize;
-        self.retry().run(what, Some(&self.resources), || {
+        retry.run(what, Some(&self.resources), || {
             if let Some(b) = &breakers {
                 b.admit(target, self.now_s())?;
                 if attempt > 0 {
@@ -635,7 +642,7 @@ impl Server {
                 }
             }
             attempt += 1;
-            let r = self.peer_checked(target).and_then(|peer| f(&peer));
+            let r = self.peer_checked(target).and_then(&mut f);
             if let Some(b) = &breakers {
                 match &r {
                     Ok(_) => b.on_success(target),
@@ -682,93 +689,18 @@ impl Server {
         }
     }
 
-    /// The transport on the link from this task to `peer` (staged-copy
-    /// when the cluster is already gone — shutdown paths only).
-    pub fn transport_to(&self, peer: &Server) -> Transport {
-        self.try_cluster()
-            .map(|c| c.transport_for(&self.key.job, &peer.key.job))
-            .unwrap_or(Transport::StagedCopy)
-    }
-
-    /// Charge the wire+staging cost of moving `bytes` from this task to
-    /// `dst` (no-op in real mode) under the link's active transport.
-    /// Returns modeled seconds.
-    ///
-    /// Zero-copy links move at Verbs costs whatever the cluster
-    /// protocol; staged-copy links move at the cluster protocol's
-    /// costs, and on a Verbs wire additionally pay the RPC staging
-    /// copy at both endpoints (`2·bytes / serialize_gbs`) — the
-    /// "RPC on RDMA" configuration whose loss to one-sided transfer
-    /// `bench_transport` measures.
-    pub fn charge_transfer_to(
-        &self,
-        dst: &Server,
-        src_gpu: Option<usize>,
-        dst_gpu: Option<usize>,
-        bytes: u64,
-    ) -> f64 {
-        let Ok(cluster) = self.try_cluster() else {
-            return 0.0;
-        };
-        let Some(sim) = &cluster.sim else { return 0.0 };
-        let transport = cluster.transport_for(&self.key.job, &dst.key.job);
-        let wire_proto = transport.wire_protocol(cluster.protocol);
-        let labels = [("protocol", wire_proto.name())];
-        let reg = tfhpc_obs::global();
-        reg.counter_with("tfhpc_link_bytes_total", &labels)
-            .add(bytes);
-        reg.counter_with("tfhpc_link_messages_total", &labels).inc();
-        reg.counter_with(
-            "tfhpc_transport_bytes_total",
-            &[("transport", transport.name())],
-        )
-        .add(bytes);
-        let path = sim.path(self.loc(src_gpu), dst.loc(dst_gpu), wire_proto);
-        let mut t = path.transfer(bytes);
-        if transport == Transport::StagedCopy && cluster.protocol == Protocol::Rdma {
-            let staging = 2.0 * bytes as f64 / (sim.platform.net.serialize_gbs * 1e9);
-            if let Some(me) = tfhpc_sim::des::current() {
-                me.advance(staging);
-            }
-            t += staging;
-        }
-        // An active straggler window on either endpoint stretches the
-        // effective wire time: the extra stall is charged to the
-        // caller's clock, exactly like a delay spike but multiplicative.
-        if let Some(plan) = cluster.faults() {
-            let now = self.now_s();
-            let factor = plan
-                .straggler_factor(self.node, now)
-                .max(plan.straggler_factor(dst.node, now));
-            if factor > 1.0 {
-                if let Some(me) = tfhpc_sim::des::current() {
-                    me.advance(t * (factor - 1.0));
-                }
-                return t * factor;
-            }
-        }
-        t
-    }
-
     /// Next wire message id from this sender toward `queue`: FNV-1a
     /// over the sender's identity (task key + incarnation birth time)
     /// and a per-incarnation sequence — unique per logical message,
     /// identical across the duplicate deliveries of one message.
     fn next_msg_id(&self, queue: &str) -> u64 {
+        use std::fmt::Write;
         let seq = self.send_seq.fetch_add(1, Ordering::SeqCst);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self
-            .key
-            .to_string()
-            .bytes()
-            .chain(queue.bytes())
-            .chain(self.born_at.to_bits().to_le_bytes())
-            .chain(seq.to_le_bytes())
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        let mut h = tfhpc_core::retry::Fnv1a::default();
+        write!(h, "{}{queue}", self.key).expect("hashing cannot fail");
+        h.eat(&self.born_at.to_bits().to_le_bytes());
+        h.eat(&seq.to_le_bytes());
+        h.0
     }
 
     /// First sighting of wire message `id` on this receiver? False for
@@ -793,28 +725,25 @@ impl Server {
         tuple: Vec<Tensor>,
         src_gpu: Option<usize>,
     ) -> Result<()> {
-        self.remote_op("remote_enqueue", target, |peer| {
+        self.remote_op("remote_enqueue", target, |route| {
+            let peer = &route.peer;
             let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
-            self.charge_transfer_to(peer, src_gpu, None, bytes);
+            route.charge_transfer(self, src_gpu, peer, None, bytes);
             // Frame + verify before the tuple lands: a corrupted
             // transfer is detected here and the retry retransmits
             // without ever double-enqueueing.
             let verified = crate::wire::transfer(
                 self,
+                &route,
                 "remote_enqueue",
                 &[self.node, peer.node],
                 &tuple,
-                self.transport_to(peer),
             )?;
             let q = peer.resources.queue_wait(queue, Self::RESOLVE_TIMEOUT_S)?;
-            let dup_window = self
-                .try_cluster()?
-                .faults()
-                .map(|plan| {
-                    let now = self.now_s();
-                    plan.dup_reorder_at(self.node, now) || plan.dup_reorder_at(peer.node, now)
-                })
-                .unwrap_or(false);
+            let dup_window = route.plan.as_ref().is_some_and(|plan| {
+                let now = self.now_s();
+                plan.dup_reorder_at(self.node, now) || plan.dup_reorder_at(peer.node, now)
+            });
             if !dup_window {
                 return q.enqueue(verified);
             }
@@ -826,7 +755,7 @@ impl Server {
                 } else {
                     // The duplicate still crossed the wire; only the
                     // apply is suppressed.
-                    self.charge_transfer_to(peer, src_gpu, None, bytes);
+                    route.charge_transfer(self, src_gpu, peer, None, bytes);
                     tfhpc_obs::global().counter("tfhpc_dup_dropped_total").inc();
                 }
             }
@@ -843,28 +772,43 @@ impl Server {
         queue: &str,
         dst_gpu: Option<usize>,
     ) -> Result<Vec<Tensor>> {
-        let (tuple, peer_node, transport) = self.remote_op("remote_dequeue", target, |peer| {
-            let tuple = peer
+        let (tuple, route) = self.remote_op("remote_dequeue", target, |route| {
+            let tuple = route
+                .peer
                 .resources
                 .queue_wait(queue, Self::RESOLVE_TIMEOUT_S)?
                 .dequeue()?;
-            let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
-            peer.charge_transfer_to(self, None, dst_gpu, bytes);
-            Ok((tuple, peer.node, peer.transport_to(self)))
+            Ok((tuple, route))
         })?;
-        // Verify outside the dequeue retry: the tuple is already ours,
-        // so a corrupted delivery retransmits from the held copy
-        // instead of popping the queue a second time.
-        self.retry()
-            .run("remote_dequeue/verify", Some(&self.resources), || {
-                crate::wire::transfer(
-                    self,
-                    "remote_dequeue",
-                    &[peer_node, self.node],
-                    &tuple,
-                    transport,
-                )
-            })
+        self.land_dequeued(
+            "remote_dequeue",
+            "remote_dequeue/verify",
+            &route,
+            tuple,
+            dst_gpu,
+        )
+    }
+
+    /// Pay the return transfer of a tuple popped from `route.peer` and
+    /// verify it. The verification runs in its own retry (salted by
+    /// `verify_what`), outside the dequeue's: the tuple is already
+    /// ours, so a corrupted delivery retransmits from the held copy
+    /// instead of popping the queue a second time.
+    fn land_dequeued(
+        &self,
+        what: &str,
+        verify_what: &str,
+        route: &Route,
+        tuple: Vec<Tensor>,
+        dst_gpu: Option<usize>,
+    ) -> Result<Vec<Tensor>> {
+        let peer = &route.peer;
+        let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
+        route.charge_transfer(peer, None, self, dst_gpu, bytes);
+        let retry = route.cluster.retry_config();
+        retry.run(verify_what, Some(&self.resources), || {
+            crate::wire::transfer(self, route, what, &[peer.node, self.node], &tuple)
+        })
     }
 
     /// [`Server::remote_dequeue`] with a deadline: waits at most
@@ -878,25 +822,18 @@ impl Server {
         dst_gpu: Option<usize>,
         timeout_s: f64,
     ) -> Result<Vec<Tensor>> {
-        let peer = self.peer_checked(target)?;
-        let tuple = peer
+        let route = self.peer_checked(target)?;
+        let tuple = route
+            .peer
             .resources
             .queue_wait(queue, timeout_s.min(Self::RESOLVE_TIMEOUT_S))?
             .dequeue_timeout(timeout_s)?;
-        let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
-        peer.charge_transfer_to(self, None, dst_gpu, bytes);
-        self.retry().run(
+        self.land_dequeued(
+            "remote_dequeue_deadline",
             "remote_dequeue_deadline/verify",
-            Some(&self.resources),
-            || {
-                crate::wire::transfer(
-                    self,
-                    "remote_dequeue_deadline",
-                    &[peer.node, self.node],
-                    &tuple,
-                    peer.transport_to(self),
-                )
-            },
+            &route,
+            tuple,
+            dst_gpu,
         )
     }
 
@@ -912,16 +849,17 @@ impl Server {
         src_gpu: Option<usize>,
         dst_gpu: Option<usize>,
     ) -> Result<()> {
-        self.remote_op("remote_assign_add", target, |peer| {
-            self.charge_transfer_to(peer, src_gpu, dst_gpu, value.byte_size() as u64);
+        self.remote_op("remote_assign_add", target, |route| {
+            let peer = &route.peer;
+            route.charge_transfer(self, src_gpu, peer, dst_gpu, value.byte_size() as u64);
             // Verify before applying: the add happens at most once,
             // on checksum-verified bytes.
             let verified = crate::wire::transfer(
                 self,
+                &route,
                 "remote_assign_add",
                 &[self.node, peer.node],
                 std::slice::from_ref(value),
-                self.transport_to(peer),
             )?;
             peer.resources
                 .variable_wait(var, Self::RESOLVE_TIMEOUT_S)?
@@ -956,16 +894,17 @@ impl Server {
         src_gpu: Option<usize>,
         dst_gpu: Option<usize>,
     ) -> Result<()> {
-        self.remote_op("remote_assign", target, |peer| {
-            self.charge_transfer_to(peer, src_gpu, dst_gpu, value.byte_size() as u64);
+        self.remote_op("remote_assign", target, |route| {
+            let peer = &route.peer;
+            route.charge_transfer(self, src_gpu, peer, dst_gpu, value.byte_size() as u64);
             // Verify before applying, like remote_assign_add: the
             // overwrite lands at most once, on verified bytes.
             let mut verified = crate::wire::transfer(
                 self,
+                &route,
                 "remote_assign",
                 &[self.node, peer.node],
                 std::slice::from_ref(value),
-                self.transport_to(peer),
             )?;
             let value = verified.pop().ok_or_else(|| {
                 CoreError::Invalid("remote_assign: wire transfer returned no tensors".into())
@@ -997,21 +936,22 @@ impl Server {
         var: &str,
         dst_gpu: Option<usize>,
     ) -> Result<Tensor> {
-        self.remote_op("remote_var_read", target, |peer| {
+        self.remote_op("remote_var_read", target, |route| {
+            let peer = &route.peer;
             let value = peer
                 .resources
                 .variable_wait(var, Self::RESOLVE_TIMEOUT_S)?
                 .read();
-            peer.charge_transfer_to(self, None, dst_gpu, value.byte_size() as u64);
+            route.charge_transfer(peer, None, self, dst_gpu, value.byte_size() as u64);
             // Reads are idempotent: a corrupted return transfer
             // retries the whole read, recharging the wire like a
             // real retransmission.
             let mut verified = crate::wire::transfer(
                 self,
+                &route,
                 "remote_var_read",
                 &[peer.node, self.node],
                 std::slice::from_ref(&value),
-                peer.transport_to(self),
             )?;
             verified.pop().ok_or_else(|| {
                 CoreError::Invalid("remote_var_read: wire transfer returned no tensors".into())
@@ -1173,6 +1113,15 @@ mod tests {
     }
 
     #[test]
+    fn msg_ids_hash_the_same_byte_stream_as_before() {
+        // Pinned against the `key.to_string()` implementation: FNV-1a
+        // over "/job:worker/task:0" ‖ "results" ‖ born_at ‖ seq.
+        let (_c, _ps, worker) = two_task_cluster();
+        assert_eq!(worker.next_msg_id("results"), 0x65d7_0e02_96d8_fa93);
+        assert_eq!(worker.next_msg_id("results"), 0xfc05_9ef9_8be9_b072);
+    }
+
+    #[test]
     fn remote_kernels_work_in_graphs() {
         let (_c, ps, worker) = two_task_cluster();
         create_task_queue(&ps, "q", 4);
@@ -1236,7 +1185,11 @@ mod tests {
         let c2 = Arc::clone(&c);
         let h =
             std::thread::spawn(move || w2.remote_dequeue(&TaskKey::new("ps", 0), "results", None));
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while ps.resources.queue("results").unwrap().parked().0 == 0 {
+            assert!(std::time::Instant::now() < give_up, "nobody parked");
+            std::thread::yield_now();
+        }
         c2.mark_dead(&TaskKey::new("ps", 0), "crashed");
         let err = h.join().unwrap().unwrap_err();
         assert!(matches!(err, CoreError::Unavailable(_)), "{err}");
@@ -1314,14 +1267,13 @@ mod tests {
         let (_c, _ps, worker) = two_task_cluster();
         let dense = Tensor::from_f64([3], vec![1.0 / 3.0, f64::MIN_POSITIVE, -0.0]).unwrap();
         let synth = Tensor::synthetic(tfhpc_tensor::DType::F32, [1 << 20], 0xABCD);
-        let out = crate::wire::transfer(
-            &worker,
-            "test",
-            &[0, 1],
-            &[dense.clone(), synth],
-            Transport::StagedCopy,
-        )
-        .unwrap();
+        let own_link = Route {
+            transport: Transport::StagedCopy,
+            ..worker.route_to(&worker).unwrap()
+        };
+        let out =
+            crate::wire::transfer(&worker, &own_link, "test", &[0, 1], &[dense.clone(), synth])
+                .unwrap();
         assert_eq!(out[0].as_f64().unwrap(), dense.as_f64().unwrap());
         assert!(out[1].is_synthetic());
         assert_eq!(out[1].synthetic_seed(), Some(0xABCD));

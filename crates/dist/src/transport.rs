@@ -37,7 +37,10 @@
 //! `Protocol::Grpc`/`Mpi` cluster already included its staging in the
 //! path model.
 
+use crate::server::{Server, TfCluster};
+use std::sync::Arc;
 use tfhpc_core::{CoreError, Result};
+use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
 
 /// How bytes cross one inter-task link.
@@ -73,7 +76,7 @@ impl Transport {
     /// `cluster_protocol`: zero-copy always moves at Verbs costs;
     /// staged-copy moves at the cluster protocol's costs (its staging
     /// surcharge on Verbs wires is added separately by
-    /// `charge_transfer_to`).
+    /// `Route::charge_transfer`).
     pub fn wire_protocol(self, cluster_protocol: Protocol) -> Protocol {
         match self {
             Transport::ZeroCopy => Protocol::Rdma,
@@ -102,6 +105,96 @@ pub fn env_transport() -> Result<Option<Transport>> {
         None => Ok(None),
         Some(raw) if raw.eq_ignore_ascii_case("auto") => Ok(None),
         Some(raw) => Transport::parse(&raw).map(Some),
+    }
+}
+
+/// What one attempt of a remote op resolved, once: the cluster, the
+/// fault plan installed at that instant, the peer and the transport on
+/// the link to it. A route lives for one attempt and is never stored —
+/// a restart, a death mark or a new plan is seen by the next message.
+pub struct Route {
+    pub(crate) cluster: Arc<TfCluster>,
+    pub(crate) plan: Option<Arc<FaultPlan>>,
+    /// The task at the far end.
+    pub peer: Arc<Server>,
+    /// Transport on the (direction-independent) link to `peer`.
+    pub transport: Transport,
+}
+
+impl Route {
+    pub(crate) fn new(
+        cluster: Arc<TfCluster>,
+        plan: Option<Arc<FaultPlan>>,
+        from: &Server,
+        peer: Arc<Server>,
+    ) -> Route {
+        let transport = cluster.transport_for(&from.key.job, &peer.key.job);
+        Route {
+            cluster,
+            plan,
+            peer,
+            transport,
+        }
+    }
+
+    /// Charge the wire+staging cost of moving `bytes` from `src` to
+    /// `dst` — this route's two ends, in either order — under the
+    /// link's transport (no-op in real mode). Returns modeled seconds.
+    ///
+    /// Zero-copy links move at Verbs costs whatever the cluster
+    /// protocol; staged-copy links move at the cluster protocol's
+    /// costs, and on a Verbs wire additionally pay the RPC staging
+    /// copy at both endpoints (`2·bytes / serialize_gbs`) — the
+    /// "RPC on RDMA" configuration whose loss to one-sided transfer
+    /// `bench_transport` measures.
+    pub fn charge_transfer(
+        &self,
+        src: &Server,
+        src_gpu: Option<usize>,
+        dst: &Server,
+        dst_gpu: Option<usize>,
+        bytes: u64,
+    ) -> f64 {
+        let cluster = &self.cluster;
+        let Some(sim) = &cluster.sim else { return 0.0 };
+        let transport = self.transport;
+        let wire_proto = transport.wire_protocol(cluster.protocol);
+        let labels = [("protocol", wire_proto.name())];
+        let reg = tfhpc_obs::global();
+        reg.counter_with("tfhpc_link_bytes_total", &labels)
+            .add(bytes);
+        reg.counter_with("tfhpc_link_messages_total", &labels).inc();
+        reg.counter_with(
+            "tfhpc_transport_bytes_total",
+            &[("transport", transport.name())],
+        )
+        .add(bytes);
+        let path = sim.path(src.loc(src_gpu), dst.loc(dst_gpu), wire_proto);
+        let mut t = path.transfer(bytes);
+        let me = tfhpc_sim::des::current();
+        if transport == Transport::StagedCopy && cluster.protocol == Protocol::Rdma {
+            let staging = 2.0 * bytes as f64 / (sim.platform.net.serialize_gbs * 1e9);
+            if let Some(me) = &me {
+                me.advance(staging);
+            }
+            t += staging;
+        }
+        // An active straggler window on either endpoint stretches the
+        // effective wire time: the extra stall is charged to the
+        // caller's clock, exactly like a delay spike but multiplicative.
+        if let Some(plan) = &self.plan {
+            let now = me.as_ref().map_or(0.0, |p| p.now());
+            let factor = plan
+                .straggler_factor(src.node, now)
+                .max(plan.straggler_factor(dst.node, now));
+            if factor > 1.0 {
+                if let Some(me) = &me {
+                    me.advance(t * (factor - 1.0));
+                }
+                return t * factor;
+            }
+        }
+        t
     }
 }
 

@@ -33,7 +33,7 @@
 //! sender's tensors on the fast path is observationally identical.
 
 use crate::server::Server;
-use crate::transport::Transport;
+use crate::transport::{Route, Transport};
 use tfhpc_core::{CoreError, Result, TensorProto};
 use tfhpc_proto::{frame, Message};
 use tfhpc_tensor::Tensor;
@@ -50,7 +50,8 @@ pub fn payload_crc(t: &Tensor) -> u32 {
 }
 
 /// Verify `tensors` as they traverse the wire across `nodes` (the
-/// endpoints the transfer touches, in path order) under `transport`.
+/// endpoints the transfer touches, in path order) under `route`'s
+/// transport and the fault plan it resolved.
 /// Returns the delivered tensors — bit-exact when verification passes
 /// — or transient [`CoreError::DataLoss`] after counting the
 /// detection and the requested retransmission on `server`'s
@@ -63,16 +64,15 @@ pub fn payload_crc(t: &Tensor) -> u32 {
 /// flip is detected and retransmitted.
 pub(crate) fn transfer(
     server: &Server,
+    route: &Route,
     what: &str,
     nodes: &[usize],
     tensors: &[Tensor],
-    transport: Transport,
 ) -> Result<Vec<Tensor>> {
-    let plan = server.try_cluster()?.faults();
     let now = tfhpc_sim::des::current().map(|p| p.now()).unwrap_or(0.0);
     // Bind the plan together with the corrupt node so the slow path
     // can't be entered without the plan that scheduled it.
-    let corrupt = plan.as_ref().and_then(|p| {
+    let corrupt = route.plan.as_ref().and_then(|p| {
         nodes
             .iter()
             .copied()
@@ -81,7 +81,7 @@ pub(crate) fn transfer(
     });
 
     let Some((plan, node)) = corrupt else {
-        match transport {
+        match route.transport {
             // Fast path, staged-copy: checksum the raw storage at both
             // endpoints and deliver the sender's buffer on match. The
             // mismatch arm is unreachable without injection (same

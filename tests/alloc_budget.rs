@@ -8,9 +8,11 @@
 //! runs the paper's CG worker update (`mul_scalar → sub`,
 //! `mul_scalar → add` on `Gpu(0)`) in virtual time and checks that the
 //! rewritten program charges, counts and reports exactly what the
-//! node-by-node program does. Last, the receive side of the wire: a
+//! node-by-node program does. Last, the wire in real mode: a
 //! steady-state `remote_assign_add` of a 1 MiB vector between two
-//! real-mode tasks allocates no buffer at all.
+//! tasks allocates no buffer at all, and a queue-pair reduction round
+//! allocates a pinned number of times on the worker and on the reducer
+//! — none of them a `format!`-ed queue name on the reducer's side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +22,7 @@ use parking_lot::Mutex;
 use tfhpc_core::{
     DeviceCtx, Graph, NodeId, Placement, Resources, RunMetadata, Session, SessionOptions,
 };
-use tfhpc_dist::{launch, JobSpec, LaunchConfig, TaskKey};
+use tfhpc_dist::{launch, worker_all_reduce, JobSpec, LaunchConfig, ReduceOp, Reducer, TaskKey};
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::{tegner_k420, tegner_k80};
@@ -418,4 +420,52 @@ fn steady_state_remote_assign_add_allocates_no_buffer() {
     let acc = ps.resources.variable("acc").unwrap().read();
     let want = 3.0 * (5 + PUSHES) as f64;
     assert!(acc.as_f64().unwrap().iter().all(|v| *v == want));
+}
+
+#[test]
+fn steady_state_reduction_round_allocates_a_pinned_number_of_times() {
+    // The benchmark's `dist-reduce` op: reducer x 1 + worker x 2 in
+    // real mode, an 8-byte scalar per worker per round. Each side
+    // counts its own thread's calls over the same rounds.
+    const WARMUP: usize = 20;
+    const ROUNDS: u64 = 200;
+    let cfg = LaunchConfig::real(
+        tegner_k420(),
+        vec![JobSpec::new("reducer", 1, 0), JobSpec::new("worker", 2, 0)],
+        Protocol::Grpc,
+    );
+    // (reducer, worker 0) allocation calls over `ROUNDS` rounds.
+    let counted = Arc::new(Mutex::new((0u64, 0u64)));
+    let sink = Arc::clone(&counted);
+    launch(&cfg, move |ctx| {
+        if ctx.job() == "reducer" {
+            let reducer = Reducer::new(Arc::clone(&ctx.server), "r", 2, ReduceOp::Sum);
+            reducer.serve(WARMUP)?;
+            sink.lock().0 = allocations(|| reducer.serve(ROUNDS as usize).unwrap());
+            return Ok(());
+        }
+        let (w, reducer) = (ctx.index(), TaskKey::new("reducer", 0));
+        let round = || {
+            let mine = Tensor::scalar_f64(1.0 + w as f64);
+            let sum = worker_all_reduce(&ctx.server, &reducer, "r", w, mine, None).unwrap();
+            assert_eq!(sum.scalar_value_f64().unwrap(), 3.0);
+        };
+        (0..WARMUP).for_each(|_| round());
+        let calls = allocations(|| (0..ROUNDS).for_each(|_| round()));
+        if w == 0 {
+            sink.lock().1 = calls;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let (reducer, worker) = *counted.lock();
+    // Reducer, per round: the slot list (the partials list and the
+    // fold's slots reuse it), the sum's buffer and its `Arc`, and one
+    // result tuple per worker. The queues are held as handles, so no
+    // queue name is formatted: with `1 + W` names this would read 8.
+    assert_eq!(reducer, 5 * ROUNDS, "reducer calls in {ROUNDS} rounds");
+    // Worker, per round: buffer and `Arc` of its partial and of the
+    // tag, the tuple, the two queue names, and one delivered-tensor
+    // list per direction.
+    assert_eq!(worker, 9 * ROUNDS, "worker calls in {ROUNDS} rounds");
 }
