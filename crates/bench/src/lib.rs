@@ -1,11 +1,13 @@
 //! # tfhpc-bench
 //!
-//! Figure-regeneration harnesses and micro-benchmarks. One binary per
-//! table/figure of the paper's evaluation (§VI):
+//! Figure-regeneration harnesses and micro-benchmarks: sixteen
+//! binaries, one per table/figure of the paper's evaluation (§VI), per
+//! ablation, and per committed `BENCH_*.json` baseline.
 //!
 //! | binary | artifact |
 //! |---|---|
 //! | `table1` | Table I — TF instances per node |
+//! | `fig3_timeline` | Fig. 3 — CG stage timeline (Chrome trace + per-track summary) |
 //! | `fig7_stream` | Fig. 7 — STREAM bandwidth by protocol |
 //! | `fig8_matmul` | Fig. 8 — tiled matmul strong scaling (+ Fig. 9 topology via `--topology`) |
 //! | `fig10_cg` | Fig. 10 — CG solver strong scaling |
@@ -14,10 +16,16 @@
 //! | `ablation_numa` | A2 — Kebnekaise ranks-per-node contention |
 //! | `ablation_tiles` | A3 — tile size & reducer count |
 //! | `ablation_merge` | A4 — FFT host-merge (Python) tax |
+//! | `ablation_allreduce` | A5 — queue-pair reducer vs ring all-reduce |
+//! | `ablation_cg_reduction` | A6 — CG with the reducer vs the ring |
+//! | `ablation_weak_scaling` | A7 — matmul weak scaling |
+//! | `bench_runtime` | `BENCH_runtime.json` — step-replay overhead, kernel floors |
+//! | `bench_serving` | `BENCH_serving.json` — multi-tenant serving load mix |
+//! | `bench_transport` | `BENCH_transport.json` — transports and all-reduce family |
 //!
-//! Each binary prints aligned rows of *measured* values next to the
-//! paper's reported numbers/shape so `EXPERIMENTS.md` can be refreshed
-//! by copy-paste.
+//! The table, figure and ablation binaries print aligned rows of
+//! *measured* values next to the paper's reported numbers/shape so
+//! `EXPERIMENTS.md` can be refreshed by copy-paste.
 
 /// One row of a figure table: a label, the measured value, and the
 /// paper's reported value/shape (when the paper gives one).

@@ -10,9 +10,10 @@
 //! the whole stack. (Each simulated process is an OS thread, so the
 //! thread-local is also a per-sim-process local.)
 //!
-//! The expiry is absolute in the caller's time domain — virtual
-//! seconds inside a simulated process, monotonic wall seconds
-//! otherwise — so sleeping through it is impossible to miss. Scopes
+//! The expiry is absolute on the caller's clock
+//! ([`tfhpc_sim::clock::now`]: virtual seconds inside a simulated
+//! process, monotonic wall seconds otherwise) — so sleeping through it
+//! is impossible to miss. Scopes
 //! nest by shrinking: an inner `with_deadline` can only tighten the
 //! budget, never extend what the outer request granted.
 //!
@@ -27,24 +28,10 @@
 use std::cell::Cell;
 
 use crate::error::{CoreError, Result};
+use tfhpc_sim::clock;
 
 thread_local! {
     static DEADLINE_S: Cell<Option<f64>> = const { Cell::new(None) };
-}
-
-/// Current time in the caller's domain: virtual seconds inside a
-/// simulated process, monotonic wall seconds (process-relative)
-/// otherwise.
-pub fn now_s() -> f64 {
-    match tfhpc_sim::des::current() {
-        Some(me) => me.now(),
-        None => {
-            use std::sync::OnceLock;
-            use std::time::Instant;
-            static EPOCH: OnceLock<Instant> = OnceLock::new();
-            EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
-        }
-    }
 }
 
 /// RAII scope for an ambient deadline: restores the previous budget
@@ -65,7 +52,7 @@ impl Drop for DeadlineGuard {
 /// inner and outer expiry — a callee can tighten the caller's budget
 /// but never extend it.
 pub fn with_deadline(timeout_s: f64) -> DeadlineGuard {
-    let abs = now_s() + timeout_s.max(0.0);
+    let abs = clock::now() + timeout_s.max(0.0);
     let prev = DEADLINE_S.with(|d| d.get());
     let effective = match prev {
         Some(p) => p.min(abs),
@@ -83,7 +70,7 @@ pub fn deadline_s() -> Option<f64> {
 /// Remaining budget in seconds (may be ≤ 0 once expired); `None` when
 /// no deadline scope is active.
 pub fn remaining_s() -> Option<f64> {
-    deadline_s().map(|d| d - now_s())
+    deadline_s().map(|d| d - clock::now())
 }
 
 /// Fail with [`CoreError::DeadlineExceeded`] when the ambient budget
@@ -124,6 +111,19 @@ mod tests {
             assert!(check("op").is_ok());
         }
         assert_eq!(deadline_s(), None, "outer scope restored");
+    }
+
+    #[test]
+    fn deadline_and_observability_read_one_clock() {
+        // A scope opened at `t` expires at `t + budget` on the clock
+        // queue residency is stamped with: one epoch per process, even
+        // when the two are first read 5 ms apart.
+        tfhpc_obs::now_seconds();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let before = tfhpc_obs::now_seconds();
+        let _g = with_deadline(100.0);
+        let expiry = deadline_s().expect("deadline installed");
+        assert!(before + 100.0 <= expiry && expiry <= tfhpc_obs::now_seconds() + 100.0);
     }
 
     #[test]

@@ -1,32 +1,30 @@
 //! Bounded FIFO queues of tensor tuples — the `tf.FIFOQueue` the
 //! paper's reducers and map-reduce pipelines are built from.
 //!
-//! A queue blocks consumers when empty and producers when full, in both
-//! execution modes:
+//! A queue blocks consumers when empty and producers when full. It is
+//! written once over [`tfhpc_sim::clock::Cv`], which binds it at
+//! creation to the wall clock (OS threads) or to a simulation's
+//! virtual clock (parked dequeues then wake at the notifier's virtual
+//! time, which is what makes the queue-pair reducer pattern cost what
+//! it should).
 //!
-//! * **real mode** — parking_lot mutex + condvars across OS threads.
-//!   Wake rule: a thread counts itself in `parked_consumers` /
-//!   `parked_producers` under the queue mutex around each condvar wait,
-//!   and whoever changes the queue reads that count under the same
-//!   mutex. It then drops the mutex *before* `notify_one`, and skips
-//!   the notify when the count was zero — the woken thread never finds
-//!   the lock still held by its waker, and nobody pays a wake-up
-//!   syscall for an empty wait list;
-//! * **sim mode** — [`tfhpc_sim::des::SimCondvar`]s, so blocking
-//!   dequeues park the simulated process and wake at the notifier's
-//!   virtual time (this is what makes the queue-pair reducer pattern
-//!   cost what it should).
+//! Wake rule: a waiter counts itself in `parked_consumers` /
+//! `parked_producers` under the queue mutex around each wait, and
+//! whoever changes the queue reads that count under the same mutex,
+//! drops the mutex, *then* calls [`Cv::wake`] with it. On the wall
+//! clock the woken thread therefore never finds the lock still held by
+//! its waker, and nobody pays a wake-up syscall for an empty wait list.
 //!
 //! Closing a queue follows TensorFlow semantics: further enqueues fail;
 //! dequeues drain remaining elements and then fail with
 //! `QueueClosed` (TensorFlow's `OutOfRangeError`).
 
 use crate::error::{CoreError, Result};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tfhpc_sim::des::SimCondvar;
+use tfhpc_sim::clock::{self, Cv};
 use tfhpc_tensor::Tensor;
 
 struct QueueState {
@@ -39,22 +37,11 @@ struct QueueState {
     /// error. Set when the owning task dies or the supervisor tears a
     /// generation down.
     aborted: Option<CoreError>,
-    /// Real-mode threads inside `not_empty.wait` / `wait_for` right
-    /// now, written only under the queue mutex (see the module docs).
+    /// Waiters inside a `not_empty` wait right now, written only under
+    /// the queue mutex (see the module docs).
     parked_consumers: usize,
-    /// Real-mode threads inside `not_full.wait` right now.
+    /// Waiters inside a `not_full` wait right now.
     parked_producers: usize,
-}
-
-enum Waiters {
-    Real {
-        not_empty: Condvar,
-        not_full: Condvar,
-    },
-    Sim {
-        not_empty: SimCondvar,
-        not_full: SimCondvar,
-    },
 }
 
 /// Always-on activity counters backing `StepStats` and the global
@@ -94,22 +81,13 @@ impl QueueStats {
     }
 }
 
-/// The second half of the real-mode wake rule (module docs): release
-/// the queue mutex first, then wake one waiter if `parked` — the count
-/// read under that mutex — says there is one.
-fn unlock_then_wake(st: MutexGuard<'_, QueueState>, parked: usize, cv: &Condvar) {
-    drop(st);
-    if parked > 0 {
-        cv.notify_one();
-    }
-}
-
 /// A bounded FIFO queue of tensor tuples.
 pub struct FifoQueue {
     name: String,
     capacity: usize,
     state: Mutex<QueueState>,
-    waiters: Waiters,
+    not_empty: Cv,
+    not_full: Cv,
     stats: QueueStats,
 }
 
@@ -117,16 +95,6 @@ impl FifoQueue {
     /// Create a queue. When called from inside a simulated process the
     /// queue binds to that simulation's virtual clock.
     pub fn new(name: &str, capacity: usize) -> Arc<FifoQueue> {
-        let waiters = match tfhpc_sim::des::current() {
-            Some(me) => Waiters::Sim {
-                not_empty: me.sim().condvar(&format!("queue:{name}:not_empty")),
-                not_full: me.sim().condvar(&format!("queue:{name}:not_full")),
-            },
-            None => Waiters::Real {
-                not_empty: Condvar::new(),
-                not_full: Condvar::new(),
-            },
-        };
         Arc::new(FifoQueue {
             name: name.to_string(),
             capacity: capacity.max(1),
@@ -137,7 +105,8 @@ impl FifoQueue {
                 parked_consumers: 0,
                 parked_producers: 0,
             }),
-            waiters,
+            not_empty: Cv::here(|| format!("queue:{name}:not_empty")),
+            not_full: Cv::here(|| format!("queue:{name}:not_full")),
             stats: QueueStats::new(name),
         })
     }
@@ -157,7 +126,7 @@ impl FifoQueue {
     /// Record a dequeue of an element enqueued at `ts` that left the
     /// queue `depth` deep.
     fn note_dequeue(&self, ts: f64, depth: usize) {
-        let residency = (tfhpc_obs::now_seconds() - ts).max(0.0);
+        let residency = (clock::now() - ts).max(0.0);
         self.stats.dequeued.fetch_add(1, Ordering::Relaxed);
         let mut cur = self.stats.residency_bits.load(Ordering::Relaxed);
         loop {
@@ -221,59 +190,25 @@ impl FifoQueue {
 
     /// Blocking enqueue of one tuple.
     pub fn enqueue(&self, tuple: Vec<Tensor>) -> Result<()> {
-        match &self.waiters {
-            Waiters::Real {
-                not_empty,
-                not_full,
-            } => {
-                let mut st = self.state.lock();
-                while st.items.len() >= self.capacity && !st.closed && st.aborted.is_none() {
-                    st.parked_producers += 1;
-                    not_full.wait(&mut st);
-                    st.parked_producers -= 1;
-                }
-                if let Some(err) = &st.aborted {
-                    return Err(err.clone());
-                }
-                if st.closed {
-                    return Err(CoreError::QueueClosed(self.name.clone()));
-                }
-                st.items.push_back((tfhpc_obs::now_seconds(), tuple));
-                let depth = st.items.len();
-                let parked = st.parked_consumers;
-                unlock_then_wake(st, parked, not_empty);
-                self.note_enqueue(depth);
-                Ok(())
-            }
-            Waiters::Sim {
-                not_empty,
-                not_full,
-            } => {
-                loop {
-                    {
-                        let mut st = self.state.lock();
-                        if let Some(err) = &st.aborted {
-                            return Err(err.clone());
-                        }
-                        if st.closed {
-                            return Err(CoreError::QueueClosed(self.name.clone()));
-                        }
-                        if st.items.len() < self.capacity {
-                            st.items.push_back((tfhpc_obs::now_seconds(), tuple));
-                            let depth = st.items.len();
-                            drop(st);
-                            self.note_enqueue(depth);
-                            break;
-                        }
-                    }
-                    // Only one sim process runs at a time: no lost
-                    // wakeups between the unlock above and this wait.
-                    not_full.wait();
-                }
-                not_empty.notify_all();
-                Ok(())
-            }
+        let mut st = self.state.lock();
+        while st.items.len() >= self.capacity && !st.closed && st.aborted.is_none() {
+            st.parked_producers += 1;
+            st = self.not_full.wait(&self.state, st);
+            st.parked_producers -= 1;
         }
+        if let Some(err) = &st.aborted {
+            return Err(err.clone());
+        }
+        if st.closed {
+            return Err(CoreError::QueueClosed(self.name.clone()));
+        }
+        st.items.push_back((clock::now(), tuple));
+        let depth = st.items.len();
+        let parked = st.parked_consumers;
+        drop(st);
+        self.not_empty.wake(parked);
+        self.note_enqueue(depth);
+        Ok(())
     }
 
     /// Blocking dequeue of one tuple. Errors with `QueueClosed` once
@@ -286,138 +221,63 @@ impl FifoQueue {
     /// an empty queue surfaces `DeadlineExceeded` once the budget runs
     /// out rather than waiting on a partitioned or dead producer.
     pub fn dequeue(&self) -> Result<Vec<Tensor>> {
-        if let Some(remaining) = crate::deadline::remaining_s() {
-            return self.dequeue_timeout(remaining.max(0.0));
-        }
-        match &self.waiters {
-            Waiters::Real {
-                not_empty,
-                not_full,
-            } => {
-                let mut st = self.state.lock();
-                loop {
-                    if let Some(err) = &st.aborted {
-                        return Err(err.clone());
-                    }
-                    if let Some((ts, tuple)) = st.items.pop_front() {
-                        let depth = st.items.len();
-                        let parked = st.parked_producers;
-                        unlock_then_wake(st, parked, not_full);
-                        self.note_dequeue(ts, depth);
-                        return Ok(tuple);
-                    }
-                    if st.closed {
-                        return Err(CoreError::QueueClosed(self.name.clone()));
-                    }
-                    st.parked_consumers += 1;
-                    not_empty.wait(&mut st);
-                    st.parked_consumers -= 1;
-                }
-            }
-            Waiters::Sim {
-                not_empty,
-                not_full,
-            } => loop {
-                {
-                    let mut st = self.state.lock();
-                    if let Some(err) = &st.aborted {
-                        return Err(err.clone());
-                    }
-                    if let Some((ts, tuple)) = st.items.pop_front() {
-                        let depth = st.items.len();
-                        drop(st);
-                        self.note_dequeue(ts, depth);
-                        not_full.notify_all();
-                        return Ok(tuple);
-                    }
-                    if st.closed {
-                        return Err(CoreError::QueueClosed(self.name.clone()));
-                    }
-                }
-                not_empty.wait();
-            },
+        match crate::deadline::remaining_s() {
+            Some(remaining) => self.dequeue_timeout(remaining.max(0.0)),
+            None => self.dequeue_by(None),
         }
     }
 
     /// [`FifoQueue::dequeue`] with a deadline: gives up with
-    /// `DeadlineExceeded` after `timeout_s` seconds — *virtual* seconds
-    /// when the queue is sim-bound (the caller's clock then sits at
-    /// exactly `now + timeout_s`), wall-clock seconds otherwise. This
-    /// is the primitive that keeps consumers from parking forever on a
-    /// dead producer.
+    /// `DeadlineExceeded` after `timeout_s` seconds on the queue's
+    /// clock — *virtual* seconds when it is sim-bound (the caller's
+    /// clock then sits at exactly `now + timeout_s`), wall-clock
+    /// seconds otherwise. This is the primitive that keeps consumers
+    /// from parking forever on a dead producer.
     pub fn dequeue_timeout(&self, timeout_s: f64) -> Result<Vec<Tensor>> {
-        match &self.waiters {
-            Waiters::Real {
-                not_empty,
-                not_full,
-            } => {
-                let deadline =
-                    std::time::Instant::now() + std::time::Duration::from_secs_f64(timeout_s);
-                let mut st = self.state.lock();
-                loop {
-                    if let Some(err) = &st.aborted {
-                        return Err(err.clone());
-                    }
-                    if let Some((ts, tuple)) = st.items.pop_front() {
-                        let depth = st.items.len();
-                        let parked = st.parked_producers;
-                        unlock_then_wake(st, parked, not_full);
-                        self.note_dequeue(ts, depth);
-                        return Ok(tuple);
-                    }
-                    if st.closed {
-                        return Err(CoreError::QueueClosed(self.name.clone()));
-                    }
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return Err(CoreError::DeadlineExceeded(format!(
-                            "dequeue on `{}` after {timeout_s}s",
-                            self.name
-                        )));
-                    }
-                    st.parked_consumers += 1;
-                    not_empty.wait_for(&mut st, deadline - now);
-                    st.parked_consumers -= 1;
-                }
+        if !self.not_empty.can_wait_here() {
+            return Err(CoreError::Invalid(format!(
+                "queue `{}` is sim-bound but dequeue_timeout was called \
+                 from a non-simulated thread",
+                self.name
+            )));
+        }
+        self.dequeue_by(Some(clock::now() + timeout_s))
+    }
+
+    /// Pop the head, parking while the queue is empty and open — until
+    /// `deadline` on the queue's clock when there is one.
+    fn dequeue_by(&self, deadline: Option<f64>) -> Result<Vec<Tensor>> {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(err) = &st.aborted {
+                return Err(err.clone());
             }
-            Waiters::Sim {
-                not_empty,
-                not_full,
-            } => {
-                let me = tfhpc_sim::des::current().ok_or_else(|| {
-                    CoreError::Invalid(format!(
-                        "queue `{}` is sim-bound but dequeue_timeout was called \
-                         from a non-simulated thread",
+            if let Some((ts, tuple)) = st.items.pop_front() {
+                let depth = st.items.len();
+                let parked = st.parked_producers;
+                drop(st);
+                self.not_full.wake(parked);
+                self.note_dequeue(ts, depth);
+                return Ok(tuple);
+            }
+            if st.closed {
+                return Err(CoreError::QueueClosed(self.name.clone()));
+            }
+            let timed = deadline.map(|deadline| (deadline, clock::now()));
+            if let Some((deadline, now)) = timed {
+                if now >= deadline {
+                    return Err(CoreError::DeadlineExceeded(format!(
+                        "dequeue on `{}` past its deadline t={deadline:.6}s",
                         self.name
-                    ))
-                })?;
-                let deadline = me.now() + timeout_s;
-                loop {
-                    {
-                        let mut st = self.state.lock();
-                        if let Some(err) = &st.aborted {
-                            return Err(err.clone());
-                        }
-                        if let Some((ts, tuple)) = st.items.pop_front() {
-                            let depth = st.items.len();
-                            drop(st);
-                            self.note_dequeue(ts, depth);
-                            not_full.notify_all();
-                            return Ok(tuple);
-                        }
-                        if st.closed {
-                            return Err(CoreError::QueueClosed(self.name.clone()));
-                        }
-                    }
-                    if me.now() >= deadline {
-                        return Err(CoreError::DeadlineExceeded(format!(
-                            "dequeue on `{}` at virtual t={deadline:.6}",
-                            self.name
-                        )));
-                    }
-                    not_empty.wait_until(deadline);
+                    )));
                 }
             }
+            st.parked_consumers += 1;
+            st = match timed {
+                Some((deadline, now)) => self.not_empty.wait_until(&self.state, st, deadline, now),
+                None => self.not_empty.wait(&self.state, st),
+            };
+            st.parked_consumers -= 1;
         }
     }
 
@@ -439,26 +299,16 @@ impl FifoQueue {
             return Ok(None);
         };
         let depth = st.items.len();
-        let wake = st.parked_producers > 0;
+        let parked = st.parked_producers;
         drop(st);
+        self.not_full.wake(parked);
         self.note_dequeue(ts, depth);
-        match &self.waiters {
-            Waiters::Real { not_full, .. } => {
-                if wake {
-                    not_full.notify_one();
-                }
-            }
-            Waiters::Sim { not_full, .. } => {
-                self.notify_sim(not_full);
-            }
-        }
         Ok(Some(tuple))
     }
 
-    /// Real-mode threads parked in this queue right now, as
-    /// `(consumers, producers)`; `(0, 0)` on a sim-bound queue, whose
-    /// waits belong to the DES. Lets tests wait for "the other thread
-    /// is parked" instead of sleeping and hoping.
+    /// Threads or simulated processes parked in this queue right now,
+    /// as `(consumers, producers)`. Lets tests wait for "the other
+    /// thread is parked" instead of sleeping and hoping.
     #[doc(hidden)]
     pub fn parked(&self) -> (usize, usize) {
         let st = self.state.lock();
@@ -486,22 +336,8 @@ impl FifoQueue {
                 self.stats.m_depth.set(0.0);
             }
         }
-        match &self.waiters {
-            Waiters::Real {
-                not_empty,
-                not_full,
-            } => {
-                not_empty.notify_all();
-                not_full.notify_all();
-            }
-            Waiters::Sim {
-                not_empty,
-                not_full,
-            } => {
-                self.notify_sim(not_empty);
-                self.notify_sim(not_full);
-            }
-        }
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
     /// Abort the queue with `err` (first abort wins, later calls are
@@ -517,42 +353,13 @@ impl FifoQueue {
             }
             st.aborted = Some(err);
         }
-        match &self.waiters {
-            Waiters::Real {
-                not_empty,
-                not_full,
-            } => {
-                not_empty.notify_all();
-                not_full.notify_all();
-            }
-            Waiters::Sim {
-                not_empty,
-                not_full,
-            } => {
-                self.notify_sim(not_empty);
-                self.notify_sim(not_full);
-            }
-        }
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
     /// The sticky abort error, when aborted.
     pub fn abort_error(&self) -> Option<CoreError> {
         self.state.lock().aborted.clone()
-    }
-
-    /// Notify one of a sim-bound queue's condvars. A sim condvar can
-    /// only be notified from inside a simulated process; silently
-    /// dropping the wakeup would leave parked sim processes blocked
-    /// forever, so a non-sim caller is a bug worth failing loudly on.
-    fn notify_sim(&self, cv: &SimCondvar) {
-        assert!(
-            tfhpc_sim::des::current().is_some(),
-            "queue `{}` is bound to a simulation but was signalled from a \
-             non-simulated thread; sim-bound queues must only be used from \
-             inside simulated processes",
-            self.name
-        );
-        cv.notify_all();
     }
 }
 
@@ -688,6 +495,7 @@ mod tests {
             sim.spawn("closer", move || {
                 current().unwrap().advance(2.0);
                 let q = q_slot.lock().as_ref().unwrap().clone();
+                assert_eq!(q.parked(), (1, 0), "the consumer process is counted");
                 q.enqueue(vec![Tensor::scalar_f64(1.0)]).unwrap();
                 // Buffered element is cancelled; the parked consumer
                 // wakes with QueueClosed, not the value.
@@ -700,6 +508,27 @@ mod tests {
         // (woken by the enqueue) or saw the close; under the DES the
         // schedule is deterministic — it wakes on the enqueue first.
         assert!(got.is_ok() || matches!(got, Err(CoreError::QueueClosed(_))));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a sim process")]
+    fn a_sim_bound_queue_refuses_non_simulated_threads() {
+        // Made inside a simulation, used after its run: this thread is
+        // then a non-simulated one holding a sim-bound queue.
+        let sim = tfhpc_sim::des::Sim::new();
+        let slot = Arc::new(Mutex::new(None));
+        let filled = Arc::clone(&slot);
+        sim.spawn("owner", move || {
+            *filled.lock() = Some(FifoQueue::new("simq-misuse", 4));
+        });
+        sim.run();
+        let q = slot.lock().take().expect("owner ran");
+        assert!(matches!(
+            q.dequeue_timeout(0.01),
+            Err(CoreError::Invalid(_))
+        ));
+        // Panics rather than drop a wake-up some parked process needs.
+        q.close();
     }
 
     #[test]

@@ -262,10 +262,7 @@ impl Resources {
             if waited >= timeout_s {
                 return Err(CoreError::NotFound(format!("{kind} `{name}`")));
             }
-            match tfhpc_sim::des::current() {
-                Some(me) => me.advance(POLL_S),
-                None => std::thread::sleep(std::time::Duration::from_secs_f64(POLL_S)),
-            }
+            tfhpc_sim::clock::sleep(POLL_S);
             waited += POLL_S;
         }
     }

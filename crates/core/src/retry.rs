@@ -70,18 +70,6 @@ pub fn unit_hash(salt: &str, attempt: usize) -> f64 {
     (h.0 >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Sleep `secs` in the caller's time domain: virtual time inside a
-/// simulated process, wall clock otherwise.
-fn backoff_sleep(secs: f64) {
-    if secs <= 0.0 {
-        return;
-    }
-    match tfhpc_sim::des::current() {
-        Some(me) => me.advance(secs),
-        None => std::thread::sleep(std::time::Duration::from_secs_f64(secs)),
-    }
-}
-
 impl RetryConfig {
     /// No retries: every error propagates on the first attempt.
     pub fn disabled() -> RetryConfig {
@@ -151,7 +139,7 @@ impl RetryConfig {
                     if let Some(r) = resources {
                         r.note_retry();
                     }
-                    backoff_sleep(backoff);
+                    tfhpc_sim::clock::sleep(backoff);
                     attempt += 1;
                 }
                 Err(e) => return Err(e),

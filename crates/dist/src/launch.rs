@@ -50,12 +50,13 @@ use crate::cluster_spec::TaskKey;
 use crate::membership::{Liveness, Membership, MembershipEvent};
 use crate::resolver::{resolve_with_policy, JobSpec, Resolved};
 use crate::server::{Server, TfCluster};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tfhpc_core::env::env_f64;
 use tfhpc_core::{CoreError, Result, RetryConfig};
+use tfhpc_sim::clock::{self, Cv};
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::fault::{FaultEvent, FaultPlan};
 use tfhpc_sim::net::Protocol;
@@ -593,6 +594,14 @@ fn spawn_heartbeat<F>(
     });
 }
 
+/// Park a real-mode liveness thread for one heartbeat period, or until
+/// teardown sets the flag and notifies; true once the flag is set.
+fn stopped_within((flag, cv): &(Mutex<bool>, Cv), period: f64) -> bool {
+    let stopped = flag.lock();
+    let now = clock::now();
+    *stopped || *cv.wait_until(flag, stopped, now + period.max(1e-3), now)
+}
+
 /// Spawn the per-generation liveness monitor: sweeps the membership
 /// table every period and routes death verdicts into [`supervise`].
 fn spawn_monitor<F>(shared: &Arc<SupShared<F>>, generation: u64)
@@ -1121,7 +1130,7 @@ where
         None => {
             let errors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
             let exits: Arc<Mutex<Vec<TaskExit>>> = Arc::new(Mutex::new(Vec::new()));
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let stop = Arc::new((Mutex::new(false), Cv::Real(Condvar::new())));
             let mut aux: Vec<std::thread::JoinHandle<()>> = Vec::new();
             // Real-mode liveness is report-only: a silent task is
             // marked dead so peers unblock, but nothing restarts it.
@@ -1129,28 +1138,24 @@ where
                 let m = Arc::clone(m);
                 let stop = Arc::clone(&stop);
                 let cluster = Arc::clone(&cluster);
-                let period = m.period_s().max(1e-3);
                 aux.push(
                     std::thread::Builder::new()
                         .name("liveness-monitor".into())
-                        .spawn(move || {
-                            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                                for ev in m.sweep(tfhpc_obs::now_seconds()) {
-                                    if ev.to == Liveness::Dead {
-                                        observe_detection(ev.silent_for_s);
-                                        tfhpc_obs::global()
-                                            .counter("tfhpc_liveness_deaths_total")
-                                            .inc();
-                                        cluster.mark_dead(
-                                            &ev.key,
-                                            &format!(
-                                                "missed heartbeats for {:.3}s",
-                                                ev.silent_for_s
-                                            ),
-                                        );
-                                    }
+                        .spawn(move || loop {
+                            for ev in m.sweep(tfhpc_obs::now_seconds()) {
+                                if ev.to == Liveness::Dead {
+                                    observe_detection(ev.silent_for_s);
+                                    tfhpc_obs::global()
+                                        .counter("tfhpc_liveness_deaths_total")
+                                        .inc();
+                                    cluster.mark_dead(
+                                        &ev.key,
+                                        &format!("missed heartbeats for {:.3}s", ev.silent_for_s),
+                                    );
                                 }
-                                std::thread::sleep(std::time::Duration::from_secs_f64(period));
+                            }
+                            if stopped_within(&stop, m.period_s()) {
+                                break;
                             }
                         })
                         .expect("spawn liveness monitor thread"),
@@ -1174,16 +1179,15 @@ where
                     let stop = Arc::clone(&stop);
                     let done = Arc::clone(&done);
                     let key = key.clone();
-                    let period = m.period_s().max(1e-3);
                     aux.push(
                         std::thread::Builder::new()
                             .name(format!("hb:{key}"))
                             .spawn(move || {
-                                while !stop.load(std::sync::atomic::Ordering::SeqCst)
-                                    && !done.load(std::sync::atomic::Ordering::SeqCst)
-                                {
+                                while !done.load(std::sync::atomic::Ordering::SeqCst) {
                                     m.beat(&key, tfhpc_obs::now_seconds());
-                                    std::thread::sleep(std::time::Duration::from_secs_f64(period));
+                                    if stopped_within(&stop, m.period_s()) {
+                                        break;
+                                    }
                                 }
                             })
                             .expect("spawn heartbeat thread"),
@@ -1265,7 +1269,8 @@ where
                 }
                 running -= 1;
             }
-            stop.store(true, std::sync::atomic::Ordering::SeqCst);
+            *stop.0.lock() = true;
+            stop.1.notify_all();
             for h in aux {
                 let _ = h.join();
             }
@@ -1684,5 +1689,10 @@ mod tests {
         for (_, rec) in m.members() {
             assert_eq!(rec.state, Liveness::Left);
         }
+        let slow = cfg.with_supervisor(SupervisorConfig::default().with_heartbeats(2.0, 60.0));
+        let began = Instant::now();
+        launch(&slow, |_ctx| Ok(())).unwrap();
+        // Teardown wakes the liveness threads rather than wait a period out.
+        assert!(began.elapsed().as_secs_f64() < 1.0);
     }
 }

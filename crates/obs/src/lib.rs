@@ -50,19 +50,12 @@ pub use metrics::{global, Counter, Gauge, Histogram, LazyCounter, Registry};
 pub use step_stats::{LinkStat, OpStat, QueueStat, StepStats};
 pub use trace::{flow_id, set_track, SpanGuard, TraceEvent, Tracer};
 
-use std::sync::OnceLock;
-use std::time::Instant;
-
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// The observability clock: virtual seconds when called from a
-/// simulated process, wall-clock seconds since the first call
-/// otherwise. Reading it never advances the DES.
+/// The observability clock — [`tfhpc_sim::clock::now`], the one clock
+/// queues, deadlines and retries also read: virtual seconds when called
+/// from a simulated process, wall-clock seconds since the process's
+/// first read otherwise. Reading it never advances the DES.
 pub fn now_seconds() -> f64 {
-    match tfhpc_sim::des::current() {
-        Some(me) => me.now(),
-        None => EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64(),
-    }
+    tfhpc_sim::clock::now()
 }
 
 #[cfg(test)]

@@ -18,13 +18,14 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tfhpc_apps::{digest_tensors, RequestSpec};
 use tfhpc_core::{
     CoreError, DeviceCtx, NodeId, Resources, Result, Session, SessionOptions, SharedPlanCache,
 };
+use tfhpc_sim::clock::Cv;
 use tfhpc_sim::topology::ClusterSim;
-use tfhpc_sim::{Sim, SimCondvar};
+use tfhpc_sim::Sim;
 use tfhpc_tensor::Tensor;
 
 use crate::admission::{AdmissionController, TenantQuota, TenantUsage};
@@ -100,51 +101,6 @@ struct ServeState {
     open: bool,
 }
 
-/// A condition on [`ServeState`], in wall-clock or virtual time.
-enum ServeCv {
-    Real(Condvar),
-    Sim(SimCondvar),
-}
-
-impl ServeCv {
-    fn notify_all(&self) {
-        match self {
-            ServeCv::Real(cv) => {
-                cv.notify_all();
-            }
-            ServeCv::Sim(cv) => cv.notify_all(),
-        }
-    }
-
-    /// Block until `ready` yields a value from the state. In sim mode
-    /// this must be called from a simulated process.
-    fn wait_for<T>(
-        &self,
-        state: &Mutex<ServeState>,
-        mut ready: impl FnMut(&ServeState) -> Option<T>,
-    ) -> T {
-        match self {
-            ServeCv::Real(cv) => {
-                let mut st = state.lock();
-                loop {
-                    if let Some(v) = ready(&st) {
-                        return v;
-                    }
-                    cv.wait(&mut st);
-                }
-            }
-            ServeCv::Sim(cv) => loop {
-                if let Some(v) = ready(&state.lock()) {
-                    return v;
-                }
-                // No yield point between the unlock above and the wait
-                // registering, so the wakeup cannot be lost.
-                cv.wait();
-            },
-        }
-    }
-}
-
 /// One worker's cached executable for a spec: canonical graph wrapped
 /// in a session wired to the server-wide shared plan cache.
 struct CachedStep {
@@ -161,11 +117,11 @@ pub struct SessionServer {
     state: Mutex<ServeState>,
     /// Workers wait here for a job, a batch deadline or the close;
     /// `submit` and `shutdown` notify.
-    work_cv: ServeCv,
+    work_cv: Cv,
     /// `wait` and `quiesce` wait here for results; `finish` and
     /// `shutdown` notify. Apart from `work_cv`, so that a submit does not
     /// wake the waiting clients nor a finish the idle workers.
-    done_cv: ServeCv,
+    done_cv: Cv,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     started: Instant,
     batches: AtomicU64,
@@ -173,7 +129,7 @@ pub struct SessionServer {
 }
 
 impl SessionServer {
-    fn new(cfg: ServeConfig, work_cv: ServeCv, done_cv: ServeCv) -> SessionServer {
+    fn new(cfg: ServeConfig, work_cv: Cv, done_cv: Cv) -> SessionServer {
         SessionServer {
             admission: AdmissionController::new(cfg.default_quota),
             plan_cache: Arc::new(SharedPlanCache::new(cfg.plan_cache_cap)),
@@ -201,8 +157,8 @@ impl SessionServer {
         let n = cfg.workers.max(1);
         let server = Arc::new(SessionServer::new(
             cfg,
-            ServeCv::Real(Condvar::new()),
-            ServeCv::Real(Condvar::new()),
+            Cv::Real(Condvar::new()),
+            Cv::Real(Condvar::new()),
         ));
         let mut handles = Vec::with_capacity(n);
         for w in 0..n {
@@ -228,8 +184,8 @@ impl SessionServer {
     ) -> Arc<SessionServer> {
         let server = Arc::new(SessionServer::new(
             cfg,
-            ServeCv::Sim(sim.condvar("serve.work")),
-            ServeCv::Sim(sim.condvar("serve.done")),
+            Cv::on(sim, "serve.work"),
+            Cv::on(sim, "serve.done"),
         ));
         for (w, &node) in worker_nodes.iter().enumerate() {
             let srv = Arc::clone(&server);
@@ -370,14 +326,21 @@ impl SessionServer {
     /// mode this must be called from a simulated process (closed-loop
     /// clients are DES processes).
     pub fn wait(&self, id: u64) -> JobResult {
-        self.done_cv
-            .wait_for(&self.state, |st| st.done.get(&id).cloned())
+        let mut st = self.state.lock();
+        loop {
+            if let Some(result) = st.done.get(&id) {
+                return result.clone();
+            }
+            st = self.done_cv.wait(&self.state, st);
+        }
     }
 
     /// Block until every submitted job has finished.
     pub fn quiesce(&self) {
-        self.done_cv
-            .wait_for(&self.state, |st| (st.outstanding == 0).then_some(()))
+        let mut st = self.state.lock();
+        while st.outstanding > 0 {
+            st = self.done_cv.wait(&self.state, st);
+        }
     }
 
     /// Stop accepting submissions; workers drain the queues and exit.
@@ -415,26 +378,10 @@ impl SessionServer {
                     if !st.open && st.batch.is_empty() && st.custom.is_empty() {
                         break None;
                     }
-                    let deadline = st.batch.next_deadline();
-                    match &self.work_cv {
-                        ServeCv::Real(cv) => match deadline {
-                            Some(d) => {
-                                let dur = (d - now).max(0.0);
-                                cv.wait_for(&mut st, Duration::from_secs_f64(dur));
-                            }
-                            None => cv.wait(&mut st),
-                        },
-                        ServeCv::Sim(cv) => {
-                            drop(st);
-                            match deadline {
-                                Some(d) => {
-                                    cv.wait_until(d);
-                                }
-                                None => cv.wait(),
-                            }
-                            st = self.state.lock();
-                        }
-                    }
+                    st = match st.batch.next_deadline() {
+                        Some(d) => self.work_cv.wait_until(&self.state, st, d, now),
+                        None => self.work_cv.wait(&self.state, st),
+                    };
                 }
             };
             match work {

@@ -9,6 +9,9 @@
 //!   thread with a local *virtual* clock; the scheduler always resumes
 //!   the minimum-virtual-time runnable process, which makes virtual
 //!   time causally consistent and the simulation deterministic.
+//! * [`clock`] — the condition variable, clock read and sleep that run
+//!   on either the wall clock or a simulation's virtual clock, so code
+//!   above this crate blocks the same way in both modes.
 //! * [`device`] — analytic GPU/CPU performance models (K420, GK210 —
 //!   one half of a K80 —, V100) mapping per-kernel `Cost` records to
 //!   virtual durations.
@@ -22,6 +25,7 @@
 //! * [`pfs`] — a Lustre-like parallel file system model.
 //! * [`platform`] — calibrated presets for the paper's four node types.
 
+pub mod clock;
 pub mod des;
 pub mod device;
 pub mod fault;
