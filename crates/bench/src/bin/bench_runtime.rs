@@ -24,8 +24,8 @@
 //! Flags:
 //!   --smoke          short run (CI); fewer measured steps
 //!   --out <path>     where to write the JSON (default BENCH_runtime.json)
-//!   --check <path>   compare against a committed baseline instead of
-//!                    writing: exit 1 if the CG speedup regressed by
+//!   --check <path>   also compare against a committed baseline:
+//!                    exit 1 if the CG speedup regressed by
 //!                    more than 25%, or if the integrity plane (wire
 //!                    checksums, see `measure_integrity`) costs ≥18% of
 //!                    the CG step's kernel floor. Machine-portable
@@ -36,6 +36,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tfhpc_bench::{json_rows, write_out, Args, Baseline, Gates};
 use tfhpc_core::{DeviceCtx, Graph, NodeId, Resources, Session, SessionOptions};
 use tfhpc_tensor::{fft, matmul, ops, rng, Complex64, DType, Shape, Tensor};
 
@@ -654,30 +655,12 @@ fn workload_json(w: &WorkloadResult) -> String {
     )
 }
 
-/// Pull a numeric field out of a previously emitted baseline: finds
-/// the workload object by name, then the field after it. Good enough
-/// for the format this binary writes.
-fn extract_field(json: &str, workload: &str, field: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{workload}\""))?;
-    let rest = &json[at..];
-    let f = rest.find(&format!("\"{field}\":"))?;
-    let tail = &rest[f + field.len() + 3..];
-    let end = tail.find([',', '}', '\n'])?;
-    tail[..end].trim().parse().ok()
-}
+/// The one baseline number `--check` reads.
+const CG_SPEEDUP: &str = "workloads[name == \"cg\"].speedup";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_runtime.json".to_string());
-    let check_path = flag_value("--check");
-
-    let (cg_steps, mm_steps, fft_steps) = if smoke {
+    let args = Args::parse("BENCH_runtime.json");
+    let (cg_steps, mm_steps, fft_steps) = if args.smoke {
         (300, 60, 60)
     } else {
         (3000, 400, 400)
@@ -750,7 +733,7 @@ fn main() {
 
     // Compute kernels: scalar vs SIMD path, same process.
     let simd_avail = tfhpc_tensor::simd::available();
-    let kernels = bench_kernels(smoke);
+    let kernels = bench_kernels(args.smoke);
     println!(
         "kernels (vector path {}):",
         if simd_avail { "avx2" } else { "unavailable" }
@@ -785,131 +768,101 @@ fn main() {
 
     let body = format!(
         "{{\n  \"schema\": \"tfhpc-bench-runtime-v4\",\n  \"smoke\": {},\n  \"simd\": \"{}\",\n  \"integrity\": {{\"wire_ns_per_step\": {:.1}, \"pct_of_cg_floor\": {:.2}, \"pct_of_fast_cg_step\": {:.2}}},\n  \"recovery\": {{\n    \"heartbeat_period_s\": {:.6},\n    \"heartbeat_timeout_s\": {:.6},\n    \"scenarios\": [\n{}\n    ]\n  }},\n  \"kernels\": [\n{}\n  ],\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        smoke,
+        args.smoke,
         if simd_avail { "avx2" } else { "none" },
         integrity.step_ns,
         integrity_pct_of_floor,
         integrity_pct,
         hb_period,
         hb_timeout,
-        recovery
-            .iter()
-            .map(|r| format!("    {}", recovery_json(r)))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        kernels
-            .iter()
-            .map(kernel_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        results
-            .iter()
-            .map(workload_json)
-            .collect::<Vec<_>>()
-            .join(",\n")
+        json_rows(&recovery, |r| format!("    {}", recovery_json(r))),
+        json_rows(&kernels, kernel_json),
+        json_rows(&results, workload_json),
     );
 
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap();
-        }
-    }
-    std::fs::write(&out_path, &body).unwrap();
-    println!("wrote {out_path}");
+    write_out(&args.out, &body);
 
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base =
-            extract_field(&baseline, "cg", "speedup").expect("baseline has no cg speedup field");
-        let cur = results[0].speedup;
+    let Some(path) = args.check else { return };
+    let baseline = Baseline::read(&path);
+    let mut gates = Gates::default();
+
+    let cur = results[0].speedup;
+    if let Some(base) = gates.lookup(&baseline, CG_SPEEDUP) {
         let floor = base * 0.75;
         println!("cg speedup: current {cur:.3} vs baseline {base:.3} (floor {floor:.3})");
-        if cur < floor {
-            eprintln!("FAIL: step-replay speedup regressed more than 25% vs baseline");
-            std::process::exit(1);
-        }
-        println!("OK: within 25% of baseline");
-        // Hard gate, not baseline-relative: the integrity plane must
-        // stay marginal next to the CG step's own kernels.
-        if integrity_pct_of_floor >= INTEGRITY_GATE_PCT_OF_FLOOR {
-            eprintln!(
-                "FAIL: wire-checksum overhead {integrity_pct_of_floor:.2}% of the cg kernel floor (gate: <{INTEGRITY_GATE_PCT_OF_FLOOR}%)"
+        gates.check(cur >= floor, "within 25% of baseline".into());
+    }
+    // Hard gate, not baseline-relative: the integrity plane must
+    // stay marginal next to the CG step's own kernels.
+    gates.check(
+        integrity_pct_of_floor < INTEGRITY_GATE_PCT_OF_FLOOR,
+        format!(
+            "integrity plane {integrity_pct_of_floor:.2}% < {INTEGRITY_GATE_PCT_OF_FLOOR}% of the cg kernel floor"
+        ),
+    );
+
+    // Per-kernel vectorization floors: in-run SIMD/scalar rate
+    // ratios, so the gate is machine-portable. Only meaningful
+    // when the host actually has the vector path.
+    if simd_avail {
+        // Typical measured ratios here: matmul ≈ 2.2–3.5, triad
+        // ≈ 1.45–2.0. Floors sit below the observed worst case so
+        // scheduler noise on shared runners doesn't flake the job.
+        for (name, floor) in [("matmul_f64", 2.0), ("triad_f64", 1.4)] {
+            let k = kernels.iter().find(|k| k.name == name).unwrap();
+            gates.check(
+                k.ratio >= floor,
+                format!(
+                    "{name} simd/scalar ratio {:.2} >= floor {floor:.1}",
+                    k.ratio
+                ),
             );
-            std::process::exit(1);
         }
-        println!(
-            "OK: integrity plane {integrity_pct_of_floor:.2}% < {INTEGRITY_GATE_PCT_OF_FLOOR}% of the cg kernel floor"
-        );
+    } else {
+        println!("kernel floors skipped: no AVX2+FMA on this host");
+    }
 
-        // Per-kernel vectorization floors: in-run SIMD/scalar rate
-        // ratios, so the gate is machine-portable. Only meaningful
-        // when the host actually has the vector path.
-        if simd_avail {
-            // Typical measured ratios here: matmul ≈ 2.2–3.5, triad
-            // ≈ 1.45–2.0. Floors sit below the observed worst case so
-            // scheduler noise on shared runners doesn't flake the job.
-            let floors = [("matmul_f64", 2.0), ("triad_f64", 1.4)];
-            let mut failed = false;
-            for (name, floor) in floors {
-                let k = kernels.iter().find(|k| k.name == name).unwrap();
-                if k.ratio < floor {
-                    eprintln!(
-                        "FAIL: {} simd/scalar ratio {:.2} below floor {:.1}",
-                        name, k.ratio, floor
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "OK: {} simd/scalar ratio {:.2} >= floor {:.1}",
-                        name, k.ratio, floor
-                    );
-                }
-            }
-            if failed {
-                std::process::exit(1);
-            }
-        } else {
-            println!("kernel floors skipped: no AVX2+FMA on this host");
+    // Liveness-plane gates. These run on the DES virtual clock, so
+    // they are exact on every host: silence-driven faults must be
+    // detected within the death timeout plus two sweep periods of
+    // quantization, every drill must restart and recover, and the
+    // recovered run must reproduce the fault-free residual bit for
+    // bit.
+    for r in &recovery {
+        let silence_driven = r.fault != "crash";
+        if silence_driven && r.detection_latency_s > hb_timeout + 2.0 * hb_period + 1e-9 {
+            gates.fail(format!(
+                "{} detected {:.4}s after the fault (gate: timeout {:.4}s + 2 sweeps)",
+                r.fault, r.detection_latency_s, hb_timeout
+            ));
         }
+        if r.restarts == 0 || !r.mttr_s.is_finite() || r.mttr_s <= 0.0 {
+            gates.fail(format!(
+                "{} never recovered (restarts {}, mttr {:.4}s)",
+                r.fault, r.restarts, r.mttr_s
+            ));
+        }
+        if !r.residual_bit_exact {
+            gates.fail(format!(
+                "{} recovery did not reproduce the fault-free residual",
+                r.fault
+            ));
+        }
+    }
+    gates.finish(&format!(
+        "recovery drills detected within {:.4}s and reproduced the residual bit-exactly",
+        hb_timeout + 2.0 * hb_period
+    ));
+}
 
-        // Liveness-plane gates. These run on the DES virtual clock, so
-        // they are exact on every host: silence-driven faults must be
-        // detected within the death timeout plus two sweep periods of
-        // quantization, every drill must restart and recover, and the
-        // recovered run must reproduce the fault-free residual bit for
-        // bit.
-        let mut failed = false;
-        for r in &recovery {
-            let silence_driven = r.fault != "crash";
-            if silence_driven && r.detection_latency_s > hb_timeout + 2.0 * hb_period + 1e-9 {
-                eprintln!(
-                    "FAIL: {} detected {:.4}s after the fault (gate: timeout {:.4}s + 2 sweeps)",
-                    r.fault, r.detection_latency_s, hb_timeout
-                );
-                failed = true;
-            }
-            if r.restarts == 0 || !r.mttr_s.is_finite() || r.mttr_s <= 0.0 {
-                eprintln!(
-                    "FAIL: {} never recovered (restarts {}, mttr {:.4}s)",
-                    r.fault, r.restarts, r.mttr_s
-                );
-                failed = true;
-            }
-            if !r.residual_bit_exact {
-                eprintln!(
-                    "FAIL: {} recovery did not reproduce the fault-free residual",
-                    r.fault
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "OK: recovery drills detected within {:.4}s and reproduced the residual bit-exactly",
-            hb_timeout + 2.0 * hb_period
-        );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_check_lookup_resolves_against_the_committed_baseline() {
+        let text = include_str!("../../../../BENCH_runtime.json");
+        let base = Baseline::parse("BENCH_runtime.json", text).unwrap();
+        assert_eq!(base.get(CG_SPEEDUP), Some(1.737));
     }
 }

@@ -43,9 +43,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use tfhpc_apps::{RequestKind, RequestSpec};
+use tfhpc_bench::{write_out, Args, Baseline, Gates};
 use tfhpc_dist::{launch, JobSpec, LaunchConfig, Liveness, SupervisorConfig};
 use tfhpc_serve::{
-    run_load, Arrival, LoadReport, ServeConfig, ShedPolicy, TenantQuota, TenantSpec,
+    run_load, Arrival, LoadReport, ServeConfig, ShedPolicy, TenantQuota, TenantSpec, TenantSummary,
 };
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -230,21 +231,6 @@ fn partition_drill() -> DrillOutcome {
     }
 }
 
-/// Pull a numeric field out of a previously emitted baseline: finds
-/// the tenant object by name, then the field after it. `tenant = None`
-/// reads a top-level field. Always resolves against the *first*
-/// occurrence, i.e. the baseline-phase report.
-fn extract_field(json: &str, tenant: Option<&str>, field: &str) -> Option<f64> {
-    let rest = match tenant {
-        Some(t) => &json[json.find(&format!("\"tenant\": \"{t}\""))?..],
-        None => json,
-    };
-    let f = rest.find(&format!("\"{field}\":"))?;
-    let tail = &rest[f + field.len() + 3..];
-    let end = tail.find([',', '}', '\n'])?;
-    tail[..end].trim().parse().ok()
-}
-
 /// One `run_load`, with the simulator's own cost for it on stderr
 /// (stdout and the JSON carry virtual-time results only).
 fn timed_load(label: &str, cfg: &ServeConfig, load: &[TenantSpec], seed: u64) -> LoadReport {
@@ -296,16 +282,23 @@ fn print_report(report: &LoadReport) {
     }
 }
 
+/// Where the baseline-phase report keeps a tenant's p99 (the overload
+/// report under `overload.report` carries the same tenants).
+fn p99_path(tenant: &str) -> String {
+    format!("report.tenants[tenant == \"{tenant}\"].p99_s")
+}
+
+/// Where the baseline-phase report keeps its aggregate throughput.
+const THROUGHPUT: &str = "report.throughput_jobs_per_s";
+
+fn tenant<'a>(report: &'a LoadReport, name: &str) -> &'a TenantSummary {
+    let found = report.tenants.iter().find(|t| t.tenant == name);
+    found.unwrap_or_else(|| panic!("{name} tenant present"))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_serving.json".to_string());
-    let check_path = flag_value("--check");
+    let args = Args::parse("BENCH_serving.json");
+    let smoke = args.smoke;
 
     let seed = tfhpc_core::env::env_u64("TFHPC_LOAD_SEED")
         .expect("TFHPC_LOAD_SEED must be an unsigned integer")
@@ -377,179 +370,123 @@ fn main() {
         overload.to_json().trim_end(),
         drill.to_json()
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap();
+    write_out(&args.out, &body);
+
+    let Some(path) = args.check else { return };
+    let baseline = Baseline::read(&path);
+    let mut gates = Gates::default();
+
+    // Tail-latency regression per tenant: virtual-time p99 is
+    // exact, so 25% headroom only covers intentional model drift.
+    for t in &report.tenants {
+        if let Some(base) = gates.lookup(&baseline, &p99_path(&t.tenant)) {
+            gates.check(
+                t.p99_s <= base * 1.25,
+                format!(
+                    "{} p99 {:.6}s within 25% of baseline {:.6}s",
+                    t.tenant, t.p99_s, base
+                ),
+            );
         }
     }
-    std::fs::write(&out_path, &body).unwrap();
-    println!("wrote {out_path}");
 
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut failed = false;
+    // Aggregate throughput floor.
+    if let Some(base) = gates.lookup(&baseline, THROUGHPUT) {
+        gates.check(
+            report.throughput_jobs_per_s >= base * 0.8,
+            format!(
+                "throughput {:.1} jobs/s >= 80% of baseline {:.1}",
+                report.throughput_jobs_per_s, base
+            ),
+        );
+    }
 
-        // Tail-latency regression per tenant: virtual-time p99 is
-        // exact, so 25% headroom only covers intentional model drift.
-        for t in &report.tenants {
-            match extract_field(&baseline, Some(&t.tenant), "p99_s") {
-                Some(base) if base > 0.0 => {
-                    let ceil = base * 1.25;
-                    if t.p99_s > ceil {
-                        eprintln!(
-                            "FAIL: {} p99 {:.6}s above baseline {:.6}s + 25%",
-                            t.tenant, t.p99_s, base
-                        );
-                        failed = true;
-                    } else {
-                        println!(
-                            "OK: {} p99 {:.6}s within 25% of baseline {:.6}s",
-                            t.tenant, t.p99_s, base
-                        );
-                    }
-                }
-                _ => println!("note: baseline has no p99_s for {}", t.tenant),
-            }
-        }
+    // The batching tenant must actually coalesce...
+    let interactive = tenant(&report, "interactive");
+    gates.check(
+        interactive.mean_batch > 1.05,
+        format!("interactive mean batch {:.2} > 1", interactive.mean_batch),
+    );
 
-        // Aggregate throughput floor.
-        if let Some(base) = extract_field(&baseline, None, "throughput_jobs_per_s") {
-            let floor = base * 0.8;
-            if report.throughput_jobs_per_s < floor {
-                eprintln!(
-                    "FAIL: throughput {:.1} jobs/s below 80% of baseline {:.1}",
-                    report.throughput_jobs_per_s, base
-                );
-                failed = true;
-            } else {
-                println!(
-                    "OK: throughput {:.1} jobs/s >= 80% of baseline {:.1}",
-                    report.throughput_jobs_per_s, base
-                );
-            }
-        }
+    // ...and the quota tenant must actually be policed.
+    let besteffort = tenant(&report, "besteffort");
+    gates.check(
+        besteffort.rejected > 0,
+        format!(
+            "besteffort rejected {} jobs ({:.1}%)",
+            besteffort.rejected,
+            besteffort.rejection_rate * 100.0
+        ),
+    );
 
-        // The batching tenant must actually coalesce...
-        let interactive = report
-            .tenants
-            .iter()
-            .find(|t| t.tenant == "interactive")
-            .expect("interactive tenant present");
-        if interactive.mean_batch <= 1.05 {
-            eprintln!(
-                "FAIL: interactive mean batch {:.2} — batching is not coalescing",
-                interactive.mean_batch
-            );
-            failed = true;
-        } else {
-            println!(
-                "OK: interactive mean batch {:.2} > 1",
-                interactive.mean_batch
-            );
-        }
+    // Shared plan cache: thousands of jobs over a handful of
+    // request shapes must hit nearly always.
+    let total = report.plan_cache.hits + report.plan_cache.misses;
+    let hit_ratio = report.plan_cache.hits as f64 / total.max(1) as f64;
+    gates.check(
+        hit_ratio >= 0.9,
+        format!("plan cache hit ratio {hit_ratio:.3} >= 0.9"),
+    );
 
-        // ...and the quota tenant must actually be policed.
-        let besteffort = report
-            .tenants
-            .iter()
-            .find(|t| t.tenant == "besteffort")
-            .expect("besteffort tenant present");
-        if besteffort.rejected == 0 {
-            eprintln!("FAIL: besteffort saw no rejections — admission control inert");
-            failed = true;
-        } else {
-            println!(
-                "OK: besteffort rejected {} jobs ({:.1}%)",
-                besteffort.rejected,
-                besteffort.rejection_rate * 100.0
-            );
-        }
+    // Overload drill: shedding must be brownout, not blackout —
+    // only besteffort work drops, and the flood must not push
+    // interactive tail latency past 125% of the in-run baseline.
+    let (ov_int, ov_cg, ov_be) = (
+        tenant(&overload, "interactive"),
+        tenant(&overload, "batch-cg"),
+        tenant(&overload, "besteffort"),
+    );
+    if ov_int.shed != 0 || ov_cg.shed != 0 {
+        gates.fail(format!(
+            "shed touched protected tenants (interactive {}, batch-cg {})",
+            ov_int.shed, ov_cg.shed
+        ));
+    } else {
+        gates.check(
+            ov_be.shed > 0,
+            format!("flood shed {} besteffort jobs, zero protected", ov_be.shed),
+        );
+    }
+    gates.check(
+        ov_int.p99_s <= interactive.p99_s * 1.25,
+        format!(
+            "interactive p99 under flood {:.6}s within 25% of baseline {:.6}s",
+            ov_int.p99_s, interactive.p99_s
+        ),
+    );
 
-        // Shared plan cache: thousands of jobs over a handful of
-        // request shapes must hit nearly always.
-        let total = report.plan_cache.hits + report.plan_cache.misses;
-        let hit_ratio = if total > 0 {
-            report.plan_cache.hits as f64 / total as f64
-        } else {
-            0.0
-        };
-        if hit_ratio < 0.9 {
-            eprintln!("FAIL: plan cache hit ratio {hit_ratio:.3} below 0.9");
-            failed = true;
-        } else {
-            println!("OK: plan cache hit ratio {hit_ratio:.3} >= 0.9");
-        }
+    // Partition drill: the minority must fence within the
+    // heartbeat timeout + 2 sweeps, and the gang must heal.
+    gates.check(
+        drill.time_to_fence_s >= 0.0 && drill.time_to_fence_s <= drill.fence_bound_s(),
+        format!(
+            "time-to-fence {:.4}s within {:.4}s",
+            drill.time_to_fence_s,
+            drill.fence_bound_s()
+        ),
+    );
+    gates.check(
+        drill.time_to_heal_s.is_finite() && drill.replacements > 0,
+        format!(
+            "healed {:.4}s after partition onset ({} replacement)",
+            drill.time_to_heal_s, drill.replacements
+        ),
+    );
 
-        // Overload drill: shedding must be brownout, not blackout —
-        // only besteffort work drops, and the flood must not push
-        // interactive tail latency past 125% of the in-run baseline.
-        let ov = |name: &str| {
-            overload
-                .tenants
-                .iter()
-                .find(|t| t.tenant == name)
-                .unwrap_or_else(|| panic!("{name} tenant present in overload report"))
-        };
-        let (ov_int, ov_cg, ov_be) = (ov("interactive"), ov("batch-cg"), ov("besteffort"));
-        if ov_int.shed != 0 || ov_cg.shed != 0 {
-            eprintln!(
-                "FAIL: shed touched protected tenants (interactive {}, batch-cg {})",
-                ov_int.shed, ov_cg.shed
-            );
-            failed = true;
-        } else if ov_be.shed == 0 {
-            eprintln!("FAIL: besteffort flood saw no shedding — bounded queue inert");
-            failed = true;
-        } else {
-            println!(
-                "OK: flood shed {} besteffort jobs, zero protected",
-                ov_be.shed
-            );
-        }
-        let flood_ceil = interactive.p99_s * 1.25;
-        if ov_int.p99_s > flood_ceil {
-            eprintln!(
-                "FAIL: interactive p99 under flood {:.6}s above in-run baseline {:.6}s + 25%",
-                ov_int.p99_s, interactive.p99_s
-            );
-            failed = true;
-        } else {
-            println!(
-                "OK: interactive p99 under flood {:.6}s within 25% of baseline {:.6}s",
-                ov_int.p99_s, interactive.p99_s
-            );
-        }
+    gates.finish("all serving gates passed");
+}
 
-        // Partition drill: the minority must fence within the
-        // heartbeat timeout + 2 sweeps, and the gang must heal.
-        if !(drill.time_to_fence_s >= 0.0 && drill.time_to_fence_s <= drill.fence_bound_s()) {
-            eprintln!(
-                "FAIL: time-to-fence {:.4}s outside [0, {:.4}s]",
-                drill.time_to_fence_s,
-                drill.fence_bound_s()
-            );
-            failed = true;
-        } else {
-            println!(
-                "OK: time-to-fence {:.4}s within {:.4}s",
-                drill.time_to_fence_s,
-                drill.fence_bound_s()
-            );
-        }
-        if !drill.time_to_heal_s.is_finite() || drill.replacements == 0 {
-            eprintln!("FAIL: partition drill never healed (no replacement step)");
-            failed = true;
-        } else {
-            println!(
-                "OK: healed {:.4}s after partition onset ({} replacement)",
-                drill.time_to_heal_s, drill.replacements
-            );
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-        if failed {
-            std::process::exit(1);
+    #[test]
+    fn every_check_lookup_resolves_against_the_committed_baseline() {
+        let text = include_str!("../../../../BENCH_serving.json");
+        let base = Baseline::parse("BENCH_serving.json", text).unwrap();
+        for t in tenants(false) {
+            assert!(base.get(&p99_path(&t.name)).is_some(), "{}", t.name);
         }
-        println!("OK: all serving gates passed");
+        assert_eq!(base.get(THROUGHPUT), Some(3476.382459103));
     }
 }

@@ -27,11 +27,11 @@
 //!                    drifted more than 25% from the baseline.
 
 use std::sync::Arc;
-use tfhpc_bench::{print_table, Row};
+use tfhpc_bench::{json_rows, print_table, write_out, Args, Baseline, Gates, Row};
 use tfhpc_core::RetryConfig;
 use tfhpc_dist::{
     all_reduce, all_reduce_auto, canonical_reduce, launch, AllReduceAlgo, JobSpec, LaunchConfig,
-    ReduceOp, TaskKey,
+    ReduceOp, TaskCtx, TaskKey,
 };
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -64,106 +64,107 @@ fn allreduce_groups(smoke: bool) -> &'static [usize] {
     }
 }
 
-/// Run `body` with `TFHPC_TRANSPORT` forced to `transport`. The knob
-/// is resolved at cluster creation, so scoping the env var around the
-/// launch is race-free (the bench drives launches sequentially).
-fn with_transport<T>(transport: &str, body: impl FnOnce() -> T) -> T {
+/// Virtual seconds `body` takes on `workers` one-GPU tasks of the
+/// simulated Kebnekaise Verbs fabric with `TFHPC_TRANSPORT` forced to
+/// `transport`. The knob is resolved at cluster creation, so scoping the
+/// env var around the launch is race-free (the bench drives launches
+/// sequentially).
+fn launch_seconds<F>(
+    transport: &str,
+    workers: usize,
+    faults: Option<(FaultPlan, RetryConfig)>,
+    body: F,
+) -> f64
+where
+    F: Fn(TaskCtx) -> tfhpc_core::Result<()> + Send + Sync + 'static,
+{
+    let mut cfg = LaunchConfig::simulated(
+        kebnekaise_k80(),
+        vec![JobSpec::new("worker", workers, 1)],
+        Protocol::Rdma,
+    );
+    if let Some((plan, retry)) = faults {
+        cfg = cfg.with_faults(plan).with_retry(retry);
+    }
     std::env::set_var("TFHPC_TRANSPORT", transport);
-    let out = body();
+    let out = launch(&cfg, body);
     std::env::remove_var("TFHPC_TRANSPORT");
-    out
+    out.expect("sweep launch (parity holds on every sweep point)")
+        .elapsed_s
 }
 
 /// Virtual seconds per message for `senders` workers each streaming
 /// `rounds` messages of `bytes` into per-sender queues on worker 0
 /// (`senders == 1` is the 1→1 sweep, more is the P→1 incast).
 fn fanin_seconds(transport: &str, senders: usize, bytes: u64, rounds: usize) -> f64 {
-    with_transport(transport, || {
-        let cfg = LaunchConfig::simulated(
-            kebnekaise_k80(),
-            vec![JobSpec::new("worker", senders + 1, 1)],
-            Protocol::Rdma,
-        );
-        let elapsed = launch(&cfg, move |ctx| {
-            let w = ctx.index();
-            if w == 0 {
-                // Create every incoming queue before touching any of
-                // them, so no sender stalls in queue resolution.
-                let queues: Vec<_> = (1..=senders)
-                    .map(|s| {
-                        ctx.server
-                            .resources
-                            .get_or_create_queue(&format!("in.{s}"), 2)
-                    })
-                    .collect();
-                for _ in 0..rounds {
-                    for q in &queues {
-                        q.dequeue()?;
-                    }
-                }
-            } else {
-                let t = Tensor::synthetic(DType::F64, [bytes as usize / 8], w as u64);
-                for _ in 0..rounds {
-                    ctx.server.remote_enqueue(
-                        &TaskKey::new("worker", 0),
-                        &format!("in.{w}"),
-                        vec![t.clone()],
-                        Some(0),
-                    )?;
+    let elapsed = launch_seconds(transport, senders + 1, None, move |ctx| {
+        let w = ctx.index();
+        if w == 0 {
+            // Create every incoming queue before touching any of
+            // them, so no sender stalls in queue resolution.
+            let queues: Vec<_> = (1..=senders)
+                .map(|s| {
+                    ctx.server
+                        .resources
+                        .get_or_create_queue(&format!("in.{s}"), 2)
+                })
+                .collect();
+            for _ in 0..rounds {
+                for q in &queues {
+                    q.dequeue()?;
                 }
             }
-            Ok(())
-        })
-        .expect("fanin launch")
-        .elapsed_s;
-        elapsed / (rounds * senders) as f64
-    })
+        } else {
+            let t = Tensor::synthetic(DType::F64, [bytes as usize / 8], w as u64);
+            for _ in 0..rounds {
+                ctx.server.remote_enqueue(
+                    &TaskKey::new("worker", 0),
+                    &format!("in.{w}"),
+                    vec![t.clone()],
+                    Some(0),
+                )?;
+            }
+        }
+        Ok(())
+    });
+    elapsed / (rounds * senders) as f64
 }
 
 /// Virtual seconds per full exchange round for `p` workers each
 /// sending `bytes` to every peer (all-to-all personalized exchange).
 fn alltoall_seconds(transport: &str, p: usize, bytes: u64, rounds: usize) -> f64 {
-    with_transport(transport, || {
-        let cfg = LaunchConfig::simulated(
-            kebnekaise_k80(),
-            vec![JobSpec::new("worker", p, 1)],
-            Protocol::Rdma,
-        );
-        let elapsed = launch(&cfg, move |ctx| {
-            let w = ctx.index();
-            let t = Tensor::synthetic(DType::F64, [bytes as usize / 8], w as u64);
-            // Pre-create all incoming queues with headroom for the whole
-            // run: every worker sends before it drains, so undersized
-            // queues (or late creation) would deadlock the exchange.
-            let queues: Vec<_> = (0..p)
-                .filter(|&peer| peer != w)
-                .map(|peer| {
-                    ctx.server
-                        .resources
-                        .get_or_create_queue(&format!("a2a.{peer}"), rounds + 1)
-                })
-                .collect();
-            for _ in 0..rounds {
-                for peer in 0..p {
-                    if peer != w {
-                        ctx.server.remote_enqueue(
-                            &TaskKey::new("worker", peer),
-                            &format!("a2a.{w}"),
-                            vec![t.clone()],
-                            Some(0),
-                        )?;
-                    }
-                }
-                for q in &queues {
-                    q.dequeue()?;
+    let elapsed = launch_seconds(transport, p, None, move |ctx| {
+        let w = ctx.index();
+        let t = Tensor::synthetic(DType::F64, [bytes as usize / 8], w as u64);
+        // Pre-create all incoming queues with headroom for the whole
+        // run: every worker sends before it drains, so undersized
+        // queues (or late creation) would deadlock the exchange.
+        let queues: Vec<_> = (0..p)
+            .filter(|&peer| peer != w)
+            .map(|peer| {
+                ctx.server
+                    .resources
+                    .get_or_create_queue(&format!("a2a.{peer}"), rounds + 1)
+            })
+            .collect();
+        for _ in 0..rounds {
+            for peer in 0..p {
+                if peer != w {
+                    ctx.server.remote_enqueue(
+                        &TaskKey::new("worker", peer),
+                        &format!("a2a.{w}"),
+                        vec![t.clone()],
+                        Some(0),
+                    )?;
                 }
             }
-            Ok(())
-        })
-        .expect("alltoall launch")
-        .elapsed_s;
-        elapsed / rounds as f64
-    })
+            for q in &queues {
+                q.dequeue()?;
+            }
+        }
+        Ok(())
+    });
+    elapsed / rounds as f64
 }
 
 /// Deterministic rank-1 f64 leaf for `worker` (sign-mixed so the
@@ -205,48 +206,35 @@ fn allreduce_seconds(
         .map(|x| x.to_bits())
         .collect();
     let expected = Arc::new(expected);
-    with_transport(transport, || {
-        let mut cfg = LaunchConfig::simulated(
-            kebnekaise_k80(),
-            vec![JobSpec::new("worker", p, 1)],
-            Protocol::Rdma,
-        );
-        if let Some((plan, retry)) = faults {
-            cfg = cfg.with_faults(plan).with_retry(retry);
+    let elapsed = launch_seconds(transport, p, faults, move |ctx| {
+        let w = ctx.index();
+        let group: Vec<TaskKey> = (0..p).map(|i| TaskKey::new("worker", i)).collect();
+        let mut last = None;
+        for _ in 0..rounds {
+            let v = leaf(w, n);
+            let r = match algo {
+                Some(a) => all_reduce(&ctx.server, &group, w, v, Some(0), ReduceOp::Sum, a)?,
+                None => all_reduce_auto(&ctx.server, &group, w, v, Some(0), ReduceOp::Sum)?,
+            };
+            last = Some(r);
         }
-        let expected = Arc::clone(&expected);
-        let elapsed = launch(&cfg, move |ctx| {
-            let w = ctx.index();
-            let group: Vec<TaskKey> = (0..p).map(|i| TaskKey::new("worker", i)).collect();
-            let mut last = None;
-            for _ in 0..rounds {
-                let v = leaf(w, n);
-                let r = match algo {
-                    Some(a) => all_reduce(&ctx.server, &group, w, v, Some(0), ReduceOp::Sum, a)?,
-                    None => all_reduce_auto(&ctx.server, &group, w, v, Some(0), ReduceOp::Sum)?,
-                };
-                last = Some(r);
-            }
-            let got: Vec<u64> = last
-                .expect("at least one round")
-                .as_f64()?
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            if got != expected[..] {
-                return Err(tfhpc_core::CoreError::data_loss(format!(
-                    "worker {w}: all-reduce result diverged from the canonical fold"
-                )));
-            }
-            if let Some(out) = &retransmits_out {
-                *out.lock().unwrap() += ctx.server.resources.retransmits_total();
-            }
-            Ok(())
-        })
-        .expect("allreduce launch (parity holds on every sweep point)")
-        .elapsed_s;
-        elapsed / rounds as f64
-    })
+        let got: Vec<u64> = last
+            .expect("at least one round")
+            .as_f64()?
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        if got != expected[..] {
+            return Err(tfhpc_core::CoreError::data_loss(format!(
+                "worker {w}: all-reduce result diverged from the canonical fold"
+            )));
+        }
+        if let Some(out) = &retransmits_out {
+            *out.lock().unwrap() += ctx.server.resources.retransmits_total();
+        }
+        Ok(())
+    });
+    elapsed / rounds as f64
 }
 
 fn algo_label(a: Option<AllReduceAlgo>) -> &'static str {
@@ -278,28 +266,56 @@ struct CorruptionEntry {
     seconds: f64,
 }
 
-/// Find the JSON line containing every fragment, then parse `field`.
-fn find_entry(json: &str, fragments: &[String], field: &str) -> Option<f64> {
-    let line = json
-        .lines()
-        .find(|l| fragments.iter().all(|f| l.contains(f.as_str())))?;
-    let at = line.find(&format!("\"{field}\":"))?;
-    let tail = &line[at + field.len() + 3..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
+/// The swept all-reduce time of one (transport, group, payload, algorithm).
+fn ar_seconds(sweep: &[ArEntry], transport: &str, p: usize, bytes: u64, algo: &str) -> f64 {
+    let hit = |e: &&ArEntry| {
+        e.transport == transport && e.workers == p && e.bytes == bytes && e.algo == algo
+    };
+    let found = sweep.iter().find(hit);
+    found
+        .unwrap_or_else(|| panic!("no {algo} point at {transport}/{p}w/{bytes} B"))
+        .seconds
+}
+
+/// The swept 1→1 stream time of one (transport, payload).
+fn stream_seconds(sweep: &[P2pEntry], transport: &str, bytes: u64) -> f64 {
+    let hit = |e: &&P2pEntry| e.pattern == "1to1" && e.transport == transport && e.bytes == bytes;
+    let found = sweep.iter().find(hit);
+    found
+        .unwrap_or_else(|| panic!("no 1to1 point at {transport}/{bytes} B"))
+        .seconds
+}
+
+/// The all-reduce sweep: transport × group × payload × algorithm
+/// (`None` = auto; RHD only on power-of-two groups).
+fn allreduce_points(smoke: bool) -> Vec<(&'static str, usize, u64, Option<AllReduceAlgo>)> {
+    let mut points = Vec::new();
+    for &transport in TRANSPORTS {
+        for &p in allreduce_groups(smoke) {
+            for &bytes in allreduce_sizes(smoke) {
+                let mut algos = vec![Some(AllReduceAlgo::Ring), Some(AllReduceAlgo::Tree)];
+                if p.is_power_of_two() {
+                    algos.push(Some(AllReduceAlgo::Rhd));
+                }
+                algos.push(None); // auto
+                points.extend(algos.into_iter().map(|algo| (transport, p, bytes, algo)));
+            }
+        }
+    }
+    points
+}
+
+/// Where a baseline keeps one all-reduce sweep point's time.
+fn point_path(transport: &str, workers: usize, bytes: u64, algo: &str) -> String {
+    format!(
+        "allreduce[algo == \"{algo}\", bytes == {bytes}, transport == \"{transport}\", workers == {workers}].seconds_per_round"
+    )
 }
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_transport.json".to_string());
-    let check_path = flag_value("--check");
+    let args = Args::parse("BENCH_transport.json");
+    let smoke = args.smoke;
     let rounds = if smoke { 3 } else { 5 };
 
     assert!(
@@ -344,28 +360,16 @@ fn main() {
     }
 
     // ---- all-reduce algorithm sweep (bit-parity checked) -----------------
-    let mut allreduce: Vec<ArEntry> = Vec::new();
-    for &transport in TRANSPORTS {
-        for &p in allreduce_groups(smoke) {
-            for &bytes in allreduce_sizes(smoke) {
-                let mut algos: Vec<Option<AllReduceAlgo>> =
-                    vec![Some(AllReduceAlgo::Ring), Some(AllReduceAlgo::Tree)];
-                if p.is_power_of_two() {
-                    algos.push(Some(AllReduceAlgo::Rhd));
-                }
-                algos.push(None); // auto
-                for algo in algos {
-                    allreduce.push(ArEntry {
-                        transport,
-                        workers: p,
-                        bytes,
-                        algo: algo_label(algo),
-                        seconds: allreduce_seconds(transport, p, bytes, algo, rounds, None, None),
-                    });
-                }
-            }
-        }
-    }
+    let allreduce: Vec<ArEntry> = allreduce_points(smoke)
+        .into_iter()
+        .map(|(transport, workers, bytes, algo)| ArEntry {
+            transport,
+            workers,
+            bytes,
+            algo: algo_label(algo),
+            seconds: allreduce_seconds(transport, workers, bytes, algo, rounds, None, None),
+        })
+        .collect();
 
     // ---- corruption / retransmit sweep -----------------------------------
     // Ring all-reduce with a link-corruption window of increasing width
@@ -411,18 +415,8 @@ fn main() {
             let cross = allreduce_sizes(smoke)
                 .iter()
                 .find(|&&bytes| {
-                    let t = |name: &str| {
-                        allreduce
-                            .iter()
-                            .find(|e| {
-                                e.transport == transport
-                                    && e.workers == p
-                                    && e.bytes == bytes
-                                    && e.algo == name
-                            })
-                            .map(|e| e.seconds)
-                    };
-                    matches!((t("tree"), t("ring")), (Some(tr), Some(ri)) if ri < tr)
+                    let t = |algo: &str| ar_seconds(&allreduce, transport, p, bytes, algo);
+                    t("ring") < t("tree")
                 })
                 .map(|&b| b as i64)
                 .unwrap_or(-1);
@@ -477,58 +471,25 @@ fn main() {
     }
 
     // ---- byte-deterministic JSON -----------------------------------------
-    let mut body = String::new();
-    body.push_str("{\n  \"schema\": \"tfhpc-bench-transport-v1\",\n");
-    body.push_str(&format!("  \"smoke\": {smoke},\n"));
-    body.push_str("  \"p2p\": [\n");
-    for (i, e) in p2p.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"bytes\": {}, \"pattern\": \"{}\", \"seconds_per_msg\": {:.9}, \"transport\": \"{}\", \"workers\": {}}}{}\n",
-            e.bytes,
-            e.pattern,
-            e.seconds,
-            e.transport,
-            e.workers,
-            if i + 1 < p2p.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ],\n  \"allreduce\": [\n");
-    for (i, e) in allreduce.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"algo\": \"{}\", \"bytes\": {}, \"parity\": true, \"seconds_per_round\": {:.9}, \"transport\": \"{}\", \"workers\": {}}}{}\n",
-            e.algo,
-            e.bytes,
-            e.seconds,
-            e.transport,
-            e.workers,
-            if i + 1 < allreduce.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ],\n  \"corruption\": [\n");
-    for (i, c) in corruption.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"retransmits\": {}, \"seconds_per_round\": {:.9}, \"window_s\": {:.9}}}{}\n",
-            c.retransmits,
-            c.seconds,
-            c.window_s,
-            if i + 1 < corruption.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ],\n  \"crossovers\": [\n");
-    for (i, (t, p, cross)) in crossovers.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"bandwidth_takeover_bytes\": {cross}, \"transport\": \"{t}\", \"workers\": {p}}}{}\n",
-            if i + 1 < crossovers.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap();
-        }
-    }
-    std::fs::write(&out_path, &body).unwrap();
-    println!("wrote {out_path}");
+    let body = format!(
+        "{{\n  \"schema\": \"tfhpc-bench-transport-v1\",\n  \"smoke\": {smoke},\n  \"p2p\": [\n{}\n  ],\n  \"allreduce\": [\n{}\n  ],\n  \"corruption\": [\n{}\n  ],\n  \"crossovers\": [\n{}\n  ]\n}}\n",
+        json_rows(&p2p, |e| format!(
+            "    {{\"bytes\": {}, \"pattern\": \"{}\", \"seconds_per_msg\": {:.9}, \"transport\": \"{}\", \"workers\": {}}}",
+            e.bytes, e.pattern, e.seconds, e.transport, e.workers
+        )),
+        json_rows(&allreduce, |e| format!(
+            "    {{\"algo\": \"{}\", \"bytes\": {}, \"parity\": true, \"seconds_per_round\": {:.9}, \"transport\": \"{}\", \"workers\": {}}}",
+            e.algo, e.bytes, e.seconds, e.transport, e.workers
+        )),
+        json_rows(&corruption, |c| format!(
+            "    {{\"retransmits\": {}, \"seconds_per_round\": {:.9}, \"window_s\": {:.9}}}",
+            c.retransmits, c.seconds, c.window_s
+        )),
+        json_rows(&crossovers, |(t, p, cross)| format!(
+            "    {{\"bandwidth_takeover_bytes\": {cross}, \"transport\": \"{t}\", \"workers\": {p}}}"
+        )),
+    );
+    write_out(&args.out, &body);
 
     // ---- crossover summary for results/ (full runs only: the smoke
     // sweep is too coarse to place crossovers meaningfully) ---------------
@@ -549,142 +510,121 @@ fn main() {
         }
         summary.push_str("\nZero-copy vs staged-copy on the Verbs wire (1->1 stream):\n");
         for &bytes in p2p_sizes(false) {
-            let sec = |tr: &str| {
-                p2p.iter()
-                    .find(|e| e.pattern == "1to1" && e.transport == tr && e.bytes == bytes)
-                    .map(|e| e.seconds)
-            };
-            if let (Some(st), Some(zc)) = (sec("staged"), sec("zerocopy")) {
-                summary.push_str(&format!(
-                    "  {bytes:>9} B: staged {:.1} us, zero-copy {:.1} us ({:.2}x)\n",
-                    st * 1e6,
-                    zc * 1e6,
-                    st / zc
-                ));
-            }
+            let st = stream_seconds(&p2p, "staged", bytes);
+            let zc = stream_seconds(&p2p, "zerocopy", bytes);
+            summary.push_str(&format!(
+                "  {bytes:>9} B: staged {:.1} us, zero-copy {:.1} us ({:.2}x)\n",
+                st * 1e6,
+                zc * 1e6,
+                st / zc
+            ));
         }
-        std::fs::write("results/transport_crossover.txt", summary).ok();
-        println!("wrote results/transport_crossover.txt");
+        write_out("results/transport_crossover.txt", &summary);
     }
 
     // ---- gates ------------------------------------------------------------
-    let Some(path) = check_path else { return };
-    let baseline = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let mut failed = false;
+    let Some(path) = args.check else { return };
+    let baseline = Baseline::read(&path);
+    let mut gates = Gates::default();
 
     // Gate 1: at the smallest swept payload the tree beats the ring
     // (latency-optimal wins small) on the largest swept group.
     let g = *allreduce_groups(smoke).last().unwrap();
     let s_min = *allreduce_sizes(smoke).first().unwrap();
     let s_max = *allreduce_sizes(smoke).last().unwrap();
-    let measured = |bytes: u64, algo: &str, transport: &str| {
-        allreduce
-            .iter()
-            .find(|e| {
-                e.workers == g && e.bytes == bytes && e.algo == algo && e.transport == transport
-            })
-            .map(|e| e.seconds)
-    };
+    let at = |bytes, algo: &str, transport| ar_seconds(&allreduce, transport, g, bytes, algo);
     for &transport in TRANSPORTS {
-        let (tree_s, ring_s) = (
-            measured(s_min, "tree", transport).unwrap(),
-            measured(s_min, "ring", transport).unwrap(),
+        gates.tag = format!("[{transport}]");
+        let (tree_s, ring_s) = (at(s_min, "tree", transport), at(s_min, "ring", transport));
+        gates.check(
+            tree_s < ring_s,
+            format!("tree beats ring at {s_min} B ({tree_s:.9} < {ring_s:.9})"),
         );
-        if tree_s >= ring_s {
-            eprintln!(
-                "FAIL[{transport}]: tree {tree_s:.9}s not faster than ring {ring_s:.9}s at {s_min} B"
-            );
-            failed = true;
-        } else {
-            println!("OK[{transport}]: tree beats ring at {s_min} B ({tree_s:.9} < {ring_s:.9})");
-        }
         // Gate 2: at the largest payload the bandwidth-optimal
         // algorithms beat the tree.
-        let tree_l = measured(s_max, "tree", transport).unwrap();
-        let ring_l = measured(s_max, "ring", transport).unwrap();
-        let rhd_l = measured(s_max, "rhd", transport);
-        if ring_l >= tree_l {
-            eprintln!(
-                "FAIL[{transport}]: ring {ring_l:.9}s not faster than tree {tree_l:.9}s at {s_max} B"
+        let (tree_l, ring_l) = (at(s_max, "tree", transport), at(s_max, "ring", transport));
+        gates.check(
+            ring_l < tree_l,
+            format!("ring beats tree at {s_max} B ({ring_l:.9} < {tree_l:.9})"),
+        );
+        if g.is_power_of_two() {
+            let rhd_l = at(s_max, "rhd", transport);
+            gates.check(
+                rhd_l < tree_l,
+                format!("rhd beats tree at {s_max} B ({rhd_l:.9} < {tree_l:.9})"),
             );
-            failed = true;
-        } else {
-            println!("OK[{transport}]: ring beats tree at {s_max} B ({ring_l:.9} < {tree_l:.9})");
-        }
-        if let Some(rhd_l) = rhd_l {
-            if rhd_l >= tree_l {
-                eprintln!(
-                    "FAIL[{transport}]: rhd {rhd_l:.9}s not faster than tree {tree_l:.9}s at {s_max} B"
-                );
-                failed = true;
-            } else {
-                println!("OK[{transport}]: rhd beats tree at {s_max} B ({rhd_l:.9} < {tree_l:.9})");
-            }
         }
     }
+    gates.tag.clear();
 
     // Gate 3: one-sided zero-copy beats staged RPC on the Verbs wire
     // at the largest streamed payload.
     let p2p_max = *p2p_sizes(smoke).last().unwrap();
-    let stream = |tr: &str| {
-        p2p.iter()
-            .find(|e| e.pattern == "1to1" && e.transport == tr && e.bytes == p2p_max)
-            .map(|e| e.seconds)
-            .unwrap()
-    };
-    let (st, zc) = (stream("staged"), stream("zerocopy"));
-    if zc >= st {
-        eprintln!("FAIL: zero-copy {zc:.9}s not faster than staged {st:.9}s at {p2p_max} B");
-        failed = true;
-    } else {
-        println!(
-            "OK: zero-copy beats staged at {p2p_max} B ({:.2}x)",
-            st / zc
-        );
-    }
+    let st = stream_seconds(&p2p, "staged", p2p_max);
+    let zc = stream_seconds(&p2p, "zerocopy", p2p_max);
+    gates.check(
+        zc < st,
+        format!("zero-copy beats staged at {p2p_max} B ({:.2}x)", st / zc),
+    );
 
     // Gate 4: corruption windows actually cost retransmissions, and
     // the clean run costs none.
     if corruption[0].retransmits != 0 {
-        eprintln!("FAIL: clean run performed retransmissions");
-        failed = true;
+        gates.fail("clean run performed retransmissions".into());
     }
-    if corruption.last().unwrap().retransmits == 0 {
-        eprintln!("FAIL: widest corruption window triggered no retransmissions");
-        failed = true;
-    } else {
-        println!(
-            "OK: corruption window drives retransmits (0 -> {})",
-            corruption.last().unwrap().retransmits
-        );
-    }
+    let widest = corruption.last().unwrap().retransmits;
+    gates.check(
+        widest > 0,
+        format!("corruption window drives retransmits (0 -> {widest})"),
+    );
 
     // Gate 5: drift vs the committed baseline (virtual time is exact;
-    // 25% headroom only covers intentional model changes).
+    // 25% headroom only covers intentional model changes). A point this
+    // run swept and a same-size baseline lacks is a failure; a smoke
+    // run against a full baseline (or the reverse) sweeps sizes the
+    // other never did, so there only the shared points are compared —
+    // and there must be some.
+    let same_sweep = baseline.smoke() == smoke;
     let mut compared = 0usize;
     for e in &allreduce {
-        let frags = vec![
-            format!("\"algo\": \"{}\"", e.algo),
-            format!("\"bytes\": {},", e.bytes),
-            format!("\"transport\": \"{}\"", e.transport),
-            format!("\"workers\": {}}}", e.workers),
-        ];
-        if let Some(base) = find_entry(&baseline, &frags, "seconds_per_round") {
+        let path = point_path(e.transport, e.workers, e.bytes, e.algo);
+        let found = if same_sweep {
+            gates.lookup(&baseline, &path)
+        } else {
+            baseline.get(&path)
+        };
+        if let Some(base) = found {
             compared += 1;
             if e.seconds > base * 1.25 {
-                eprintln!(
-                    "FAIL: allreduce[{}, {} B, {}w, {}] {:.9}s above baseline {:.9}s + 25%",
+                gates.fail(format!(
+                    "allreduce[{}, {} B, {}w, {}] {:.9}s above baseline {:.9}s + 25%",
                     e.algo, e.bytes, e.workers, e.transport, e.seconds, base
-                );
-                failed = true;
+                ));
             }
         }
     }
-    println!("OK: {compared} all-reduce points within 25% of baseline");
+    gates.check(
+        compared > 0,
+        format!("{compared} all-reduce points within 25% of baseline"),
+    );
 
-    if failed {
-        std::process::exit(1);
+    gates.finish("all transport gates passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_full_sweep_point_resolves_against_the_committed_baseline() {
+        let text = include_str!("../../../../BENCH_transport.json");
+        let base = Baseline::parse("BENCH_transport.json", text).unwrap();
+        assert!(!base.smoke());
+        let points = allreduce_points(false);
+        assert_eq!(points.len(), 120);
+        for (transport, workers, bytes, algo) in points {
+            let path = point_path(transport, workers, bytes, algo_label(algo));
+            assert!(base.get(&path).is_some(), "{path}");
+        }
     }
-    println!("OK: all transport gates passed");
 }

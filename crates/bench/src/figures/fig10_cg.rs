@@ -4,27 +4,15 @@
 //! omissions the paper makes (65k needs ≥8 K80s; V100 nodes top out at
 //! 8 GPUs).
 
-use tfhpc_apps::cg::{run_cg, CgConfig, CgReduction};
-use tfhpc_bench::{print_scaling, print_table, Row};
+use super::cg_cfg;
+use crate::{measured, print_scaling, print_table, Row};
+use tfhpc_apps::cg::{run_cg, CgReduction};
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::{kebnekaise_k80, kebnekaise_v100, tegner_k80, Platform};
 
 fn measure(platform: &Platform, n: usize, workers: usize) -> f64 {
-    run_cg(
-        platform,
-        &CgConfig {
-            n,
-            workers,
-            iterations: 500,
-            protocol: Protocol::Rdma,
-            simulated: true,
-            checkpoint_every: None,
-            resume: false,
-            reduction: CgReduction::QueuePair,
-        },
-    )
-    .expect("cg run")
-    .gflops
+    let cfg = cg_cfg(n, workers, 500, Protocol::Rdma, CgReduction::QueuePair);
+    run_cg(platform, &cfg).expect("cg run").gflops
 }
 
 fn sweep(rows: &mut Vec<Row>, platform: &Platform, n: usize, gpus: &[usize]) {
@@ -44,7 +32,7 @@ fn sweep(rows: &mut Vec<Row>, platform: &Platform, n: usize, gpus: &[usize]) {
     rows.extend(series);
 }
 
-fn main() {
+pub fn run() {
     let mut rows = Vec::new();
     println!("== Fig. 10: CG solver strong scaling ==");
 
@@ -65,7 +53,7 @@ fn main() {
 
     print_table("Fig. 10: CG performance", &rows);
 
-    let find = |label: &str| rows.iter().find(|r| r.label == label).unwrap().measured;
+    let find = |label: &str| measured(&rows, label);
     println!("\nshape checks (paper: 1.6x Keb K80 2->4 @32k; 1.3x 4->8; 1.36x 8->16;");
     println!("              1.26x V100 2->4 @32k; 1.16x 4->8; 1.74x Tegner K80 2->4 @32k;");
     println!("              little scaling at 16k):");

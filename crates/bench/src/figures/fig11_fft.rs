@@ -3,28 +3,17 @@
 //! 64 tiles of 2²³ on K420. Timed to last-tile-collected (the paper
 //! excludes the serial Python merge from the scaling numbers).
 
-use tfhpc_apps::fft::{run_fft, FftConfig};
-use tfhpc_bench::{print_scaling, print_table, Row};
-use tfhpc_sim::net::Protocol;
+use super::fft_cfg;
+use crate::{measured, print_scaling, print_table, Row};
+use tfhpc_apps::fft::run_fft;
 use tfhpc_sim::platform::{tegner_k420, tegner_k80, Platform};
 
 fn measure(platform: &Platform, log2_n: u32, tiles: usize, workers: usize) -> (f64, f64) {
-    let r = run_fft(
-        platform,
-        &FftConfig {
-            log2_n,
-            tiles,
-            workers,
-            protocol: Protocol::Rdma,
-            simulated: true,
-            merge_cost_factor: 1.0,
-        },
-    )
-    .expect("fft run");
+    let r = run_fft(platform, &fft_cfg(log2_n, tiles, workers, 1.0)).expect("fft run");
     (r.gflops, r.total_s - r.collect_s)
 }
 
-fn main() {
+pub fn run() {
     let mut rows = Vec::new();
     println!("== Fig. 11: FFT strong scaling (mergers + GPUs) ==");
 
@@ -54,7 +43,7 @@ fn main() {
 
     print_table("Fig. 11: FFT performance (collection phase)", &rows);
 
-    let find = |label: &str| rows.iter().find(|r| r.label == label).unwrap().measured;
+    let find = |label: &str| measured(&rows, label);
     let s24 = find("Tegner K80 / 2^31 / 1+4") / find("Tegner K80 / 2^31 / 1+2");
     let s48 = find("Tegner K80 / 2^31 / 1+8") / find("Tegner K80 / 2^31 / 1+4");
     let k420_s24 = find("Tegner K420 / 2^29 / 1+4") / find("Tegner K420 / 2^29 / 1+2");

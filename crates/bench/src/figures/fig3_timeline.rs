@@ -7,23 +7,15 @@
 //! flow events — plus a textual per-track summary parsed from the
 //! exported JSON.
 
+use super::cg_cfg;
 use std::collections::BTreeMap;
-use tfhpc_apps::cg::{run_cg_traced, CgConfig, CgReduction};
+use tfhpc_apps::cg::{run_cg_traced, CgReduction};
 use tfhpc_obs::json::{self, JsonValue};
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::tegner_k80;
 
-fn main() {
-    let cfg = CgConfig {
-        n: 16384,
-        workers: 4,
-        iterations: 20,
-        protocol: Protocol::Rdma,
-        simulated: true,
-        checkpoint_every: None,
-        resume: false,
-        reduction: CgReduction::QueuePair,
-    };
+pub fn run() {
+    let cfg = cg_cfg(16384, 4, 20, Protocol::Rdma, CgReduction::QueuePair);
     let (report, json) = run_cg_traced(&tegner_k80(), &cfg).expect("traced CG run");
 
     let path = std::path::Path::new("results").join("fig3_cg_timeline.json");

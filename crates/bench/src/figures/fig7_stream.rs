@@ -3,8 +3,8 @@
 //! Kebnekaise GPU}, median of repeats, 100 invocations per run
 //! (exactly the paper's methodology).
 
+use crate::{measured, print_table, Row};
 use tfhpc_apps::stream::{run_stream, StreamConfig};
-use tfhpc_bench::{print_table, Row};
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::{kebnekaise_k80, tegner_k420, Platform};
 
@@ -33,7 +33,7 @@ fn measure(platform: &Platform, on_gpu: bool, protocol: Protocol, mb: u64, repea
     median(runs)
 }
 
-fn main() {
+pub fn run() {
     // Paper-reported anchor points (§VI-A text).
     let paper: fn(&str, Protocol, u64) -> Option<f64> =
         |series, proto, mb| match (series, proto, mb) {
@@ -68,12 +68,7 @@ fn main() {
     print_table("Fig. 7: STREAM bandwidth between two nodes", &rows);
 
     // Shape assertions the paper states in prose.
-    let get = |label: &str| {
-        rows.iter()
-            .find(|r| r.label == label)
-            .map(|r| r.measured)
-            .unwrap()
-    };
+    let get = |label: &str| measured(&rows, label);
     let ordering_ok = get("Tegner GPU / gRPC / 128MB") < get("Tegner GPU / MPI / 128MB")
         && get("Tegner GPU / MPI / 128MB") < get("Tegner GPU / RDMA / 128MB");
     println!("\nshape checks:");

@@ -1,46 +1,21 @@
 //! Fig. 8 — tiled matrix-multiply strong scaling (Gflop/s) with
 //! 2 reducers + {2, 4, 8, 16} GPUs on Tegner K420 / Tegner K80 /
 //! Kebnekaise K80, for the paper's problem-size / tile-size pairs.
-//! `--topology` additionally prints the Fig. 9 node layout.
+//! `topology` prints the Fig. 9 node layout.
 
-use tfhpc_apps::matmul::{run_matmul, MatmulConfig};
-use tfhpc_bench::{print_scaling, print_table, Row};
+use super::{matmul_cfg, matmul_gflops};
+use crate::{measured, print_scaling, print_table, Row};
+use tfhpc_apps::matmul::run_matmul_with_sim;
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::{kebnekaise_k80, tegner_k420, tegner_k80, Platform};
 use tfhpc_sim::topology::ClusterSim;
 
-fn measure(platform: &Platform, n: usize, tile: usize, workers: usize) -> f64 {
-    run_matmul(
-        platform,
-        &MatmulConfig {
-            n,
-            tile,
-            workers,
-            reducers: 2,
-            protocol: Protocol::Rdma,
-            simulated: true,
-            prefetch: 3,
-        },
-    )
-    .expect("matmul run")
-    .gflops
-}
-
-/// `--utilization`: where the virtual time went for one Kebnekaise run
-/// (top busy hardware resources of the DES).
-fn print_utilization() {
-    let cfg = MatmulConfig {
-        n: 32768,
-        tile: 8192,
-        workers: 8,
-        reducers: 2,
-        protocol: Protocol::Rdma,
-        simulated: true,
-        prefetch: 3,
-    };
-    let report =
-        tfhpc_apps::matmul::run_matmul_with_sim(&kebnekaise_k80(), &cfg).expect("matmul run");
+/// Where the virtual time went for one Kebnekaise run (top busy
+/// hardware resources of the DES).
+pub fn utilization() {
+    let cfg = matmul_cfg(32768, 8192, 8, 2, Protocol::Rdma);
+    let report = run_matmul_with_sim(&kebnekaise_k80(), &cfg).expect("matmul run");
     println!(
         "== resource utilization: Kebnekaise K80 / 32k / 8 GPUs ({:.1}s virtual) ==",
         report.0.elapsed_s
@@ -50,10 +25,19 @@ fn print_utilization() {
     }
 }
 
+/// Fig. 9: the Kebnekaise GPU node layout.
+pub fn topology() {
+    let sim = Sim::new();
+    let cluster = ClusterSim::new(&sim, kebnekaise_k80(), 1);
+    println!("== Fig. 9: Kebnekaise GPU node topology ==");
+    println!("{}", cluster.describe_topology());
+    println!("(GPUs 0-1 on island 0; GPUs 2-3 on island 1; IB + I/O on island 0)");
+}
+
 fn sweep(rows: &mut Vec<Row>, platform: &Platform, n: usize, tile: usize, gpus: &[usize]) {
     let mut series = Vec::new();
     for &w in gpus {
-        let gf = measure(platform, n, tile, w);
+        let gf = matmul_gflops(platform, n, tile, w, 2, Protocol::Rdma);
         let label = format!("{} / {}k / 2+{w}", platform.label, n / 1024);
         // Paper anchor: Kebnekaise K80 peak 2478 Gflop/s at 16 GPUs, 32k.
         let paper = (platform.label == "Kebnekaise K80" && n == 32768 && w == 16).then_some(2478.0);
@@ -63,20 +47,7 @@ fn sweep(rows: &mut Vec<Row>, platform: &Platform, n: usize, tile: usize, gpus: 
     rows.extend(series);
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--utilization") {
-        print_utilization();
-        return;
-    }
-    if std::env::args().any(|a| a == "--topology") {
-        let sim = Sim::new();
-        let cluster = ClusterSim::new(&sim, kebnekaise_k80(), 1);
-        println!("== Fig. 9: Kebnekaise GPU node topology ==");
-        println!("{}", cluster.describe_topology());
-        println!("(GPUs 0-1 on island 0; GPUs 2-3 on island 1; IB + I/O on island 0)");
-        return;
-    }
-
+pub fn run() {
     let mut rows = Vec::new();
     println!("== Fig. 8: tiled matmul strong scaling (reducers + GPUs) ==");
 
@@ -98,7 +69,7 @@ fn main() {
 
     print_table("Fig. 8: tiled matmul performance", &rows);
 
-    let find = |label: &str| rows.iter().find(|r| r.label == label).unwrap().measured;
+    let find = |label: &str| measured(&rows, label);
     let teg_speedup = find("Tegner K420 / 32k / 2+4") / find("Tegner K420 / 32k / 2+2");
     let teg80_speedup = find("Tegner K80 / 64k / 2+4") / find("Tegner K80 / 64k / 2+2");
     let keb_speedup = find("Kebnekaise K80 / 32k / 2+4") / find("Kebnekaise K80 / 32k / 2+2");

@@ -6,7 +6,7 @@ use tfhpc_dist::{launch, JobSpec, LaunchConfig};
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::all_platforms;
 
-fn main() {
+pub fn run() {
     println!("== Table I: TensorFlow instances per node ==");
     println!(
         "{:<20} {:>12} {:>24}",

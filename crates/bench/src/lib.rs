@@ -1,31 +1,22 @@
 //! # tfhpc-bench
 //!
-//! Figure-regeneration harnesses and micro-benchmarks: sixteen
-//! binaries, one per table/figure of the paper's evaluation (§VI), per
-//! ablation, and per committed `BENCH_*.json` baseline.
+//! The evaluation harness: four binaries over one library.
 //!
-//! | binary | artifact |
-//! |---|---|
-//! | `table1` | Table I — TF instances per node |
-//! | `fig3_timeline` | Fig. 3 — CG stage timeline (Chrome trace + per-track summary) |
-//! | `fig7_stream` | Fig. 7 — STREAM bandwidth by protocol |
-//! | `fig8_matmul` | Fig. 8 — tiled matmul strong scaling (+ Fig. 9 topology via `--topology`) |
-//! | `fig10_cg` | Fig. 10 — CG solver strong scaling |
-//! | `fig11_fft` | Fig. 11 — FFT strong scaling |
-//! | `ablation_transport` | A1 — transport choice vs app throughput |
-//! | `ablation_numa` | A2 — Kebnekaise ranks-per-node contention |
-//! | `ablation_tiles` | A3 — tile size & reducer count |
-//! | `ablation_merge` | A4 — FFT host-merge (Python) tax |
-//! | `ablation_allreduce` | A5 — queue-pair reducer vs ring all-reduce |
-//! | `ablation_cg_reduction` | A6 — CG with the reducer vs the ring |
-//! | `ablation_weak_scaling` | A7 — matmul weak scaling |
-//! | `bench_runtime` | `BENCH_runtime.json` — step-replay overhead, kernel floors |
-//! | `bench_serving` | `BENCH_serving.json` — multi-tenant serving load mix |
-//! | `bench_transport` | `BENCH_transport.json` — transports and all-reduce family |
+//! * `figures` — every table, figure and ablation of the paper's
+//!   evaluation (§VI) as an entry of [`figures::FIGURES`];
+//!   `figures --list` prints the registry, `figures <name>` one entry,
+//!   `figures --all --out-dir results` regenerates `results/`.
+//! * `bench_runtime`, `bench_serving`, `bench_transport` — generators
+//!   and `--check` gates of the committed `BENCH_*.json` baselines,
+//!   sharing [`Args`], [`write_out`], [`Baseline`] and [`Gates`].
 //!
-//! The table, figure and ablation binaries print aligned rows of
-//! *measured* values next to the paper's reported numbers/shape so
-//! `EXPERIMENTS.md` can be refreshed by copy-paste.
+//! Figure entries print aligned rows of *measured* values next to the
+//! paper's reported numbers/shape so `EXPERIMENTS.md` can be refreshed
+//! by copy-paste.
+
+use tfhpc_obs::json::{self, JsonValue};
+
+pub mod figures;
 
 /// One row of a figure table: a label, the measured value, and the
 /// paper's reported value/shape (when the paper gives one).
@@ -89,86 +80,176 @@ pub fn print_scaling(rows: &[Row]) {
     }
 }
 
-/// Result of timing one micro-benchmark case.
-#[derive(Debug, Clone)]
-pub struct Timing {
-    /// Case label.
-    pub label: String,
-    /// Best (minimum) iteration time in seconds.
-    pub best_s: f64,
-    /// Mean iteration time in seconds.
-    pub mean_s: f64,
-    /// Iterations measured.
-    pub iters: usize,
+/// The measured value of the row labelled `label`; the shape checks
+/// address rows by label, so a typo must say which one it was.
+pub fn measured(rows: &[Row], label: &str) -> f64 {
+    rows.iter()
+        .find(|r| r.label == label)
+        .unwrap_or_else(|| panic!("no row labelled {label:?}"))
+        .measured
 }
 
-/// Time `body` adaptively: warm up, then run enough iterations to fill
-/// roughly `budget_s` seconds (at least `min_iters`), and report the
-/// best and mean per-iteration time. Plain `Instant`-based measurement —
-/// the offline build has no external bench harness.
-pub fn time_case<R>(label: &str, mut body: impl FnMut() -> R) -> Timing {
-    use std::time::Instant;
-    let budget_s = 0.2f64;
-    let min_iters = 5usize;
-
-    // Warm-up + calibration pass.
-    let t0 = Instant::now();
-    std::hint::black_box(body());
-    let first = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((budget_s / first) as usize).clamp(min_iters, 10_000);
-
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(body());
-        let dt = t.elapsed().as_secs_f64();
-        best = best.min(dt);
-        total += dt;
-    }
-    Timing {
-        label: label.to_string(),
-        best_s: best,
-        mean_s: total / iters as f64,
-        iters,
-    }
+/// The flags every `bench_*` binary takes.
+#[derive(Debug, PartialEq)]
+pub struct Args {
+    /// `--smoke`: the short sweep CI runs.
+    pub smoke: bool,
+    /// `--out <path>`: where the JSON goes.
+    pub out: String,
+    /// `--check <path>`: the committed baseline to gate against.
+    pub check: Option<String>,
 }
 
-/// Format a seconds value with an auto-selected unit.
-pub fn fmt_time(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else if s >= 1e-6 {
-        format!("{:.3} us", s * 1e6)
-    } else {
-        format!("{:.1} ns", s * 1e9)
-    }
-}
-
-/// Print one timing row, with optional throughput (elements/sec based
-/// on the best time).
-pub fn print_timing(t: &Timing, elements: Option<u64>) {
-    let thrpt = elements
-        .map(|e| {
-            let per_s = e as f64 / t.best_s;
-            if per_s >= 1e9 {
-                format!("  {:>10.2} Gelem/s", per_s / 1e9)
-            } else if per_s >= 1e6 {
-                format!("  {:>10.2} Melem/s", per_s / 1e6)
-            } else {
-                format!("  {:>10.0} elem/s", per_s)
-            }
+impl Args {
+    /// Parse the process arguments; anything else is a usage error
+    /// (exit 2), so a mistyped `--check` cannot silently skip the gates.
+    pub fn parse(default_out: &str) -> Args {
+        Args::parse_from(std::env::args().skip(1), default_out).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: [--smoke] [--out <path>] [--check <baseline.json>]");
+            std::process::exit(2)
         })
-        .unwrap_or_default();
-    println!(
-        "{:<36} best {:>12}  mean {:>12}  ({} iters){thrpt}",
-        t.label,
-        fmt_time(t.best_s),
-        fmt_time(t.mean_s),
-        t.iters
-    );
+    }
+
+    fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_out: &str,
+    ) -> Result<Args, String> {
+        let mut parsed = Args {
+            smoke: false,
+            out: default_out.to_string(),
+            check: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a path"));
+            match flag.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--out" => parsed.out = value()?,
+                "--check" => parsed.check = Some(value()?),
+                _ => return Err(format!("unknown argument {flag:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// Write a bench's JSON (or summary) to `path`, creating its directory.
+pub fn write_out(path: &str, body: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+    }
+    std::fs::write(path, body).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// `items` as the lines of a JSON array, one `row` each. The bench
+/// writers stay format strings: `cmp` pins their bytes.
+pub fn json_rows<T>(items: &[T], row: impl Fn(&T) -> String) -> String {
+    items.iter().map(row).collect::<Vec<_>>().join(",\n")
+}
+
+/// A committed `BENCH_*.json`, parsed; numbers are addressed by path.
+pub struct Baseline {
+    name: String,
+    doc: JsonValue,
+}
+
+impl Baseline {
+    /// Read and parse the baseline at `path`.
+    pub fn read(path: &str) -> Baseline {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        Baseline::parse(path, &text).unwrap_or_else(|e| panic!("baseline {path}: {e}"))
+    }
+
+    /// Parse baseline `text`; `name` is what failed lookups call it.
+    pub fn parse(name: &str, text: &str) -> Result<Baseline, String> {
+        Ok(Baseline {
+            name: name.to_string(),
+            doc: json::parse(text)?,
+        })
+    }
+
+    /// Whether the baseline was written by a `--smoke` run.
+    pub fn smoke(&self) -> bool {
+        matches!(self.doc.get("smoke"), Some(JsonValue::Bool(true)))
+    }
+
+    /// The number at `path`: dotted object keys, where a key holding an
+    /// array is followed by `[field == value, ...]` selecting its first
+    /// element whose fields all match (strings quoted, numbers bare) —
+    /// `report.tenants[tenant == "interactive"].p99_s`.
+    pub fn get(&self, path: &str) -> Option<f64> {
+        let mut at = &self.doc;
+        let mut rest = path;
+        while !rest.is_empty() {
+            let key_end = rest.find(['.', '[']).unwrap_or(rest.len());
+            at = at.get(&rest[..key_end])?;
+            rest = &rest[key_end..];
+            if let Some(select) = rest.strip_prefix('[') {
+                let (preds, after) = select.split_once(']').expect("path closes its '['");
+                at = at.as_array()?.iter().find(|el| {
+                    preds.split(", ").all(|pred| {
+                        let (field, want) = pred.split_once(" == ").expect("field == value");
+                        match el.get(field) {
+                            Some(JsonValue::String(s)) => want.trim_matches('"') == s,
+                            Some(JsonValue::Number(n)) => want.parse() == Ok(*n),
+                            _ => false,
+                        }
+                    })
+                })?;
+                rest = after;
+            }
+            rest = rest.strip_prefix('.').unwrap_or(rest);
+        }
+        at.as_f64()
+    }
+}
+
+/// The pass/fail ledger of one `--check`: every gate prints one `OK:`
+/// line (stdout) or `FAIL:` line (stderr), and the run exits 1 at the
+/// end if any failed.
+#[derive(Default)]
+pub struct Gates {
+    failures: usize,
+    /// Printed between `OK`/`FAIL` and the colon, e.g. `[staged]`.
+    pub tag: String,
+}
+
+impl Gates {
+    /// Record one gate; `msg` states what held (or was meant to).
+    pub fn check(&mut self, ok: bool, msg: String) {
+        if ok {
+            println!("OK{}: {msg}", self.tag);
+        } else {
+            self.fail(msg);
+        }
+    }
+
+    /// Record a failed gate that prints nothing when it holds.
+    pub fn fail(&mut self, msg: String) {
+        eprintln!("FAIL{}: {msg}", self.tag);
+        self.failures += 1;
+    }
+
+    /// The baseline's number at `path`. A path that resolves nothing is
+    /// a failed gate naming it, never a skipped comparison.
+    pub fn lookup(&mut self, base: &Baseline, path: &str) -> Option<f64> {
+        let found = base.get(path);
+        if found.is_none() {
+            self.fail(format!("baseline {} has no {path}", base.name));
+        }
+        found
+    }
+
+    /// Exit 1 if any gate failed, else print `summary` as the last `OK:`.
+    pub fn finish(self, summary: &str) {
+        if self.failures > 0 {
+            eprintln!("FAIL: {} gate(s) failed", self.failures);
+            std::process::exit(1);
+        }
+        println!("OK: {summary}");
+    }
 }
 
 #[cfg(test)]
@@ -184,28 +265,94 @@ mod tests {
 
     #[test]
     fn printing_does_not_panic() {
-        print_table(
-            "smoke",
-            &[
-                Row::new("a", 1.0, Some(2.0), "x"),
-                Row::new("b", 3.0, None, "x"),
-            ],
-        );
-        print_scaling(&[
-            Row::new("2", 10.0, None, "gf"),
-            Row::new("4", 18.0, None, "gf"),
-        ]);
+        let rows = [
+            Row::new("a", 1.0, Some(2.0), "x"),
+            Row::new("b", 3.0, None, "x"),
+        ];
+        print_table("smoke", &rows);
+        print_scaling(&rows);
+        assert_eq!(measured(&rows, "b"), 3.0);
     }
 
     #[test]
-    fn time_case_measures_something() {
-        let t = time_case("noop", || 1 + 1);
-        assert!(t.best_s >= 0.0);
-        assert!(t.mean_s >= t.best_s);
-        assert!(t.iters >= 5);
-        print_timing(&t, Some(1));
-        assert!(fmt_time(2.0).ends_with(" s"));
-        assert!(fmt_time(2e-3).ends_with(" ms"));
-        assert!(fmt_time(2e-9).ends_with(" ns"));
+    #[should_panic(expected = "no row labelled \"c\"")]
+    fn a_missing_row_is_named() {
+        measured(&[Row::new("a", 1.0, None, "x")], "c");
+    }
+
+    #[test]
+    fn args_parse_once_and_reject_what_they_do_not_know() {
+        let parse = |args: &[&str]| Args::parse_from(args.iter().map(|a| a.to_string()), "d.json");
+        assert_eq!(
+            parse(&["--check", "b.json", "--smoke"]),
+            Ok(Args {
+                smoke: true,
+                out: "d.json".into(),
+                check: Some("b.json".into())
+            })
+        );
+        assert_eq!(parse(&["--out", "o.json"]).unwrap().out, "o.json");
+        assert!(parse(&["--chekc", "b.json"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+    }
+
+    const SERVING: &str = include_str!("../../../BENCH_serving.json");
+    const INTERACTIVE_P99: &str = "report.tenants[tenant == \"interactive\"].p99_s";
+
+    #[test]
+    fn paths_tell_the_two_serving_reports_apart() {
+        let base = Baseline::parse("BENCH_serving.json", SERVING).unwrap();
+        assert!(!base.smoke());
+        let load = base.get(INTERACTIVE_P99).unwrap();
+        let flood = base.get(&format!("overload.{INTERACTIVE_P99}")).unwrap();
+        assert_eq!(load, 0.002657559);
+        assert_ne!(load, flood);
+        assert_eq!(base.get("overload.queue_bound"), Some(48.0));
+        assert_eq!(base.get("report.tenants[tenant == \"nobody\"].p99_s"), None);
+        assert_eq!(base.get("report.tenants"), None);
+    }
+
+    #[test]
+    fn gates_fail_iff_a_check_failed() {
+        let mut gates = Gates::default();
+        gates.check(true, "holds".into());
+        assert_eq!(gates.failures, 0);
+        gates.check(false, "does not".into());
+        gates.check(true, "holds again".into());
+        assert_eq!(gates.failures, 1);
+    }
+
+    #[test]
+    fn a_field_missing_from_the_baseline_fails_the_gate() {
+        let mut gates = Gates::default();
+        let base = Baseline::parse("BENCH_serving.json", SERVING).unwrap();
+        assert!(gates.lookup(&base, INTERACTIVE_P99).is_some());
+        assert_eq!(gates.failures, 0);
+        // The overload report still carries the field: first-occurrence
+        // scanning would have found that one instead.
+        let cut = SERVING.replacen("      \"p99_s\": 0.002657559,\n", "", 1);
+        assert_ne!(cut, SERVING);
+        let base = Baseline::parse("cut", &cut).unwrap();
+        assert_eq!(gates.lookup(&base, INTERACTIVE_P99), None);
+        assert_eq!(gates.failures, 1);
+    }
+
+    #[test]
+    fn the_registry_is_what_results_holds() {
+        use std::collections::BTreeSet;
+        let names: BTreeSet<_> = figures::FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), figures::FIGURES.len(), "duplicate figure name");
+        let artifacts: BTreeSet<String> = figures::FIGURES
+            .iter()
+            .map(|f| f.artifact.to_string())
+            .collect();
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let committed: BTreeSet<String> = std::fs::read_dir(results)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            // bench_transport's full run writes this one.
+            .filter(|f| f.ends_with(".txt") && f != "transport_crossover.txt")
+            .collect();
+        assert_eq!(artifacts, committed);
     }
 }
