@@ -35,9 +35,11 @@
 //!                    plan cache stopped hitting, shedding touched a
 //!                    non-besteffort tenant, the flood pushed
 //!                    interactive p99 past 125% of the in-run baseline,
-//!                    or the minority task fenced later than the
-//!                    heartbeat timeout + two sweeps. Portable:
-//!                    virtual-time numbers are exact on every host.
+//!                    the minority task fenced later than the
+//!                    heartbeat timeout + two sweeps, or the main run
+//!                    cost the DES more than 2.43 dispatches per job.
+//!                    Portable: virtual-time numbers and DES counts are
+//!                    exact on every host.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -231,6 +233,17 @@ fn partition_drill() -> DrillOutcome {
     }
 }
 
+/// Ceiling on the main run's DES dispatches per submitted job: 2.21 at
+/// seed 42 (2.18–2.31 over seeds 17/42/1337, smoke or full) + 10 %.
+/// The counts are exact per seed, so a wake-up herd coming back (6.43
+/// when every submit woke every idle worker and every finish every
+/// client) fails the gate on any host.
+const MAX_DISPATCHES_PER_JOB: f64 = 2.43;
+
+fn dispatches_per_job(report: &LoadReport) -> f64 {
+    report.des.dispatches as f64 / report.submitted.max(1) as f64
+}
+
 /// One `run_load`, with the simulator's own cost for it on stderr
 /// (stdout and the JSON carry virtual-time results only).
 fn timed_load(label: &str, cfg: &ServeConfig, load: &[TenantSpec], seed: u64) -> LoadReport {
@@ -240,7 +253,7 @@ fn timed_load(label: &str, cfg: &ServeConfig, load: &[TenantSpec], seed: u64) ->
     eprintln!(
         "des self-cost [{label}]: {} dispatches ({:.2}/job, {:.0}/host-s), {} timers fired, {:.1} host ms ({:.3} host-s per virtual-s)",
         report.des.dispatches,
-        report.des.dispatches as f64 / report.submitted.max(1) as f64,
+        dispatches_per_job(&report),
         report.des.dispatches as f64 / host_s,
         report.des.timers_fired,
         host_s * 1e3,
@@ -426,6 +439,14 @@ fn main() {
     gates.check(
         hit_ratio >= 0.9,
         format!("plan cache hit ratio {hit_ratio:.3} >= 0.9"),
+    );
+
+    // The simulator's own cost: the serve plane wakes only processes
+    // that can make progress.
+    let per_job = dispatches_per_job(&report);
+    gates.check(
+        per_job <= MAX_DISPATCHES_PER_JOB,
+        format!("{per_job:.2} DES dispatches per job <= {MAX_DISPATCHES_PER_JOB}"),
     );
 
     // Overload drill: shedding must be brownout, not blackout —

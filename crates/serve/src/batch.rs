@@ -61,14 +61,10 @@ impl BatchQueue {
         batch.jobs.len()
     }
 
-    /// Take the next dispatchable batch: full, or past its deadline at
-    /// `now`. Among ready batches the earliest deadline wins, with the
-    /// spec order breaking ties deterministically. A dispatch never
-    /// exceeds `max_batch` jobs: overflow (jobs that piled up before a
-    /// worker woke) stays queued under the same deadline.
-    pub fn pop_ready(&mut self, now: f64) -> Option<(RequestSpec, PendingBatch)> {
-        let spec = self
-            .pending
+    /// The spec of the batch [`BatchQueue::pop_ready`] would take: the
+    /// earliest-deadline batch that is full or due at `now`.
+    fn next_ready(&self, now: f64) -> Option<RequestSpec> {
+        self.pending
             .iter()
             .filter(|(_, b)| b.jobs.len() >= self.max_batch || b.deadline <= now)
             .min_by(|(sa, a), (sb, b)| {
@@ -77,7 +73,21 @@ impl BatchQueue {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(sa.cmp(sb))
             })
-            .map(|(s, _)| *s)?;
+            .map(|(s, _)| *s)
+    }
+
+    /// Whether some batch is dispatchable at `now`.
+    pub fn has_ready(&self, now: f64) -> bool {
+        self.next_ready(now).is_some()
+    }
+
+    /// Take the next dispatchable batch: full, or past its deadline at
+    /// `now`. Among ready batches the earliest deadline wins, with the
+    /// spec order breaking ties deterministically. A dispatch never
+    /// exceeds `max_batch` jobs: overflow (jobs that piled up before a
+    /// worker woke) stays queued under the same deadline.
+    pub fn pop_ready(&mut self, now: f64) -> Option<(RequestSpec, PendingBatch)> {
+        let spec = self.next_ready(now)?;
         let open = self.pending.get_mut(&spec)?;
         if open.jobs.len() > self.max_batch {
             let rest = open.jobs.split_off(self.max_batch);
@@ -169,18 +179,25 @@ mod tests {
         let spec = RequestSpec::new(RequestKind::Matmul, 8);
         q.push(spec, job(1), 0.0);
         // Under-full and before the deadline: nothing ready.
+        assert!(!q.has_ready(0.5));
         assert!(q.pop_ready(0.5).is_none());
         assert_eq!(q.next_deadline(), Some(1.0));
         // Reaching the cap makes it ready immediately.
         q.push(spec, job(2), 0.5);
+        assert!(q.has_ready(0.5));
         let (s, b) = q.pop_ready(0.5).unwrap();
         assert_eq!(s, spec);
         assert_eq!(b.jobs.len(), 2);
         // Deadline alone also dispatches.
         q.push(spec, job(3), 2.0);
         assert!(q.pop_ready(2.9).is_none());
+        assert!(q.has_ready(3.0));
         assert_eq!(q.pop_ready(3.0).unwrap().1.jobs.len(), 1);
         assert!(q.is_empty());
+        // A zero window's batch is due the instant it opens.
+        let mut q = BatchQueue::new(0.0, 8);
+        q.push(spec, job(4), 0.25);
+        assert!(q.has_ready(0.25));
     }
 
     #[test]

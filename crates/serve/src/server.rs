@@ -13,8 +13,18 @@
 //! (worker DES processes pinned to cluster nodes, synthetic feeds,
 //! virtual time — fully deterministic, which is what makes the load
 //! generator's latency reports byte-reproducible).
+//!
+//! Both modes share one wake rule: a process is woken only when it can
+//! make progress. Idle workers park untimed except for at most one,
+//! which holds a timer on the earliest batch deadline; a worker is
+//! woken only for work nobody covers (a custom job, a dispatchable
+//! batch, or a deadline no timer is on), and a worker that takes work
+//! passes on what it leaves uncovered. `wait(id)` parks on a condition
+//! of its own that only `id`'s completion signals, `quiesce` on one
+//! that only the last outstanding completion signals.
 
 use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,6 +33,7 @@ use tfhpc_apps::{digest_tensors, RequestSpec};
 use tfhpc_core::{
     CoreError, DeviceCtx, NodeId, Resources, Result, Session, SessionOptions, SharedPlanCache,
 };
+use tfhpc_obs::{Histogram, LazyCounter};
 use tfhpc_sim::clock::Cv;
 use tfhpc_sim::topology::ClusterSim;
 use tfhpc_sim::Sim;
@@ -72,7 +83,8 @@ pub struct JobResult {
     pub submitted_s: f64,
     /// Completion time.
     pub finished_s: f64,
-    /// Size of the dispatch this job rode in (1 = unbatched).
+    /// Size of the dispatch this job rode in (1 = unbatched, 0 = never
+    /// dispatched: shed, or an unknown id).
     pub batch_size: usize,
     /// Failure message, if the job errored.
     pub error: Option<String>,
@@ -99,7 +111,38 @@ struct ServeState {
     next_id: u64,
     outstanding: usize,
     open: bool,
+    /// Workers parked on `work_cv`.
+    idle: usize,
+    /// The batch deadline the timed idle worker parks on, if one does.
+    timer: Option<f64>,
+    /// `wait` callers by job id: the condition they park on and how
+    /// many of them park there.
+    waiters: HashMap<u64, (Arc<Cv>, usize)>,
+    /// Conditions no `wait` is using, handed to the next one.
+    spare: Vec<Arc<Cv>>,
+    /// `quiesce` callers parked on `quiesced`.
+    quiescing: usize,
+    /// Per-tenant latency histograms, resolved on first use.
+    latency: HashMap<String, Arc<Histogram>>,
 }
+
+impl ServeState {
+    /// The earliest batch deadline, if no parked worker's timer is on
+    /// or before it.
+    fn uncovered_deadline(&self) -> Option<f64> {
+        let d = self.batch.next_deadline()?;
+        self.timer.is_none_or(|t| d < t).then_some(d)
+    }
+
+    /// Whether an idle worker could make progress at `now`: a custom
+    /// job or a dispatchable batch waits, or a deadline has no timer.
+    fn uncovered(&self, now: f64) -> bool {
+        !self.custom.is_empty() || self.batch.has_ready(now) || self.uncovered_deadline().is_some()
+    }
+}
+
+static BATCHES: LazyCounter = LazyCounter::new("tfhpc_serve_batches_total");
+static BATCHED_JOBS: LazyCounter = LazyCounter::new("tfhpc_serve_batched_jobs_total");
 
 /// One worker's cached executable for a spec: canonical graph wrapped
 /// in a session wired to the server-wide shared plan cache.
@@ -115,21 +158,29 @@ pub struct SessionServer {
     admission: AdmissionController,
     plan_cache: Arc<SharedPlanCache>,
     state: Mutex<ServeState>,
-    /// Workers wait here for a job, a batch deadline or the close;
-    /// `submit` and `shutdown` notify.
+    /// Idle workers park here for work, a batch deadline or the close.
     work_cv: Cv,
-    /// `wait` and `quiesce` wait here for results; `finish` and
-    /// `shutdown` notify. Apart from `work_cv`, so that a submit does not
-    /// wake the waiting clients nor a finish the idle workers.
-    done_cv: Cv,
+    /// `quiesce` parks here until nothing is outstanding.
+    quiesced: Cv,
+    /// The simulation whose clock the server's conditions are on
+    /// (`None`: the wall clock).
+    sim: Option<Arc<Sim>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     started: Instant,
     batches: AtomicU64,
     batched_jobs: AtomicU64,
 }
 
+/// A condition on `sim`'s virtual clock, or on the wall clock.
+fn condition(sim: Option<&Arc<Sim>>, name: &str) -> Cv {
+    match sim {
+        Some(sim) => Cv::on(sim, name),
+        None => Cv::Real(Condvar::new()),
+    }
+}
+
 impl SessionServer {
-    fn new(cfg: ServeConfig, work_cv: Cv, done_cv: Cv) -> SessionServer {
+    fn new(cfg: ServeConfig, sim: Option<Arc<Sim>>) -> SessionServer {
         SessionServer {
             admission: AdmissionController::new(cfg.default_quota),
             plan_cache: Arc::new(SharedPlanCache::new(cfg.plan_cache_cap)),
@@ -140,9 +191,16 @@ impl SessionServer {
                 next_id: 1,
                 outstanding: 0,
                 open: true,
+                idle: 0,
+                timer: None,
+                waiters: HashMap::new(),
+                spare: Vec::new(),
+                quiescing: 0,
+                latency: HashMap::new(),
             }),
-            work_cv,
-            done_cv,
+            work_cv: condition(sim.as_ref(), "serve.work"),
+            quiesced: condition(sim.as_ref(), "serve.quiesced"),
+            sim,
             workers: Mutex::new(Vec::new()),
             started: Instant::now(),
             batches: AtomicU64::new(0),
@@ -155,11 +213,7 @@ impl SessionServer {
     /// dense feeds, wall-clock timestamps.
     pub fn start_real(cfg: ServeConfig) -> Arc<SessionServer> {
         let n = cfg.workers.max(1);
-        let server = Arc::new(SessionServer::new(
-            cfg,
-            Cv::Real(Condvar::new()),
-            Cv::Real(Condvar::new()),
-        ));
+        let server = Arc::new(SessionServer::new(cfg, None));
         let mut handles = Vec::with_capacity(n);
         for w in 0..n {
             let srv = Arc::clone(&server);
@@ -182,11 +236,7 @@ impl SessionServer {
         cluster: &Arc<ClusterSim>,
         worker_nodes: &[usize],
     ) -> Arc<SessionServer> {
-        let server = Arc::new(SessionServer::new(
-            cfg,
-            Cv::on(sim, "serve.work"),
-            Cv::on(sim, "serve.done"),
-        ));
+        let server = Arc::new(SessionServer::new(cfg, Some(Arc::clone(sim))));
         for (w, &node) in worker_nodes.iter().enumerate() {
             let srv = Arc::clone(&server);
             let cl = Arc::clone(cluster);
@@ -293,6 +343,7 @@ impl SessionServer {
                 });
             }
         }
+        let wake = st.idle > 0 && st.uncovered(now);
         drop(st);
         if !shed.is_empty() {
             let results = shed
@@ -318,37 +369,90 @@ impl SessionServer {
             // immediately with the errored result.
             self.finish(results);
         }
-        self.work_cv.notify_all();
+        if wake {
+            self.work_cv.notify_one();
+        }
         Ok(id)
     }
 
-    /// Block until job `id` finishes and return its result. In sim
-    /// mode this must be called from a simulated process (closed-loop
+    /// Block until job `id` finishes and return its result; an id this
+    /// server never issued returns at once with an error. In sim mode
+    /// this must be called from a simulated process (closed-loop
     /// clients are DES processes).
     pub fn wait(&self, id: u64) -> JobResult {
         let mut st = self.state.lock();
-        loop {
-            if let Some(result) = st.done.get(&id) {
-                return result.clone();
-            }
-            st = self.done_cv.wait(&self.state, st);
+        if let Some(result) = st.done.get(&id) {
+            return result.clone();
         }
+        if id == 0 || id >= st.next_id {
+            drop(st);
+            let now = self.now();
+            return JobResult {
+                id,
+                tenant: String::new(),
+                kind: "unknown".to_string(),
+                digest: 0,
+                submitted_s: now,
+                finished_s: now,
+                batch_size: 0,
+                error: Some(format!("unknown job id {id}")),
+            };
+        }
+        // Park on `id`'s own condition, shared with any other waiter
+        // for `id`; the last one out returns it to the spare list.
+        let cv = match st.waiters.get_mut(&id) {
+            Some((cv, n)) => {
+                *n += 1;
+                Arc::clone(cv)
+            }
+            None => {
+                let cv = st
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| Arc::new(condition(self.sim.as_ref(), "serve.job-done")));
+                st.waiters.insert(id, (Arc::clone(&cv), 1));
+                cv
+            }
+        };
+        let result = loop {
+            st = cv.wait(&self.state, st);
+            if let Some(result) = st.done.get(&id) {
+                break result.clone();
+            }
+        };
+        let st = &mut *st;
+        if let Entry::Occupied(mut mine) = st.waiters.entry(id) {
+            mine.get_mut().1 -= 1;
+            if mine.get().1 == 0 {
+                st.spare.push(mine.remove().0);
+            }
+        }
+        result
     }
 
     /// Block until every submitted job has finished.
     pub fn quiesce(&self) {
         let mut st = self.state.lock();
+        st.quiescing += 1;
         while st.outstanding > 0 {
-            st = self.done_cv.wait(&self.state, st);
+            st = self.quiesced.wait(&self.state, st);
         }
+        st.quiescing -= 1;
     }
 
     /// Stop accepting submissions; workers drain the queues and exit.
-    /// Real-mode worker threads are joined.
+    /// Wakes every parked worker, `wait` and `quiesce`. Real-mode worker
+    /// threads are joined.
     pub fn shutdown(&self) {
-        self.state.lock().open = false;
+        let mut st = self.state.lock();
+        st.open = false;
+        let waiting: Vec<Arc<Cv>> = st.waiters.values().map(|(cv, _)| Arc::clone(cv)).collect();
+        drop(st);
         self.work_cv.notify_all();
-        self.done_cv.notify_all();
+        for cv in waiting {
+            cv.notify_all();
+        }
+        self.quiesced.notify_all();
         let handles = std::mem::take(&mut *self.workers.lock());
         for h in handles {
             let _ = h.join();
@@ -365,25 +469,10 @@ impl SessionServer {
     fn worker_loop(self: Arc<SessionServer>, device: DeviceCtx, synthetic: bool) {
         let mut steps: HashMap<RequestSpec, CachedStep> = HashMap::new();
         loop {
-            let work = {
-                let mut st = self.state.lock();
-                loop {
-                    let now = self.now();
-                    if let Some(job) = st.custom.pop_front() {
-                        break Some(WorkItem::Custom(job));
-                    }
-                    if let Some((spec, batch)) = st.batch.pop_ready(now) {
-                        break Some(WorkItem::Batch(spec, batch));
-                    }
-                    if !st.open && st.batch.is_empty() && st.custom.is_empty() {
-                        break None;
-                    }
-                    st = match st.batch.next_deadline() {
-                        Some(d) => self.work_cv.wait_until(&self.state, st, d, now),
-                        None => self.work_cv.wait(&self.state, st),
-                    };
-                }
-            };
+            let (work, wake) = self.next_work();
+            if wake {
+                self.work_cv.notify_one();
+            }
             match work {
                 Some(WorkItem::Custom(job)) => self.run_custom(job),
                 Some(WorkItem::Batch(spec, batch)) => {
@@ -391,6 +480,40 @@ impl SessionServer {
                 }
                 None => return,
             }
+        }
+    }
+
+    /// Park until there is work, or until the server is closed and
+    /// drained (`None`). Also says whether to wake one more idle worker:
+    /// for work this one leaves uncovered, or to pass the exit on.
+    fn next_work(&self) -> (Option<WorkItem>, bool) {
+        let mut st = self.state.lock();
+        loop {
+            let now = self.now();
+            let work = match st.custom.pop_front() {
+                Some(job) => Some(WorkItem::Custom(job)),
+                None => st
+                    .batch
+                    .pop_ready(now)
+                    .map(|(spec, b)| WorkItem::Batch(spec, b)),
+            };
+            if work.is_some() || (!st.open && st.batch.is_empty() && st.custom.is_empty()) {
+                let wake = st.idle > 0 && (work.is_none() || st.uncovered(now));
+                return (work, wake);
+            }
+            st.idle += 1;
+            st = match st.uncovered_deadline() {
+                Some(d) => {
+                    st.timer = Some(d);
+                    let mut st = self.work_cv.wait_until(&self.state, st, d, now);
+                    if st.timer == Some(d) {
+                        st.timer = None;
+                    }
+                    st
+                }
+                None => self.work_cv.wait(&self.state, st),
+            };
+            st.idle -= 1;
         }
     }
 
@@ -403,7 +526,6 @@ impl SessionServer {
             Ok(d) => (d, None),
             Err(e) => (0, Some(e)),
         };
-        self.observe_latency(&job.tenant, finished - job.submitted_s);
         self.finish(vec![JobResult {
             id: job.id,
             tenant: job.tenant,
@@ -461,17 +583,14 @@ impl SessionServer {
         let size = batch.jobs.len();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_jobs.fetch_add(size as u64, Ordering::Relaxed);
-        let reg = tfhpc_obs::global();
-        reg.counter("tfhpc_serve_batches_total").add(1);
-        reg.counter("tfhpc_serve_batched_jobs_total")
-            .add(size as u64);
+        BATCHES.add(1);
+        BATCHED_JOBS.add(size as u64);
         let results = batch
             .jobs
             .into_iter()
             .zip(outputs)
             .map(|(job, out)| {
                 self.admission.release(&job.tenant, 1);
-                self.observe_latency(&job.tenant, finished - job.submitted_s);
                 let (digest, error) = match out {
                     Ok(tensors) => (digest_tensors(&tensors), None),
                     Err(e) => (0, Some(e.to_string())),
@@ -491,24 +610,38 @@ impl SessionServer {
         self.finish(results);
     }
 
-    fn observe_latency(&self, tenant: &str, latency_s: f64) {
-        tfhpc_obs::global()
-            .histogram_with(
-                "tfhpc_serve_latency_seconds",
-                &[("tenant", tenant)],
-                &tfhpc_obs::metrics::duration_buckets(),
-            )
-            .observe(latency_s.max(0.0));
-    }
-
+    /// Publish `results`: record the dispatched ones' latencies, then
+    /// wake only the `wait`s for these ids, and `quiesce` only if
+    /// nothing is left outstanding.
     fn finish(&self, results: Vec<JobResult>) {
         let mut st = self.state.lock();
         st.outstanding = st.outstanding.saturating_sub(results.len());
+        let mut wake = Vec::new();
         for r in results {
+            if r.batch_size > 0 {
+                if !st.latency.contains_key(&r.tenant) {
+                    let histogram = tfhpc_obs::global().histogram_with(
+                        "tfhpc_serve_latency_seconds",
+                        &[("tenant", &r.tenant)],
+                        &tfhpc_obs::metrics::duration_buckets(),
+                    );
+                    st.latency.insert(r.tenant.clone(), histogram);
+                }
+                st.latency[&r.tenant].observe((r.finished_s - r.submitted_s).max(0.0));
+            }
+            if let Some((cv, _)) = st.waiters.get(&r.id) {
+                wake.push(Arc::clone(cv));
+            }
             st.done.insert(r.id, r);
         }
+        let quiesced = st.outstanding == 0 && st.quiescing > 0;
         drop(st);
-        self.done_cv.notify_all();
+        for cv in wake {
+            cv.notify_all();
+        }
+        if quiesced {
+            self.quiesced.notify_all();
+        }
     }
 }
 
@@ -519,6 +652,53 @@ impl std::fmt::Debug for SessionServer {
             .field("open", &st.open)
             .field("outstanding", &st.outstanding)
             .field("done", &st.done.len())
+            .field("waiting_ids", &st.waiters.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unknown(server: &SessionServer, id: u64) {
+        let r = server.wait(id);
+        assert_eq!((r.id, r.batch_size), (id, 0));
+        assert_eq!(r.error, Some(format!("unknown job id {id}")));
+    }
+
+    #[test]
+    fn waiting_on_an_id_never_issued_returns_an_error_at_once() {
+        // Nobody would ever signal such a wait: it used to park forever
+        // on the wall clock and end the simulation as a deadlock.
+        let real = SessionServer::start_real(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        for id in [0, 1, 99] {
+            unknown(&real, id);
+        }
+        real.shutdown();
+
+        let sim = Sim::new();
+        let cluster = Arc::new(ClusterSim::new(&sim, tfhpc_sim::platform::tegner_k80(), 2));
+        let cfg = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = SessionServer::start_sim(cfg, &sim, &cluster, &[1]);
+        sim.spawn("client", move || {
+            let run: CustomFn = Box::new(|| Ok(5));
+            let payload = JobPayload::Custom {
+                label: "five".into(),
+                nodes: 1,
+                run,
+            };
+            let id = server.submit("t", payload).unwrap();
+            unknown(&server, id + 1);
+            assert_eq!(server.wait(id).digest, 5);
+            server.shutdown();
+        });
+        sim.run();
     }
 }

@@ -129,6 +129,15 @@ impl Cv {
         }
     }
 
+    /// Wake one waiter, if any: the longest-waiting on the virtual
+    /// clock, any one on the wall clock.
+    pub fn notify_one(&self) {
+        match self {
+            Cv::Real(cv) => cv.notify_one(),
+            Cv::Sim(cv) => cv.notify_one(),
+        }
+    }
+
     /// Wake every waiter.
     pub fn notify_all(&self) {
         match self {

@@ -1,10 +1,12 @@
 //! Serving-plane integration tests: admission quotas under concurrent
 //! multi-tenant load, quota release on both completion and supervised
 //! death, batched-vs-unbatched bit-identity, shared plan cache
-//! behaviour, strict env parsing, load-report determinism and the
-//! simulated server's wake-up discipline.
+//! behaviour, strict env parsing, load-report determinism, the
+//! simulated server's wake-up discipline and the real server's
+//! liveness under the same wake rule.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use tfhpc_apps::{run_cg_supervised, CgConfig, CgReduction, FaultSetup, RequestKind, RequestSpec};
 use tfhpc_core::CoreError;
@@ -390,6 +392,15 @@ fn load_report_equals_the_single_condvar_bytes() {
         include_str!("golden/serving_tiny_seed1337.json")
     );
     assert_eq!(report.des.thread_wakeups, report.des.dispatches);
+    // One idle worker holds the batch-deadline timer, so at most one
+    // timer fires per dispatched batch (every idle worker held one when
+    // they all parked on the same deadline: ~3.5 per batch).
+    assert!(
+        report.des.timers_fired <= report.batches,
+        "{} timers fired for {} batches",
+        report.des.timers_fired,
+        report.batches
+    );
 }
 
 #[test]
@@ -443,11 +454,143 @@ fn sim_server_wakes_only_who_it_can_unblock() {
     assert_eq!(server.take_results().len() as u64, jobs);
     let stats = sim.stats();
     assert_eq!(stats.thread_wakeups, stats.dispatches);
-    // 701 dispatches for the 96 jobs (7.3 per job); with one condvar
-    // shared by workers and clients the same run takes 991 (10.3).
+    // 377 dispatches for the 96 jobs (3.9 per job): a submit wakes one
+    // idle worker and a finish only the client whose job it was. Waking
+    // every idle worker per submit and every client per finish took 701
+    // (7.3); one condvar shared by workers and clients, 991 (10.3).
     assert!(
-        stats.dispatches <= 8 * jobs,
+        stats.dispatches * 2 <= 9 * jobs,
         "{} dispatches for {jobs} jobs",
         stats.dispatches
     );
+}
+
+/// The digest a bare session computes for `spec` fed from `seed`.
+fn direct_digest(spec: RequestSpec, seed: u64) -> u64 {
+    use tfhpc_core::{DeviceCtx, Resources, Session, SessionOptions};
+    let built = spec.build();
+    let session = Session::with_options(
+        built.graph,
+        Resources::new(),
+        DeviceCtx::real(0),
+        SessionOptions {
+            step_replay: true,
+            ..SessionOptions::sequential()
+        },
+    );
+    let feeds: Vec<_> = built
+        .placeholders
+        .iter()
+        .copied()
+        .zip(spec.feeds(seed, false))
+        .collect();
+    tfhpc_apps::digest_tensors(&session.run(&built.fetches, &feeds).unwrap())
+}
+
+/// Run `body` on its own thread; fail the test if it takes over 60 s
+/// (a lost wake-up parks a thread forever).
+fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || tx.send(body()).unwrap());
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(out) => {
+            handle.join().unwrap();
+            out
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().unwrap_err())
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("no result within 60 s: a wake-up was lost"),
+    }
+}
+
+#[test]
+fn real_server_loses_no_wake_up_under_concurrent_clients() {
+    // Eight clients against four wall-clock workers with a 1 ms window
+    // and batches of at most 3: submits race parks, finishes race waits,
+    // and batches open and close under every worker. Each job must come
+    // back with its bare-session digest, and `quiesce` must return.
+    const CLIENTS: u64 = 8;
+    const JOBS_EACH: u64 = 200;
+    const SEEDS: u64 = 4;
+    let specs = [
+        RequestSpec::new(RequestKind::Matmul, 16),
+        RequestSpec::new(RequestKind::Fft, 16),
+        RequestSpec::new(RequestKind::Cg, 12),
+        RequestSpec::new(RequestKind::Stream, 32),
+    ];
+    let expected: Vec<Vec<u64>> = specs
+        .iter()
+        .map(|&spec| (0..SEEDS).map(|seed| direct_digest(spec, seed)).collect())
+        .collect();
+    within_a_minute(move || {
+        let server = SessionServer::start_real(ServeConfig {
+            workers: 4,
+            batch_window_s: 0.001,
+            max_batch: 3,
+            ..ServeConfig::default()
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let server = Arc::clone(&server);
+                let expected = expected.clone();
+                std::thread::spawn(move || {
+                    for k in 0..JOBS_EACH {
+                        // Each client walks the specs with its own stride,
+                        // so some batches fill to 3 and others (~1 in 4
+                        // on a two-core host) wait out the window.
+                        let (s, seed) = (((c + k * (c + 1)) % 4) as usize, (c + k) % SEEDS);
+                        let id = server
+                            .submit(
+                                "t",
+                                JobPayload::Step {
+                                    spec: specs[s],
+                                    seed,
+                                },
+                            )
+                            .unwrap();
+                        let r = server.wait(id);
+                        assert!(r.error.is_none(), "{:?}", r.error);
+                        assert_eq!(r.digest, expected[s][seed as usize], "client {c} job {k}");
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        server.quiesce();
+        server.shutdown();
+        assert_eq!(server.take_results().len() as u64, CLIENTS * JOBS_EACH);
+    });
+}
+
+#[test]
+fn shutdown_returns_a_still_queued_job_to_its_waiter() {
+    // The job sits in a 200 ms batch window while its client parks in
+    // `wait`; `shutdown` wakes everyone, and the drain must still run
+    // the job and hand its result to the parked client.
+    let spec = RequestSpec::new(RequestKind::Matmul, 16);
+    let expected = direct_digest(spec, 7);
+    let result = within_a_minute(move || {
+        let server = SessionServer::start_real(ServeConfig {
+            workers: 2,
+            batch_window_s: 0.2,
+            ..ServeConfig::default()
+        });
+        let id = server
+            .submit("t", JobPayload::Step { spec, seed: 7 })
+            .unwrap();
+        let client = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.wait(id))
+        };
+        while !format!("{server:?}").contains("waiting_ids: 1") {
+            std::thread::yield_now();
+        }
+        server.shutdown();
+        client.join().unwrap()
+    });
+    assert!(result.error.is_none(), "{:?}", result.error);
+    assert_eq!(result.digest, expected);
 }
