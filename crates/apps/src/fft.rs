@@ -168,7 +168,7 @@ fn worker_task(
         let pipe = Arc::clone(&pipe);
         let store = Arc::clone(store);
         let server = Arc::clone(&ctx.server);
-        let filler = move || {
+        tfhpc_sim::clock::spawn(&format!("fft.pipe.{w}"), move || {
             for l in my_tiles {
                 let tile = store.get(&tile_key(l)).expect("tile missing");
                 if let Some(sim) = &server.devices.sim {
@@ -180,15 +180,7 @@ fn worker_task(
                 }
             }
             pipe.close();
-        };
-        match tfhpc_sim::des::current() {
-            Some(me) => {
-                me.sim().spawn(&format!("fft.pipe.{w}"), filler);
-            }
-            None => {
-                std::thread::spawn(filler);
-            }
-        }
+        });
     }
     ctx.server
         .resources

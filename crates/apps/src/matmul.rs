@@ -394,7 +394,7 @@ fn worker_body(
         let pipe = Arc::clone(&pipe);
         let store = Arc::clone(store);
         let server = Arc::clone(&ctx.server);
-        let filler = move || {
+        tfhpc_sim::clock::spawn(&format!("pipe.{w}"), move || {
             for (i, j, k) in elements {
                 let a = store.get(&a_key(i, k)).expect("tile A missing");
                 let b = store.get(&b_key(k, j)).expect("tile B missing");
@@ -410,15 +410,7 @@ fn worker_body(
                 }
             }
             pipe.close();
-        };
-        match tfhpc_sim::des::current() {
-            Some(me) => {
-                me.sim().spawn(&format!("pipe.{w}"), filler);
-            }
-            None => {
-                std::thread::spawn(filler);
-            }
-        }
+        });
     }
     ctx.server
         .resources

@@ -297,7 +297,7 @@ mod tests {
         single_task_launch(Some(plan), |ctx, store| {
             let ckpt = Checkpointer::new(Arc::clone(store), 0, 2);
             ckpt.save(ctx, 1, 4, b"good").unwrap();
-            tfhpc_sim::des::current().unwrap().advance(1.0);
+            tfhpc_sim::clock::sleep(1.0);
             ckpt.save(ctx, 2, 8, b"torn").unwrap();
             assert_eq!(ckpt.latest_valid(ctx).unwrap(), (4, b"good".to_vec()));
         });
@@ -309,7 +309,7 @@ mod tests {
         single_task_launch(Some(plan), |ctx, store| {
             let ckpt = Checkpointer::new(Arc::clone(store), 0, 1);
             ckpt.save(ctx, 1, 4, b"durable").unwrap();
-            tfhpc_sim::des::current().unwrap().advance(1.0);
+            tfhpc_sim::clock::sleep(1.0);
             ckpt.save(ctx, 2, 8, b"lost").unwrap();
             // The single slot still holds the pre-window generation.
             assert_eq!(ckpt.latest_valid(ctx).unwrap(), (4, b"durable".to_vec()));

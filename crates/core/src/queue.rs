@@ -274,7 +274,9 @@ impl FifoQueue {
             }
             st.parked_consumers += 1;
             st = match timed {
-                Some((deadline, now)) => self.not_empty.wait_until(&self.state, st, deadline, now),
+                Some((deadline, now)) => {
+                    self.not_empty.wait_until(&self.state, st, deadline, now).0
+                }
                 None => self.not_empty.wait(&self.state, st),
             };
             st.parked_consumers -= 1;

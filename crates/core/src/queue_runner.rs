@@ -108,17 +108,9 @@ impl QueueRunner {
     /// Spawn this runner on a background thread (real mode) or sim
     /// process, whichever matches the calling context.
     pub fn spawn(self: Arc<Self>, sess: Arc<Session>, coord: Arc<Coordinator>) {
-        let body = move || {
+        tfhpc_sim::clock::spawn("queue-runner", move || {
             let _ = self.run(&sess, &coord);
-        };
-        match tfhpc_sim::des::current() {
-            Some(me) => {
-                me.sim().spawn("queue-runner", body);
-            }
-            None => {
-                std::thread::spawn(body);
-            }
-        }
+        });
     }
 }
 

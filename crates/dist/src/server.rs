@@ -605,15 +605,16 @@ impl Server {
                 }
             }
         }
-        Ok(Route::new(cluster, plan, self, peer))
+        Route::new(cluster, plan, self, peer)
     }
 
     /// The route to an already-resolved `peer` with no failure-plane
-    /// check — for collectives and rendezvous, which do their own.
+    /// check beyond [`Route`]'s generation fence — for collectives and
+    /// rendezvous, which do their own.
     pub fn route_to(&self, peer: &Arc<Server>) -> Result<Route> {
         let cluster = self.try_cluster()?;
         let plan = cluster.faults();
-        Ok(Route::new(cluster, plan, self, Arc::clone(peer)))
+        Route::new(cluster, plan, self, Arc::clone(peer))
     }
 
     /// The retried remote-op shell every primitive runs in: per-
@@ -1197,7 +1198,7 @@ mod tests {
 
     #[test]
     fn stale_generation_is_fenced_with_aborted() {
-        let (c, _ps, worker) = two_task_cluster();
+        let (c, ps, worker) = two_task_cluster();
         c.advance_epoch();
         let err = worker
             .remote_var_read(&TaskKey::new("ps", 0), "w", None)
@@ -1208,6 +1209,11 @@ mod tests {
         let w2 = c.start_server(TaskKey::new("worker", 0), 1, vec![0]);
         assert_eq!(w2.epoch(), c.epoch());
         assert!(w2.check_alive().is_ok());
+        // A stale task that resolved the new incarnation anyway (the
+        // real-mode race past its fence check) gets no route to it.
+        let err = ps.route_to(&w2).err().expect("stale route refused");
+        assert!(matches!(err, CoreError::Aborted(_)), "{err}");
+        assert!(w2.route_to(&ps).is_ok());
     }
 
     #[test]

@@ -122,19 +122,31 @@ pub struct Route {
 }
 
 impl Route {
+    /// The route from `from` to `peer`; `Aborted` when `peer` belongs
+    /// to a newer generation. On host threads a superseded incarnation
+    /// can resolve its peer after a gang restart re-registered it, and
+    /// must not reach the new generation's queues.
     pub(crate) fn new(
         cluster: Arc<TfCluster>,
         plan: Option<Arc<FaultPlan>>,
         from: &Server,
         peer: Arc<Server>,
-    ) -> Route {
+    ) -> Result<Route> {
+        if peer.epoch() > from.epoch() {
+            return Err(CoreError::Aborted(format!(
+                "task {} generation {} superseded by generation {}",
+                from.key,
+                from.epoch(),
+                peer.epoch()
+            )));
+        }
         let transport = cluster.transport_for(&from.key.job, &peer.key.job);
-        Route {
+        Ok(Route {
             cluster,
             plan,
             peer,
             transport,
-        }
+        })
     }
 
     /// Charge the wire+staging cost of moving `bytes` from `src` to

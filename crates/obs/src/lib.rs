@@ -78,7 +78,7 @@ mod tests {
         {
             let seen = Arc::clone(&seen);
             sim.spawn("p", move || {
-                tfhpc_sim::des::current().unwrap().advance(4.25);
+                tfhpc_sim::clock::sleep(4.25);
                 *seen.lock() = now_seconds();
             });
         }

@@ -505,7 +505,7 @@ impl SessionServer {
             st = match st.uncovered_deadline() {
                 Some(d) => {
                     st.timer = Some(d);
-                    let mut st = self.work_cv.wait_until(&self.state, st, d, now);
+                    let (mut st, _) = self.work_cv.wait_until(&self.state, st, d, now);
                     if st.timer == Some(d) {
                         st.timer = None;
                     }

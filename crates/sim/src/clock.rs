@@ -1,9 +1,9 @@
-//! One condition variable, one clock read and one sleep for both
-//! clocks (DESIGN.md §5), so a blocking primitive is written once.
+//! One condition variable, one clock read, one sleep and one spawn for
+//! both clocks (DESIGN.md §5), so a blocking primitive is written once.
 //! A thread is on one clock for life: a simulated process on its
 //! simulation's virtual clock, any other thread on the wall clock.
-//! [`now`] and [`sleep`] follow the calling thread; a [`Cv`] is bound
-//! for life to the clock of the thread that makes it.
+//! [`now`], [`sleep`] and [`spawn`] follow the calling thread; a [`Cv`]
+//! is bound for life to the clock of the thread that makes it.
 
 use crate::des::{self, Sim, SimCondvar};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -33,6 +33,29 @@ pub fn sleep(secs: f64) {
     match des::current() {
         Some(me) => me.advance(secs),
         None => std::thread::sleep(Duration::from_secs_f64(secs)),
+    }
+}
+
+/// Run `f` on the caller's clock: as a new process of the caller's
+/// simulation (starting at the caller's virtual time), or on a new OS
+/// thread named `name` outside one.
+pub fn spawn(name: &str, f: impl FnOnce() + Send + 'static) {
+    spawn_on(des::current().as_ref().map(|me| me.sim()), name, f);
+}
+
+/// [`spawn`] onto a clock chosen by code outside the simulation: a
+/// process of `sim`, or a named OS thread when `None`.
+pub fn spawn_on(sim: Option<&Arc<Sim>>, name: &str, f: impl FnOnce() + Send + 'static) {
+    match sim {
+        Some(sim) => {
+            sim.spawn(name, f);
+        }
+        None => {
+            std::thread::Builder::new()
+                .name(name.to_string())
+                .spawn(f)
+                .expect("failed to spawn thread");
+        }
     }
 }
 
@@ -94,24 +117,25 @@ impl Cv {
     /// `deadline`; `now` is the caller's reading of that clock, in
     /// `deadline`'s epoch. Wall clock: parks at most `deadline - now`.
     /// Virtual clock: parks until the *absolute* `deadline`; a waiter
-    /// nobody notified resumes with its clock at exactly that.
+    /// nobody notified resumes with its clock at exactly that. The
+    /// flag is true when the deadline, not a notify, ended the wait.
     pub fn wait_until<'a, T>(
         &self,
         m: &'a Mutex<T>,
         mut guard: MutexGuard<'a, T>,
         deadline: f64,
         now: f64,
-    ) -> MutexGuard<'a, T> {
+    ) -> (MutexGuard<'a, T>, bool) {
         match self {
             Cv::Real(cv) => {
                 let left = Duration::from_secs_f64((deadline - now).max(0.0));
-                cv.wait_for(&mut guard, left);
-                guard
+                let timed_out = cv.wait_for(&mut guard, left).timed_out();
+                (guard, timed_out)
             }
             Cv::Sim(cv) => {
                 drop(guard);
-                cv.wait_until(deadline);
-                m.lock()
+                let timed_out = cv.wait_until(deadline);
+                (m.lock(), timed_out)
             }
         }
     }
@@ -207,7 +231,7 @@ mod tests {
         sim.spawn("waiter", move || {
             sleep(0.1);
             let (m, t) = (Mutex::new(()), now());
-            drop(cv.wait_until(&m, m.lock(), t + 0.2, t));
+            assert!(cv.wait_until(&m, m.lock(), t + 0.2, t).1);
             assert_eq!(now().to_bits(), (t + 0.2).to_bits());
         });
         sim.run();
@@ -221,8 +245,33 @@ mod tests {
             if t >= deadline {
                 break;
             }
-            guard = cv.wait_until(&m, guard, deadline, t);
+            guard = cv.wait_until(&m, guard, deadline, t).0;
         }
         assert!(began.elapsed() >= Duration::from_secs_f64(0.02));
+    }
+
+    #[test]
+    fn one_spawned_body_runs_on_either_clock() {
+        // The body sleeps on whatever clock it was spawned onto and
+        // reports (in a simulation?, seconds it saw pass).
+        let (tx, rx) = std::sync::mpsc::channel();
+        let body = |tx: std::sync::mpsc::Sender<(bool, f64)>, secs: f64| {
+            move || {
+                let t = now();
+                sleep(secs);
+                tx.send((des::current().is_some(), now() - t)).unwrap();
+            }
+        };
+        spawn("wall-body", body(tx.clone(), 0.01));
+        let (in_sim, slept) = rx.recv().unwrap();
+        assert!(!in_sim && slept >= 0.01);
+        // Inside a simulation the body starts at its spawner's time.
+        let sim = Sim::new();
+        spawn_on(Some(&sim), "spawner", move || {
+            sleep(1.0);
+            spawn("virtual-body", body(tx, 0.25));
+        });
+        sim.run();
+        assert_eq!(rx.recv().unwrap(), (true, 0.25));
     }
 }

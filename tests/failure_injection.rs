@@ -5,7 +5,8 @@
 //! unblocks parked consumers with `Unavailable`, deadlines expire at
 //! the exact virtual instant, transient link faults are retried (and
 //! counted in `RunMetadata`), and a crash-injected CG run restarts
-//! from its checkpoint to the bit-identical residual.
+//! from its checkpoint to the bit-identical residual. The `real_mode_*`
+//! cases run the same supervisor on host threads.
 //!
 //! The seeded tests honor `TFHPC_FAULT_SEED` (CI sweeps 17/42/1337).
 
@@ -16,7 +17,8 @@ use tfhpc_core::{
     Session,
 };
 use tfhpc_dist::{
-    launch, recv_deadline, send, JobSpec, LaunchConfig, RendezvousKey, SupervisorConfig, TaskKey,
+    launch, recv_deadline, ring_all_reduce, send, worker_all_reduce, JobSpec, LaunchConfig,
+    ReduceOp, Reducer, RendezvousKey, SupervisorConfig, TaskKey,
 };
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::fault::FaultPlan;
@@ -641,4 +643,157 @@ fn seeded_fault_plan_perturbs_timing_not_results() {
         a.elapsed_s,
         clean.elapsed_s
     );
+}
+
+// ---- real mode: the same supervisor on host threads -----------------------
+
+fn real(jobs: Vec<JobSpec>) -> LaunchConfig {
+    LaunchConfig::real(tegner_k420(), jobs, Protocol::Grpc)
+}
+
+#[test]
+fn real_mode_panicking_body_fails_the_launch_naming_the_panic() {
+    let result = launch(&real(vec![JobSpec::new("worker", 2, 0)]), |ctx| {
+        if ctx.index() == 1 {
+            panic!("worker 1 blew up");
+        }
+        Ok(())
+    });
+    match result {
+        Err(e) => assert!(e.to_string().contains("panicked"), "{e}"),
+        Ok(_) => panic!("a panicking body must fail the launch"),
+    }
+}
+
+#[test]
+fn real_mode_failure_releases_a_parked_dequeue_with_unavailable() {
+    // The consumer parks in `remote_dequeue` on the producer's queue,
+    // then the producer fails: its death mark must release the consumer
+    // with `Unavailable` at once, not after the 30 s drain.
+    let drain_s = 30.0;
+    let cfg = real(vec![JobSpec::new("prod", 1, 0), JobSpec::new("cons", 1, 0)])
+        .with_supervisor(SupervisorConfig::default().with_drain_timeout(drain_s));
+    let ready = std::sync::Barrier::new(2);
+    let released = Arc::new(parking_lot::Mutex::new(None));
+    let sink = Arc::clone(&released);
+    let began = std::time::Instant::now();
+    let result = launch(&cfg, move |ctx| {
+        let prod = TaskKey::new("prod", 0);
+        if ctx.job() == "prod" {
+            ctx.server.resources.create_queue("work", 4);
+            ready.wait();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            return Err(CoreError::Invalid("producer exploded".into()));
+        }
+        ready.wait();
+        let got = ctx.server.remote_dequeue(&prod, "work", None);
+        *sink.lock() = Some(matches!(got, Err(CoreError::Unavailable(_))));
+        got.map(drop)
+    });
+    let err = result
+        .err()
+        .expect("the producer's failure fails the launch");
+    assert!(err.to_string().contains("producer exploded"), "{err}");
+    assert_eq!(
+        *released.lock(),
+        Some(true),
+        "consumer not released with Unavailable"
+    );
+    let took = began.elapsed().as_secs_f64();
+    assert!(
+        took < drain_s / 3.0,
+        "launch waited {took:.1}s of a {drain_s}s drain"
+    );
+}
+
+#[test]
+fn real_mode_straggler_outside_any_queue_is_detached_after_the_drain() {
+    // Worker 1 waits on a barrier nobody else reaches, so no abort can
+    // release it: once worker 0 fails, the launch gives up on it after
+    // the drain timeout.
+    let drain_s = 0.2;
+    let cfg = real(vec![JobSpec::new("worker", 2, 0)])
+        .with_supervisor(SupervisorConfig::default().with_drain_timeout(drain_s));
+    let stuck = Arc::new(std::sync::Barrier::new(2));
+    let stuck2 = Arc::clone(&stuck);
+    let began = std::time::Instant::now();
+    let result = launch(&cfg, move |ctx| {
+        if ctx.index() == 0 {
+            return Err(CoreError::Invalid("worker 0 failed".into()));
+        }
+        stuck2.wait();
+        Ok(())
+    });
+    let msg = result.err().expect("worker 0 fails the launch").to_string();
+    assert!(began.elapsed().as_secs_f64() >= drain_s);
+    assert!(msg.contains("worker 0 failed"), "{msg}");
+    assert!(
+        msg.contains("1 task(s) still blocked after failure; detached"),
+        "{msg}"
+    );
+    // Release the detached straggler.
+    stuck.wait();
+}
+
+/// Reducer x 1 + worker x 2 on host threads, all-reducing 200 rounds
+/// through the queue-pair reducer or the ring under
+/// `SupervisorConfig::restarting(1)`; worker 1's first incarnation
+/// fails before round `fail_at`. Returns worker 0's per-round sums (as
+/// bits) from the incarnation that finished, the restarts and the
+/// final cluster epoch.
+fn real_all_reduce_rounds(ring: bool, fail_at: Option<usize>) -> (Vec<u64>, usize, u64) {
+    const ROUNDS: usize = 200;
+    let cfg = real(vec![
+        JobSpec::new("reducer", 1, 0),
+        JobSpec::new("worker", 2, 0),
+    ])
+    .with_supervisor(SupervisorConfig::restarting(1));
+    let sums = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&sums);
+    let out = launch(&cfg, move |ctx| {
+        if ctx.job() == "reducer" {
+            if ring {
+                return Ok(());
+            }
+            return Reducer::new(Arc::clone(&ctx.server), "r", 2, ReduceOp::Sum).serve(ROUNDS);
+        }
+        let w = ctx.index();
+        let group = [TaskKey::new("worker", 0), TaskKey::new("worker", 1)];
+        let mut mine = Vec::with_capacity(ROUNDS);
+        for round in 0..ROUNDS {
+            if w == 1 && ctx.attempt() == 0 && Some(round) == fail_at {
+                return Err(CoreError::Aborted("worker 1 failed (injected)".into()));
+            }
+            let v = Tensor::full_f64([1], 0.1 * (3 * round + w) as f64);
+            let sum = if ring {
+                ring_all_reduce(&ctx.server, &group, w, v, None)?
+            } else {
+                worker_all_reduce(&ctx.server, &TaskKey::new("reducer", 0), "r", w, v, None)?
+            };
+            mine.push(sum.as_f64().map_err(CoreError::from)?[0].to_bits());
+        }
+        if w == 0 {
+            *sink.lock() = mine;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let sums = std::mem::take(&mut *sums.lock());
+    assert_eq!(sums.len(), ROUNDS);
+    (sums, out.restarts, out.cluster.epoch())
+}
+
+#[test]
+fn real_mode_gang_restart_reproduces_every_all_reduce_round() {
+    // Recovered ≡ fault-free on the wall clock: the gang restart fences
+    // the failed generation off, so no stale partial reaches the new
+    // one and every round's sum matches the uninterrupted run bit for
+    // bit, on the queue pair and on the ring.
+    for ring in [false, true] {
+        let (clean, restarts, epoch) = real_all_reduce_rounds(ring, None);
+        assert_eq!((restarts, epoch), (0, 0));
+        let (recovered, restarts, epoch) = real_all_reduce_rounds(ring, Some(90));
+        assert_eq!((restarts, epoch), (1, 1), "ring: {ring}");
+        assert_eq!(recovered, clean, "ring: {ring}");
+    }
 }
