@@ -17,7 +17,10 @@
 //! Optional checkpoint/restart via the framework `Saver` — the
 //! capability §II-B highlights.
 
-use crate::supervised::{common_resume, Checkpointer, CKPT_KEEP};
+use crate::supervised::{
+    common_resume, recv_resume, resume_queue, run_app, send_resume, AppLaunch, Checkpointer,
+    CKPT_KEEP,
+};
 use crate::{AppError, FaultSetup};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -25,8 +28,8 @@ use tfhpc_core::{
     CoreError, Graph, Placement, Result as CoreResult, Saver, SessionOptions, TileStore,
 };
 use tfhpc_dist::{
-    all_reduce_auto, launch_traced, launch_with_setup, ring_all_reduce, worker_all_reduce, JobSpec,
-    LaunchConfig, ReduceOp, Reducer, TaskCtx, TaskKey,
+    all_reduce_auto, ring_all_reduce, worker_all_reduce, JobSpec, ReduceOp, Reducer, TaskCtx,
+    TaskKey,
 };
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::Platform;
@@ -252,7 +255,13 @@ fn serve_gather_round(ctx: &TaskCtx, workers: usize) -> CoreResult<()> {
     Ok(())
 }
 
-#[allow(clippy::too_many_lines)]
+/// The workers, in index order: the group of the collective reductions.
+fn worker_group(cfg: &CgConfig) -> Vec<TaskKey> {
+    (0..cfg.workers)
+        .map(|i| TaskKey::new("worker", i))
+        .collect()
+}
+
 /// Reduce a scalar partial across workers under the configured strategy.
 fn reduce_scalar(
     ctx: &TaskCtx,
@@ -272,9 +281,7 @@ fn reduce_scalar(
         )?
         .scalar_value_f64()?),
         CgReduction::Ring | CgReduction::Auto => {
-            let group: Vec<TaskKey> = (0..cfg.workers)
-                .map(|i| TaskKey::new("worker", i))
-                .collect();
+            let group = worker_group(cfg);
             let v = part.reshape([1])?;
             let reduced = if matches!(cfg.reduction, CgReduction::Auto) {
                 all_reduce_auto(&ctx.server, &group, w, v, Some(0), ReduceOp::Sum)?
@@ -313,9 +320,7 @@ fn gather_p(
         CgReduction::Ring | CgReduction::Auto => {
             // Pad the slice with zeros and all-reduce-sum: the sum of
             // disjoint padded slices IS the concatenation.
-            let group: Vec<TaskKey> = (0..cfg.workers)
-                .map(|i| TaskKey::new("worker", i))
-                .collect();
+            let group = worker_group(cfg);
             let mut parts: Vec<Tensor> = Vec::with_capacity(3);
             if w > 0 {
                 parts.push(Tensor::zeros(DType::F64, [w * rows]));
@@ -349,21 +354,15 @@ fn publish_resume_decision(
     decision: Option<u64>,
 ) -> CoreResult<()> {
     let msg = match decision {
-        Some(k) => vec![1i64, k as i64],
-        None => vec![0, 0],
+        Some(k) => [1, k as i64],
+        None => [0, 0],
     };
-    for w in first..workers {
-        let t = Tensor::from_i64([2], msg.clone())?;
-        ctx.server
-            .remote_enqueue(&TaskKey::new("worker", w), "resume", vec![t], None)?;
-    }
-    Ok(())
+    (first..workers).try_for_each(|w| send_resume(ctx, w, &msg))
 }
 
 /// Receive the generation's broadcast resume decision.
 fn recv_resume_decision(ctx: &TaskCtx) -> CoreResult<Option<u64>> {
-    let resume = ctx.server.resources.create_queue("resume", 1);
-    let v = resume.dequeue()?[0].as_i64()?.to_vec();
+    let v = recv_resume(&resume_queue(ctx, 1))?;
     Ok((v[0] == 1).then(|| v[1] as u64))
 }
 
@@ -376,7 +375,6 @@ fn worker_task(
     let w = ctx.index();
     let n = cfg.n;
     let rows = cfg.rows_per_worker();
-    let gpu = Some(0);
 
     // Load this worker's block of A from the PFS into a GPU variable
     // (once — reused every iteration).
@@ -533,7 +531,6 @@ fn worker_task(
             let _s = tr.span("cg.gather_p");
             gather_p(ctx, cfg, w, rows, out[0].clone())?
         };
-        let _ = gpu;
 
         // Checkpoint: variables + driver state into the shared store.
         if let Some(k) = cfg.checkpoint_every {
@@ -608,7 +605,6 @@ fn run_cg_inner(
     trace: bool,
     faults: Option<&FaultSetup>,
 ) -> Result<(CgReport, Arc<TileStore>, String, crate::SupervisedStats), AppError> {
-    crate::observe::run_started();
     if cfg.workers == 0 {
         return Err(AppError::Config("workers must be > 0".into()));
     }
@@ -623,92 +619,68 @@ fn run_cg_inner(
             "resume requires the store holding the checkpoint".into(),
         ));
     }
-    let jobs = match cfg.reduction {
-        CgReduction::QueuePair => vec![
-            JobSpec::new("reducer", 1, 0),
-            JobSpec::new("worker", cfg.workers, 1),
-        ],
-        // Horovod-style: workers only, no dedicated reducer task.
-        CgReduction::Ring | CgReduction::Auto => vec![JobSpec::new("worker", cfg.workers, 1)],
+    let launch = AppLaunch {
+        app: "cg",
+        store: "cg",
+        platform,
+        jobs: match cfg.reduction {
+            CgReduction::QueuePair => vec![
+                JobSpec::new("reducer", 1, 0),
+                JobSpec::new("worker", cfg.workers, 1),
+            ],
+            // Horovod-style: workers only, no dedicated reducer task.
+            CgReduction::Ring | CgReduction::Auto => vec![JobSpec::new("worker", cfg.workers, 1)],
+        },
+        simulated: cfg.simulated,
+        protocol: cfg.protocol,
+        faults,
+        ckpt_every: cfg.checkpoint_every,
+        external,
+        traced: trace,
     };
-    let mut launch_cfg = if cfg.simulated {
-        LaunchConfig::simulated(platform.clone(), jobs, cfg.protocol)
-    } else {
-        LaunchConfig::real(platform.clone(), jobs, cfg.protocol)
-    };
-    if let Some(f) = faults {
-        launch_cfg = f.apply(launch_cfg);
-    }
-    let cfg2 = cfg.clone();
     let rs_out = Arc::new(Mutex::new(f64::NAN));
     let rs_out2 = Arc::clone(&rs_out);
-    let store_slot: Arc<Mutex<Option<Arc<TileStore>>>> = Arc::new(Mutex::new(None));
-    let store_slot2 = Arc::clone(&store_slot);
-
     let cfg_body = cfg.clone();
-    let setup = move |cluster: &Arc<tfhpc_dist::TfCluster>| {
-        if let Some(store) = external {
-            cluster.register_shared_store("cg", store);
+    let populate = |store: &TileStore| {
+        if !cfg.resume {
+            populate_problem(store, cfg, 0xC6);
         }
-        let store = cluster.shared_store("cg");
-        if !cfg2.resume {
-            populate_problem(&store, &cfg2, 0xC6);
-        }
-        *store_slot2.lock() = Some(store);
     };
-    let body = move |ctx: TaskCtx| {
-        let store = ctx.server.cluster().shared_store("cg");
-        ctx.server.resources.register_store(Arc::clone(&store));
+    let run = run_app(launch, populate, move |ctx, store| {
         if ctx.job() == "reducer" {
-            // When resuming, fewer rounds remain and the initial
-            // residual reduction was already served. The reducer is the
-            // generation's single decider: it reads the common resume
-            // point once and broadcasts it so every worker mirrors this
-            // decision exactly (see `publish_resume_decision`).
-            let done = if cfg_body.resume {
-                Checkpointer::new(Arc::clone(&store), 0, CKPT_KEEP)
-                    .latest_valid(&ctx)
-                    .map(|(k, _)| k as usize)
-            } else if ctx.attempt() > 0 {
-                let d = common_resume(&ctx, &store, cfg_body.workers, CKPT_KEEP);
-                publish_resume_decision(&ctx, 0, cfg_body.workers, d)?;
-                d.map(|k| k as usize)
-            } else {
-                None
-            };
-            reducer_task_resumable(&ctx, &cfg_body, done)
+            reducer_task(ctx, &cfg_body, store)
         } else {
-            worker_task(&ctx, &cfg_body, &store, &rs_out2)
+            worker_task(ctx, &cfg_body, store, &rs_out2)
         }
+    })?;
+    let elapsed_s = run.launched.elapsed_s;
+    let report = CgReport {
+        gflops: cfg.flops() / elapsed_s / 1e9,
+        elapsed_s,
+        rs_final: *rs_out.lock(),
+        iterations_run: cfg.iterations,
+        restarts: run.launched.restarts,
     };
-    let launched = if trace {
-        launch_traced(&launch_cfg, setup, body)
-    } else {
-        launch_with_setup(&launch_cfg, setup, body)
-    }
-    .map_err(AppError::Core)?;
-
-    let json = crate::observe::run_finished("cg", launched.sim.as_ref(), trace);
-    let stats = crate::stats_of(&launched);
-    let store = store_slot.lock().take().expect("store captured");
-    Ok((
-        CgReport {
-            gflops: cfg.flops() / launched.elapsed_s / 1e9,
-            elapsed_s: launched.elapsed_s,
-            rs_final: {
-                let v = *rs_out.lock();
-                v
-            },
-            iterations_run: cfg.iterations,
-            restarts: launched.restarts,
-        },
-        store,
-        json,
-        stats,
-    ))
+    Ok((report, run.store, run.trace, run.stats))
 }
 
-fn reducer_task_resumable(ctx: &TaskCtx, cfg: &CgConfig, done: Option<usize>) -> CoreResult<()> {
+/// The queue-pair reducer task. When resuming, fewer rounds remain and
+/// the initial residual reduction was already served. The reducer is
+/// the generation's single decider: it reads the common resume point
+/// once and broadcasts it so every worker mirrors this decision exactly
+/// (see [`publish_resume_decision`]).
+fn reducer_task(ctx: &TaskCtx, cfg: &CgConfig, store: &Arc<TileStore>) -> CoreResult<()> {
+    let done = if cfg.resume {
+        Checkpointer::new(Arc::clone(store), 0, CKPT_KEEP)
+            .latest_valid(ctx)
+            .map(|(k, _)| k as usize)
+    } else if ctx.attempt() > 0 {
+        let d = common_resume(ctx, store, cfg.workers, CKPT_KEEP);
+        publish_resume_decision(ctx, 0, cfg.workers, d)?;
+        d.map(|k| k as usize)
+    } else {
+        None
+    };
     let workers = cfg.workers;
     let pap = Reducer::new(Arc::clone(&ctx.server), "pap", workers, ReduceOp::Sum);
     let rs = Reducer::new(Arc::clone(&ctx.server), "rs", workers, ReduceOp::Sum);
@@ -751,36 +723,28 @@ pub fn gather_solution(store: &TileStore, cfg: &CgConfig) -> Result<Tensor, AppE
 
 /// Serial reference CG (baseline for correctness + comparison).
 pub fn serial_cg(a: &Tensor, b: &Tensor, iterations: usize) -> Result<(Tensor, f64), AppError> {
-    use tfhpc_tensor::{matmul::matvec, ops};
-    let n = b.num_elements();
-    let mut x = Tensor::zeros(DType::F64, [n]);
-    let mut r = b.clone();
-    let mut p = b.clone();
-    let mut rs_old = ops::dot(&r, &r)
-        .map_err(|e| AppError::Core(e.into()))?
-        .scalar_value_f64()
-        .map_err(|e| AppError::Core(e.into()))?;
-    for _ in 0..iterations {
-        let q = matvec(a, &p).map_err(|e| AppError::Core(e.into()))?;
-        let pap = ops::dot(&p, &q)
-            .map_err(|e| AppError::Core(e.into()))?
-            .scalar_value_f64()
-            .map_err(|e| AppError::Core(e.into()))?;
-        let alpha = rs_old / pap;
-        // Owned axpy variants: dead operands (x, q, p) are moved so
-        // the update happens in place; still-live ones are cloned.
-        // Bit-identical to the borrowing forms either way.
-        x = ops::axpy_owned(alpha, p.clone(), x).map_err(|e| AppError::Core(e.into()))?;
-        r = ops::axpy_owned(-alpha, q, r).map_err(|e| AppError::Core(e.into()))?;
-        let rs_new = ops::dot(&r, &r)
-            .map_err(|e| AppError::Core(e.into()))?
-            .scalar_value_f64()
-            .map_err(|e| AppError::Core(e.into()))?;
-        let beta = rs_new / rs_old;
-        rs_old = rs_new;
-        p = ops::axpy_owned(beta, p, r.clone()).map_err(|e| AppError::Core(e.into()))?;
-    }
-    Ok((x, rs_old))
+    use tfhpc_tensor::{matmul::matvec, ops, TensorError};
+    let solve = || -> Result<(Tensor, f64), TensorError> {
+        let mut x = Tensor::zeros(DType::F64, [b.num_elements()]);
+        let mut r = b.clone();
+        let mut p = b.clone();
+        let mut rs_old = ops::dot(&r, &r)?.scalar_value_f64()?;
+        for _ in 0..iterations {
+            let q = matvec(a, &p)?;
+            let alpha = rs_old / ops::dot(&p, &q)?.scalar_value_f64()?;
+            // Owned axpy variants: dead operands (x, q, p) are moved so
+            // the update happens in place; still-live ones are cloned.
+            // Bit-identical to the borrowing forms either way.
+            x = ops::axpy_owned(alpha, p.clone(), x)?;
+            r = ops::axpy_owned(-alpha, q, r)?;
+            let rs_new = ops::dot(&r, &r)?.scalar_value_f64()?;
+            let beta = rs_new / rs_old;
+            rs_old = rs_new;
+            p = ops::axpy_owned(beta, p, r.clone())?;
+        }
+        Ok((x, rs_old))
+    };
+    solve().map_err(|e| AppError::Core(e.into()))
 }
 
 #[cfg(test)]
@@ -825,17 +789,14 @@ mod tests {
         // the one-time A-block load, which anti-scales on shared
         // Lustre clients).
         let p = platform::kebnekaise_k80();
-        let cfg2 = CgConfig {
-            iterations: 500,
-            ..sim_cfg(32768, 2)
+        let gflops = |workers| {
+            let cfg = CgConfig {
+                iterations: 500,
+                ..sim_cfg(32768, workers)
+            };
+            run_cg(&p, &cfg).unwrap().gflops
         };
-        let cfg4 = CgConfig {
-            iterations: 500,
-            ..sim_cfg(32768, 4)
-        };
-        let r2 = run_cg(&p, &cfg2).unwrap();
-        let r4 = run_cg(&p, &cfg4).unwrap();
-        let speedup = r4.gflops / r2.gflops;
+        let speedup = gflops(4) / gflops(2);
         assert!((1.3..1.9).contains(&speedup), "2→4 speedup {speedup}");
     }
 
@@ -843,40 +804,15 @@ mod tests {
     fn small_problems_scale_poorly() {
         // Paper: little scaling at 16384² (GPU under-utilization).
         let p = platform::kebnekaise_v100();
-        let small2 = run_cg(
-            &p,
-            &CgConfig {
+        let gflops = |n, workers| {
+            let cfg = CgConfig {
                 iterations: 50,
-                ..sim_cfg(16384, 2)
-            },
-        )
-        .unwrap();
-        let small4 = run_cg(
-            &p,
-            &CgConfig {
-                iterations: 50,
-                ..sim_cfg(16384, 4)
-            },
-        )
-        .unwrap();
-        let big2 = run_cg(
-            &p,
-            &CgConfig {
-                iterations: 50,
-                ..sim_cfg(32768, 2)
-            },
-        )
-        .unwrap();
-        let big4 = run_cg(
-            &p,
-            &CgConfig {
-                iterations: 50,
-                ..sim_cfg(32768, 4)
-            },
-        )
-        .unwrap();
-        let small_speedup = small4.gflops / small2.gflops;
-        let big_speedup = big4.gflops / big2.gflops;
+                ..sim_cfg(n, workers)
+            };
+            run_cg(&p, &cfg).unwrap().gflops
+        };
+        let small_speedup = gflops(16384, 4) / gflops(16384, 2);
+        let big_speedup = gflops(32768, 4) / gflops(32768, 2);
         assert!(
             small_speedup < big_speedup,
             "small {small_speedup} vs big {big_speedup}"
@@ -884,28 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_reduction_matches_queue_pair_numerically() {
-        let mk = |reduction| CgConfig {
-            n: 64,
-            workers: 2,
-            iterations: 20,
-            protocol: Protocol::Grpc,
-            simulated: false,
-            checkpoint_every: None,
-            resume: false,
-            reduction,
-        };
-        let p = platform::tegner_k80();
-        let (r1, s1) = run_cg_with_store(&p, &mk(CgReduction::QueuePair), None).unwrap();
-        let (r2, s2) = run_cg_with_store(&p, &mk(CgReduction::Ring), None).unwrap();
-        let x1 = gather_solution(&s1, &mk(CgReduction::QueuePair)).unwrap();
-        let x2 = gather_solution(&s2, &mk(CgReduction::Ring)).unwrap();
-        assert_eq!(x1.as_f64().unwrap(), x2.as_f64().unwrap());
-        assert!((r1.rs_final - r2.rs_final).abs() < 1e-15 * (1.0 + r1.rs_final));
-    }
-
-    #[test]
-    fn auto_reduction_matches_queue_pair_bitwise() {
+    fn ring_and_auto_reductions_match_queue_pair_bitwise() {
         // all_reduce_auto may pick a different algorithm per payload
         // size; the fixed reduction-order contract makes every choice
         // bit-identical to the central reducer.
@@ -921,33 +836,26 @@ mod tests {
         };
         let p = platform::tegner_k80();
         let (r1, s1) = run_cg_with_store(&p, &mk(CgReduction::QueuePair), None).unwrap();
-        let (r2, s2) = run_cg_with_store(&p, &mk(CgReduction::Auto), None).unwrap();
         let x1 = gather_solution(&s1, &mk(CgReduction::QueuePair)).unwrap();
-        let x2 = gather_solution(&s2, &mk(CgReduction::Auto)).unwrap();
-        assert_eq!(x1.as_f64().unwrap(), x2.as_f64().unwrap());
-        assert!((r1.rs_final - r2.rs_final).abs() < 1e-15 * (1.0 + r1.rs_final));
+        for reduction in [CgReduction::Ring, CgReduction::Auto] {
+            let (r2, s2) = run_cg_with_store(&p, &mk(reduction), None).unwrap();
+            let x2 = gather_solution(&s2, &mk(reduction)).unwrap();
+            assert_eq!(x1.as_f64().unwrap(), x2.as_f64().unwrap(), "{reduction:?}");
+            assert!((r1.rs_final - r2.rs_final).abs() < 1e-15 * (1.0 + r1.rs_final));
+        }
     }
 
     #[test]
-    fn auto_reduction_runs_simulated() {
-        let cfg = CgConfig {
-            reduction: CgReduction::Auto,
-            iterations: 30,
-            ..sim_cfg(16384, 4)
-        };
-        let r = run_cg(&platform::kebnekaise_k80(), &cfg).unwrap();
-        assert!(r.gflops > 0.0);
-    }
-
-    #[test]
-    fn ring_reduction_runs_simulated() {
-        let cfg = CgConfig {
-            reduction: CgReduction::Ring,
-            iterations: 30,
-            ..sim_cfg(16384, 4)
-        };
-        let r = run_cg(&platform::kebnekaise_k80(), &cfg).unwrap();
-        assert!(r.gflops > 0.0);
+    fn ring_and_auto_reductions_run_simulated() {
+        for reduction in [CgReduction::Ring, CgReduction::Auto] {
+            let cfg = CgConfig {
+                reduction,
+                iterations: 30,
+                ..sim_cfg(16384, 4)
+            };
+            let r = run_cg(&platform::kebnekaise_k80(), &cfg).unwrap();
+            assert!(r.gflops > 0.0, "{reduction:?}");
+        }
     }
 
     #[test]
@@ -960,6 +868,24 @@ mod tests {
             run_cg(&platform::tegner_k80(), &cfg),
             Err(crate::AppError::Config(_))
         ));
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_rejected_in_both_clocks() {
+        let p = platform::tegner_k80();
+        for simulated in [true, false] {
+            let cfg = CgConfig {
+                checkpoint_every: Some(0),
+                simulated,
+                ..sim_cfg(64, 2)
+            };
+            let faults = crate::FaultSetup::default();
+            assert!(matches!(run_cg(&p, &cfg), Err(crate::AppError::Config(_))));
+            assert!(matches!(
+                run_cg_supervised(&p, &cfg, &faults),
+                Err(crate::AppError::Config(_))
+            ));
+        }
     }
 
     #[test]

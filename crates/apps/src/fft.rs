@@ -9,16 +9,18 @@
 //! `py_func`-style host callback whose cost model carries the Python
 //! tax the paper's §VIII discusses.
 
-use crate::supervised::{stats_of, Checkpointer, SupervisedStats, CKPT_KEEP};
+use crate::supervised::{
+    decode_keyed, encode_keyed, recv_resume, resume_queue, run_app, run_pipeline, send_resume,
+    AppLaunch, Checkpointer, SupervisedStats, CKPT_KEEP,
+};
 use crate::{AppError, FaultSetup};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use tfhpc_core::{
-    kernels::PY_FUNC_DEFAULT_COST_FACTOR, CoreError, DatasetIterator, FifoQueue, Graph, OpKernel,
-    Placement, Resources, Result as CoreResult, SessionOptions, TensorProto, TileStore,
+    kernels::PY_FUNC_DEFAULT_COST_FACTOR, Graph, NodeId, OpKernel, Placement, Resources,
+    Result as CoreResult, SessionOptions, TileStore,
 };
-use tfhpc_dist::{launch_with_setup, JobSpec, LaunchConfig, Server, TaskCtx, TaskKey};
-use tfhpc_proto::{Decoder, Encoder, Message};
+use tfhpc_dist::{JobSpec, Server, TaskCtx, TaskKey};
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::Platform;
 use tfhpc_tensor::{fft, Complex64, DType, Tensor};
@@ -150,9 +152,7 @@ fn worker_task(
     // checkpoint.
     let mut skip: std::collections::HashSet<usize> = std::collections::HashSet::new();
     if supervised {
-        let resume = ctx.server.resources.create_queue("resume", 1);
-        let tuple = resume.dequeue()?;
-        let list = tuple[0].as_i64()?.to_vec();
+        let list = recv_resume(&resume_queue(ctx, 1))?;
         let n_done = list[0] as usize;
         for d in 0..n_done {
             skip.insert(list[1 + d] as usize);
@@ -162,101 +162,34 @@ fn worker_task(
         .filter(|l| l % cfg.workers == w && !skip.contains(l))
         .collect();
 
-    // Prefetched input pipeline loading tiles from the PFS.
-    let pipe = FifoQueue::new(&format!("fft.pipe.{w}"), 2);
-    {
-        let pipe = Arc::clone(&pipe);
-        let store = Arc::clone(store);
-        let server = Arc::clone(&ctx.server);
-        tfhpc_sim::clock::spawn(&format!("fft.pipe.{w}"), move || {
-            for l in my_tiles {
-                let tile = store.get(&tile_key(l)).expect("tile missing");
-                if let Some(sim) = &server.devices.sim {
-                    sim.cluster.pfs.read(sim.node, tile.byte_size() as u64);
-                }
-                let idx = Tensor::scalar_i64(l as i64);
-                if pipe.enqueue(vec![idx, tile]).is_err() {
-                    return;
-                }
-            }
-            pipe.close();
+    // Prefetched input pipeline: tiles from the PFS -> GPU FFT -> push.
+    let server = Arc::clone(&ctx.server);
+    let store = Arc::clone(store);
+    let load = move |l: usize| {
+        let tile = store.get(&tile_key(l)).expect("tile missing");
+        if let Some(sim) = &server.devices.sim {
+            sim.cluster.pfs.read(sim.node, tile.byte_size() as u64);
+        }
+        [Tensor::scalar_i64(l as i64), tile]
+    };
+    let graph = |g: &mut Graph, [idx, tile]: [NodeId; 2]| {
+        let spectrum = g.with_device(Placement::Gpu(0), |g| g.fft(tile));
+        let push: Arc<dyn OpKernel> = Arc::new(PushToMerger {
+            server: Arc::clone(&ctx.server),
         });
-    }
-    ctx.server
-        .resources
-        .register_iterator("pipe", DatasetIterator::from_queue(Arc::clone(&pipe)));
-
-    let mut g = Graph::new();
-    let parts = g.dataset_next("pipe", 2);
-    let spectrum = g.with_device(Placement::Gpu(0), |g| g.fft(parts[1]));
-    let push: Arc<dyn OpKernel> = Arc::new(PushToMerger {
-        server: Arc::clone(&ctx.server),
-    });
-    let push_node = g.custom(push, &[parts[0], spectrum], &[]);
-    let sess = ctx
-        .server
-        .session_with_options(Arc::new(g), SessionOptions::from_env()?);
-    let tr = tfhpc_obs::trace::global();
-    let result = (|| loop {
-        ctx.check_faults()?;
-        let _s = tr.span("fft.tile");
-        match sess.run_no_fetch(&[push_node], &[]) {
-            Ok(()) => {}
-            Err(CoreError::EndOfSequence) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    })();
-    // A crash mid-run leaves this generation's filler parked on a full
-    // pipe with its only consumer gone; cancel the queue so the filler
-    // errors out instead of deadlocking the simulation.
-    pipe.close_with_cancel(true);
-    result
+        g.custom(push, &[idx, spectrum], &[])
+    };
+    let filler = format!("fft.pipe.{w}");
+    run_pipeline(ctx, &filler, 2, my_tiles, load, graph, "fft.tile")
 }
 
-/// Encode the merger's collected spectra as a checkpoint payload:
-/// repeated nested messages `{1: tile index, 2: TensorProto bytes}`.
-fn encode_spectra(spectra: &[Option<Tensor>]) -> CoreResult<Vec<u8>> {
-    let mut outer = Encoder::new();
-    for (l, spectrum) in spectra.iter().enumerate() {
-        if let Some(spectrum) = spectrum {
-            let mut inner = Encoder::new();
-            inner.put_u64(1, l as u64);
-            inner.put_bytes(
-                2,
-                &TensorProto(spectrum.clone())
-                    .to_bytes()
-                    .map_err(CoreError::from)?,
-            );
-            outer.put_bytes(1, &inner.finish().map_err(CoreError::from)?);
-        }
-    }
-    outer.finish().map_err(CoreError::from)
-}
-
-fn decode_spectra(payload: &[u8], tiles: usize) -> CoreResult<Vec<Option<Tensor>>> {
+/// The collected spectra a merger checkpoint holds, by tile index;
+/// indices at or past `tiles` are dropped.
+pub(crate) fn decode_spectra(payload: &[u8], tiles: usize) -> CoreResult<Vec<Option<Tensor>>> {
     let mut spectra: Vec<Option<Tensor>> = vec![None; tiles];
-    let mut outer = Decoder::new(payload).map_err(CoreError::from)?;
-    while let Some((field, value)) = outer.next_field().map_err(CoreError::from)? {
-        if field != 1 {
-            continue;
-        }
-        let mut inner =
-            Decoder::new(value.as_bytes().map_err(CoreError::from)?).map_err(CoreError::from)?;
-        let (mut l, mut spectrum) = (None, None);
-        while let Some((f, v)) = inner.next_field().map_err(CoreError::from)? {
-            match f {
-                1 => l = Some(v.as_u64().map_err(CoreError::from)? as usize),
-                2 => {
-                    let bytes = v.as_bytes().map_err(CoreError::from)?;
-                    spectrum = Some(TensorProto::decode(bytes).map_err(CoreError::from)?.0);
-                }
-                _ => {}
-            }
-        }
-        if let (Some(l), Some(spectrum)) = (l, spectrum) {
-            if l < tiles {
-                spectra[l] = Some(spectrum);
-            }
+    for ([l], spectrum) in decode_keyed(payload)? {
+        if l < tiles {
+            spectra[l] = Some(spectrum);
         }
     }
     Ok(spectra)
@@ -285,14 +218,8 @@ fn merger_task(
         let done: Vec<usize> = (0..cfg.tiles).filter(|&l| spectra[l].is_some()).collect();
         let mut list = vec![done.len() as i64];
         list.extend(done.iter().map(|&l| l as i64));
-        let tensor = Tensor::from_i64([list.len()], list)?;
         for w in 0..cfg.workers {
-            ctx.server.remote_enqueue(
-                &TaskKey::new("worker", w),
-                "resume",
-                vec![tensor.clone()],
-                None,
-            )?;
+            send_resume(ctx, w, &list)?;
         }
     }
     let restored = spectra.iter().filter(|s| s.is_some()).count();
@@ -312,7 +239,10 @@ fn merger_task(
             if received.is_multiple_of(every) {
                 let ordinal = (received / every) as u64;
                 let iter = (restored + received) as u64;
-                ckpt.save(ctx, ordinal, iter, &encode_spectra(&spectra)?)?;
+                let collected = spectra.iter().enumerate();
+                let payload =
+                    encode_keyed(collected.filter_map(|(l, s)| Some(([l], s.as_ref()?))))?;
+                ckpt.save(ctx, ordinal, iter, &payload)?;
             }
         }
     }
@@ -324,8 +254,7 @@ fn merger_task(
     let _merge = tr.span("fft.merge");
     let tiles: Vec<Tensor> = spectra.into_iter().map(|s| s.expect("tile")).collect();
     let mut g = Graph::new();
-    let inputs: Vec<tfhpc_core::NodeId> = tiles.iter().map(|t| g.constant(t.clone())).collect();
-    let tile_count = cfg.tiles;
+    let inputs: Vec<NodeId> = tiles.iter().map(|t| g.constant(t.clone())).collect();
     let merged = g.py_func(
         "fft_merge",
         &inputs,
@@ -343,7 +272,6 @@ fn merger_task(
                 .iter()
                 .map(|t| t.as_c128().map(|s| s.to_vec()))
                 .collect::<Result<_, _>>()?;
-            let _ = tile_count;
             let full = fft::merge_interleaved(sub);
             let n = full.len();
             Ok(vec![Tensor::from_c128([n], full)?])
@@ -386,9 +314,6 @@ pub fn run_fft_supervised(
     ckpt_every: usize,
     faults: &FaultSetup,
 ) -> Result<(FftReport, SupervisedStats, Arc<TileStore>), AppError> {
-    if ckpt_every == 0 {
-        return Err(AppError::Config("ckpt_every must be > 0".into()));
-    }
     run_fft_inner(platform, cfg, Some(ckpt_every), faults)
 }
 
@@ -398,7 +323,6 @@ fn run_fft_inner(
     ckpt_every: Option<usize>,
     faults: &FaultSetup,
 ) -> Result<(FftReport, SupervisedStats, Arc<TileStore>), AppError> {
-    crate::observe::run_started();
     if cfg.workers == 0 {
         return Err(AppError::Config("workers must be > 0".into()));
     }
@@ -416,59 +340,51 @@ fn run_fft_inner(
             "signal too large or smaller than tile count".into(),
         ));
     }
-    let jobs = vec![
-        JobSpec::new("merger", 1, 0),
-        JobSpec::new("worker", cfg.workers, 1),
-    ];
-    let launch_cfg = faults.apply(if cfg.simulated {
-        LaunchConfig::simulated(platform.clone(), jobs, cfg.protocol)
-    } else {
-        LaunchConfig::real(platform.clone(), jobs, cfg.protocol)
-    });
-    let cfg2 = cfg.clone();
+    let launch = AppLaunch {
+        app: "fft",
+        store: "fft",
+        platform,
+        jobs: vec![
+            JobSpec::new("merger", 1, 0),
+            JobSpec::new("worker", cfg.workers, 1),
+        ],
+        simulated: cfg.simulated,
+        protocol: cfg.protocol,
+        faults: Some(faults),
+        ckpt_every,
+        external: None,
+        traced: false,
+    };
     let collect_time = Arc::new(Mutex::new(0.0f64));
     let collect2 = Arc::clone(&collect_time);
-    let store_slot: Arc<Mutex<Option<Arc<TileStore>>>> = Arc::new(Mutex::new(None));
-    let store_slot2 = Arc::clone(&store_slot);
     let cfg_body = cfg.clone();
-
-    let launched = launch_with_setup(
-        &launch_cfg,
-        move |cluster| {
-            let store = cluster.shared_store("fft");
-            populate_signal(&store, &cfg2, 0xF0);
-            *store_slot2.lock() = Some(store);
+    let run = run_app(
+        launch,
+        |store| {
+            populate_signal(store, cfg, 0xF0);
         },
-        move |ctx| {
-            let store = ctx.server.cluster().shared_store("fft");
-            ctx.server.resources.register_store(Arc::clone(&store));
+        move |ctx, store| {
             if ctx.job() == "merger" {
-                merger_task(&ctx, &cfg_body, &store, &collect2, ckpt_every)
+                merger_task(ctx, &cfg_body, store, &collect2, ckpt_every)
             } else {
-                worker_task(&ctx, &cfg_body, &store, ckpt_every.is_some())
+                worker_task(ctx, &cfg_body, store, ckpt_every.is_some())
             }
         },
-    )
-    .map_err(AppError::Core)?;
-
-    crate::observe::run_finished("fft", launched.sim.as_ref(), false);
-    let stats = stats_of(&launched);
+    )?;
     let collect_s = *collect_time.lock();
-    let store = store_slot.lock().take().expect("store captured");
-    Ok((
-        FftReport {
-            gflops: cfg.flops() / collect_s / 1e9,
-            collect_s,
-            total_s: launched.elapsed_s,
-        },
-        stats,
-        store,
-    ))
+    let report = FftReport {
+        gflops: cfg.flops() / collect_s / 1e9,
+        collect_s,
+        total_s: run.launched.elapsed_s,
+    };
+    Ok((report, run.stats, run.store))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfhpc_core::TensorProto;
+    use tfhpc_proto::Message;
     use tfhpc_sim::platform;
 
     fn sim_cfg(log2_n: u32, tiles: usize, workers: usize) -> FftConfig {
@@ -515,32 +431,15 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected_cleanly() {
         let p = platform::tegner_k80();
-        let base = sim_cfg(20, 8, 2);
-        assert!(run_fft(
-            &p,
-            &FftConfig {
-                tiles: 100,
-                ..base.clone()
-            }
-        )
-        .is_err());
-        assert!(run_fft(
-            &p,
-            &FftConfig {
-                workers: 16,
-                ..base.clone()
-            }
-        )
-        .is_err());
-        assert!(run_fft(
-            &p,
-            &FftConfig {
-                log2_n: 50,
-                ..base.clone()
-            }
-        )
-        .is_err());
-        assert!(run_fft(&p, &FftConfig { workers: 0, ..base }).is_err());
+        let rejected = |edit: fn(&mut FftConfig)| {
+            let mut cfg = sim_cfg(20, 8, 2);
+            edit(&mut cfg);
+            matches!(run_fft(&p, &cfg), Err(crate::AppError::Config(_)))
+        };
+        assert!(rejected(|c| c.tiles = 100));
+        assert!(rejected(|c| c.workers = 16));
+        assert!(rejected(|c| c.log2_n = 50));
+        assert!(rejected(|c| c.workers = 0));
     }
 
     #[test]
@@ -571,22 +470,6 @@ mod tests {
             TensorProto(want).to_bytes().unwrap(),
             "recovered spectrum differs from fault-free run"
         );
-    }
-
-    #[test]
-    fn checkpoint_spectra_payload_round_trips() {
-        let mut spectra: Vec<Option<Tensor>> = vec![None; 4];
-        spectra[1] = Some(Tensor::synthetic(DType::C128, [8], 3));
-        spectra[3] = Some(Tensor::synthetic(DType::C128, [8], 5));
-        let payload = encode_spectra(&spectra).unwrap();
-        let back = decode_spectra(&payload, 4).unwrap();
-        assert!(back[0].is_none() && back[2].is_none());
-        for l in [1usize, 3] {
-            assert_eq!(
-                TensorProto(back[l].clone().unwrap()).to_bytes().unwrap(),
-                TensorProto(spectra[l].clone().unwrap()).to_bytes().unwrap()
-            );
-        }
     }
 
     #[test]

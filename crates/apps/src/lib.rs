@@ -18,12 +18,17 @@
 //! baselines) and *simulated* (virtual time on the modeled Tegner /
 //! Kebnekaise clusters, synthetic payloads — used to regenerate the
 //! paper's figures).
+//!
+//! All four run through one driver, [`supervised`]: it launches them in
+//! either clock, checkpoints, carries resume points to workers and feeds
+//! the prefetched worker pipelines. Each app module keeps its step body
+//! and its resume policy — who decides where a restarted run resumes.
+//! [`jobs`] holds the request shapes the serving plane batches.
 
 pub mod cg;
 pub mod fft;
 pub mod jobs;
 pub mod matmul;
-pub(crate) mod observe;
 pub mod stream;
 pub mod supervised;
 

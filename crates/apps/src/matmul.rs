@@ -8,16 +8,15 @@
 //! does with two reducers for odd/even targets); reducers accumulate
 //! partials into the output tiles and store them.
 
-use crate::supervised::{stats_of, Checkpointer, SupervisedStats, CKPT_KEEP};
+use crate::supervised::{
+    decode_keyed, encode_keyed, recv_resume, resume_queue, run_app, run_pipeline, send_resume,
+    AppLaunch, AppRun, Checkpointer, SupervisedStats, CKPT_KEEP,
+};
 use crate::{AppError, FaultSetup};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use tfhpc_core::{
-    CoreError, DatasetIterator, FifoQueue, Graph, OpKernel, Resources, Result as CoreResult,
-    SessionOptions, TensorProto,
-};
-use tfhpc_dist::{launch_with_setup, JobSpec, LaunchConfig, Server, TaskCtx, TaskKey};
-use tfhpc_proto::{Decoder, Encoder, Message};
+use tfhpc_core::{CoreError, Graph, NodeId, OpKernel, Resources, Result as CoreResult};
+use tfhpc_dist::{JobSpec, Server, TaskCtx, TaskKey};
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::Platform;
 use tfhpc_tensor::{tensor::mix_seed, DType, Tensor};
@@ -156,66 +155,23 @@ impl OpKernel for PushToParityQueue {
     }
 }
 
-/// Encode a reducer's finished output tiles as a checkpoint payload:
-/// repeated nested messages `{1: i, 2: j, 3: TensorProto bytes}`.
-fn encode_tiles(tiles: &BTreeMap<(usize, usize), Tensor>) -> CoreResult<Vec<u8>> {
-    let mut outer = Encoder::new();
-    for (&(i, j), tile) in tiles {
-        let mut inner = Encoder::new();
-        inner.put_u64(1, i as u64);
-        inner.put_u64(2, j as u64);
-        inner.put_bytes(
-            3,
-            &TensorProto(tile.clone())
-                .to_bytes()
-                .map_err(CoreError::from)?,
-        );
-        outer.put_bytes(1, &inner.finish().map_err(CoreError::from)?);
-    }
-    outer.finish().map_err(CoreError::from)
-}
-
-fn decode_tiles(payload: &[u8]) -> CoreResult<BTreeMap<(usize, usize), Tensor>> {
-    let mut tiles = BTreeMap::new();
-    let mut outer = Decoder::new(payload).map_err(CoreError::from)?;
-    while let Some((field, value)) = outer.next_field().map_err(CoreError::from)? {
-        if field != 1 {
-            continue;
-        }
-        let mut inner =
-            Decoder::new(value.as_bytes().map_err(CoreError::from)?).map_err(CoreError::from)?;
-        let (mut i, mut j, mut tile) = (None, None, None);
-        while let Some((f, v)) = inner.next_field().map_err(CoreError::from)? {
-            match f {
-                1 => i = Some(v.as_u64().map_err(CoreError::from)? as usize),
-                2 => j = Some(v.as_u64().map_err(CoreError::from)? as usize),
-                3 => {
-                    let bytes = v.as_bytes().map_err(CoreError::from)?;
-                    tile = Some(TensorProto::decode(bytes).map_err(CoreError::from)?.0);
-                }
-                _ => {}
-            }
-        }
-        if let (Some(i), Some(j), Some(tile)) = (i, j, tile) {
-            tiles.insert((i, j), tile);
-        }
-    }
-    Ok(tiles)
-}
-
 /// Reply to worker `w`'s resume probe with this reducer's set of
 /// already-finished target tiles, as a count-prefixed
 /// `[len, i0, j0, ...]` i64 list on the worker's `resume` queue, so the
 /// (re)started worker skips the corresponding products.
 fn reply_done(ctx: &TaskCtx, w: usize, done: &BTreeMap<(usize, usize), Tensor>) -> CoreResult<()> {
     let mut list = vec![done.len() as i64];
-    for &(i, j) in done.keys() {
-        list.push(i as i64);
-        list.push(j as i64);
-    }
-    let tensor = Tensor::from_i64([list.len()], list)?;
-    ctx.server
-        .remote_enqueue(&TaskKey::new("worker", w), "resume", vec![tensor], None)
+    list.extend(done.keys().flat_map(|&(i, j)| [i as i64, j as i64]));
+    send_resume(ctx, w, &list)
+}
+
+/// The output tiles reducer `r` accumulates: those whose index has its
+/// parity.
+fn owned_targets(cfg: &MatmulConfig, r: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let nt = cfg.nt();
+    (0..nt)
+        .flat_map(move |i| (0..nt).map(move |j| (i, j)))
+        .filter(move |(i, j)| (i * nt + j) % cfg.reducers == r)
 }
 
 fn reducer_body(
@@ -227,10 +183,7 @@ fn reducer_body(
     let nt = cfg.nt();
     let r = ctx.index();
     let queue = ctx.server.resources.create_queue("acc", 8);
-    let my_targets = (0..nt)
-        .flat_map(|i| (0..nt).map(move |j| (i, j)))
-        .filter(|(i, j)| (i * nt + j) % cfg.reducers == r)
-        .count();
+    let my_targets = owned_targets(cfg, r).count();
     // Under supervision, reinstate the newest valid checkpoint. Workers
     // learn the finished set by *pulling* (a resume probe answered
     // inside the accumulate loop below) rather than by a push at start:
@@ -242,7 +195,10 @@ fn reducer_body(
     if let Some(ckpt) = &ckpt {
         if ctx.attempt() > 0 {
             if let Some((_, payload)) = ckpt.latest_valid(ctx) {
-                finished = decode_tiles(&payload)?;
+                finished = decode_keyed(&payload)?
+                    .into_iter()
+                    .map(|([i, j], tile)| ((i, j), tile))
+                    .collect();
             }
         }
     }
@@ -292,12 +248,9 @@ fn reducer_body(
                     let done = finished.len() - restored;
                     if done.is_multiple_of(every) {
                         let ordinal = (done / every) as u64;
-                        ckpt.save(
-                            ctx,
-                            ordinal,
-                            finished.len() as u64,
-                            &encode_tiles(&finished)?,
-                        )?;
+                        let payload =
+                            encode_keyed(finished.iter().map(|(&(i, j), tile)| ([i, j], tile)))?;
+                        ckpt.save(ctx, ordinal, finished.len() as u64, &payload)?;
                     }
                 }
             }
@@ -344,10 +297,7 @@ fn worker_body(
     // queue means that reducer already completed everything it owns.
     let mut skip: HashSet<(usize, usize)> = HashSet::new();
     if supervised {
-        let resume = ctx
-            .server
-            .resources
-            .create_queue("resume", cfg.reducers.max(1));
+        let resume = resume_queue(ctx, cfg.reducers.max(1));
         let probe = Tensor::from_i64([2], vec![-1, w as i64])?;
         let mut awaiting = 0usize;
         for r in 0..cfg.reducers {
@@ -358,21 +308,12 @@ fn worker_body(
                 None,
             ) {
                 Ok(()) => awaiting += 1,
-                Err(CoreError::QueueClosed(_)) => {
-                    for i in 0..nt {
-                        for j in 0..nt {
-                            if (i * nt + j) % cfg.reducers == r {
-                                skip.insert((i, j));
-                            }
-                        }
-                    }
-                }
+                Err(CoreError::QueueClosed(_)) => skip.extend(owned_targets(cfg, r)),
                 Err(e) => return Err(e),
             }
         }
         for _ in 0..awaiting {
-            let tuple = resume.dequeue()?;
-            let list = tuple[0].as_i64()?.to_vec();
+            let list = recv_resume(&resume)?;
             let n_done = list[0] as usize;
             for d in 0..n_done {
                 skip.insert((list[1 + 2 * d] as usize, list[2 + 2 * d] as usize));
@@ -387,95 +328,85 @@ fn worker_body(
         .map(|(_, t)| t)
         .collect();
 
-    // Input pipeline: a filler process loads tile pairs from the PFS
-    // ahead of compute (the Dataset prefetch of the paper's Fig. 4).
-    let pipe = FifoQueue::new(&format!("pipe.{w}"), cfg.prefetch.max(1));
-    {
-        let pipe = Arc::clone(&pipe);
-        let store = Arc::clone(store);
-        let server = Arc::clone(&ctx.server);
-        tfhpc_sim::clock::spawn(&format!("pipe.{w}"), move || {
-            for (i, j, k) in elements {
-                let a = store.get(&a_key(i, k)).expect("tile A missing");
-                let b = store.get(&b_key(k, j)).expect("tile B missing");
-                if let Some(sim) = &server.devices.sim {
-                    sim.cluster
-                        .pfs
-                        .read(sim.node, (a.byte_size() + b.byte_size()) as u64);
-                }
-                let target =
-                    Tensor::from_i64([3], vec![i as i64, j as i64, k as i64]).expect("target key");
-                if pipe.enqueue(vec![a, b, target]).is_err() {
-                    return; // consumer gone
-                }
-            }
-            pipe.close();
+    // Input pipeline: tile pairs from the PFS -> GPU matmul -> push.
+    let server = Arc::clone(&ctx.server);
+    let store = Arc::clone(store);
+    let load = move |(i, j, k): (usize, usize, usize)| {
+        let a = store.get(&a_key(i, k)).expect("tile A missing");
+        let b = store.get(&b_key(k, j)).expect("tile B missing");
+        if let Some(sim) = &server.devices.sim {
+            sim.cluster
+                .pfs
+                .read(sim.node, (a.byte_size() + b.byte_size()) as u64);
+        }
+        let target = Tensor::from_i64([3], vec![i as i64, j as i64, k as i64]).expect("target key");
+        [a, b, target]
+    };
+    let graph = |g: &mut Graph, [a, b, target]: [NodeId; 3]| {
+        let c = g.with_device(tfhpc_core::Placement::Gpu(0), |g| g.matmul(a, b));
+        let push: Arc<dyn OpKernel> = Arc::new(PushToParityQueue {
+            server: Arc::clone(&ctx.server),
+            reducers: cfg.reducers,
+            nt,
         });
-    }
-    ctx.server
-        .resources
-        .register_iterator("pipe", DatasetIterator::from_queue(Arc::clone(&pipe)));
-
-    // The per-step graph: next tile pair -> GPU matmul -> push.
-    let mut g = Graph::new();
-    let parts = g.dataset_next("pipe", 3);
-    let c = g.with_device(tfhpc_core::Placement::Gpu(0), |g| {
-        g.matmul(parts[0], parts[1])
-    });
-    let push: Arc<dyn OpKernel> = Arc::new(PushToParityQueue {
-        server: Arc::clone(&ctx.server),
-        reducers: cfg.reducers,
-        nt,
-    });
-    let push_node = g.custom(push, &[parts[2], c], &[]);
-    let sess = ctx
-        .server
-        .session_with_options(Arc::new(g), SessionOptions::from_env()?);
-    let tr = tfhpc_obs::trace::global();
-    let result = (|| loop {
-        ctx.check_faults()?;
-        let _s = tr.span("matmul.step");
-        match sess.run_no_fetch(&[push_node], &[]) {
-            Ok(()) => {}
-            Err(CoreError::EndOfSequence) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    })();
-    // A crash mid-run leaves this generation's filler parked on a full
-    // pipe with its only consumer gone; cancel the queue so the filler
-    // errors out instead of deadlocking the simulation.
-    pipe.close_with_cancel(true);
-    result
+        g.custom(push, &[target, c], &[])
+    };
+    let (filler, depth) = (format!("pipe.{w}"), cfg.prefetch.max(1));
+    run_pipeline(ctx, &filler, depth, elements, load, graph, "matmul.step")
 }
 
-/// The canonical per-task body (shared by the benchmark entry point and
-/// the correctness harness). `ckpt_every = Some(n)` enables the
-/// supervised checkpoint/resume protocol.
-fn matmul_body(
-    cfg: MatmulConfig,
+/// One matmul launch; `ckpt_every = Some(n)` runs the supervised
+/// checkpoint/resume protocol under `faults`.
+fn launch_matmul(
+    platform: &Platform,
+    cfg: &MatmulConfig,
     ckpt_every: Option<usize>,
-) -> impl Fn(TaskCtx) -> CoreResult<()> + Send + Sync + 'static {
-    move |ctx| {
-        let store = ctx.server.cluster().shared_store("tiles");
-        ctx.server.resources.register_store(Arc::clone(&store));
-        if ctx.job() == "reducer" {
-            reducer_body(&ctx, &cfg, &store, ckpt_every)
-        } else {
-            worker_body(&ctx, &cfg, &store, ckpt_every.is_some())
-        }
+    faults: Option<&FaultSetup>,
+) -> Result<(MatmulReport, AppRun), AppError> {
+    if cfg.workers == 0 || cfg.reducers == 0 {
+        return Err(AppError::Config("workers and reducers must be > 0".into()));
     }
-}
-
-fn launch_cfg(platform: &Platform, cfg: &MatmulConfig) -> LaunchConfig {
-    let jobs = vec![
-        JobSpec::new("reducer", cfg.reducers, 0),
-        JobSpec::new("worker", cfg.workers, 1),
-    ];
-    if cfg.simulated {
-        LaunchConfig::simulated(platform.clone(), jobs, cfg.protocol)
-    } else {
-        LaunchConfig::real(platform.clone(), jobs, cfg.protocol)
+    if !cfg.n.is_multiple_of(cfg.tile) {
+        return Err(AppError::Config(format!(
+            "matrix dim {} must be divisible by tile {}",
+            cfg.n, cfg.tile
+        )));
     }
+    let launch = AppLaunch {
+        app: "matmul",
+        store: "tiles",
+        platform,
+        jobs: vec![
+            JobSpec::new("reducer", cfg.reducers, 0),
+            JobSpec::new("worker", cfg.workers, 1),
+        ],
+        simulated: cfg.simulated,
+        protocol: cfg.protocol,
+        faults,
+        ckpt_every,
+        external: None,
+        traced: false,
+    };
+    let body_cfg = cfg.clone();
+    let run = run_app(
+        launch,
+        |store| populate_tiles(store, cfg, 0xA17),
+        move |ctx, store| {
+            if ctx.job() == "reducer" {
+                reducer_body(ctx, &body_cfg, store, ckpt_every)
+            } else {
+                worker_body(ctx, &body_cfg, store, ckpt_every.is_some())
+            }
+        },
+    )?;
+    let elapsed_s = run.launched.elapsed_s;
+    let report = MatmulReport {
+        gflops: cfg.flops() / elapsed_s / 1e9,
+        elapsed_s,
+        n: cfg.n,
+        workers: cfg.workers,
+    };
+    Ok((report, run))
 }
 
 /// Run the tiled matmul on `platform`.
@@ -489,41 +420,9 @@ pub fn run_matmul_with_sim(
     platform: &Platform,
     cfg: &MatmulConfig,
 ) -> Result<(MatmulReport, Vec<(String, f64)>), AppError> {
-    crate::observe::run_started();
-    if cfg.workers == 0 || cfg.reducers == 0 {
-        return Err(AppError::Config("workers and reducers must be > 0".into()));
-    }
-    if !cfg.n.is_multiple_of(cfg.tile) {
-        return Err(AppError::Config(format!(
-            "matrix dim {} must be divisible by tile {}",
-            cfg.n, cfg.tile
-        )));
-    }
-    let cfg2 = cfg.clone();
-    let launched = launch_with_setup(
-        &launch_cfg(platform, cfg),
-        move |cluster| {
-            populate_tiles(&cluster.shared_store("tiles"), &cfg2, 0xA17);
-        },
-        matmul_body(cfg.clone(), None),
-    )
-    .map_err(AppError::Core)?;
-
-    crate::observe::run_finished("matmul", launched.sim.as_ref(), false);
-    let utilization = launched
-        .sim
-        .as_ref()
-        .map(|s| s.resource_report())
-        .unwrap_or_default();
-    Ok((
-        MatmulReport {
-            gflops: cfg.flops() / launched.elapsed_s / 1e9,
-            elapsed_s: launched.elapsed_s,
-            n: cfg.n,
-            workers: cfg.workers,
-        },
-        utilization,
-    ))
+    let (report, run) = launch_matmul(platform, cfg, None, None)?;
+    let utilization = run.launched.sim.map(|s| s.resource_report());
+    Ok((report, utilization.unwrap_or_default()))
 }
 
 /// Run the tiled matmul under checkpoint-restart supervision with fault
@@ -540,47 +439,8 @@ pub fn run_matmul_supervised(
     ckpt_every: usize,
     faults: &FaultSetup,
 ) -> Result<(MatmulReport, SupervisedStats, Arc<tfhpc_core::TileStore>), AppError> {
-    crate::observe::run_started();
-    if cfg.workers == 0 || cfg.reducers == 0 {
-        return Err(AppError::Config("workers and reducers must be > 0".into()));
-    }
-    if ckpt_every == 0 {
-        return Err(AppError::Config("ckpt_every must be > 0".into()));
-    }
-    if !cfg.n.is_multiple_of(cfg.tile) {
-        return Err(AppError::Config(format!(
-            "matrix dim {} must be divisible by tile {}",
-            cfg.n, cfg.tile
-        )));
-    }
-    let cfg2 = cfg.clone();
-    let store_slot: Arc<parking_lot::Mutex<Option<Arc<tfhpc_core::TileStore>>>> =
-        Arc::new(parking_lot::Mutex::new(None));
-    let store_slot2 = Arc::clone(&store_slot);
-    let launched = launch_with_setup(
-        &faults.apply(launch_cfg(platform, cfg)),
-        move |cluster| {
-            let store = cluster.shared_store("tiles");
-            populate_tiles(&store, &cfg2, 0xA17);
-            *store_slot2.lock() = Some(store);
-        },
-        matmul_body(cfg.clone(), Some(ckpt_every)),
-    )
-    .map_err(AppError::Core)?;
-
-    crate::observe::run_finished("matmul", launched.sim.as_ref(), false);
-    let stats = stats_of(&launched);
-    let store = store_slot.lock().take().expect("store captured in setup");
-    Ok((
-        MatmulReport {
-            gflops: cfg.flops() / launched.elapsed_s / 1e9,
-            elapsed_s: launched.elapsed_s,
-            n: cfg.n,
-            workers: cfg.workers,
-        },
-        stats,
-        store,
-    ))
+    let (report, run) = launch_matmul(platform, cfg, Some(ckpt_every), Some(faults))?;
+    Ok((report, run.stats, run.store))
 }
 
 /// Real-mode correctness check: run a small problem with dense tiles
@@ -596,54 +456,38 @@ pub fn verify_small(n: usize, tile: usize, workers: usize) -> Result<f64, AppErr
         simulated: false,
         prefetch: 2,
     };
-    let cfg2 = cfg.clone();
-    let store_slot: Arc<parking_lot::Mutex<Option<Arc<tfhpc_core::TileStore>>>> =
-        Arc::new(parking_lot::Mutex::new(None));
-    let store_slot2 = Arc::clone(&store_slot);
-    launch_with_setup(
-        &launch_cfg(&tfhpc_sim::platform::tegner_k80(), &cfg),
-        move |cluster| {
-            let store = cluster.shared_store("tiles");
-            populate_tiles(&store, &cfg2, 0xA17);
-            *store_slot2.lock() = Some(store);
-        },
-        matmul_body(cfg.clone(), None),
-    )
-    .map_err(AppError::Core)?;
-
-    let store = store_slot.lock().take().expect("store captured");
-    let nt = cfg.nt();
-    let mut max_err = 0f64;
-    for i in 0..nt {
-        for j in 0..nt {
-            let got = store.get(&c_key(i, j)).map_err(AppError::Core)?;
-            let mut want: Option<Tensor> = None;
-            for k in 0..nt {
-                let a = store.get(&a_key(i, k)).map_err(AppError::Core)?;
-                let b = store.get(&b_key(k, j)).map_err(AppError::Core)?;
-                let p =
-                    tfhpc_tensor::matmul::matmul(&a, &b).map_err(|e| AppError::Core(e.into()))?;
-                want = Some(match want {
-                    None => p,
-                    Some(cur) => {
-                        tfhpc_tensor::ops::add(&cur, &p).map_err(|e| AppError::Core(e.into()))?
-                    }
-                });
-            }
-            let want = want.expect("nt > 0");
-            let gv = got.as_f32().map_err(|e| AppError::Core(e.into()))?;
-            let wv = want.as_f32().map_err(|e| AppError::Core(e.into()))?;
-            for (x, y) in gv.iter().zip(wv) {
-                max_err = max_err.max((x - y).abs() as f64);
+    let (_, run) = launch_matmul(&tfhpc_sim::platform::tegner_k80(), &cfg, None, None)?;
+    let (store, nt) = (run.store, cfg.nt());
+    let max_err = || -> CoreResult<f64> {
+        let mut max_err = 0f64;
+        for i in 0..nt {
+            for j in 0..nt {
+                let mut want: Option<Tensor> = None;
+                for k in 0..nt {
+                    let a = store.get(&a_key(i, k))?;
+                    let p = tfhpc_tensor::matmul::matmul(&a, &store.get(&b_key(k, j))?)?;
+                    want = Some(match want {
+                        None => p,
+                        Some(cur) => tfhpc_tensor::ops::add(&cur, &p)?,
+                    });
+                }
+                let got = store.get(&c_key(i, j))?;
+                let want = want.expect("nt > 0");
+                for (x, y) in got.as_f32()?.iter().zip(want.as_f32()?) {
+                    max_err = max_err.max((x - y).abs() as f64);
+                }
             }
         }
-    }
-    Ok(max_err)
+        Ok(max_err)
+    };
+    Ok(max_err()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfhpc_core::{TensorProto, TileStore};
+    use tfhpc_proto::Message;
     use tfhpc_sim::platform;
 
     fn sim_cfg(n: usize, tile: usize, workers: usize) -> MatmulConfig {
@@ -655,6 +499,22 @@ mod tests {
             protocol: Protocol::Rdma,
             simulated: true,
             prefetch: 3,
+        }
+    }
+
+    /// Every output tile of `got` is bitwise the tile of `want`.
+    fn assert_same_product(cfg: &MatmulConfig, got: &TileStore, want: &TileStore) {
+        let nt = cfg.nt();
+        for (i, j) in (0..nt).flat_map(|i| (0..nt).map(move |j| (i, j))) {
+            assert_eq!(
+                TensorProto(got.get(&c_key(i, j)).unwrap())
+                    .to_bytes()
+                    .unwrap(),
+                TensorProto(want.get(&c_key(i, j)).unwrap())
+                    .to_bytes()
+                    .unwrap(),
+                "recovered C[{i},{j}] differs from fault-free run"
+            );
         }
     }
 
@@ -747,18 +607,7 @@ mod tests {
         let (_, stats, store) = run_matmul_supervised(&p, &cfg, 2, &faults).unwrap();
         assert!(stats.restarts >= 1, "restarts {}", stats.restarts);
         assert!(stats.corruption_detected > 0, "{stats:?}");
-        let nt = cfg.nt();
-        for i in 0..nt {
-            for j in 0..nt {
-                let got = store.get(&c_key(i, j)).unwrap();
-                let want = clean_store.get(&c_key(i, j)).unwrap();
-                assert_eq!(
-                    TensorProto(got).to_bytes().unwrap(),
-                    TensorProto(want).to_bytes().unwrap(),
-                    "recovered C[{i},{j}] differs from fault-free run"
-                );
-            }
-        }
+        assert_same_product(&cfg, &store, &clean_store);
     }
 
     #[test]
@@ -780,26 +629,12 @@ mod tests {
         let faults = crate::FaultSetup::new(plan, 2).with_partial_restart(["worker"], 2);
         let (_, stats, store) = run_matmul_supervised(&p, &cfg, 2, &faults).unwrap();
         assert!(stats.restarts >= 1, "{stats:?}");
-        assert_eq!(
-            stats.attempts.get("/job:reducer/task:0"),
-            Some(&0),
-            "{stats:?}"
-        );
-        assert_eq!(
-            stats.attempts.get("/job:reducer/task:1"),
-            Some(&0),
-            "{stats:?}"
-        );
-        assert_eq!(
-            stats.attempts.get("/job:worker/task:0"),
-            Some(&1),
-            "{stats:?}"
-        );
-        assert_eq!(
-            stats.attempts.get("/job:worker/task:1"),
-            Some(&1),
-            "{stats:?}"
-        );
+        for (job, attempt) in [("reducer", 0), ("worker", 1)] {
+            for t in 0..2 {
+                let key = format!("/job:{job}/task:{t}");
+                assert_eq!(stats.attempts.get(&key), Some(&attempt), "{stats:?}");
+            }
+        }
         // Both workers came back on spare nodes (2 and 3), off node 1.
         assert_eq!(stats.replacements.len(), 2, "{stats:?}");
         for (task, old, new) in &stats.replacements {
@@ -807,34 +642,6 @@ mod tests {
             assert_eq!(*old, 1);
             assert!(*new >= 2, "{stats:?}");
         }
-        let nt = cfg.nt();
-        for i in 0..nt {
-            for j in 0..nt {
-                let got = store.get(&c_key(i, j)).unwrap();
-                let want = clean_store.get(&c_key(i, j)).unwrap();
-                assert_eq!(
-                    TensorProto(got).to_bytes().unwrap(),
-                    TensorProto(want).to_bytes().unwrap(),
-                    "recovered C[{i},{j}] differs from fault-free run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn checkpoint_tile_payload_round_trips() {
-        let mut tiles = BTreeMap::new();
-        tiles.insert((0usize, 1usize), Tensor::synthetic(DType::F32, [4, 4], 7));
-        tiles.insert((3, 2), Tensor::synthetic(DType::F32, [4, 4], 9));
-        let payload = encode_tiles(&tiles).unwrap();
-        let back = decode_tiles(&payload).unwrap();
-        assert_eq!(back.len(), 2);
-        for (k, tile) in &tiles {
-            let got = back.get(k).unwrap();
-            assert_eq!(
-                TensorProto(got.clone()).to_bytes().unwrap(),
-                TensorProto(tile.clone()).to_bytes().unwrap()
-            );
-        }
+        assert_same_product(&cfg, &store, &clean_store);
     }
 }

@@ -8,14 +8,15 @@
 //! paper). The fetched value is *not* returned to the client — the
 //! paper explicitly suppresses that extra transfer.
 
-use crate::supervised::{stats_of, Checkpointer, SupervisedStats, CKPT_KEEP};
+use crate::supervised::{run_app, AppLaunch, AppRun, Checkpointer, SupervisedStats, CKPT_KEEP};
 use crate::{AppError, FaultSetup};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use tfhpc_core::{
     CoreError, Graph, OpKernel, Resources, Result as CoreResult, SessionOptions, TensorProto,
+    TileStore,
 };
-use tfhpc_dist::{launch, JobSpec, LaunchConfig, Launched, TaskKey};
+use tfhpc_dist::{JobSpec, TaskCtx, TaskKey};
 use tfhpc_proto::Message;
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::Platform;
@@ -87,123 +88,127 @@ impl OpKernel for AssignAddRemote {
     }
 }
 
-/// One launch of the ps/worker pair. Under `supervision` (`ckpt_every`,
-/// `faults`) the worker checkpoints the ps-resident accumulator through
-/// its [`Checkpointer`] (sealed, torn/stale-injectable), reinstates the
-/// newest valid snapshot after a restart and publishes the final
-/// accumulator under key `[-1]` of the cluster's `"stream"` store.
-/// Returns the launch and the seconds the worker's loop took.
+/// One task of the ps/worker pair. With `ckpt_every` the worker alone
+/// decides its resume point: it checkpoints the ps-resident accumulator
+/// through its [`Checkpointer`] (sealed, torn/stale-injectable),
+/// reinstates the newest valid snapshot after a restart and publishes
+/// the final accumulator under key `[-1]` of `store`. The worker's loop
+/// time lands in `loop_s`.
+fn stream_task(
+    ctx: &TaskCtx,
+    store: &Arc<TileStore>,
+    cfg: &StreamConfig,
+    ckpt_every: Option<usize>,
+    loop_s: &Mutex<f64>,
+) -> CoreResult<()> {
+    let n = (cfg.size_bytes / 8).max(1) as usize; // f64 elements
+    let ckpt = ckpt_every.map(|every| (every, Checkpointer::new(Arc::clone(store), 0, CKPT_KEEP)));
+    let gpu = cfg.on_gpu.then_some(0usize);
+    // Metadata-only in virtual time, `fill` everywhere on the host.
+    let vector = |seed: u64, fill: f64| {
+        if cfg.simulated {
+            Tensor::synthetic(DType::F64, [n], seed)
+        } else {
+            Tensor::full_f64([n], fill)
+        }
+    };
+    let acc_init = || vector(0xACC, 0.0);
+    if ctx.job() == "ps" {
+        // The accumulator lives on the ps device. A gang restart
+        // rebuilds the server with it; the worker then reinstates
+        // the checkpointed state before replaying.
+        ctx.server
+            .resources
+            .create_variable("stream_acc", acc_init());
+        return Ok(());
+    }
+    let ps = TaskKey::new("ps", 0);
+    let mut start_iter = 0usize;
+    if let (Some((_, ckpt)), true) = (&ckpt, ctx.attempt() > 0) {
+        // Overwrite (not add): after a *partial* restart the
+        // surviving ps still holds the crashed attempt's sums, past
+        // the checkpoint — or, when no checkpoint survived, past
+        // zero, and replaying from there would double-count.
+        let acc = match ckpt.latest_valid(ctx) {
+            Some((it, payload)) => {
+                start_iter = it as usize;
+                TensorProto::decode(&payload).map_err(CoreError::from)?.0
+            }
+            None => acc_init(),
+        };
+        ctx.server
+            .remote_assign(&ps, "stream_acc", &acc, gpu, gpu)?;
+    }
+    // Worker: build the assign_add graph and invoke it repeatedly.
+    let mut g = Graph::new();
+    let kernel: Arc<dyn OpKernel> = Arc::new(AssignAddRemote {
+        worker: Arc::clone(&ctx.server),
+        ps: ps.clone(),
+        vector: vector(0x57EA, 1.0),
+        src_gpu: gpu,
+        dst_gpu: gpu,
+    });
+    let op = g.custom(kernel, &[], &[]);
+    let sess = ctx
+        .server
+        .session_with_options(Arc::new(g), SessionOptions::from_env()?);
+    let tr = tfhpc_obs::trace::global();
+    let t0 = ctx.now();
+    for it in start_iter..cfg.invocations {
+        ctx.check_faults()?;
+        // Invoke through the session without returning the value.
+        let _s = tr.span("stream.assign_add");
+        sess.run_no_fetch(&[op], &[])?;
+        let done = it + 1;
+        if let Some((every, ckpt)) = &ckpt {
+            if done % every == 0 {
+                let _c = tr.span("stream.checkpoint");
+                let acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
+                let payload = TensorProto(acc).to_bytes().map_err(CoreError::from)?;
+                ckpt.save(ctx, (done / every) as u64, done as u64, &payload)?;
+            }
+        }
+    }
+    *loop_s.lock() = ctx.now() - t0;
+    if ckpt.is_some() {
+        // Publish the final accumulator for bit-exact verification.
+        let final_acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
+        store.put(vec![-1], final_acc);
+    }
+    Ok(())
+}
+
+/// One launch of the ps/worker pair, supervised when `supervision`
+/// (`ckpt_every`, `faults`) is given. Returns the run and the seconds
+/// the worker's loop took.
 fn run_stream_inner(
     platform: &Platform,
     cfg: &StreamConfig,
     supervision: Option<(usize, &FaultSetup)>,
-) -> Result<(Launched, f64), AppError> {
-    crate::observe::run_started();
-    let n = (cfg.size_bytes / 8).max(1) as usize; // f64 elements
+) -> Result<(AppRun, f64), AppError> {
     let gpus = usize::from(cfg.on_gpu);
-    let jobs = vec![JobSpec::new("ps", 1, gpus), JobSpec::new("worker", 1, gpus)];
-    let mut launch_cfg = if cfg.simulated {
-        LaunchConfig::simulated(platform.clone(), jobs, cfg.protocol)
-    } else {
-        LaunchConfig::real(platform.clone(), jobs, cfg.protocol)
-    };
-    if let Some((_, faults)) = supervision {
-        launch_cfg = faults.apply(launch_cfg);
-    }
     let ckpt_every = supervision.map(|(every, _)| every);
+    let launch = AppLaunch {
+        app: "stream",
+        store: "stream",
+        platform,
+        jobs: vec![JobSpec::new("ps", 1, gpus), JobSpec::new("worker", 1, gpus)],
+        simulated: cfg.simulated,
+        protocol: cfg.protocol,
+        faults: supervision.map(|(_, faults)| faults),
+        ckpt_every,
+        external: None,
+        traced: false,
+    };
     let loop_s = Arc::new(Mutex::new(0.0f64));
-    let loop_s2 = Arc::clone(&loop_s);
-    let cfg2 = cfg.clone();
-
-    let launched = launch(&launch_cfg, move |ctx| {
-        let ckpt = ckpt_every.map(|every| {
-            let store = ctx.server.cluster().shared_store("stream");
-            ctx.server.resources.register_store(Arc::clone(&store));
-            (
-                every,
-                Checkpointer::new(Arc::clone(&store), 0, CKPT_KEEP),
-                store,
-            )
-        });
-        let gpu = cfg2.on_gpu.then_some(0usize);
-        // Metadata-only in virtual time, `fill` everywhere on the host.
-        let vector = |seed: u64, fill: f64| {
-            if cfg2.simulated {
-                Tensor::synthetic(DType::F64, [n], seed)
-            } else {
-                Tensor::full_f64([n], fill)
-            }
-        };
-        let acc_init = || vector(0xACC, 0.0);
-        if ctx.job() == "ps" {
-            // The accumulator lives on the ps device. A gang restart
-            // rebuilds the server with it; the worker then reinstates
-            // the checkpointed state before replaying.
-            ctx.server
-                .resources
-                .create_variable("stream_acc", acc_init());
-            return Ok(());
-        }
-        let ps = TaskKey::new("ps", 0);
-        let mut start_iter = 0usize;
-        if let (Some((_, ckpt, _)), true) = (&ckpt, ctx.attempt() > 0) {
-            // Overwrite (not add): after a *partial* restart the
-            // surviving ps still holds the crashed attempt's sums, past
-            // the checkpoint — or, when no checkpoint survived, past
-            // zero, and replaying from there would double-count.
-            let acc = match ckpt.latest_valid(&ctx) {
-                Some((it, payload)) => {
-                    start_iter = it as usize;
-                    TensorProto::decode(&payload).map_err(CoreError::from)?.0
-                }
-                None => acc_init(),
-            };
-            ctx.server
-                .remote_assign(&ps, "stream_acc", &acc, gpu, gpu)?;
-        }
-        // Worker: build the assign_add graph and invoke it repeatedly.
-        let mut g = Graph::new();
-        let kernel: Arc<dyn OpKernel> = Arc::new(AssignAddRemote {
-            worker: Arc::clone(&ctx.server),
-            ps: ps.clone(),
-            vector: vector(0x57EA, 1.0),
-            src_gpu: gpu,
-            dst_gpu: gpu,
-        });
-        let op = g.custom(kernel, &[], &[]);
-        let sess = ctx
-            .server
-            .session_with_options(Arc::new(g), SessionOptions::from_env()?);
-        let tr = tfhpc_obs::trace::global();
-        let t0 = ctx.now();
-        for it in start_iter..cfg2.invocations {
-            ctx.check_faults()?;
-            // Invoke through the session without returning the value.
-            let _s = tr.span("stream.assign_add");
-            sess.run_no_fetch(&[op], &[])?;
-            let done = it + 1;
-            if let Some((every, ckpt, _)) = &ckpt {
-                if done % every == 0 {
-                    let _c = tr.span("stream.checkpoint");
-                    let acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
-                    let payload = TensorProto(acc).to_bytes().map_err(CoreError::from)?;
-                    ckpt.save(&ctx, (done / every) as u64, done as u64, &payload)?;
-                }
-            }
-        }
-        *loop_s2.lock() = ctx.now() - t0;
-        if let Some((_, _, store)) = &ckpt {
-            // Publish the final accumulator for bit-exact verification.
-            let final_acc = ctx.server.remote_var_read(&ps, "stream_acc", gpu)?;
-            store.put(vec![-1], final_acc);
-        }
-        Ok(())
-    })
-    .map_err(AppError::Core)?;
-
-    crate::observe::run_finished("stream", launched.sim.as_ref(), false);
+    let (cfg2, loop_s2) = (cfg.clone(), Arc::clone(&loop_s));
+    let run = run_app(
+        launch,
+        |_| {},
+        move |ctx, store| stream_task(ctx, store, &cfg2, ckpt_every, &loop_s2),
+    )?;
     let loop_s = *loop_s.lock();
-    Ok((launched, loop_s))
+    Ok((run, loop_s))
 }
 
 fn report(cfg: &StreamConfig, elapsed_s: f64) -> StreamReport {
@@ -235,20 +240,9 @@ pub fn run_stream_supervised(
     ckpt_every: usize,
     faults: &FaultSetup,
 ) -> Result<(StreamReport, SupervisedStats, Tensor), AppError> {
-    if ckpt_every == 0 {
-        return Err(AppError::Config("ckpt_every must be > 0".into()));
-    }
-    let (launched, _) = run_stream_inner(platform, cfg, Some((ckpt_every, faults)))?;
-    let final_acc = launched
-        .cluster
-        .shared_store("stream")
-        .get(&[-1])
-        .map_err(AppError::Core)?;
-    Ok((
-        report(cfg, launched.elapsed_s),
-        stats_of(&launched),
-        final_acc,
-    ))
+    let (run, _) = run_stream_inner(platform, cfg, Some((ckpt_every, faults)))?;
+    let final_acc = run.store.get(&[-1])?;
+    Ok((report(cfg, run.launched.elapsed_s), run.stats, final_acc))
 }
 
 /// Results of the classic four-kernel device STREAM (McCalpin) run
@@ -384,18 +378,20 @@ mod tests {
         assert!(small.triad_gbs < large.triad_gbs * 0.9);
     }
 
+    /// 64 KiB pushed 12 times: small enough to crash and replay.
+    fn supervised_cfg() -> StreamConfig {
+        StreamConfig {
+            size_bytes: 1 << 16,
+            invocations: 12,
+            ..StreamConfig::default()
+        }
+    }
+
     #[test]
     fn supervised_crash_and_corruption_reproduce_accumulator() {
         use tfhpc_core::RetryConfig;
         use tfhpc_sim::fault::FaultPlan;
-        let p = platform::tegner_k420();
-        let cfg = StreamConfig {
-            size_bytes: 1 << 16,
-            invocations: 12,
-            on_gpu: true,
-            protocol: Protocol::Rdma,
-            simulated: true,
-        };
+        let (p, cfg) = (platform::tegner_k420(), supervised_cfg());
         let (clean_report, clean_stats, clean_acc) =
             run_stream_supervised(&p, &cfg, 3, &crate::FaultSetup::default()).unwrap();
         assert_eq!(clean_stats.restarts, 0);
@@ -420,14 +416,7 @@ mod tests {
     #[test]
     fn partial_restart_recovers_worker_without_restarting_ps() {
         use tfhpc_sim::fault::FaultPlan;
-        let p = platform::tegner_k420();
-        let cfg = StreamConfig {
-            size_bytes: 1 << 16,
-            invocations: 12,
-            on_gpu: true,
-            protocol: Protocol::Rdma,
-            simulated: true,
-        };
+        let (p, cfg) = (platform::tegner_k420(), supervised_cfg());
         let (clean_report, _, clean_acc) =
             run_stream_supervised(&p, &cfg, 3, &crate::FaultSetup::default()).unwrap();
         let clean_bytes = TensorProto(clean_acc).to_bytes().unwrap();
