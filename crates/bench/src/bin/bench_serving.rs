@@ -37,7 +37,8 @@
 //!                    interactive p99 past 125% of the in-run baseline,
 //!                    the minority task fenced later than the
 //!                    heartbeat timeout + two sweeps, or the main run
-//!                    cost the DES more than 2.43 dispatches per job.
+//!                    cost the DES more than 2.43 dispatches or 1.26
+//!                    thread wake-ups per job.
 //!                    Portable: virtual-time numbers and DES counts are
 //!                    exact on every host.
 
@@ -244,6 +245,16 @@ fn dispatches_per_job(report: &LoadReport) -> f64 {
     report.des.dispatches as f64 / report.submitted.max(1) as f64
 }
 
+/// Ceiling on the main run's DES thread wake-ups per submitted job:
+/// 1.15 at seed 42 (1.13–1.20 over seeds 17/42/1337, smoke or full) +
+/// 10 %. Only the serve workers are threads; were the load generators
+/// threads again, their dispatches would add 1.06 per job.
+const MAX_WAKEUPS_PER_JOB: f64 = 1.26;
+
+fn wakeups_per_job(report: &LoadReport) -> f64 {
+    report.des.thread_wakeups as f64 / report.submitted.max(1) as f64
+}
+
 /// One `run_load`, with the simulator's own cost for it on stderr
 /// (stdout and the JSON carry virtual-time results only).
 fn timed_load(label: &str, cfg: &ServeConfig, load: &[TenantSpec], seed: u64) -> LoadReport {
@@ -251,10 +262,13 @@ fn timed_load(label: &str, cfg: &ServeConfig, load: &[TenantSpec], seed: u64) ->
     let report = run_load(cfg, load, seed).unwrap_or_else(|e| panic!("{label} run failed: {e}"));
     let host_s = started.elapsed().as_secs_f64();
     eprintln!(
-        "des self-cost [{label}]: {} dispatches ({:.2}/job, {:.0}/host-s), {} timers fired, {:.1} host ms ({:.3} host-s per virtual-s)",
+        "des self-cost [{label}]: {} dispatches ({:.2}/job, {:.0}/host-s) = {} thread wake-ups ({:.2}/job) + {} inline resumes, {} timers fired, {:.1} host ms ({:.3} host-s per virtual-s)",
         report.des.dispatches,
         dispatches_per_job(&report),
         report.des.dispatches as f64 / host_s,
+        report.des.thread_wakeups,
+        wakeups_per_job(&report),
+        report.des.inline_resumes,
         report.des.timers_fired,
         host_s * 1e3,
         host_s / report.makespan_s,
@@ -447,6 +461,11 @@ fn main() {
     gates.check(
         per_job <= MAX_DISPATCHES_PER_JOB,
         format!("{per_job:.2} DES dispatches per job <= {MAX_DISPATCHES_PER_JOB}"),
+    );
+    let wakeups = wakeups_per_job(&report);
+    gates.check(
+        wakeups <= MAX_WAKEUPS_PER_JOB,
+        format!("{wakeups:.2} DES thread wake-ups per job <= {MAX_WAKEUPS_PER_JOB}"),
     );
 
     // Overload drill: shedding must be brownout, not blackout —

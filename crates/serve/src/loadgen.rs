@@ -15,12 +15,18 @@
 //! exposes queueing and batching) or **closed-loop** (a fixed client
 //! pool, each client waits for its job then thinks — the shape that
 //! exposes service latency).
+//!
+//! Every generator and client, and the controller that drains the
+//! server after the last of them, is a DES leaf ([`Process`]): a state
+//! machine resumed inline on whichever thread holds the baton. A run
+//! starts OS threads only for the server's workers.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tfhpc_apps::RequestSpec;
 use tfhpc_core::{CoreError, PlanCacheStats, Result};
 use tfhpc_sim::topology::ClusterSim;
-use tfhpc_sim::{platform, SeededStream, Sim, SimStats};
+use tfhpc_sim::{platform, Process, SeededStream, Sim, SimCondvar, SimStats, Step};
 use tfhpc_slurm::{Distribution, JobRequest, SlurmCluster};
 
 use crate::admission::TenantQuota;
@@ -132,6 +138,160 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// Counts the generators still running; the last one out wakes the
+/// controller.
+struct Latch {
+    /// Read and written only by leaves, which run one at a time with a
+    /// baton hand-off through the scheduler's mutex between any two, so
+    /// `Relaxed` is enough.
+    left: AtomicUsize,
+    done: SimCondvar,
+}
+
+/// What each generator of a tenant holds: the server, the tenant's
+/// name and mix, a seeded stream of its own and the latch.
+struct Tenant {
+    srv: Arc<SessionServer>,
+    name: String,
+    mix: Vec<RequestSpec>,
+    stream: SeededStream,
+    latch: Arc<Latch>,
+}
+
+impl Tenant {
+    fn new(
+        srv: &Arc<SessionServer>,
+        spec: &TenantSpec,
+        latch: &Arc<Latch>,
+        substream: u64,
+        seed: u64,
+    ) -> Tenant {
+        Tenant {
+            srv: Arc::clone(srv),
+            name: spec.name.clone(),
+            mix: spec.mix.clone(),
+            stream: SeededStream::substream(seed, substream),
+            latch: Arc::clone(latch),
+        }
+    }
+
+    /// Draw the next job from the mix and submit it.
+    fn submit_next(&mut self) -> Result<u64> {
+        let spec = self.mix[self.stream.pick(self.mix.len())];
+        let seed = self.stream.next_u64();
+        self.srv.submit(&self.name, JobPayload::Step { spec, seed })
+    }
+
+    /// Finish the generator: count the latch down.
+    fn finish(&self) -> Step {
+        if self.latch.left.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.latch.done.notify_all();
+        }
+        Step::Done
+    }
+}
+
+/// An open-loop generator: after each exponential gap, submit, and
+/// never wait on the result.
+struct OpenLoop {
+    tenant: Tenant,
+    rate_hz: f64,
+    /// Arrivals whose gap has not begun.
+    left: usize,
+    /// The gap before an arrival has passed: submit it.
+    arrived: bool,
+}
+
+impl Process for OpenLoop {
+    fn resume(&mut self) -> Step {
+        loop {
+            if std::mem::take(&mut self.arrived) {
+                // Open loop: a rejection is recorded by the admission
+                // controller; the generator moves on.
+                let _ = self.tenant.submit_next();
+            }
+            if self.left == 0 {
+                return self.tenant.finish();
+            }
+            self.left -= 1;
+            self.arrived = true;
+            if self.rate_hz > 0.0 {
+                return Step::Advance(self.tenant.stream.exp(1.0 / self.rate_hz));
+            }
+        }
+    }
+}
+
+/// Where a closed-loop client is in its submit → wait → think cycle.
+enum Phase {
+    Submit,
+    Wait { id: u64, registered: bool },
+    Think,
+}
+
+/// A closed-loop client.
+struct Client {
+    tenant: Tenant,
+    think_s: f64,
+    /// Jobs not yet submitted.
+    left: usize,
+    phase: Phase,
+}
+
+impl Process for Client {
+    fn resume(&mut self) -> Step {
+        loop {
+            match &mut self.phase {
+                Phase::Submit => {
+                    if self.left == 0 {
+                        return self.tenant.finish();
+                    }
+                    self.left -= 1;
+                    self.phase = match self.tenant.submit_next() {
+                        Ok(id) => Phase::Wait {
+                            id,
+                            registered: false,
+                        },
+                        Err(_) => Phase::Think,
+                    };
+                }
+                Phase::Wait { id, registered } => {
+                    if let Err(park) = self.tenant.srv.wait_step(*id, registered) {
+                        return park;
+                    }
+                    self.phase = Phase::Think;
+                }
+                Phase::Think => {
+                    self.phase = Phase::Submit;
+                    if self.think_s > 0.0 {
+                        return Step::Advance(self.tenant.stream.exp(self.think_s));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Waits out every generator, then drains and closes the server.
+struct Controller {
+    srv: Arc<SessionServer>,
+    latch: Arc<Latch>,
+    quiescing: bool,
+}
+
+impl Process for Controller {
+    fn resume(&mut self) -> Step {
+        if self.latch.left.load(Ordering::Relaxed) > 0 {
+            return Step::Wait(self.latch.done.clone());
+        }
+        if let Err(park) = self.srv.quiesce_step(&mut self.quiescing) {
+            return park;
+        }
+        self.srv.shutdown();
+        Step::Done
+    }
+}
+
 /// Run a multi-tenant load schedule against a simulated server and
 /// summarize it. Deterministic: the report is a pure function of
 /// `(cfg, tenants, seed)`.
@@ -183,111 +343,51 @@ pub fn run_load(cfg: &ServeConfig, tenants: &[TenantSpec], seed: u64) -> Result<
         }
     }
 
-    // Generators. Each counts down the shared remaining-generators
-    // latch; the controller quiesces and shuts down after the last.
-    let mut n_gens = 0usize;
-    for t in tenants {
-        n_gens += match t.arrival {
-            Arrival::Open { .. } => 1,
-            Arrival::Closed { clients, .. } => clients.max(1),
-        };
-    }
-    let remaining = Arc::new(parking_lot::Mutex::new(n_gens));
-    let gens_done = sim.condvar("serve.gens-done");
-
+    // Generators, all DES leaves: each counts down the latch when it is
+    // done, and the controller quiesces and shuts down after the last.
+    // A tenant with no jobs or an empty mix gets none.
+    let latch = Arc::new(Latch {
+        left: AtomicUsize::new(0),
+        done: sim.condvar("serve.gens-done"),
+    });
     for (tidx, t) in tenants.iter().enumerate() {
         if t.mix.is_empty() || t.jobs == 0 {
-            let mut left = remaining.lock();
-            *left -= 1;
             continue;
         }
         match t.arrival {
             Arrival::Open { rate_hz } => {
-                let srv = Arc::clone(&server);
-                let spec = t.clone();
-                let left = Arc::clone(&remaining);
-                let done = gens_done.clone();
-                sim.spawn(&format!("loadgen-{}-open", t.name), move || {
-                    let mut stream = SeededStream::substream(seed, 0x0600 + tidx as u64);
-                    for _ in 0..spec.jobs {
-                        if rate_hz > 0.0 {
-                            let gap = stream.exp(1.0 / rate_hz);
-                            tfhpc_sim::current().expect("sim proc").advance(gap);
-                        }
-                        let req = spec.mix[stream.pick(spec.mix.len())];
-                        let jseed = stream.next_u64();
-                        // Open loop: a rejection is recorded by the
-                        // admission controller; the generator moves on.
-                        let _ = srv.submit(
-                            &spec.name,
-                            JobPayload::Step {
-                                spec: req,
-                                seed: jseed,
-                            },
-                        );
-                    }
-                    let mut l = left.lock();
-                    *l -= 1;
-                    if *l == 0 {
-                        done.notify_all();
-                    }
-                });
+                latch.left.fetch_add(1, Ordering::Relaxed);
+                let open = OpenLoop {
+                    tenant: Tenant::new(&server, t, &latch, 0x0600 + tidx as u64, seed),
+                    rate_hz,
+                    left: t.jobs,
+                    arrived: false,
+                };
+                sim.spawn_leaf(&format!("loadgen-{}-open", t.name), open);
             }
             Arrival::Closed { clients, think_s } => {
                 let clients = clients.max(1);
                 for c in 0..clients {
-                    let srv = Arc::clone(&server);
-                    let spec = t.clone();
-                    let left = Arc::clone(&remaining);
-                    let done = gens_done.clone();
-                    // Split this tenant's jobs over its clients.
-                    let quota_jobs = spec.jobs / clients + usize::from(c < spec.jobs % clients);
-                    sim.spawn(&format!("loadgen-{}-c{c}", t.name), move || {
-                        let mut stream =
-                            SeededStream::substream(seed, 0x0C10 + (tidx as u64) * 97 + c as u64);
-                        for _ in 0..quota_jobs {
-                            let req = spec.mix[stream.pick(spec.mix.len())];
-                            let jseed = stream.next_u64();
-                            if let Ok(id) = srv.submit(
-                                &spec.name,
-                                JobPayload::Step {
-                                    spec: req,
-                                    seed: jseed,
-                                },
-                            ) {
-                                srv.wait(id);
-                            }
-                            if think_s > 0.0 {
-                                let think = stream.exp(think_s);
-                                tfhpc_sim::current().expect("sim proc").advance(think);
-                            }
-                        }
-                        let mut l = left.lock();
-                        *l -= 1;
-                        if *l == 0 {
-                            done.notify_all();
-                        }
-                    });
+                    latch.left.fetch_add(1, Ordering::Relaxed);
+                    let substream = 0x0C10 + (tidx as u64) * 97 + c as u64;
+                    let client = Client {
+                        tenant: Tenant::new(&server, t, &latch, substream, seed),
+                        think_s,
+                        // Split this tenant's jobs over its clients.
+                        left: t.jobs / clients + usize::from(c < t.jobs % clients),
+                        phase: Phase::Submit,
+                    };
+                    sim.spawn_leaf(&format!("loadgen-{}-c{c}", t.name), client);
                 }
             }
         }
     }
-
-    {
-        let srv = Arc::clone(&server);
-        let left = Arc::clone(&remaining);
-        let done = gens_done.clone();
-        sim.spawn("loadgen-controller", move || {
-            loop {
-                if *left.lock() == 0 {
-                    break;
-                }
-                done.wait();
-            }
-            srv.quiesce();
-            srv.shutdown();
-        });
-    }
+    let controller = Controller {
+        srv: Arc::clone(&server),
+        latch,
+        quiescing: false,
+    };
+    sim.spawn_leaf("loadgen-controller", controller);
 
     sim.run();
 

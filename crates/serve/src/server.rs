@@ -23,7 +23,7 @@
 //! of its own that only `id`'s completion signals, `quiesce` on one
 //! that only the last outstanding completion signals.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +36,7 @@ use tfhpc_core::{
 use tfhpc_obs::{Histogram, LazyCounter};
 use tfhpc_sim::clock::Cv;
 use tfhpc_sim::topology::ClusterSim;
-use tfhpc_sim::Sim;
+use tfhpc_sim::{Sim, Step};
 use tfhpc_tensor::Tensor;
 
 use crate::admission::{AdmissionController, TenantQuota, TenantUsage};
@@ -141,6 +141,14 @@ impl ServeState {
     }
 }
 
+/// One non-blocking turn of a blocking call: its value, or the condition
+/// to park on with the state still locked (the wall clock must hold the
+/// lock from the check into the wait).
+enum Turn<'a, T> {
+    Ready(T),
+    Park(MutexGuard<'a, ServeState>, Arc<Cv>),
+}
+
 static BATCHES: LazyCounter = LazyCounter::new("tfhpc_serve_batches_total");
 static BATCHED_JOBS: LazyCounter = LazyCounter::new("tfhpc_serve_batched_jobs_total");
 
@@ -161,7 +169,7 @@ pub struct SessionServer {
     /// Idle workers park here for work, a batch deadline or the close.
     work_cv: Cv,
     /// `quiesce` parks here until nothing is outstanding.
-    quiesced: Cv,
+    quiesced: Arc<Cv>,
     /// The simulation whose clock the server's conditions are on
     /// (`None`: the wall clock).
     sim: Option<Arc<Sim>>,
@@ -199,7 +207,7 @@ impl SessionServer {
                 latency: HashMap::new(),
             }),
             work_cv: condition(sim.as_ref(), "serve.work"),
-            quiesced: condition(sim.as_ref(), "serve.quiesced"),
+            quiesced: Arc::new(condition(sim.as_ref(), "serve.quiesced")),
             sim,
             workers: Mutex::new(Vec::new()),
             started: Instant::now(),
@@ -377,17 +385,93 @@ impl SessionServer {
 
     /// Block until job `id` finishes and return its result; an id this
     /// server never issued returns at once with an error. In sim mode
-    /// this must be called from a simulated process (closed-loop
-    /// clients are DES processes).
+    /// this must be called from a simulated thread process; a DES leaf
+    /// takes one turn of it per resume instead.
     pub fn wait(&self, id: u64) -> JobResult {
+        let mut registered = false;
+        self.block_on(|st| self.wait_turn(st, id, &mut registered))
+    }
+
+    /// Block until every submitted job has finished.
+    pub fn quiesce(&self) {
+        let mut registered = false;
+        self.block_on(|st| self.quiesce_turn(st, &mut registered))
+    }
+
+    /// One turn of [`SessionServer::wait`] in a DES leaf: the result, or
+    /// the step that parks the leaf until the next turn. `registered`
+    /// starts false and is the leaf's to keep between turns.
+    pub(crate) fn wait_step(
+        &self,
+        id: u64,
+        registered: &mut bool,
+    ) -> std::result::Result<JobResult, Step> {
+        self.leaf_turn(|st| self.wait_turn(st, id, registered))
+    }
+
+    /// One turn of [`SessionServer::quiesce`] in a DES leaf, as
+    /// [`SessionServer::wait_step`].
+    pub(crate) fn quiesce_step(&self, registered: &mut bool) -> std::result::Result<(), Step> {
+        self.leaf_turn(|st| self.quiesce_turn(st, registered))
+    }
+
+    /// Take turns on the calling thread, parking between them.
+    fn block_on<'a, T>(
+        &'a self,
+        mut turn: impl FnMut(MutexGuard<'a, ServeState>) -> Turn<'a, T>,
+    ) -> T {
         let mut st = self.state.lock();
+        loop {
+            match turn(st) {
+                Turn::Ready(value) => return value,
+                Turn::Park(guard, cv) => st = cv.wait(&self.state, guard),
+            }
+        }
+    }
+
+    /// Take one turn in a DES leaf. Nothing runs between the unlock and
+    /// the leaf's park, so no notify is lost (DESIGN.md §5).
+    fn leaf_turn<'a, T>(
+        &'a self,
+        turn: impl FnOnce(MutexGuard<'a, ServeState>) -> Turn<'a, T>,
+    ) -> std::result::Result<T, Step> {
+        match turn(self.state.lock()) {
+            Turn::Ready(value) => Ok(value),
+            Turn::Park(guard, cv) => {
+                drop(guard);
+                Err(cv.leaf_wait())
+            }
+        }
+    }
+
+    /// `wait(id)`'s check. A caller that must park registers under `id`
+    /// on its first such turn: it gets `id`'s own condition, shared with
+    /// any other waiter for `id`. The turn that finds the result
+    /// deregisters it; the last one out returns the condition to the
+    /// spare list.
+    fn wait_turn<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, ServeState>,
+        id: u64,
+        registered: &mut bool,
+    ) -> Turn<'a, JobResult> {
         if let Some(result) = st.done.get(&id) {
-            return result.clone();
+            let result = result.clone();
+            if std::mem::take(registered) {
+                let st = &mut *st;
+                if let Entry::Occupied(mut mine) = st.waiters.entry(id) {
+                    mine.get_mut().1 -= 1;
+                    if mine.get().1 == 0 {
+                        st.spare.push(mine.remove().0);
+                    }
+                }
+            }
+            return Turn::Ready(result);
         }
         if id == 0 || id >= st.next_id {
             drop(st);
             let now = self.now();
-            return JobResult {
+            return Turn::Ready(JobResult {
                 id,
                 tenant: String::new(),
                 kind: "unknown".to_string(),
@@ -396,11 +480,10 @@ impl SessionServer {
                 finished_s: now,
                 batch_size: 0,
                 error: Some(format!("unknown job id {id}")),
-            };
+            });
         }
-        // Park on `id`'s own condition, shared with any other waiter
-        // for `id`; the last one out returns it to the spare list.
         let cv = match st.waiters.get_mut(&id) {
+            Some((cv, _)) if *registered => Arc::clone(cv),
             Some((cv, n)) => {
                 *n += 1;
                 Arc::clone(cv)
@@ -414,30 +497,27 @@ impl SessionServer {
                 cv
             }
         };
-        let result = loop {
-            st = cv.wait(&self.state, st);
-            if let Some(result) = st.done.get(&id) {
-                break result.clone();
-            }
-        };
-        let st = &mut *st;
-        if let Entry::Occupied(mut mine) = st.waiters.entry(id) {
-            mine.get_mut().1 -= 1;
-            if mine.get().1 == 0 {
-                st.spare.push(mine.remove().0);
-            }
-        }
-        result
+        *registered = true;
+        Turn::Park(st, cv)
     }
 
-    /// Block until every submitted job has finished.
-    pub fn quiesce(&self) {
-        let mut st = self.state.lock();
-        st.quiescing += 1;
-        while st.outstanding > 0 {
-            st = self.quiesced.wait(&self.state, st);
+    /// `quiesce`'s check: ready once nothing is outstanding. A caller
+    /// that must park counts itself in `quiescing` until then.
+    fn quiesce_turn<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, ServeState>,
+        registered: &mut bool,
+    ) -> Turn<'a, ()> {
+        if st.outstanding == 0 {
+            if std::mem::take(registered) {
+                st.quiescing -= 1;
+            }
+            return Turn::Ready(());
         }
-        st.quiescing -= 1;
+        if !std::mem::replace(registered, true) {
+            st.quiescing += 1;
+        }
+        Turn::Park(st, Arc::clone(&self.quiesced))
     }
 
     /// Stop accepting submissions; workers drain the queues and exit.

@@ -5,7 +5,7 @@
 //! [`now`], [`sleep`] and [`spawn`] follow the calling thread; a [`Cv`]
 //! is bound for life to the clock of the thread that makes it.
 
-use crate::des::{self, Sim, SimCondvar};
+use crate::des::{self, Sim, SimCondvar, Step};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -137,6 +137,15 @@ impl Cv {
                 let timed_out = cv.wait_until(deadline);
                 (m.lock(), timed_out)
             }
+        }
+    }
+
+    /// The step that parks a DES leaf here: a leaf's [`Cv::wait`], after
+    /// it has dropped its guard. Virtual clock only.
+    pub fn leaf_wait(&self) -> Step {
+        match self {
+            Cv::Sim(cv) => Step::Wait(cv.clone()),
+            Cv::Real(_) => panic!("a DES leaf cannot park on a wall-clock condition"),
         }
     }
 

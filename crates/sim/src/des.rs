@@ -2,24 +2,31 @@
 //!
 //! ## Model
 //!
-//! A [`Sim`] owns a set of *processes*, each backed by a real OS thread
-//! running arbitrary Rust code. Exactly one process executes at a time;
-//! whenever the running process *yields* (by advancing its clock,
-//! blocking on a [`SimCondvar`], or finishing) the scheduler resumes
-//! the runnable process with the smallest local virtual time (ties keep
-//! the current process or pick the lowest process id). Because events
-//! are therefore handled in nondecreasing virtual-time order, shared
+//! A [`Sim`] owns a set of *processes* of two kinds. A *thread process*
+//! ([`Sim::spawn`]) is backed by an OS thread of its own and runs
+//! arbitrary Rust code. A *leaf* ([`Sim::spawn_leaf`]) is a resumable
+//! state machine, a [`Process`], with no thread: it runs inline on
+//! whichever thread holds the baton and yields by returning a [`Step`].
+//! Exactly one process executes at a time; whenever the running process
+//! *yields* (by advancing its clock, blocking on a [`SimCondvar`], or
+//! finishing) the scheduler resumes the runnable process with the
+//! smallest local virtual time (ties keep the current process or pick
+//! the lowest process id), whatever its kind. Because events are
+//! therefore handled in nondecreasing virtual-time order, shared
 //! [`SimResource`]s serialize in correct timestamp order and the whole
 //! simulation is deterministic.
 //!
 //! ## Hand-off
 //!
 //! The right to run is a baton. A yielding process picks its successor
-//! under the scheduler lock, releases the lock, unparks that one thread
-//! and parks itself; nobody else is woken. The thread inside
-//! [`Sim::run`] sleeps until the last process finishes. Only an aborted
-//! run (deadlock or a panicking process) wakes every parked thread,
-//! once, so that each can unwind and be joined.
+//! under the scheduler lock and releases the lock. A leaf successor is
+//! resumed right there, on the yielding process's thread, and the
+//! picking goes on from the step it returns; a thread successor is
+//! unparked, that one thread and nobody else, and the yielding thread
+//! parks. The thread inside [`Sim::run`] sleeps until the last process
+//! finishes. Only an aborted run (deadlock or a panicking process) wakes
+//! every parked thread, once, so that each can unwind and be joined,
+//! and calls [`Process::abort`] on every unfinished leaf.
 //!
 //! ## Discipline
 //!
@@ -53,13 +60,50 @@ enum Status {
     Done,
 }
 
+/// What a leaf asks of the scheduler each time its `resume` returns.
+pub enum Step {
+    /// The leaf is finished.
+    Done,
+    /// Let `dt` seconds of modeled work pass: the leaf's
+    /// [`CurrentProc::advance`].
+    Advance(f64),
+    /// Park until `cv` is notified: the leaf's [`SimCondvar::wait`].
+    Wait(SimCondvar),
+}
+
+/// The body of a leaf process: a state machine the scheduler resumes
+/// inline, on the thread that holds the baton, once per dispatch.
+///
+/// Inside `resume` the leaf is the current process ([`current`]): it may
+/// read its clock, notify, spawn, count and [`SimResource::reserve`],
+/// but it must not call anything that parks its thread (`advance`,
+/// [`SimCondvar::wait`], [`crate::clock::sleep`], [`crate::clock::Cv`]'s
+/// waits, [`SimResource::acquire_for`]); those panic, naming the leaf.
+/// It yields by returning the [`Step`] instead. It shares its host
+/// thread's thread-locals, so it must not lean on them.
+pub trait Process: Send {
+    /// Run up to the next yield point and say what it is.
+    fn resume(&mut self) -> Step;
+
+    /// Called once, instead of any further `resume`, when the run is
+    /// aborted (deadlock or a panic) before this leaf finished.
+    fn abort(&mut self) {}
+}
+
+/// How a process runs.
+enum Body {
+    /// On an OS thread of its own, which the scheduler hands the baton
+    /// with `unpark`.
+    Thread(Thread),
+    /// Inline in `hand_off`. `None` while it runs and once it is Done.
+    Leaf(Option<Box<dyn Process>>),
+}
+
 struct ProcState {
     name: String,
     time: f64,
     status: Status,
-    /// The backing OS thread; the scheduler hands it the baton with
-    /// `unpark`.
-    thread: Thread,
+    body: Body,
     /// While Blocked: the one condvar this process is queued on and the
     /// virtual deadline of a `wait_until` in progress.
     waiting_on: Option<(usize, Option<f64>)>,
@@ -88,9 +132,13 @@ fn time_key(t: f64) -> u64 {
 pub struct SimStats {
     /// Times the scheduler gave a process the baton.
     pub dispatches: u64,
-    /// Wake-ups sent to process threads: one per dispatch, plus one per
-    /// unfinished process when a run aborts.
+    /// Wake-ups sent to process threads: one per dispatch of a thread
+    /// process, plus one per unfinished thread process when a run
+    /// aborts.
     pub thread_wakeups: u64,
+    /// Dispatches of a leaf, resumed inline with no wake-up. On a run
+    /// that completes, `thread_wakeups + inline_resumes == dispatches`.
+    pub inline_resumes: u64,
     /// Dispatches made by a `wait_until` deadline instead of a notify.
     pub timers_fired: u64,
 }
@@ -126,6 +174,54 @@ struct SchedState {
 }
 
 impl SchedState {
+    /// Panic unless `id` has a thread of its own to park: a leaf yields
+    /// only by returning a [`Step`].
+    fn must_be_thread(&self, id: ProcId, call: &str) {
+        if let Body::Leaf(_) = self.procs[id].body {
+            panic!(
+                "leaf process `{}` called {call}: a leaf must not park its host thread, it returns a Step",
+                self.procs[id].name
+            );
+        }
+    }
+
+    /// Let `dt` pass on the running process `id`'s clock. Returns true
+    /// when it must yield, having made it Ready with nothing Running:
+    /// someone Ready is further behind, or a blocked process holds a
+    /// `wait_until` deadline this advance just crossed — otherwise a
+    /// sole runner advancing in large steps starves every timer until
+    /// it blocks, and an event scheduled at t1 would execute after work
+    /// at t2 > t1.
+    fn advance(&mut self, id: ProcId, dt: f64) -> bool {
+        debug_assert_eq!(self.running, Some(id), "advance from non-running process");
+        if self.tracing && dt > 0.0 {
+            let seg = TraceSegment {
+                track: self.procs[id].name.clone(),
+                label: "work".to_string(),
+                start: self.procs[id].time,
+                dur: dt,
+            };
+            self.trace.push(seg);
+        }
+        self.procs[id].time += dt;
+        let now = time_key(self.procs[id].time);
+        let behind = |set: &BTreeSet<(u64, ProcId)>| set.first().is_some_and(|&(t, _)| t < now);
+        if !(behind(&self.ready) || behind(&self.timers)) {
+            return false;
+        }
+        self.procs[id].status = Status::Ready;
+        self.ready.insert((now, id));
+        self.running = None;
+        true
+    }
+
+    /// Running -> Done.
+    fn exit(&mut self, id: ProcId) {
+        self.procs[id].status = Status::Done;
+        self.running = None;
+        self.live -= 1;
+    }
+
     /// Running -> Blocked on condvar `cv`, with a timer if `deadline`.
     fn block(&mut self, id: ProcId, cv: usize, deadline: Option<f64>) {
         debug_assert_eq!(self.running, Some(id), "wait from non-running process");
@@ -214,6 +310,15 @@ pub struct Sim {
 /// run. Raised with `resume_unwind`, so the panic hook stays silent;
 /// `Sim::run` reports the failure.
 struct Aborted;
+
+/// The message a process body panicked with, for the dump.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".into())
+}
 
 thread_local! {
     static CURRENT: RefCell<Option<(Arc<Sim>, ProcId)>> = const { RefCell::new(None) };
@@ -306,29 +411,44 @@ impl Sim {
         // and its thread handle become visible to the scheduler
         // together; the new thread parks before it touches the lock.
         let mut st = self.state.lock();
-        let t0 = current()
-            .filter(|c| Arc::ptr_eq(&c.sim, self))
-            .map(|c| st.procs[c.id].time)
-            .unwrap_or(0.0);
         let id = st.procs.len();
         let sim = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || sim.process_main(id, f))
             .expect("failed to spawn sim process thread");
+        self.register(&mut st, name, Body::Thread(handle.thread().clone()));
+        drop(st);
+        self.threads.lock().push(handle);
+        id
+    }
+
+    /// Register a leaf process: `p` is resumed inline by whichever
+    /// thread holds the baton, and has no thread of its own. Pids, start
+    /// clock and ordering are those of [`Sim::spawn`].
+    pub fn spawn_leaf(self: &Arc<Sim>, name: &str, p: impl Process + 'static) -> ProcId {
+        let mut st = self.state.lock();
+        self.register(&mut st, name, Body::Leaf(Some(Box::new(p))))
+    }
+
+    /// Add a Ready process at the spawner's time (0 from outside).
+    fn register(self: &Arc<Sim>, st: &mut SchedState, name: &str, body: Body) -> ProcId {
+        let t0 = current()
+            .filter(|c| Arc::ptr_eq(&c.sim, self))
+            .map(|c| st.procs[c.id].time)
+            .unwrap_or(0.0);
+        let id = st.procs.len();
         st.procs.push(ProcState {
             name: name.to_string(),
             time: t0,
             status: Status::Ready,
-            thread: handle.thread().clone(),
+            body,
             waiting_on: None,
             timed_out: false,
             panicked: None,
         });
         st.ready.insert((time_key(t0), id));
         st.live += 1;
-        drop(st);
-        self.threads.lock().push(handle);
         id
     }
 
@@ -345,62 +465,146 @@ impl Sim {
             // Unwound out of an aborted run; `Sim::run` has the report.
             return;
         }
-        st.procs[id].status = Status::Done;
-        st.running = None;
-        st.live -= 1;
+        st.exit(id);
         match result {
             Ok(()) => self.hand_off(st),
             Err(payload) => {
-                st.procs[id].panicked = Some(
-                    payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic>".into()),
-                );
+                st.procs[id].panicked = Some(panic_message(payload));
                 self.abort(st);
             }
         }
     }
 
-    /// Pass the baton: pick the next process and wake its thread, and
-    /// only that one. Called with no process Running, by whoever just
-    /// gave the baton up. When nothing can run, either the simulation
-    /// is over (wake `Sim::run`) or it is deadlocked.
-    fn hand_off(&self, mut st: MutexGuard<'_, SchedState>) {
-        match st.schedule() {
-            Some(next) => {
-                let thread = st.procs[next].thread.clone();
-                st.stats.thread_wakeups += 1;
-                // Unlock first: the woken thread takes the lock next.
-                drop(st);
-                thread.unpark();
-            }
-            None if st.live == 0 => {
+    /// Pass the baton: pick the next process and run it. A leaf is
+    /// resumed here, on this thread, and the picking goes on from the
+    /// step it returns; a thread process is woken, and only that one.
+    /// Called with no process Running, by whoever just gave the baton
+    /// up. When nothing can run, either the simulation is over (wake
+    /// `Sim::run`) or it is deadlocked.
+    fn hand_off<'a>(self: &'a Arc<Sim>, mut st: MutexGuard<'a, SchedState>) {
+        loop {
+            let Some(next) = st.schedule() else {
+                if st.live > 0 {
+                    return self.abort(st);
+                }
                 let runner = st.runner.clone();
                 drop(st);
                 if let Some(runner) = runner {
                     runner.unpark();
                 }
+                return;
+            };
+            let leaf = match &mut st.procs[next].body {
+                Body::Leaf(leaf) => leaf.take().expect("a dispatched leaf holds its body"),
+                Body::Thread(thread) => {
+                    let thread = thread.clone();
+                    st.stats.thread_wakeups += 1;
+                    // Unlock first: the woken thread takes the lock next.
+                    drop(st);
+                    thread.unpark();
+                    return;
+                }
+            };
+            st.stats.inline_resumes += 1;
+            drop(st);
+            match self.run_leaf(next, leaf) {
+                Some(guard) => st = guard,
+                None => return,
             }
-            None => self.abort(st),
         }
     }
 
-    /// Fail the run: record the process dump, then wake every
-    /// unfinished process (each unwinds out of its parked call) and
-    /// `Sim::run` (which joins them and reports).
+    /// Resume the just-dispatched leaf `id` until it yields, and apply
+    /// the step: `Wait` blocks it exactly as [`SimCondvar::wait`] does,
+    /// `Advance` follows `advance`'s rule (an advance that finds nobody
+    /// behind resumes the leaf again, no dispatch), `Done` finishes it.
+    /// Returns the lock with nothing Running, or `None` when the leaf
+    /// panicked and the run is aborted.
+    fn run_leaf(
+        self: &Arc<Sim>,
+        id: ProcId,
+        mut leaf: Box<dyn Process>,
+    ) -> Option<MutexGuard<'_, SchedState>> {
+        loop {
+            let mut st = match self.resume_leaf(id, &mut leaf) {
+                Ok(Step::Advance(dt)) => {
+                    let mut st = self.state.lock();
+                    if !st.advance(id, dt) {
+                        continue;
+                    }
+                    st
+                }
+                Ok(Step::Wait(cv)) => {
+                    let mut st = self.state.lock();
+                    st.block(id, cv.id, None);
+                    st
+                }
+                finished => {
+                    // `Done`, or the body panicked.
+                    drop(leaf);
+                    let mut st = self.state.lock();
+                    st.exit(id);
+                    let Err(payload) = finished else {
+                        return Some(st);
+                    };
+                    st.procs[id].panicked = Some(panic_message(payload));
+                    self.abort(st);
+                    return None;
+                }
+            };
+            st.procs[id].body = Body::Leaf(Some(leaf));
+            return Some(st);
+        }
+    }
+
+    /// One `resume` of leaf `id`, as this thread's current process.
+    fn resume_leaf(
+        self: &Arc<Sim>,
+        id: ProcId,
+        leaf: &mut Box<dyn Process>,
+    ) -> std::thread::Result<Step> {
+        let host = CURRENT.with(|c| c.replace(Some((Arc::clone(self), id))));
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let step = leaf.resume();
+            match &step {
+                Step::Advance(dt) => {
+                    assert!(*dt >= 0.0, "cannot advance virtual time backwards ({dt})")
+                }
+                Step::Wait(cv) => {
+                    assert!(
+                        Arc::ptr_eq(&cv.sim, self),
+                        "condvar used across simulations"
+                    )
+                }
+                Step::Done => {}
+            }
+            step
+        }));
+        CURRENT.with(|c| c.replace(host));
+        step
+    }
+
+    /// Fail the run: record the process dump, abort every unfinished
+    /// leaf, then wake every unfinished thread process (each unwinds
+    /// out of its parked call) and `Sim::run` (which joins them and
+    /// reports).
     fn abort(&self, mut st: MutexGuard<'_, SchedState>) {
         st.failure = Some(Self::dump(&st));
-        let parked: Vec<Thread> = st
-            .procs
-            .iter()
-            .filter(|p| p.status != Status::Done)
-            .map(|p| p.thread.clone())
-            .collect();
+        let (mut parked, mut leaves) = (Vec::new(), Vec::new());
+        for p in st.procs.iter_mut().filter(|p| p.status != Status::Done) {
+            match &mut p.body {
+                Body::Thread(thread) => parked.push(thread.clone()),
+                Body::Leaf(leaf) => leaves.extend(leaf.take()),
+            }
+        }
         st.stats.thread_wakeups += parked.len() as u64;
         let runner = st.runner.clone();
         drop(st);
+        for leaf in &mut leaves {
+            // The run has failed already; a panicking hook must not
+            // keep the threads below from being released.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| leaf.abort()));
+        }
         for thread in parked.iter().chain(&runner) {
             thread.unpark();
         }
@@ -423,31 +627,11 @@ impl Sim {
         }
     }
 
-    fn advance_proc(&self, id: ProcId, dt: f64) {
+    fn advance_proc(self: &Arc<Sim>, id: ProcId, dt: f64) {
         assert!(dt >= 0.0, "cannot advance virtual time backwards ({dt})");
         let mut st = self.state.lock();
-        debug_assert_eq!(st.running, Some(id), "advance from non-running process");
-        if st.tracing && dt > 0.0 {
-            let seg = TraceSegment {
-                track: st.procs[id].name.clone(),
-                label: "work".to_string(),
-                start: st.procs[id].time,
-                dur: dt,
-            };
-            st.trace.push(seg);
-        }
-        st.procs[id].time += dt;
-        let now = time_key(st.procs[id].time);
-        // Yield if someone Ready is further behind, or a blocked
-        // process holds a `wait_until` deadline this advance just
-        // crossed — otherwise a sole runner advancing in large steps
-        // starves every timer until it blocks, and an event scheduled
-        // at t1 would execute after work at t2 > t1.
-        let behind = |set: &BTreeSet<(u64, ProcId)>| set.first().is_some_and(|&(t, _)| t < now);
-        if behind(&st.ready) || behind(&st.timers) {
-            st.procs[id].status = Status::Ready;
-            st.ready.insert((now, id));
-            st.running = None;
+        st.must_be_thread(id, "advance");
+        if st.advance(id, dt) {
             self.hand_off(st);
             drop(self.await_dispatch(id));
         }
@@ -632,6 +816,7 @@ impl SimCondvar {
             "condvar used across simulations"
         );
         let mut st = self.sim.state.lock();
+        st.must_be_thread(me.id, "SimCondvar::wait");
         st.block(me.id, self.id, deadline);
         self.sim.hand_off(st);
         let mut st = self.sim.await_dispatch(me.id);
@@ -1033,10 +1218,43 @@ mod tests {
         assert!((sim.resource_busy(&res) - 2.0).abs() < 1e-12);
     }
 
+    /// A leaf scripted as a closure over its resume count.
+    struct Script<F>(usize, F);
+
+    impl<F: FnMut(usize) -> Step + Send> Process for Script<F> {
+        fn resume(&mut self) -> Step {
+            self.0 += 1;
+            (self.1)(self.0 - 1)
+        }
+    }
+
+    /// Spawn `p` as a leaf, or as a thread process that takes the same
+    /// steps through the blocking calls.
+    fn spawn_as(sim: &Arc<Sim>, leaf: bool, name: &str, mut p: impl Process + 'static) {
+        if leaf {
+            sim.spawn_leaf(name, p);
+            return;
+        }
+        sim.spawn(name, move || loop {
+            match p.resume() {
+                Step::Done => return,
+                Step::Advance(dt) => current().unwrap().advance(dt),
+                Step::Wait(cv) => cv.wait(),
+            }
+        });
+    }
+
     /// Every process logs `(pid, clock bits)` at its start and after
     /// each yielding call returns, so the log is the order in which the
     /// scheduler handed out the baton.
     fn dispatch_trace() -> Vec<(ProcId, u64)> {
+        dispatch_trace_with(false).0
+    }
+
+    /// [`dispatch_trace`], with pids 0-6 and 10 run as leaves if
+    /// `leaves` (7-9 wait with deadlines, which only threads do), and
+    /// the run's stats.
+    fn dispatch_trace_with(leaves: bool) -> (Vec<(ProcId, u64)>, SimStats) {
         let sim = Sim::new();
         let log = Arc::new(Mutex::new(Vec::new()));
         let mark = {
@@ -1052,25 +1270,30 @@ mod tests {
         // pids 0-3: clocks collide at every multiple of 0.5.
         for i in 0..4usize {
             let mark = mark.clone();
-            sim.spawn(&format!("tick{i}"), move || {
+            let tick = Script(0, move |k| {
                 mark();
-                for _ in 0..3 {
-                    current().unwrap().advance(0.25 * (i % 2 + 1) as f64);
-                    mark();
+                match k {
+                    0..3 => Step::Advance(0.25 * (i % 2 + 1) as f64),
+                    _ => Step::Done,
                 }
             });
+            spawn_as(&sim, leaves, &format!("tick{i}"), tick);
         }
         // pids 4-6: a notify_one queue, registered in the order 6, 5, 4.
         for j in 0..3usize {
             let (mark, queue) = (mark.clone(), queue.clone());
-            sim.spawn(&format!("queued{j}"), move || {
-                mark();
-                current().unwrap().advance(0.3 - 0.1 * j as f64);
-                queue.wait();
-                mark();
-                current().unwrap().advance(0.25);
-                mark();
+            let queued = Script(0, move |k| {
+                if k != 1 {
+                    mark();
+                }
+                match k {
+                    0 => Step::Advance(0.3 - 0.1 * j as f64),
+                    1 => Step::Wait(queue.clone()),
+                    2 => Step::Advance(0.25),
+                    _ => Step::Done,
+                }
             });
+            spawn_as(&sim, leaves, &format!("queued{j}"), queued);
         }
         // pid 7: a timer at t = 1.0, the instant pid 8 notifies; then one
         // that fires.
@@ -1101,11 +1324,14 @@ mod tests {
                 queue.notify_one();
                 queue.notify_one(); // empty queue: no-op
                 let mark2 = mark.clone();
-                sim2.spawn("late", move || {
+                let late = Script(0, move |k| {
                     mark2();
-                    current().unwrap().advance(0.25);
-                    mark2();
+                    match k {
+                        0 => Step::Advance(0.25),
+                        _ => Step::Done,
+                    }
                 });
+                spawn_as(&sim2, leaves, "late", late);
                 assert!(never.wait_until(1.75));
                 mark();
             });
@@ -1123,7 +1349,7 @@ mod tests {
         }
         assert_eq!(sim.run(), 1.75);
         let out = log.lock().clone();
-        out
+        (out, sim.stats())
     }
 
     /// The scheduling rule, pinned: this sequence was captured on the
@@ -1154,6 +1380,23 @@ mod tests {
             (4, T1_75), (5, T1_75), (10, T1_75), (8, T1_75),
         ];
         assert_eq!(dispatch_trace(), golden);
+    }
+
+    #[test]
+    fn leaves_reproduce_the_golden_dispatch_trace() {
+        // Eight of the eleven processes as leaves, resumed on whichever
+        // thread holds the baton: the same baton order, the same count.
+        let (threads, all_threads) = dispatch_trace_with(false);
+        let (trace, stats) = dispatch_trace_with(true);
+        assert_eq!(trace, threads);
+        assert_eq!(stats.dispatches, all_threads.dispatches);
+        assert_eq!(stats.timers_fired, all_threads.timers_fired);
+        assert_eq!(
+            stats.thread_wakeups + stats.inline_resumes,
+            stats.dispatches
+        );
+        // The threads, pids 7-9, are dispatched 3 + 4 + 3 times.
+        assert_eq!(stats.thread_wakeups, 10);
     }
 
     #[test]
@@ -1229,6 +1472,146 @@ mod tests {
         });
         assert!(msg.contains("PANICKED: kernel exploded"), "{msg}");
         assert!(msg.contains("Blocked waiting on never"), "{msg}");
+    }
+
+    /// A leaf that parks on `cv` for good and counts its aborts.
+    struct Parked {
+        cv: SimCondvar,
+        aborts: Arc<AtomicUsize>,
+    }
+
+    impl Process for Parked {
+        fn resume(&mut self) -> Step {
+            Step::Wait(self.cv.clone())
+        }
+
+        fn abort(&mut self) {
+            self.aborts.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// `threads` thread processes and eight leaves parked on a condvar
+    /// nobody notifies, plus the leaf `last`; the run must fail, abort
+    /// each parked leaf once and leave no process thread behind.
+    fn failed_run_with_leaves(threads: usize, last: impl Process + 'static) -> String {
+        let sim = Sim::new();
+        let cv = sim.condvar("never");
+        let (released, aborts) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        for i in 0..threads {
+            let (cv, token) = (cv.clone(), Token(Arc::clone(&released)));
+            sim.spawn(&format!("parked{i}"), move || {
+                let _token = token;
+                cv.wait();
+                unreachable!("nobody notifies");
+            });
+        }
+        for i in 0..8 {
+            let aborts = Arc::clone(&aborts);
+            sim.spawn_leaf(
+                &format!("leaf{i}"),
+                Parked {
+                    cv: cv.clone(),
+                    aborts,
+                },
+            );
+        }
+        sim.spawn_leaf("last", last);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("the run fails");
+        assert_eq!(released.load(Ordering::SeqCst), threads);
+        assert_eq!(aborts.load(Ordering::SeqCst), 8);
+        assert!(sim.threads.lock().is_empty());
+        err.downcast_ref::<String>().expect("a message").clone()
+    }
+
+    #[test]
+    fn leaf_panic_fails_the_run_and_aborts_every_unfinished_leaf() {
+        let msg = failed_run_with_leaves(
+            4,
+            Script(0, |k| match k {
+                0 => Step::Advance(1.0),
+                _ => panic!("leaf exploded"),
+            }),
+        );
+        assert!(msg.contains("PANICKED: leaf exploded"), "{msg}");
+        assert!(msg.contains("parked3"), "{msg}");
+        assert!(msg.contains("Blocked waiting on never"), "{msg}");
+    }
+
+    #[test]
+    fn deadlock_of_leaves_alone_dumps_each_leaf() {
+        let msg = failed_run_with_leaves(
+            0,
+            Script(0, |k| match k {
+                0 => Step::Advance(1.0),
+                _ => Step::Done,
+            }),
+        );
+        assert!(msg.contains("deadlock"), "{msg}");
+        for i in 0..8 {
+            let line = msg
+                .lines()
+                .find(|l| l.contains(&format!("leaf{i} ")))
+                .unwrap();
+            assert!(line.contains("Blocked waiting on never"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_leaf_may_not_park_its_host_thread() {
+        type Call = fn(&SimCondvar);
+        let calls: [(&str, &str, Call); 4] = [
+            ("advance", "advance", |_| current().unwrap().advance(1.0)),
+            ("condvar", "SimCondvar::wait", |cv| cv.wait()),
+            ("sleep", "advance", |_| crate::clock::sleep(1.0)),
+            ("cv", "SimCondvar::wait", |cv| {
+                let (m, cv) = (Mutex::new(()), crate::clock::Cv::Sim(cv.clone()));
+                drop(cv.wait(&m, m.lock()));
+            }),
+        ];
+        for (name, call, body) in calls {
+            let sim = Sim::new();
+            let cv = sim.condvar("never");
+            // The thread process yields to the leaf, which runs on its
+            // thread: a park there would hang the test.
+            sim.spawn("host", || current().unwrap().advance(1.0));
+            sim.spawn_leaf(
+                &format!("bad-{name}"),
+                Script(0, move |_| {
+                    body(&cv);
+                    Step::Done
+                }),
+            );
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+                .expect_err("the run fails");
+            let msg = err.downcast_ref::<String>().unwrap();
+            let expected = format!("PANICKED: leaf process `bad-{name}` called {call}");
+            assert!(msg.contains(&expected), "{msg}");
+            assert!(sim.threads.lock().is_empty());
+        }
+    }
+
+    #[test]
+    fn leaf_spawned_from_a_thread_starts_at_its_spawners_clock() {
+        let sim = Sim::new();
+        let started = Arc::new(Mutex::new(None));
+        {
+            let (sim2, started) = (Arc::clone(&sim), Arc::clone(&started));
+            sim.spawn("parent", move || {
+                current().unwrap().advance(7.0);
+                sim2.spawn_leaf(
+                    "child",
+                    Script(0, move |_| {
+                        *started.lock() = Some(current().unwrap().now());
+                        Step::Done
+                    }),
+                );
+            });
+        }
+        assert_eq!(sim.run(), 7.0);
+        assert_eq!(*started.lock(), Some(7.0));
+        let stats = sim.stats();
+        assert_eq!((stats.thread_wakeups, stats.inline_resumes), (1, 1));
     }
 
     #[test]

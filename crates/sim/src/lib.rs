@@ -6,9 +6,12 @@
 //!
 //! * [`des`] — a process-oriented, conservative discrete-event kernel:
 //!   every simulated TensorFlow task (and auxiliary service) is an OS
-//!   thread with a local *virtual* clock; the scheduler always resumes
-//!   the minimum-virtual-time runnable process, which makes virtual
-//!   time causally consistent and the simulation deterministic.
+//!   thread with a local *virtual* clock, and a process that never
+//!   blocks below its own body may instead be a *leaf*, a resumable
+//!   state machine run inline on the baton holder's thread; the
+//!   scheduler always resumes the minimum-virtual-time runnable
+//!   process, which makes virtual time causally consistent and the
+//!   simulation deterministic.
 //! * [`clock`] — the condition variable, clock read and sleep that run
 //!   on either the wall clock or a simulation's virtual clock, so code
 //!   above this crate blocks the same way in both modes.
@@ -35,7 +38,9 @@ pub mod platform;
 pub mod topology;
 pub mod workload;
 
-pub use des::{current, CurrentProc, ProcId, Sim, SimCondvar, SimResource, SimStats};
+pub use des::{
+    current, CurrentProc, ProcId, Process, Sim, SimCondvar, SimResource, SimStats, Step,
+};
 pub use device::{Cost, DeviceModel};
 pub use fault::{FaultEvent, FaultPlan};
 pub use net::Protocol;

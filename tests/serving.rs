@@ -391,7 +391,10 @@ fn load_report_equals_the_single_condvar_bytes() {
         report.to_json(),
         include_str!("golden/serving_tiny_seed1337.json")
     );
-    assert_eq!(report.des.thread_wakeups, report.des.dispatches);
+    // The load generators are DES leaves, resumed without a wake-up.
+    let des = report.des;
+    assert_eq!(des.thread_wakeups + des.inline_resumes, des.dispatches);
+    assert!(des.inline_resumes > 0);
     // One idle worker holds the batch-deadline timer, so at most one
     // timer fires per dispatched batch (every idle worker held one when
     // they all parked on the same deadline: ~3.5 per batch).
@@ -401,6 +404,27 @@ fn load_report_equals_the_single_condvar_bytes() {
         report.des.timers_fired,
         report.batches
     );
+}
+
+#[test]
+fn a_closed_tenant_with_no_jobs_does_not_stall_the_run() {
+    // Its three clients are never spawned, so the controller must not
+    // wait for them (it did, and the run ended in a DES deadlock).
+    let mut tenants = tiny_load();
+    tenants[0].jobs = 4;
+    tenants[1].jobs = 0;
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let report = run_load(&cfg, &tenants, 1337).unwrap();
+    let submitted: Vec<(&str, u64)> = report
+        .tenants
+        .iter()
+        .map(|t| (t.tenant.as_str(), t.submitted))
+        .collect();
+    assert_eq!(submitted, [("closed", 0), ("open", 4)]);
+    assert_eq!(report.completed, 4);
 }
 
 #[test]
@@ -453,7 +477,10 @@ fn sim_server_wakes_only_who_it_can_unblock() {
     let jobs = (CLIENTS * JOBS_EACH) as u64;
     assert_eq!(server.take_results().len() as u64, jobs);
     let stats = sim.stats();
-    assert_eq!(stats.thread_wakeups, stats.dispatches);
+    assert_eq!(
+        stats.thread_wakeups + stats.inline_resumes,
+        stats.dispatches
+    );
     // 377 dispatches for the 96 jobs (3.9 per job): a submit wakes one
     // idle worker and a finish only the client whose job it was. Waking
     // every idle worker per submit and every client per finish took 701
