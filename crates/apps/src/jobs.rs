@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 use tfhpc_core::{Graph, NodeId};
+use tfhpc_sim::fnv::Fnv1a;
 use tfhpc_sim::SeededStream;
 use tfhpc_tensor::{Complex64, DType, Shape, Tensor, TensorData};
 
@@ -176,13 +177,8 @@ fn dense_tensor(dtype: DType, shape: Shape, stream: &mut SeededStream) -> Tensor
 /// Dense payloads fold their exact bits; synthetic tensors fold their
 /// metadata + seed. Bit-identical results ⇒ equal digests.
 pub fn digest_tensors(tensors: &[Tensor]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = Fnv1a::default();
+    let mut fold = |v: u64| h.eat_u64(v);
     for t in tensors {
         fold(t.dtype() as u64);
         for &d in t.shape().dims() {
@@ -202,7 +198,7 @@ pub fn digest_tensors(tensors: &[Tensor]) -> u64 {
             Err(_) => fold(t.synthetic_seed().unwrap_or(0)),
         }
     }
-    h
+    h.0
 }
 
 #[cfg(test)]

@@ -39,8 +39,7 @@ pub use matmul::{run_matmul, run_matmul_supervised, MatmulConfig, MatmulReport};
 pub use stream::{run_stream, run_stream_supervised, StreamConfig, StreamReport};
 pub use supervised::{common_resume, stats_of, Checkpointer, SupervisedStats, CKPT_KEEP};
 
-use tfhpc_core::RetryConfig;
-use tfhpc_dist::{LaunchConfig, SupervisorConfig};
+use tfhpc_dist::{CallPolicy, LaunchConfig, SupervisorConfig};
 use tfhpc_sim::fault::FaultPlan;
 
 /// A fault-injection experiment bundle for an application run: the
@@ -55,8 +54,9 @@ pub struct FaultSetup {
     pub max_restarts: usize,
     /// Virtual seconds the supervisor waits before each restart.
     pub restart_backoff_s: f64,
-    /// Retry policy for transient (`Unavailable`) remote failures.
-    pub retry: RetryConfig,
+    /// Call policy for transient remote failures (`Unavailable`,
+    /// transient `DataLoss`).
+    pub retry: CallPolicy,
     /// Heartbeat (period, death timeout) for liveness detection; `None`
     /// leaves the launch's defaults (detection off unless the
     /// `TFHPC_HEARTBEAT_*` env knobs say otherwise).
@@ -77,8 +77,8 @@ impl FaultSetup {
         }
     }
 
-    /// Set the retry policy for transient remote failures.
-    pub fn with_retry(mut self, retry: RetryConfig) -> FaultSetup {
+    /// Set the call policy for transient remote failures.
+    pub fn with_retry(mut self, retry: CallPolicy) -> FaultSetup {
         self.retry = retry;
         self
     }

@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn supervised_crash_and_corruption_reproduce_tiles() {
-        use tfhpc_core::RetryConfig;
+        use tfhpc_dist::CallPolicy;
         use tfhpc_sim::fault::FaultPlan;
         let p = platform::tegner_k80();
         let cfg = sim_cfg(16384, 4096, 2); // nt=4, 64 products, 2 reducers
@@ -603,7 +603,7 @@ mod tests {
         let plan = FaultPlan::new()
             .crash(1, t * 0.5)
             .link_corrupt(1, t * 0.6, t * 1.0);
-        let faults = crate::FaultSetup::new(plan, 2).with_retry(RetryConfig::new(6, t * 0.02));
+        let faults = crate::FaultSetup::new(plan, 2).with_retry(CallPolicy::new(6, t * 0.02));
         let (_, stats, store) = run_matmul_supervised(&p, &cfg, 2, &faults).unwrap();
         assert!(stats.restarts >= 1, "restarts {}", stats.restarts);
         assert!(stats.corruption_detected > 0, "{stats:?}");

@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn supervised_crash_and_corruption_reproduce_accumulator() {
-        use tfhpc_core::RetryConfig;
+        use tfhpc_dist::CallPolicy;
         use tfhpc_sim::fault::FaultPlan;
         let (p, cfg) = (platform::tegner_k420(), supervised_cfg());
         let (clean_report, clean_stats, clean_acc) =
@@ -402,7 +402,7 @@ mod tests {
         let plan = FaultPlan::new()
             .crash(1, t * 0.5)
             .link_corrupt(1, t * 0.6, t * 1.0);
-        let faults = crate::FaultSetup::new(plan, 2).with_retry(RetryConfig::new(6, t * 0.05));
+        let faults = crate::FaultSetup::new(plan, 2).with_retry(CallPolicy::new(6, t * 0.05));
         let (_, stats, acc) = run_stream_supervised(&p, &cfg, 3, &faults).unwrap();
         assert!(stats.restarts >= 1, "restarts {}", stats.restarts);
         assert!(stats.corruption_detected > 0, "{stats:?}");

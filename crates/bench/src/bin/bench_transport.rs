@@ -28,10 +28,9 @@
 
 use std::sync::Arc;
 use tfhpc_bench::{json_rows, print_table, write_out, Args, Baseline, Gates, Row};
-use tfhpc_core::RetryConfig;
 use tfhpc_dist::{
-    all_reduce, all_reduce_auto, canonical_reduce, launch, AllReduceAlgo, JobSpec, LaunchConfig,
-    ReduceOp, TaskCtx, TaskKey,
+    all_reduce, all_reduce_auto, canonical_reduce, launch, AllReduceAlgo, CallPolicy, JobSpec,
+    LaunchConfig, ReduceOp, TaskCtx, TaskKey,
 };
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -72,7 +71,7 @@ fn allreduce_groups(smoke: bool) -> &'static [usize] {
 fn launch_seconds<F>(
     transport: &str,
     workers: usize,
-    faults: Option<(FaultPlan, RetryConfig)>,
+    faults: Option<(FaultPlan, CallPolicy)>,
     body: F,
 ) -> f64
 where
@@ -194,7 +193,7 @@ fn allreduce_seconds(
     bytes: u64,
     algo: Option<AllReduceAlgo>,
     rounds: usize,
-    faults: Option<(FaultPlan, RetryConfig)>,
+    faults: Option<(FaultPlan, CallPolicy)>,
     retransmits_out: Option<Arc<std::sync::Mutex<u64>>>,
 ) -> f64 {
     let n = bytes as usize / 8;
@@ -383,7 +382,7 @@ fn main() {
         let faults = (window_s > 0.0).then(|| {
             (
                 FaultPlan::new().link_corrupt(0, 0.0, window_s),
-                RetryConfig::new(8, 5.0e-5),
+                CallPolicy::new(8, 5.0e-5),
             )
         });
         let seconds = allreduce_seconds(

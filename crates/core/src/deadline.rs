@@ -20,10 +20,11 @@
 //! Consumers:
 //! * [`crate::queue::FifoQueue`] turns blocking waits into bounded
 //!   waits when a deadline is ambient, surfacing `DeadlineExceeded`.
-//! * [`crate::retry::RetryConfig::run`] refuses to schedule a backoff
-//!   past the remaining budget.
-//! * `tfhpc-dist` remote ops and rendezvous receives check the budget
-//!   before (and bound their parks by) every blocking step.
+//! * [`crate::session::Session`] fails a run whose budget is already
+//!   spent.
+//! * `tfhpc-dist`'s one call loop, `Server::call`, checks the budget
+//!   before every attempt of a remote call and never schedules a retry
+//!   backoff past it.
 
 use std::cell::Cell;
 

@@ -39,7 +39,6 @@ pub mod plan_cache;
 pub mod queue;
 pub mod queue_runner;
 pub mod resources;
-pub mod retry;
 pub mod serialize;
 pub mod session;
 
@@ -55,6 +54,5 @@ pub use plan_cache::{PlanCacheStats, SharedPlanCache};
 pub use queue::FifoQueue;
 pub use queue_runner::{Coordinator, QueueRunner};
 pub use resources::{Resources, TileStore, Variable};
-pub use retry::RetryConfig;
 pub use serialize::{graph_from_bytes, graph_to_bytes, Saver, TensorProto};
 pub use session::{RunMetadata, Session, SessionOptions};

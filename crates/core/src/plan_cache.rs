@@ -145,29 +145,6 @@ pub(crate) fn sorted_unique(ids: Cow<'_, [NodeId]>) -> Cow<'_, [NodeId]> {
     Cow::Owned(ids)
 }
 
-/// FNV-1a over a byte slice.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Fold one more `u64` into an FNV-1a state.
-pub(crate) fn mix(h: u64, v: u64) -> u64 {
-    fnv1a_word(h, v)
-}
-
-fn fnv1a_word(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Point-in-time counters of a [`SharedPlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {

@@ -221,10 +221,8 @@ impl FifoQueue {
     /// an empty queue surfaces `DeadlineExceeded` once the budget runs
     /// out rather than waiting on a partitioned or dead producer.
     pub fn dequeue(&self) -> Result<Vec<Tensor>> {
-        match crate::deadline::remaining_s() {
-            Some(remaining) => self.dequeue_timeout(remaining.max(0.0)),
-            None => self.dequeue_by(None),
-        }
+        // The absolute expiry itself, so the park ends on it exactly.
+        self.dequeue_by(crate::deadline::deadline_s())
     }
 
     /// [`FifoQueue::dequeue`] with a deadline: gives up with
@@ -234,19 +232,19 @@ impl FifoQueue {
     /// seconds otherwise. This is the primitive that keeps consumers
     /// from parking forever on a dead producer.
     pub fn dequeue_timeout(&self, timeout_s: f64) -> Result<Vec<Tensor>> {
-        if !self.not_empty.can_wait_here() {
-            return Err(CoreError::Invalid(format!(
-                "queue `{}` is sim-bound but dequeue_timeout was called \
-                 from a non-simulated thread",
-                self.name
-            )));
-        }
         self.dequeue_by(Some(clock::now() + timeout_s))
     }
 
     /// Pop the head, parking while the queue is empty and open — until
     /// `deadline` on the queue's clock when there is one.
     fn dequeue_by(&self, deadline: Option<f64>) -> Result<Vec<Tensor>> {
+        if deadline.is_some() && !self.not_empty.can_wait_here() {
+            return Err(CoreError::Invalid(format!(
+                "queue `{}` is sim-bound but a timed dequeue was called \
+                 from a non-simulated thread",
+                self.name
+            )));
+        }
         let mut st = self.state.lock();
         loop {
             if let Some(err) = &st.aborted {

@@ -614,22 +614,26 @@ impl Session {
     /// even content-identical states. Graphs that cannot serialize
     /// (`py_func`) fall back to their process-unique uid.
     fn graph_fingerprint(&self) -> u64 {
-        use crate::plan_cache::{fnv1a, mix};
+        use tfhpc_sim::fnv::Fnv1a;
         let generation = self.graph.generation();
         if let Some((gen, fp)) = *self.fingerprint.lock() {
             if gen == generation {
                 return fp;
             }
         }
-        let content = match crate::serialize::graph_to_bytes(&self.graph) {
-            Ok(bytes) => fnv1a(&bytes),
+        let mut fp = Fnv1a::default();
+        match crate::serialize::graph_to_bytes(&self.graph) {
+            Ok(bytes) => fp.eat(&bytes),
             // Unserializable graph: process-unique identity, never
             // shared with another graph (correct, just not reusable).
-            Err(_) => mix(0x9E37_79B9_7F4A_7C15, self.graph.uid()),
-        };
-        let fp = mix(content, generation);
-        *self.fingerprint.lock() = Some((generation, fp));
-        fp
+            Err(_) => {
+                fp.0 = 0x9E37_79B9_7F4A_7C15;
+                fp.eat_u64(self.graph.uid());
+            }
+        }
+        fp.eat_u64(generation);
+        *self.fingerprint.lock() = Some((generation, fp.0));
+        fp.0
     }
 
     /// Look up (or build) the program for a run signature in the

@@ -33,8 +33,8 @@
 //!
 //! Every collective send is verified through the wire integrity plane
 //! ([`crate::wire`]): an injected corruption window surfaces as
-//! transient `DataLoss` and the cluster's `RetryConfig` retransmits
-//! from the sender's pristine copy.
+//! transient `DataLoss` and `Server::call` retransmits from the
+//! sender's pristine copy.
 
 use crate::cluster_spec::TaskKey;
 use crate::membership::Membership;
@@ -160,9 +160,9 @@ impl Blockset {
 
 /// Send `tuple` into `queue` on `peer`, paying the modeled transfer and
 /// verifying through the wire integrity plane. A corruption window
-/// surfaces as transient `DataLoss`; the cluster's retry policy
-/// retransmits from the pristine copy, re-charging the wire each time
-/// like a real retransmitting transport.
+/// surfaces as transient `DataLoss`; `Server::call` retransmits from
+/// the pristine copy, re-charging the wire each time like a real
+/// retransmitting transport.
 fn verified_send(
     worker: &Arc<Server>,
     peer: &Arc<Server>,
@@ -176,8 +176,7 @@ fn verified_send(
     // group members does not matter).
     let q = peer.resources.get_or_create_queue(queue, cap);
     let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
-    let retry = worker.cluster().retry_config();
-    retry.run(what, Some(&worker.resources), || {
+    worker.call(what, Some(&peer.key), || {
         let route = worker.route_to(peer)?;
         route.charge_transfer(worker, gpu, peer, None, bytes);
         let verified =

@@ -50,6 +50,7 @@
 //! virtual-time events, so they manifest in simulated mode only — a
 //! hung node's daemon stops beating, a straggler's beats stretch.
 
+use crate::call::CallPolicy;
 use crate::cluster_spec::TaskKey;
 use crate::membership::{Liveness, Membership, MembershipEvent};
 use crate::resolver::{resolve_with_policy, JobSpec, Resolved};
@@ -58,7 +59,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tfhpc_core::env::env_f64;
-use tfhpc_core::{CoreError, Result, RetryConfig};
+use tfhpc_core::{CoreError, Result};
 use tfhpc_sim::clock::{self, Cv};
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::fault::{FaultEvent, FaultPlan};
@@ -171,8 +172,9 @@ pub struct LaunchConfig {
     pub faults: Option<Arc<FaultPlan>>,
     /// Checkpoint-restart supervision policy.
     pub supervisor: SupervisorConfig,
-    /// Retry policy the cluster's remote primitives run under.
-    pub retry: RetryConfig,
+    /// Call policy (retries, breaker, budget) the cluster's remote
+    /// calls run under.
+    pub retry: CallPolicy,
 }
 
 impl LaunchConfig {
@@ -185,7 +187,7 @@ impl LaunchConfig {
             simulated: true,
             faults: None,
             supervisor: SupervisorConfig::default(),
-            retry: RetryConfig::disabled(),
+            retry: CallPolicy::default(),
         }
     }
 
@@ -209,8 +211,8 @@ impl LaunchConfig {
         self
     }
 
-    /// Install a retry policy for remote primitives.
-    pub fn with_retry(mut self, retry: RetryConfig) -> LaunchConfig {
+    /// Install the call policy for remote calls.
+    pub fn with_retry(mut self, retry: CallPolicy) -> LaunchConfig {
         self.retry = retry;
         self
     }
@@ -1087,7 +1089,7 @@ where
     });
     let cluster = TfCluster::new(resolved.spec.clone(), cfg.protocol, cluster_sim);
     cluster.set_faults(cfg.faults.clone());
-    cluster.set_retry(cfg.retry.clone());
+    cluster.set_call_policy(cfg.retry.clone());
 
     let membership = (hb_timeout_s > 0.0)
         .then(|| Arc::new(Membership::new(hb_period_s.max(1e-6), hb_timeout_s)));

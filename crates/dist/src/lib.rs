@@ -13,7 +13,7 @@
 //! parameter-server model's successor, over pluggable staged-copy /
 //! zero-copy link transports ([`transport`]).
 
-pub mod breaker;
+pub mod call;
 pub mod cluster_spec;
 pub mod collective;
 pub mod launch;
@@ -25,7 +25,7 @@ pub mod server;
 pub mod transport;
 pub mod wire;
 
-pub use breaker::{BreakerConfig, BreakerSet, BreakerState};
+pub use call::{BreakerState, CallPolicy, Calls};
 pub use cluster_spec::{ClusterSpec, TaskKey};
 pub use collective::{
     all_reduce, all_reduce_auto, link_profile, rhd_all_reduce, ring_all_reduce, ring_all_reduce_op,

@@ -130,7 +130,8 @@ pub fn send(
 /// [`send`] body over a pre-formatted channel name. The value is
 /// framed with a CRC32C trailer before it lands in the consumer's
 /// buffer; a corruption window active at send time fails verification
-/// and the cluster's retry policy retransmits from the pristine copy.
+/// and `Server::call` retransmits from the pristine copy, unless the
+/// consumer's breaker is open.
 fn send_channel(
     worker: &Arc<Server>,
     src: &TaskKey,
@@ -145,9 +146,8 @@ fn send_channel(
             worker.key
         )));
     }
-    let retry = worker.cluster().retry_config();
-    retry.run("rendezvous_send", Some(&worker.resources), || {
-        let cluster = worker.cluster();
+    worker.call("rendezvous_send", Some(dst), || {
+        let cluster = worker.try_cluster()?;
         if let Some(reason) = cluster.death_reason(dst) {
             return Err(CoreError::Unavailable(format!(
                 "consumer {dst} is down: {reason}"
@@ -229,20 +229,17 @@ fn recv_queue_channel(
 }
 
 /// Verify a dequeued rendezvous tuple on the consumer side: the frame
-/// check runs under the cluster's retry policy, so a corruption window
-/// active at delivery time is ridden out by retransmitting from the
-/// buffered pristine tuple instead of popping the queue again.
+/// check runs as a `Server::call`, so a corruption window active at
+/// delivery time is ridden out by retransmitting from the buffered
+/// pristine tuple instead of popping the queue again.
 fn verify_recv(worker: &Arc<Server>, channel: &str, tuple: Vec<Tensor>) -> Result<Vec<Tensor>> {
-    worker
-        .cluster()
-        .retry_config()
-        .run("rendezvous_recv", Some(&worker.resources), || {
-            // Consumer-side landing check on the consumer's own link
-            // (the producer job is not recoverable from the channel
-            // string; rendezvous links are intra-job in practice).
-            let own_link = worker.route_to(worker)?;
-            crate::wire::transfer(worker, &own_link, channel, &[worker.node], &tuple)
-        })
+    worker.call("rendezvous_recv", None, || {
+        // Consumer-side landing check on the consumer's own link (the
+        // producer job is not recoverable from the channel string;
+        // rendezvous links are intra-job in practice).
+        let own_link = worker.route_to(worker)?;
+        crate::wire::transfer(worker, &own_link, channel, &[worker.node], &tuple)
+    })
 }
 
 /// Count a completed receive and close its trace flow (the arrow from

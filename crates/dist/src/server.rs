@@ -9,7 +9,7 @@
 //! simulated transport (gRPC/MPI/RDMA) with the correct source and
 //! destination device residency.
 
-use crate::breaker::BreakerSet;
+use crate::call::{CallPolicy, Calls};
 use crate::cluster_spec::{ClusterSpec, TaskKey};
 use crate::transport::{Route, Transport};
 use parking_lot::{Mutex, RwLock};
@@ -17,8 +17,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use tfhpc_core::{
-    CoreError, DeviceCtx, FifoQueue, Graph, OpKernel, Resources, Result, RetryConfig, Session,
-    SessionOptions, TileStore,
+    CoreError, DeviceCtx, FifoQueue, Graph, OpKernel, Resources, Result, Session, SessionOptions,
+    TileStore,
 };
 use tfhpc_sim::device::{Cost, KernelClass};
 use tfhpc_sim::fault::FaultPlan;
@@ -52,17 +52,14 @@ pub struct TfCluster {
     /// Injected fault schedule (node crashes, link faults, delay
     /// spikes), evaluated against virtual time.
     faults: RwLock<Option<Arc<FaultPlan>>>,
-    /// Retry policy applied to the remote primitives.
-    retry: RwLock<RetryConfig>,
+    /// The call policy every wire-crossing primitive runs under, with
+    /// its per-destination breaker and budget state.
+    calls: RwLock<Arc<Calls>>,
     /// Parking surface for tasks frozen by an injected hang: a hung
     /// task blocks here instead of exiting, and supervision notifies
     /// the gate after fencing so the corpse unwinds. Installed by the
     /// launcher on simulated runs.
     hang_gate: RwLock<Option<tfhpc_sim::des::SimCondvar>>,
-    /// Per-destination circuit breakers + retry budgets, resolved from
-    /// `TFHPC_BREAKER_*` / `TFHPC_RETRY_BUDGET` at creation (None =
-    /// policy disabled).
-    breakers: RwLock<Option<Arc<BreakerSet>>>,
     /// `TFHPC_QUORUM` override of the strict-majority quorum size.
     quorum_override: Option<usize>,
     /// Audit log of quorum self-fences: one entry per task entering
@@ -83,13 +80,10 @@ pub struct FenceEvent {
 
 impl TfCluster {
     /// Create a runtime cluster. Fails fast (panics) on a malformed
-    /// `TFHPC_TRANSPORT`, `TFHPC_BREAKER_*`, `TFHPC_RETRY_BUDGET` or
-    /// `TFHPC_QUORUM` value, per the strict env-knob contract.
+    /// `TFHPC_TRANSPORT` or `TFHPC_QUORUM` value, per the strict
+    /// env-knob contract.
     pub fn new(spec: ClusterSpec, protocol: Protocol, sim: Option<Arc<ClusterSim>>) -> Arc<Self> {
         let transport_env = crate::transport::env_transport().unwrap_or_else(|e| panic!("{e}"));
-        let breakers = crate::breaker::BreakerConfig::from_env()
-            .unwrap_or_else(|e| panic!("{e}"))
-            .map(|cfg| Arc::new(BreakerSet::new(cfg)));
         let quorum_override =
             tfhpc_core::env::env_usize("TFHPC_QUORUM").unwrap_or_else(|e| panic!("{e}"));
         Arc::new(TfCluster {
@@ -102,9 +96,8 @@ impl TfCluster {
             dead: RwLock::new(HashMap::new()),
             epoch: AtomicU64::new(0),
             faults: RwLock::new(None),
-            retry: RwLock::new(RetryConfig::disabled()),
+            calls: RwLock::default(),
             hang_gate: RwLock::new(None),
-            breakers: RwLock::new(breakers),
             quorum_override,
             fence_log: Mutex::new(Vec::new()),
         })
@@ -191,17 +184,6 @@ impl TfCluster {
             .is_some_and(|reg| std::ptr::eq(Arc::as_ptr(reg), server))
     }
 
-    /// Install (or clear) the per-destination breaker/budget policy —
-    /// tests and benches use this in place of the env knobs.
-    pub fn set_breakers(&self, breakers: Option<Arc<BreakerSet>>) {
-        *self.breakers.write() = breakers;
-    }
-
-    /// The per-destination breaker registry, when the policy is on.
-    pub fn breakers(&self) -> Option<Arc<BreakerSet>> {
-        self.breakers.read().clone()
-    }
-
     // ---- quorum / fencing --------------------------------------------------
 
     /// The sorted distinct node set hosting registered servers — the
@@ -256,14 +238,15 @@ impl TfCluster {
         self.fence_log.lock().clone()
     }
 
-    /// Install the retry policy the remote primitives run under.
-    pub fn set_retry(&self, retry: RetryConfig) {
-        *self.retry.write() = retry;
+    /// Install the call policy remote calls run under, with fresh
+    /// breaker and budget state.
+    pub fn set_call_policy(&self, policy: CallPolicy) {
+        *self.calls.write() = Arc::new(Calls::new(policy));
     }
 
-    /// The retry policy the remote primitives run under.
-    pub fn retry_config(&self) -> RetryConfig {
-        self.retry.read().clone()
+    /// The call policy in force and its per-destination state.
+    pub fn calls(&self) -> Arc<Calls> {
+        self.calls.read().clone()
     }
 
     /// The transport active on the (direction-independent) link
@@ -554,15 +537,13 @@ impl Server {
     }
 
     /// Resolve `target` for a remote op, applying the failure plane:
-    /// fences this server ([`Server::check_alive`]), fails the request
-    /// when its propagated deadline is already spent, fails fast with
+    /// fences this server ([`Server::check_alive`]), fails fast with
     /// `Unavailable` when the target is marked dead, its node is
     /// crashed, the route is partitioned/blackholed, or a link fault
     /// is active on either endpoint, and charges active delay spikes
     /// to the caller's virtual clock.
     fn peer_checked(&self, target: &TaskKey) -> Result<Route> {
         let (cluster, plan) = self.resolve_alive()?;
-        tfhpc_core::deadline::check("remote op")?;
         if let Some(reason) = cluster.death_reason(target) {
             return Err(CoreError::Unavailable(format!(
                 "task {target} is down: {reason}"
@@ -617,44 +598,6 @@ impl Server {
         Route::new(cluster, plan, self, Arc::clone(peer))
     }
 
-    /// The retried remote-op shell every primitive runs in: per-
-    /// destination breaker admission (Open fails fast with the
-    /// non-transient `ResourceExhausted`, which the retry loop
-    /// propagates immediately), a retry-budget token per re-attempt,
-    /// then peer resolution + the op body, with the attempt's outcome
-    /// fed back to the breaker (only *transient* failures count — a
-    /// fencing `Aborted` says this caller is dead, not the peer).
-    fn remote_op<T>(
-        &self,
-        what: &str,
-        target: &TaskKey,
-        mut f: impl FnMut(Route) -> Result<T>,
-    ) -> Result<T> {
-        // Retries are disabled once the cluster is torn down.
-        let cluster = self.cluster.upgrade();
-        let breakers = cluster.as_ref().and_then(|c| c.breakers());
-        let retry = cluster.map_or_else(RetryConfig::disabled, |c| c.retry_config());
-        let mut attempt = 0usize;
-        retry.run(what, Some(&self.resources), || {
-            if let Some(b) = &breakers {
-                b.admit(target, self.now_s())?;
-                if attempt > 0 {
-                    b.charge_retry(target, what)?;
-                }
-            }
-            attempt += 1;
-            let r = self.peer_checked(target).and_then(&mut f);
-            if let Some(b) = &breakers {
-                match &r {
-                    Ok(_) => b.on_success(target),
-                    Err(e) if e.is_transient() => b.on_failure(target, self.now_s()),
-                    Err(_) => {}
-                }
-            }
-            r
-        })
-    }
-
     /// How long a remote queue or variable op waits for the owner to
     /// register the name before reporting `NotFound` — rides out the
     /// startup race where a gang task's first request lands while the
@@ -697,7 +640,7 @@ impl Server {
     fn next_msg_id(&self, queue: &str) -> u64 {
         use std::fmt::Write;
         let seq = self.send_seq.fetch_add(1, Ordering::SeqCst);
-        let mut h = tfhpc_core::retry::Fnv1a::default();
+        let mut h = tfhpc_sim::fnv::Fnv1a44::default();
         write!(h, "{}{queue}", self.key).expect("hashing cannot fail");
         h.eat(&self.born_at.to_bits().to_le_bytes());
         h.eat(&seq.to_le_bytes());
@@ -726,7 +669,8 @@ impl Server {
         tuple: Vec<Tensor>,
         src_gpu: Option<usize>,
     ) -> Result<()> {
-        self.remote_op("remote_enqueue", target, |route| {
+        self.call("remote_enqueue", Some(target), || {
+            let route = self.peer_checked(target)?;
             let peer = &route.peer;
             let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
             route.charge_transfer(self, src_gpu, peer, None, bytes);
@@ -773,7 +717,8 @@ impl Server {
         queue: &str,
         dst_gpu: Option<usize>,
     ) -> Result<Vec<Tensor>> {
-        let (tuple, route) = self.remote_op("remote_dequeue", target, |route| {
+        let (tuple, route) = self.call("remote_dequeue", Some(target), || {
+            let route = self.peer_checked(target)?;
             let tuple = route
                 .peer
                 .resources
@@ -791,7 +736,7 @@ impl Server {
     }
 
     /// Pay the return transfer of a tuple popped from `route.peer` and
-    /// verify it. The verification runs in its own retry (salted by
+    /// verify it. The verification is a call of its own (salted by
     /// `verify_what`), outside the dequeue's: the tuple is already
     /// ours, so a corrupted delivery retransmits from the held copy
     /// instead of popping the queue a second time.
@@ -806,8 +751,7 @@ impl Server {
         let peer = &route.peer;
         let bytes: u64 = tuple.iter().map(|t| t.byte_size() as u64).sum();
         route.charge_transfer(peer, None, self, dst_gpu, bytes);
-        let retry = route.cluster.retry_config();
-        retry.run(verify_what, Some(&self.resources), || {
+        self.call(verify_what, Some(&peer.key), || {
             crate::wire::transfer(self, route, what, &[peer.node, self.node], &tuple)
         })
     }
@@ -815,7 +759,8 @@ impl Server {
     /// [`Server::remote_dequeue`] with a deadline: waits at most
     /// `timeout_s` (virtual seconds under the DES, wall seconds
     /// otherwise) and returns `DeadlineExceeded` on expiry instead of
-    /// blocking forever. Deadline expiry is not retried.
+    /// blocking forever. Nothing but the verify of a popped tuple is
+    /// retried.
     pub fn remote_dequeue_deadline(
         &self,
         target: &TaskKey,
@@ -850,7 +795,8 @@ impl Server {
         src_gpu: Option<usize>,
         dst_gpu: Option<usize>,
     ) -> Result<()> {
-        self.remote_op("remote_assign_add", target, |route| {
+        self.call("remote_assign_add", Some(target), || {
+            let route = self.peer_checked(target)?;
             let peer = &route.peer;
             route.charge_transfer(self, src_gpu, peer, dst_gpu, value.byte_size() as u64);
             // Verify before applying: the add happens at most once,
@@ -895,7 +841,8 @@ impl Server {
         src_gpu: Option<usize>,
         dst_gpu: Option<usize>,
     ) -> Result<()> {
-        self.remote_op("remote_assign", target, |route| {
+        self.call("remote_assign", Some(target), || {
+            let route = self.peer_checked(target)?;
             let peer = &route.peer;
             route.charge_transfer(self, src_gpu, peer, dst_gpu, value.byte_size() as u64);
             // Verify before applying, like remote_assign_add: the
@@ -937,7 +884,8 @@ impl Server {
         var: &str,
         dst_gpu: Option<usize>,
     ) -> Result<Tensor> {
-        self.remote_op("remote_var_read", target, |route| {
+        self.call("remote_var_read", Some(target), || {
+            let route = self.peer_checked(target)?;
             let peer = &route.peer;
             let value = peer
                 .resources
@@ -1254,12 +1202,7 @@ mod tests {
     #[test]
     fn retry_policy_counts_attempts_on_dead_peer() {
         let (c, _ps, worker) = two_task_cluster();
-        c.set_retry(tfhpc_core::RetryConfig {
-            max_attempts: 3,
-            base_backoff_s: 0.0,
-            max_backoff_s: 0.0,
-            jitter: 0.0,
-        });
+        c.set_call_policy(CallPolicy::new(3, 0.0));
         c.mark_dead(&TaskKey::new("ps", 0), "down for good");
         let err = worker
             .remote_var_read(&TaskKey::new("ps", 0), "w", None)
@@ -1323,12 +1266,7 @@ mod tests {
         let (c, ps, worker) = two_task_cluster();
         ps.resources.create_variable("w", Tensor::scalar_f64(1.0));
         c.set_faults(Some(Arc::new(FaultPlan::new().link_corrupt(1, 0.0, 1.0))));
-        c.set_retry(tfhpc_core::RetryConfig {
-            max_attempts: 4,
-            base_backoff_s: 0.0,
-            max_backoff_s: 0.0,
-            jitter: 0.0,
-        });
+        c.set_call_policy(CallPolicy::new(4, 0.0));
         let err = worker
             .remote_var_read(&TaskKey::new("ps", 0), "w", None)
             .unwrap_err();

@@ -22,11 +22,10 @@
 //!   flipped in the in-flight copy so verification genuinely fails.
 //!   The failure is counted as a detection + requested retransmission
 //!   and surfaced as *transient* `DataLoss`: the caller's
-//!   [`RetryConfig`](tfhpc_core::RetryConfig) re-runs the transfer from
-//!   the sender's pristine copy, exactly like a retransmitting
-//!   transport. Since each backoff advances the virtual clock, the
-//!   corruption window eventually closes and the pristine bytes decode
-//!   bit-exactly.
+//!   `Server::call` re-runs the transfer from the sender's pristine
+//!   copy, exactly like a retransmitting transport. Since each
+//!   backoff advances the virtual clock, the corruption window
+//!   eventually closes and the pristine bytes decode bit-exactly.
 //!
 //! The two paths agree on delivered bytes: the framed round-trip is
 //! bit-exact on success (pinned by the chaos suite), so returning the

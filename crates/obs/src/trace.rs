@@ -118,13 +118,8 @@ impl TraceEvent {
 /// rendezvous channel name). The same key on both sides of a send
 /// yields the same id, stitching the arrow in the trace viewer.
 pub fn flow_id(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
     // 0 is reserved for "no flow".
-    h.max(1)
+    tfhpc_sim::fnv::Fnv1a44::hash(key.as_bytes()).max(1)
 }
 
 thread_local! {

@@ -27,11 +27,13 @@
 //!   resources so contention emerges rather than being scripted.
 //! * [`pfs`] — a Lustre-like parallel file system model.
 //! * [`platform`] — calibrated presets for the paper's four node types.
+//! * [`fnv`] — the seedless hash every deterministic id and jitter uses.
 
 pub mod clock;
 pub mod des;
 pub mod device;
 pub mod fault;
+pub mod fnv;
 pub mod net;
 pub mod pfs;
 pub mod platform;

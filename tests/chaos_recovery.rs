@@ -23,7 +23,8 @@ use tfhpc_apps::{
     run_stream_supervised, CgConfig, CgReduction, FaultSetup, FftConfig, MatmulConfig,
     StreamConfig,
 };
-use tfhpc_core::{RetryConfig, TensorProto};
+use tfhpc_core::TensorProto;
+use tfhpc_dist::CallPolicy;
 use tfhpc_proto::Message;
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -59,11 +60,11 @@ fn chaos_plan(n_nodes: usize, crash_node: usize, horizon_s: f64) -> FaultPlan {
     }
 }
 
-fn retry_for(horizon_s: f64) -> RetryConfig {
+fn retry_for(horizon_s: f64) -> CallPolicy {
     // Cumulative exponential backoff (base × 63 over 7 attempts) far
     // exceeds the widest seeded corruption window (~20% of horizon), so
     // retransmits always escape a window instead of exhausting in it.
-    RetryConfig::new(7, horizon_s * 0.05)
+    CallPolicy::new(7, horizon_s * 0.05)
 }
 
 fn assert_corruption_exported(before: u64) {

@@ -15,10 +15,9 @@
 //!   `TFHPC_FAULT_SEED` — corruption-schedule seed (default 42).
 
 use std::sync::{Arc, Mutex};
-use tfhpc_core::RetryConfig;
 use tfhpc_dist::{
     all_reduce, all_reduce_auto, canonical_reduce, launch, worker_all_reduce, AllReduceAlgo,
-    JobSpec, LaunchConfig, ReduceOp, Reducer, TaskKey,
+    CallPolicy, JobSpec, LaunchConfig, ReduceOp, Reducer, TaskKey,
 };
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -77,7 +76,7 @@ fn run_algo(
     op: ReduceOp,
     protocol: Protocol,
     make_leaf: Arc<dyn Fn(usize) -> Tensor + Send + Sync>,
-    faults: Option<(FaultPlan, RetryConfig)>,
+    faults: Option<(FaultPlan, CallPolicy)>,
 ) -> RunOut {
     let mut cfg = LaunchConfig::simulated(
         kebnekaise_k80(),
@@ -270,7 +269,7 @@ fn corruption_windows_with_retransmit_preserve_bits() {
             ReduceOp::Sum,
             Protocol::Rdma,
             Arc::new(move |w| leaf(w, N)),
-            Some((plan, RetryConfig::new(8, 5.0e-5))),
+            Some((plan, CallPolicy::new(8, 5.0e-5))),
         );
         assert_eq!(
             got.bits,

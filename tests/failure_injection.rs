@@ -13,12 +13,11 @@
 use std::sync::Arc;
 use tfhpc_apps::{run_cg_supervised, run_cg_with_store, CgConfig, CgReduction, FaultSetup};
 use tfhpc_core::{
-    CoreError, DeviceCtx, Graph, OpKernel, Placement, Resources, Result as CoreResult, RetryConfig,
-    Session,
+    CoreError, DeviceCtx, Graph, OpKernel, Placement, Resources, Result as CoreResult, Session,
 };
 use tfhpc_dist::{
-    launch, recv_deadline, ring_all_reduce, send, worker_all_reduce, JobSpec, LaunchConfig,
-    ReduceOp, Reducer, RendezvousKey, SupervisorConfig, TaskKey,
+    launch, recv_deadline, ring_all_reduce, send, worker_all_reduce, CallPolicy, JobSpec,
+    LaunchConfig, ReduceOp, Reducer, RendezvousKey, SupervisorConfig, TaskKey,
 };
 use tfhpc_sim::des::Sim;
 use tfhpc_sim::fault::FaultPlan;
@@ -324,7 +323,7 @@ fn transient_link_fault_is_retried_and_counted_in_run_metadata() {
         Protocol::Rdma,
     )
     .with_faults(FaultPlan::new().link_fault(0, 0.0, 0.2))
-    .with_retry(RetryConfig::new(5, 0.2));
+    .with_retry(CallPolicy::new(5, 0.2));
     let retries = Arc::new(parking_lot::Mutex::new(0u64));
     let r2 = Arc::clone(&retries);
     let out = launch(&cfg, move |ctx| {
@@ -377,7 +376,7 @@ fn corrupted_push_is_verified_before_the_in_place_accumulate() {
         Protocol::Grpc,
     )
     .with_faults(FaultPlan::new().link_corrupt(0, 0.1, 0.3))
-    .with_retry(RetryConfig::new(5, 0.2));
+    .with_retry(CallPolicy::new(5, 0.2));
     let counts = Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
     let c2 = Arc::clone(&counts);
     let out = launch(&cfg, move |ctx| {
@@ -626,7 +625,7 @@ fn seeded_fault_plan_perturbs_timing_not_results() {
     let (clean, _) = run_cg_with_store(&p, &cfg, None).unwrap();
 
     let plan = FaultPlan::seeded(seed, 3, clean.elapsed_s);
-    let setup = FaultSetup::new(plan, 0).with_retry(RetryConfig::new(10, clean.elapsed_s * 0.05));
+    let setup = FaultSetup::new(plan, 0).with_retry(CallPolicy::new(10, clean.elapsed_s * 0.05));
     let (a, _, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
     let (b, _, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
     assert_eq!(a.restarts, 0, "transient faults must not consume restarts");

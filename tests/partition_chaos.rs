@@ -13,7 +13,8 @@
 //!   * a dup/reorder window delivers every enqueue twice on the wire
 //!     but applies it exactly once at the queue;
 //!   * an open circuit breaker fails fast — well under one retry
-//!     backoff period — instead of burning the full retry schedule.
+//!     backoff period — instead of burning the full retry schedule,
+//!     and it stops rendezvous sends as well as the remote primitives.
 //!
 //! The seeded tests honor `TFHPC_FAULT_SEED` (CI sweeps 17/42/1337).
 
@@ -22,10 +23,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tfhpc_apps::{run_cg_supervised, run_cg_with_store, CgConfig, CgReduction, FaultSetup};
-use tfhpc_core::{CoreError, RetryConfig};
+use tfhpc_core::CoreError;
 use tfhpc_dist::{
-    launch, BreakerConfig, BreakerSet, BreakerState, ClusterSpec, JobSpec, LaunchConfig, Liveness,
-    Server, SupervisorConfig, TaskKey, TfCluster,
+    launch, send, BreakerState, CallPolicy, ClusterSpec, JobSpec, LaunchConfig, Liveness,
+    RendezvousKey, Server, SupervisorConfig, TaskKey, TfCluster,
 };
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -39,11 +40,11 @@ fn fault_seed() -> u64 {
         .unwrap_or(42)
 }
 
-fn retry_for(horizon_s: f64) -> RetryConfig {
+fn retry_for(horizon_s: f64) -> CallPolicy {
     // Cumulative exponential backoff (base × 63 over 7 attempts) far
     // exceeds the widest partition window (≤ 35% of horizon), so ops
     // from the majority side ride out the fence instead of exhausting.
-    RetryConfig::new(7, horizon_s * 0.05)
+    CallPolicy::new(7, horizon_s * 0.05)
 }
 
 fn two_node_cluster() -> (Arc<TfCluster>, Arc<Server>, Arc<Server>) {
@@ -302,9 +303,8 @@ fn breaker_open_fails_fast() {
         0.0,
         1e9,
     ))));
-    cluster.set_retry(RetryConfig::new(3, BACKOFF_S));
-    let breakers = Arc::new(BreakerSet::new(BreakerConfig::new(1, 30.0)));
-    cluster.set_breakers(Some(Arc::clone(&breakers)));
+    cluster.set_call_policy(CallPolicy::new(3, BACKOFF_S).with_breaker(1, 30.0));
+    let breakers = cluster.calls();
     let ps_key = TaskKey::new("ps", 0);
 
     // First call: the transient failure trips the breaker (threshold
@@ -331,4 +331,33 @@ fn breaker_open_fails_fast() {
         "breaker-open call took {elapsed:.3}s — at least one full backoff period, not a fast-fail"
     );
     assert_eq!(breakers.total_trips(), 1, "fast-fail must not re-trip");
+}
+
+/// The breaker guards every wire-crossing primitive, not only the
+/// `remote_*` ones: once `remote_var_read` has opened it toward `ps:0`,
+/// a rendezvous send to `ps:0` fails fast too.
+#[test]
+fn open_breaker_stops_rendezvous_sends() {
+    const BACKOFF_S: f64 = 0.2;
+    let (cluster, _ps, worker) = two_node_cluster();
+    cluster.set_faults(Some(Arc::new(FaultPlan::new().partition(
+        vec![vec![1]],
+        0.0,
+        1e9,
+    ))));
+    cluster.set_call_policy(CallPolicy::new(3, BACKOFF_S).with_breaker(1, 30.0));
+    let ps_key = TaskKey::new("ps", 0);
+    let e1 = worker.remote_var_read(&ps_key, "v", None).unwrap_err();
+    assert!(matches!(e1, CoreError::ResourceExhausted(_)), "{e1}");
+    assert_eq!(cluster.calls().state(&ps_key), BreakerState::Open);
+
+    let key = RendezvousKey::new(worker.key.clone(), ps_key, "edge", 0);
+    let t0 = std::time::Instant::now();
+    let sent = send(&worker, &key, Tensor::scalar_f64(1.0), None);
+    let elapsed = t0.elapsed().as_secs_f64();
+    assert!(
+        matches!(sent, Err(CoreError::ResourceExhausted(_))),
+        "expected breaker rejection, got: {sent:?}"
+    );
+    assert!(elapsed < BACKOFF_S, "rendezvous send took {elapsed:.3}s");
 }

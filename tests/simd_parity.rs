@@ -36,7 +36,8 @@ use tfhpc_apps::fft::run_fft_with_store;
 use tfhpc_apps::matmul::c_key;
 use tfhpc_apps::stream::run_stream_supervised;
 use tfhpc_apps::{CgConfig, CgReduction, FaultSetup, FftConfig, MatmulConfig, StreamConfig};
-use tfhpc_core::{RetryConfig, TensorProto};
+use tfhpc_core::TensorProto;
+use tfhpc_dist::CallPolicy;
 use tfhpc_proto::Message;
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
@@ -431,8 +432,8 @@ fn chaos_plan(n_nodes: usize, crash_node: usize, horizon_s: f64) -> FaultPlan {
         ))
 }
 
-fn retry_for(horizon_s: f64) -> RetryConfig {
-    RetryConfig::new(7, horizon_s * 0.05)
+fn retry_for(horizon_s: f64) -> CallPolicy {
+    CallPolicy::new(7, horizon_s * 0.05)
 }
 
 // Chaos runs live under the virtual-time simulator (real mode pins the

@@ -15,8 +15,8 @@ use tfhpc_apps::{
     run_cg_supervised, run_cg_with_store, run_fft, run_matmul, run_stream, CgConfig, CgReduction,
     FaultSetup, FftConfig, MatmulConfig, StreamConfig,
 };
-use tfhpc_core::{DeviceCtx, Graph, Resources, RetryConfig, Session, SessionOptions};
-use tfhpc_dist::{recv, send, ClusterSpec, RendezvousKey, TaskKey, TfCluster};
+use tfhpc_core::{DeviceCtx, Graph, Resources, Session, SessionOptions};
+use tfhpc_dist::{recv, send, CallPolicy, ClusterSpec, RendezvousKey, TaskKey, TfCluster};
 use tfhpc_sim::fault::FaultPlan;
 use tfhpc_sim::net::Protocol;
 use tfhpc_sim::platform::{tegner_k420, tegner_k80};
@@ -344,7 +344,7 @@ fn apps_bit_identical_with_replay_on_and_off() {
         let (clean, _) = run_cg_with_store(&p, &cfg, None).unwrap();
         let plan = FaultPlan::seeded(seed, 3, clean.elapsed_s);
         let setup =
-            FaultSetup::new(plan, 0).with_retry(RetryConfig::new(10, clean.elapsed_s * 0.05));
+            FaultSetup::new(plan, 0).with_retry(CallPolicy::new(10, clean.elapsed_s * 0.05));
         let (r, _, _) = run_cg_supervised(&p, &cfg, &setup).unwrap();
         (r.rs_final.to_bits(), r.elapsed_s.to_bits(), r.restarts)
     };
