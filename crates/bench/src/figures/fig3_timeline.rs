@@ -34,13 +34,17 @@ pub fn run() {
     );
 
     // Per-track summary parsed from the trace document (tid = track,
-    // dur in us; flow and counter events count as 0-duration marks).
+    // ts/dur in us; flow and counter events count as 0-duration marks).
+    // A track's busy time is the union of its span intervals: the
+    // tracer's phase spans nest inside iteration spans, which nest
+    // inside the DES occupancy spans, so a plain sum counts the same
+    // instant several times.
     let doc = json::parse(&json).expect("trace JSON parses");
     let events = doc
         .get("traceEvents")
         .and_then(JsonValue::as_array)
         .expect("traceEvents array");
-    let mut tracks: BTreeMap<String, (usize, f64)> = BTreeMap::new();
+    let mut tracks: BTreeMap<String, (usize, Vec<(f64, f64)>)> = BTreeMap::new();
     let mut spans = 0usize;
     let mut flows = 0usize;
     let mut dropped = 0.0f64;
@@ -59,17 +63,26 @@ pub fn run() {
             _ => {}
         }
         let tid = ev.get("tid").and_then(JsonValue::as_str).unwrap_or("?");
+        let ts = ev.get("ts").and_then(JsonValue::as_f64).unwrap_or(0.0);
         let dur = ev.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        let e = tracks.entry(tid.to_string()).or_insert((0, 0.0));
+        let e = tracks.entry(tid.to_string()).or_default();
         e.0 += 1;
-        e.1 += dur / 1e6;
+        if dur > 0.0 {
+            e.1.push((ts, ts + dur));
+        }
     }
     println!(
         "\n{:<28} {:>8} {:>12}",
         "timeline row", "events", "busy [s]"
     );
     println!("{}", "-".repeat(52));
-    for (track, (events, busy)) in &tracks {
+    for (track, (events, intervals)) in &mut tracks {
+        let busy = union_len(intervals) / 1e6;
+        assert!(
+            busy <= report.elapsed_s,
+            "{track} busy {busy} s in a {} s run",
+            report.elapsed_s
+        );
         println!("{track:<28} {events:>8} {busy:>12.3}");
     }
     println!("\n{spans} spans, {flows} flow events, {dropped} dropped at the cap");
@@ -77,4 +90,42 @@ pub fn run() {
     println!(" parallel while the reducer's host serializes the queue rounds —");
     println!(" the nested cg.iteration/phase spans and the rendezvous flow");
     println!(" arrows reproduce the structure of the paper's Fig. 3)");
+}
+
+/// Total length covered by `intervals` (`[start, end)` pairs), each
+/// instant counted once.
+fn union_len(intervals: &mut [(f64, f64)]) -> f64 {
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut total = 0.0;
+    let mut open: Option<(f64, f64)> = None;
+    for &(start, end) in intervals.iter() {
+        match open {
+            Some((s, e)) if start <= e => open = Some((s, e.max(end))),
+            _ => {
+                if let Some((s, e)) = open {
+                    total += e - s;
+                }
+                open = Some((start, end));
+            }
+        }
+    }
+    total + open.map_or(0.0, |(s, e)| e - s)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::union_len;
+
+    #[test]
+    fn nested_and_overlapping_spans_count_once() {
+        let mut spans = [
+            (0.0, 10.0),
+            (2.0, 3.0),
+            (8.0, 12.0),
+            (20.0, 25.0),
+            (21.0, 22.0),
+        ];
+        assert_eq!(union_len(&mut spans), 17.0);
+        assert_eq!(union_len(&mut []), 0.0);
+    }
 }

@@ -71,6 +71,13 @@ impl From<Vec<u8>> for BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    /// The buffer itself, without a copy.
+    fn from(b: BytesMut) -> Vec<u8> {
+        b.buf
+    }
+}
+
 /// Append-only writer of fixed-width little-endian values and slices.
 pub trait BufMut {
     /// Append one byte.
@@ -119,6 +126,7 @@ mod tests {
         b.put_slice(b"abc");
         assert_eq!(b.to_vec(), b"abc".to_vec());
         assert_eq!(&*b, b"abc");
+        assert_eq!(Vec::from(b.clone()), b"abc".to_vec());
         b.clear();
         assert!(b.is_empty());
     }

@@ -5,14 +5,29 @@
 //! receiver can tell a pristine message from one that was bit-flipped
 //! or truncated in flight (the silent-corruption failure mode of RDMA
 //! verbs and torn PFS writes). The checksum is implemented in-tree
-//! because the build environment is offline: the SSE4.2 `crc32`
-//! instruction when the CPU has it (detected at runtime), falling back
-//! to slicing-by-8 over compile-time tables. The hardware path runs
-//! three interleaved `crc32` chains over 4 KiB lanes while at least
-//! 12 KiB remain, then over 80-byte lanes, then word by word; the long
-//! lanes hash 1 MiB at the instruction's one-per-cycle limit (~32 µs,
-//! ~33 GB/s on the benchmark's reference host; 80-byte lanes alone
-//! managed ~54 µs), and a buffer under 12 KiB never sees them.
+//! because the build environment is offline. Three kernels compute
+//! it, and the CPU's features pick one, once:
+//!
+//! * **Fold** (AVX-512F, VPCLMULQDQ and SSE4.2), for buffers of
+//!   `FOLD_MIN` = 512 bytes or more. Four 64-byte accumulators fold
+//!   256 bytes ahead per step with 512-bit carry-less multiplies, then
+//!   fold onto each other and over the remaining 64-byte blocks into
+//!   one block, which the `crc32` instruction hashes with the tail;
+//!   buffers of 16 KiB or more first step to a 64-byte boundary so no
+//!   load splits a cache line. The constants are
+//!   `reflect(x^(D±32) mod P) << 1`, computed at compile time from the
+//!   polynomial. 1 MiB takes ~10 µs against the lanes' ~32 µs on the
+//!   benchmark's reference host; below 512 bytes the lanes are not
+//!   slower, so shorter buffers (every scalar) run them.
+//! * **Lanes** (SSE4.2): three interleaved `crc32` chains over 4 KiB
+//!   lanes while at least 12 KiB remain, then over 80-byte lanes, then
+//!   word by word. The long lanes run at the instruction's
+//!   one-per-cycle limit; a buffer under 12 KiB never sees them.
+//! * **Sliced** (any other CPU): slicing-by-8 over compile-time tables.
+//!
+//! All three compute the same function, which the agreement tests pin;
+//! a portable bitwise model of the fold checks its constants and
+//! algebra on hosts without AVX-512 too.
 //!
 //! Layout: `magic (4) | uvarint payload_len | payload | crc32c (4, LE)`
 //! with the CRC covering everything before it.
@@ -72,27 +87,183 @@ pub fn crc32c_append(seed: u32, data: &[u8]) -> u32 {
     !crc_update(!seed, data)
 }
 
-/// Advance the raw (pre-finalize) CRC state over `data`, using the
-/// SSE4.2 `crc32` instruction when the CPU has it and the slicing-by-8
-/// tables otherwise. Both paths compute the identical function (the
-/// instruction implements the same Castagnoli polynomial), which the
-/// agreement test pins.
+/// Advance the raw (pre-finalize) CRC state over `data` with the
+/// host's kernel. Every kernel computes the identical function, which
+/// the agreement tests pin.
 #[inline]
 fn crc_update(crc: u32, data: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if hw_crc_available() {
-        // SAFETY: gated on runtime SSE4.2 detection.
-        return unsafe { crc_update_hw(crc, data) };
-    }
-    crc_update_sw(crc, data)
+    // SAFETY: `Kernel::host` picks only a kernel the CPU supports.
+    unsafe { Kernel::host().update(crc, data) }
 }
 
+/// The CRC32C implementations, fastest first. The host's CPU features
+/// pick one, once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Kernel {
+    /// AVX-512 carry-less folding for buffers of [`FOLD_MIN`] bytes or
+    /// more, `Lanes` below that.
+    #[cfg(target_arch = "x86_64")]
+    Fold,
+    /// SSE4.2 `crc32` in three interleaved lanes.
+    #[cfg(target_arch = "x86_64")]
+    Lanes,
+    /// Slicing-by-8 tables.
+    Sliced,
+}
+
+impl Kernel {
+    fn host() -> Kernel {
+        use std::sync::OnceLock;
+        static HOST: OnceLock<Kernel> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("sse4.2") {
+                    return if has!("avx512f") && has!("vpclmulqdq") {
+                        Kernel::Fold
+                    } else {
+                        Kernel::Lanes
+                    };
+                }
+            }
+            Kernel::Sliced
+        })
+    }
+
+    /// Advance the raw CRC state over `data`.
+    ///
+    /// # Safety
+    /// The CPU must support `self`: it is [`Kernel::host`] or a kernel
+    /// after it.
+    #[inline]
+    unsafe fn update(self, crc: u32, data: &[u8]) -> u32 {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Fold if data.len() >= FOLD_MIN => crc_update_fold(crc, data),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Fold | Kernel::Lanes => crc_update_hw(crc, data),
+            Kernel::Sliced => crc_update_sw(crc, data),
+        }
+    }
+}
+
+/// The shortest buffer the fold kernel takes; shorter ones run the
+/// `crc32` lanes. Measured: at 512 B the fold takes ~17–22 ns against
+/// the lanes' ~29–33 ns, at 256 B it loses (~17–20 against ~15–17 ns),
+/// and in between the two trade places from run to run.
+#[cfg(any(target_arch = "x86_64", test))]
+const FOLD_MIN: usize = 512;
+
+/// `x^e mod P` as a CRC register holds it: reflected, so bit 31 is the
+/// coefficient of `x^0`. Multiplying by `x` is one CRC step on a zero
+/// bit.
+#[cfg(any(target_arch = "x86_64", test))]
+const fn xpow_mod(e: usize) -> u32 {
+    let mut r = 1 << 31;
+    let mut i = 0;
+    while i < e {
+        r = if r & 1 != 0 { (r >> 1) ^ POLY } else { r >> 1 };
+        i += 1;
+    }
+    r
+}
+
+/// The multipliers that carry a 16-byte block `bytes` bytes further
+/// along the message, `D = 8 * bytes` bits: its first 8 bytes times
+/// `x^(D+32)`, its last 8 times `x^(D-32)`, each as
+/// `reflect(x^e mod P) << 1`. A reflected 32-bit constant shifted left
+/// once in a 64-bit lane multiplies by a further `x^32` in the
+/// carry-less product (`x^31` from where it sits, `x` from the
+/// product's one-bit offset), and the first half sits `x^64` above the
+/// second, so both halves move by exactly `x^D`. The folded block is
+/// congruent to the original modulo `P`, so XORing it into the block
+/// `bytes` further on leaves the CRC unchanged.
+#[cfg(any(target_arch = "x86_64", test))]
+const fn fold_pair(bytes: usize) -> [u64; 2] {
+    let d = 8 * bytes;
+    [
+        (xpow_mod(d + 32) as u64) << 1,
+        (xpow_mod(d - 32) as u64) << 1,
+    ]
+}
+
+/// The main loop's distance: four 64-byte accumulators in flight.
+#[cfg(any(target_arch = "x86_64", test))]
+const FOLD_256: [u64; 2] = fold_pair(256);
+/// One accumulator onto the next, and the 64-byte blocks after the loop.
+#[cfg(any(target_arch = "x86_64", test))]
+const FOLD_64: [u64; 2] = fold_pair(64);
+
+/// Buffers this long first hash the bytes before a 64-byte boundary
+/// with `crc32`, so that no zmm load splits a cache line: that costs
+/// ~10 ns, which pays for itself from ~16 KiB on (1 MiB: ~18 → ~14 µs
+/// from a 16-byte-aligned start, as a large allocation has).
 #[cfg(target_arch = "x86_64")]
-#[inline]
-fn hw_crc_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("sse4.2"))
+const ALIGN_MIN: usize = 16 << 10;
+
+/// CRC32C by carry-less folding: four 64-byte accumulators fold 256
+/// bytes ahead per step (`vpclmulqdq` on each 128-bit lane, the three-
+/// way XOR in one `vpternlogq`), then onto each other and over the
+/// remaining whole 64-byte blocks into one block, which the `crc32`
+/// path hashes together with the tail. Buffers of `ALIGN_MIN` bytes or
+/// more first step to a 64-byte boundary; below 256 bytes it falls back
+/// to the `crc32` path.
+///
+/// # Safety
+/// The CPU must support AVX-512F, VPCLMULQDQ and SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq,sse4.2")]
+unsafe fn crc_update_fold(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold(acc: __m512i, k: __m512i, next: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(acc, k);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(acc, k);
+        _mm512_ternarylogic_epi64::<0x96>(lo, hi, next)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn pair(k: [u64; 2]) -> __m512i {
+        _mm512_broadcast_i32x4(_mm_set_epi64x(k[1] as i64, k[0] as i64))
+    }
+
+    if data.len() < 256 {
+        return crc_update_hw(crc, data);
+    }
+    let head = data.as_ptr().align_offset(64);
+    if head != 0 && data.len() >= ALIGN_MIN {
+        let (head, rest) = data.split_at(head);
+        return crc_update_fold(crc_update_hw(crc, head), rest);
+    }
+    let p = data.as_ptr();
+    // SAFETY: every call below reads 64 bytes at an offset `off` with
+    // `off + 64 <= data.len()`, checked by the loop conditions.
+    let load = |off: usize| unsafe { _mm512_loadu_si512(p.add(off).cast()) };
+    let (k256, k64) = (pair(FOLD_256), pair(FOLD_64));
+    let mut acc = [load(0), load(64), load(128), load(192)];
+    // The state enters as the first four message bytes XORed with it.
+    acc[0] = _mm512_xor_si512(
+        acc[0],
+        _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32)),
+    );
+    let mut off = 256;
+    while data.len() - off >= 256 {
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = fold(*a, k256, load(off + 64 * i));
+        }
+        off += 256;
+    }
+    let mut block = fold(fold(fold(acc[0], k64, acc[1]), k64, acc[2]), k64, acc[3]);
+    while data.len() - off >= 64 {
+        block = fold(block, k64, load(off));
+        off += 64;
+    }
+    let mut bytes = [0u8; 64];
+    // SAFETY: `bytes` is 64 writable bytes.
+    unsafe { _mm512_storeu_si512(bytes.as_mut_ptr().cast(), block) };
+    crc_update_hw(crc_update_hw(0, &bytes), &data[off..])
 }
 
 /// Bytes per lane of the 3-way interleaved hardware path. The `crc32`
@@ -267,7 +438,7 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
     buf.put_slice(payload);
     let crc = crc32c(&buf);
     buf.put_u32_le(crc);
-    buf.to_vec()
+    buf.into()
 }
 
 /// Verify a frame and return a view of its payload.
@@ -341,34 +512,66 @@ mod tests {
         assert_eq!(bulk, !slow);
     }
 
+    /// Every kernel this CPU can run, the slicing-by-8 tables last.
+    fn host_kernels() -> Vec<Kernel> {
+        let all = [
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Fold,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Lanes,
+            Kernel::Sliced,
+        ];
+        all.into_iter().filter(|&k| k >= Kernel::host()).collect()
+    }
+
     #[test]
     fn hw_and_sw_paths_agree() {
-        // Both CRC implementations must compute the identical function
-        // across every chunk-boundary alignment, so a frame sealed on a
-        // CPU with SSE4.2 opens on one without it (and vice versa).
-        let data: Vec<u8> = test_bytes((1 << 20) + 16);
+        // Every kernel must compute the identical function across every
+        // chunk-boundary alignment, so a frame sealed on one CPU opens
+        // on any other.
+        let data: Vec<u8> = test_bytes((1 << 20) + 128);
         // Either side of one long-lane block, a second block with a
-        // short-lane block and a byte behind it, and the benchmark's
-        // 1 MiB with an odd tail.
+        // short-lane block and a byte behind it, the fold's edges (its
+        // shortest buffer, three 256-byte steps, a 64-byte block and a
+        // tail each way, either side of its alignment step) and the
+        // benchmark's 1 MiB with an odd tail.
         const L: usize = 4096;
+        const A: usize = 16 << 10;
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(L, LONG_LANE);
+        assert_eq!((L, A), (LONG_LANE, ALIGN_MIN));
         let long = [3 * L - 1, 3 * L, 3 * L + 1, 6 * L + 241, (1 << 20) + 5];
-        for start in [0usize, 1, 3, 7, 8] {
+        let fold = [
+            FOLD_MIN - 1,
+            FOLD_MIN,
+            FOLD_MIN + 1,
+            767,
+            768,
+            1023,
+            A - 1,
+            A,
+        ];
+        for start in [0usize, 1, 7, 8, 63] {
             for len in [
-                0usize, 1, 7, 8, 9, 63, 64, 65, 239, 240, 241, 480, 512, 1024,
+                0usize, 1, 7, 8, 9, 63, 64, 65, 239, 240, 241, 255, 256, 257, 480, 1024,
             ]
             .into_iter()
+            .chain(fold)
             .chain(long)
             {
                 let slice = &data[start..start + len];
                 let sw = !crc_update_sw(!0, slice);
                 assert_eq!(crc32c(slice), sw, "start {start} len {len}");
+                for k in host_kernels() {
+                    // SAFETY: `host_kernels` lists only what the CPU runs.
+                    let got = !unsafe { k.update(!0, slice) };
+                    assert_eq!(got, sw, "{k:?} diverges at start {start} len {len}");
+                }
                 #[cfg(target_arch = "x86_64")]
-                if hw_crc_available() {
-                    // SAFETY: gated on runtime SSE4.2 detection.
-                    let hw = !unsafe { crc_update_hw(!0, slice) };
-                    assert_eq!(hw, sw, "hw/sw divergence at start {start} len {len}");
+                if Kernel::host() == Kernel::Fold {
+                    // Below `FOLD_MIN` too, where `update` never calls it.
+                    // SAFETY: the host runs the fold kernel.
+                    let got = !unsafe { crc_update_fold(!0, slice) };
+                    assert_eq!(got, sw, "fold diverges at start {start} len {len}");
                 }
             }
         }
@@ -377,18 +580,114 @@ mod tests {
     #[test]
     fn append_across_any_split_equals_one_shot() {
         // The state carried between `crc32c_append` calls must not
-        // depend on which lane scheme either half ran: every split
-        // below puts a different mix of long lanes, short lanes and
-        // tail words on each side.
+        // depend on which kernel or lane scheme either half ran: every
+        // split below puts a different mix of folded blocks, long
+        // lanes, short lanes and tail words on each side.
         let data = test_bytes(1 << 20);
         let whole = crc32c(&data);
         assert_eq!(whole, !crc_update_sw(!0, &data));
+        let n = data.len();
         for split in [
-            1usize, 7, 239, 241, 4_095, 12_287, 12_289, 24_577, 65_537, 524_289, 1_036_289,
+            1usize,
+            7,
+            239,
+            241,
+            FOLD_MIN - 1,
+            FOLD_MIN,
+            FOLD_MIN + 1,
+            4_095,
+            12_287,
+            12_289,
+            24_577,
+            65_537,
+            524_289,
+            1_036_289,
+            n - FOLD_MIN - 1,
+            n - FOLD_MIN,
+            n - FOLD_MIN + 1,
             1_048_575,
         ] {
             let (head, tail) = data.split_at(split);
             assert_eq!(crc32c_append(crc32c(head), tail), whole, "split at {split}");
+        }
+    }
+
+    /// Carry-less product of two 64-bit polynomials, bit by bit.
+    fn clmul(a: u64, b: u64) -> u128 {
+        (0..64)
+            .filter(|i| b >> i & 1 != 0)
+            .fold(0, |acc, i| acc ^ ((a as u128) << i))
+    }
+
+    /// 64 bytes as the fold kernel's four 128-bit lanes.
+    fn load_model(bytes: &[u8]) -> [u128; 4] {
+        std::array::from_fn(|i| u128::from_le_bytes(bytes[16 * i..16 * i + 16].try_into().unwrap()))
+    }
+
+    /// One `fold` of the kernel: per lane, the low half times `k[0]`
+    /// XOR the high half times `k[1]` XOR the block it lands on.
+    fn fold_model(acc: [u128; 4], k: [u64; 2], next: [u128; 4]) -> [u128; 4] {
+        std::array::from_fn(|i| {
+            clmul(acc[i] as u64, k[0]) ^ clmul((acc[i] >> 64) as u64, k[1]) ^ next[i]
+        })
+    }
+
+    /// `crc_update_fold` with portable arithmetic: the same accumulators,
+    /// lane order, constants and final step, so the algebra is checked
+    /// on a host without AVX-512 too.
+    fn crc_update_fold_model(crc: u32, data: &[u8]) -> u32 {
+        assert!(data.len() >= 256);
+        let mut acc: [[u128; 4]; 4] = std::array::from_fn(|j| load_model(&data[64 * j..]));
+        acc[0][0] ^= crc as u128;
+        let mut off = 256;
+        while data.len() - off >= 256 {
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = fold_model(*a, FOLD_256, load_model(&data[off + 64 * i..]));
+            }
+            off += 256;
+        }
+        let mut block = fold_model(
+            fold_model(fold_model(acc[0], FOLD_64, acc[1]), FOLD_64, acc[2]),
+            FOLD_64,
+            acc[3],
+        );
+        while data.len() - off >= 64 {
+            block = fold_model(block, FOLD_64, load_model(&data[off..]));
+            off += 64;
+        }
+        let bytes: Vec<u8> = block.iter().flat_map(|l| l.to_le_bytes()).collect();
+        crc_update_sw(crc_update_sw(0, &bytes), &data[off..])
+    }
+
+    #[test]
+    fn portable_fold_model_matches_the_tables() {
+        // The published CRC32C fold-by-64-bytes pair, so a wrong
+        // exponent or a swapped lane shows here before any checksum.
+        assert_eq!(FOLD_64, [0x740e_ef02, 0x9e4a_ddf8]);
+        assert_eq!(xpow_mod(32), POLY);
+        let data = test_bytes(70_000);
+        for len in [
+            256usize,
+            257,
+            319,
+            320,
+            511,
+            512,
+            513,
+            767,
+            768,
+            1023,
+            4096 + 37,
+            65_541,
+        ] {
+            for (start, seed) in [(0usize, 0u32), (1, !0), (63, 0x1234_5678)] {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc_update_fold_model(seed, slice),
+                    crc_update_sw(seed, slice),
+                    "start {start} len {len} seed {seed:#x}"
+                );
+            }
         }
     }
 

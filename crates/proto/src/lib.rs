@@ -115,7 +115,7 @@ impl Encoder {
         if self.buf.len() > MAX_MESSAGE_BYTES {
             return Err(ProtoError::MessageTooLarge(self.buf.len()));
         }
-        Ok(self.buf.to_vec())
+        Ok(self.buf.into())
     }
 
     fn tag(&mut self, field: u32, wt: WireType) {

@@ -12,7 +12,8 @@
 //! steady-state `remote_assign_add` of a 1 MiB vector between two
 //! tasks allocates no buffer at all, and a queue-pair reduction round
 //! allocates a pinned number of times on the worker and on the reducer
-//! — none of them a `format!`-ed queue name on the reducer's side.
+//! — none of them a `format!`-ed queue name on the reducer's side. A
+//! sealed frame is built in the one buffer `seal` returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -468,4 +469,19 @@ fn steady_state_reduction_round_allocates_a_pinned_number_of_times() {
     // tag, the tuple, the two queue names, and one delivered-tensor
     // list per direction.
     assert_eq!(worker, 9 * ROUNDS, "worker calls in {ROUNDS} rounds");
+}
+
+#[test]
+fn sealing_a_frame_allocates_one_payload_sized_buffer() {
+    // `seal` builds magic, length, payload and trailer in one buffer
+    // and hands that buffer back: a copy on the way out would be a
+    // second payload-sized allocation.
+    let payload = vec![0x5Au8; 1 << 20];
+    let mut frame = Vec::new();
+    let (_, large) = allocations_and_large(|| frame = tfhpc_proto::frame::seal(&payload));
+    assert_eq!(large, 1, "payload-sized allocations sealing 1 MiB");
+    assert_eq!(
+        tfhpc_proto::frame::open(&frame).unwrap(),
+        payload.as_slice()
+    );
 }
