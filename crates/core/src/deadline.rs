@@ -7,8 +7,11 @@
 //! budget implicitly, the way gRPC propagates deadlines through a call
 //! chain: an absolute expiry installed in a thread-local scope that
 //! every layer below can consult without plumbing a parameter through
-//! the whole stack. (Each simulated process is an OS thread, so the
-//! thread-local is also a per-sim-process local.)
+//! the whole stack. A scope belongs to the process that opened it: a
+//! simulated process (thread or DES leaf) sees only its own, so a leaf
+//! resumed on another process's thread — a serve worker running inline
+//! while a client waits — does not inherit that client's budget. A DES
+//! leaf's scope lasts as long as the `resume` that opened it.
 //!
 //! The expiry is absolute on the caller's clock
 //! ([`tfhpc_sim::clock::now`]: virtual seconds inside a simulated
@@ -27,19 +30,28 @@
 //!   backoff past it.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use tfhpc_sim::clock;
 
+/// Who opened a scope: the simulated process (its simulation and id),
+/// or `None` for a thread outside any simulation.
+type Owner = Option<(usize, tfhpc_sim::ProcId)>;
+
+fn owner() -> Owner {
+    tfhpc_sim::des::current().map(|me| (Arc::as_ptr(me.sim()) as usize, me.id()))
+}
+
 thread_local! {
-    static DEADLINE_S: Cell<Option<f64>> = const { Cell::new(None) };
+    static DEADLINE_S: Cell<Option<(Owner, f64)>> = const { Cell::new(None) };
 }
 
 /// RAII scope for an ambient deadline: restores the previous budget
 /// (if any) on drop, so scopes nest and unwind correctly.
 #[must_use = "dropping the guard immediately removes the deadline"]
 pub struct DeadlineGuard {
-    prev: Option<f64>,
+    prev: Option<(Owner, f64)>,
 }
 
 impl Drop for DeadlineGuard {
@@ -54,18 +66,20 @@ impl Drop for DeadlineGuard {
 /// but never extend it.
 pub fn with_deadline(timeout_s: f64) -> DeadlineGuard {
     let abs = clock::now() + timeout_s.max(0.0);
-    let prev = DEADLINE_S.with(|d| d.get());
+    let (me, prev) = (owner(), DEADLINE_S.with(|d| d.get()));
     let effective = match prev {
-        Some(p) => p.min(abs),
-        None => abs,
+        Some((opener, p)) if opener == me => p.min(abs),
+        _ => abs,
     };
-    DEADLINE_S.with(|d| d.set(Some(effective)));
+    DEADLINE_S.with(|d| d.set(Some((me, effective))));
     DeadlineGuard { prev }
 }
 
-/// The ambient absolute expiry, if a deadline scope is active.
+/// The ambient absolute expiry, if the calling process has a deadline
+/// scope active.
 pub fn deadline_s() -> Option<f64> {
-    DEADLINE_S.with(|d| d.get())
+    let (opener, d) = DEADLINE_S.with(|d| d.get())?;
+    (opener == owner()).then_some(d)
 }
 
 /// Remaining budget in seconds (may be ≤ 0 once expired); `None` when

@@ -536,29 +536,37 @@ impl Session {
         Ok(values)
     }
 
-    /// Execute the same fetch set once per feed set, paying the
-    /// client→server dispatch cost a single time for the whole batch —
-    /// the serving plane's coalesced dispatch. Each request keeps its
-    /// own feed-serialization charge and its own compute, so per-
-    /// request results are bit-identical to individual [`Session::run`]
-    /// calls; only the shared administrative overhead is amortized.
-    /// Returns one result per feed set (a failed request does not
-    /// poison its batch-mates).
-    pub fn run_batch(
+    /// Virtual seconds of the client→server dispatch the paper measures
+    /// as part of STREAM (gRPC's administrative path): every run pays
+    /// it, a batch once for all its members. `None` without a
+    /// simulated device.
+    pub fn dispatch_charge(&self) -> Option<f64> {
+        let sim = self.devices.sim.as_ref()?;
+        Some(sim.cluster.platform.net.session_dispatch_s)
+    }
+
+    /// Virtual seconds to serialize `feeds` from the client: every run
+    /// and every batch member pays it for its own feeds. `None` without
+    /// a simulated device or with nothing fed.
+    pub fn feed_charge(&self, feeds: &[(NodeId, Tensor)]) -> Option<f64> {
+        self.devices.sim.as_ref()?;
+        let feed_bytes: f64 = feeds.iter().map(|(_, t)| t.byte_size() as f64).sum();
+        (feed_bytes > 0.0).then(|| feed_bytes / (FEED_GBS * 1e9))
+    }
+
+    /// [`Session::run`] for a caller that has already paid the run's
+    /// [`Session::dispatch_charge`] (once per batch) and
+    /// [`Session::feed_charge`]: the serving plane's batch member, whose
+    /// results are bit-identical to individual runs. Inside a DES
+    /// [`tfhpc_sim::des::ledger`], a plan with a blocking op is an error
+    /// rather than a wait the ledger cannot take.
+    pub fn run_prepaid(
         &self,
         fetches: &[NodeId],
-        feed_sets: &[Vec<(NodeId, Tensor)>],
-    ) -> Vec<Result<Vec<Tensor>>> {
-        if let (Some(sim), Some(me)) = (self.devices.sim.as_ref(), tfhpc_sim::des::current()) {
-            me.advance(sim.cluster.platform.net.session_dispatch_s);
-        }
-        feed_sets
-            .iter()
-            .map(|feeds| {
-                self.exec_subgraph(fetches, feeds, false, false, true)
-                    .map(|(values, _)| values)
-            })
-            .collect()
+        feeds: &[(NodeId, Tensor)],
+    ) -> Result<Vec<Tensor>> {
+        let (values, _) = self.exec_subgraph(fetches, feeds, false, false, true)?;
+        Ok(values)
     }
 
     /// [`Session::run`] under an end-to-end deadline: installs an
@@ -881,7 +889,7 @@ impl Session {
         targets: &[NodeId],
         feeds: &[(NodeId, Tensor)],
         want_stats: bool,
-        charge_dispatch: bool,
+        charge: bool,
         want_values: bool,
     ) -> Result<(Vec<Tensor>, Option<RunMetadata>)> {
         // A request whose propagated budget is already spent fails here
@@ -897,22 +905,22 @@ impl Session {
         let run_seed = self.run_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let sim = self.devices.sim.as_ref();
 
-        // Every invocation goes through the client→server dispatch the
-        // paper measures as part of STREAM (gRPC administrative path),
-        // plus Python-side serialization of any fed tensors. Batched
-        // runs pay the dispatch once up front (in `run_batch`) and skip
-        // it here.
-        if let (Some(sim), Some(me)) = (sim, tfhpc_sim::des::current()) {
-            if charge_dispatch {
-                me.advance(sim.cluster.platform.net.session_dispatch_s);
-            }
-            let feed_bytes: f64 = feeds.iter().map(|(_, t)| t.byte_size() as f64).sum();
-            if feed_bytes > 0.0 {
-                me.advance(feed_bytes / (FEED_GBS * 1e9));
+        // Every invocation goes through the client→server dispatch,
+        // plus Python-side serialization of any fed tensors; a batch
+        // member's caller has paid both (`run_prepaid`).
+        if let (Some(_), Some(me), true) = (sim, tfhpc_sim::des::current(), charge) {
+            let owed = [self.dispatch_charge(), self.feed_charge(feeds)];
+            for dt in owed.into_iter().flatten() {
+                me.advance(dt);
             }
         }
 
         let plan = self.plan_for(targets, feeds)?;
+        if plan.any_may_block && tfhpc_sim::des::in_ledger() {
+            return Err(CoreError::Invalid(
+                "a plan with a blocking op cannot run inside a DES ledger".into(),
+            ));
+        }
 
         // Simulated runs stay sequential (the DES owns time, and one
         // sim process steps the whole run); blocking ops must not tie

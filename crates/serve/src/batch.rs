@@ -5,7 +5,7 @@
 //! executor dispatch. A batch stays open for at most the configured
 //! batching window after its first request arrives, or until it
 //! reaches the size cap, whichever comes first; then a worker takes
-//! the whole batch in one [`tfhpc_core::Session::run_batch`] call.
+//! the whole batch, paying the session dispatch once for it.
 //! All ordering decisions are over `(deadline, spec)` with `spec`'s
 //! total order breaking ties, so batch dispatch order is a pure
 //! function of the submission schedule.

@@ -6,13 +6,23 @@
 //! → **batching** (compatible requests coalesce within the batching
 //! window) → **plan cache** (one shared, capacity-bounded
 //! [`SharedPlanCache`] across every worker session) → **dispatch**
-//! (a worker executes the batch as one [`Session::run_batch`] call).
+//! (a worker pays the session dispatch once for the batch, then runs
+//! each member with [`Session::run_prepaid`]).
 //!
 //! The server runs in two modes mirroring the app crates: *real*
 //! (worker OS threads, dense feeds, wall-clock) and *simulated*
-//! (worker DES processes pinned to cluster nodes, synthetic feeds,
+//! (worker DES leaves pinned to cluster nodes, synthetic feeds,
 //! virtual time — fully deterministic, which is what makes the load
-//! generator's latency reports byte-reproducible).
+//! generator's latency reports byte-reproducible). A worker is one
+//! body with two drivers: the same turn finds it work, and the same
+//! prepare, run and publish parts execute a job. A real-mode thread
+//! parks between turns and runs a job straight through; a simulated
+//! leaf returns each park as a [`Step`], runs a job's host work inline
+//! under a [`des::ledger`] and replays the recorded charges as
+//! [`Step::Advance`]s. It replays every charge before a read of
+//! server-shared state (a member's plan lookup) first, so it makes that
+//! read at the virtual instant a worker thread would, and every
+//! simulated byte is the thread's.
 //!
 //! Both modes share one wake rule: a process is woken only when it can
 //! make progress. Idle workers park untimed except for at most one,
@@ -34,9 +44,9 @@ use tfhpc_core::{
     CoreError, DeviceCtx, NodeId, Resources, Result, Session, SessionOptions, SharedPlanCache,
 };
 use tfhpc_obs::{Histogram, LazyCounter};
-use tfhpc_sim::clock::Cv;
+use tfhpc_sim::clock::{self, Cv};
 use tfhpc_sim::topology::ClusterSim;
-use tfhpc_sim::{Sim, Step};
+use tfhpc_sim::{des, Process, Sim, Step};
 use tfhpc_tensor::Tensor;
 
 use crate::admission::{AdmissionController, TenantQuota, TenantUsage};
@@ -57,7 +67,12 @@ pub enum JobPayload {
     },
     /// An arbitrary job body reserving `nodes` nodes — the escape
     /// hatch tests use to wrap whole supervised app runs (including
-    /// ones that die) in the admission lifecycle. Never batched.
+    /// ones that die) in the admission lifecycle. Never batched. In a
+    /// simulated server the body runs inline on the worker leaf, under
+    /// a [`des::ledger`]: the virtual time it charges (`clock::sleep`,
+    /// a simulated session run) passes before the job is stamped
+    /// finished, and a body that waits on, notifies or spawns another
+    /// process of the simulation panics, naming `serve-worker-N`.
     Custom {
         /// Name recorded in the result's `kind`.
         label: String,
@@ -90,23 +105,29 @@ pub struct JobResult {
     pub error: Option<String>,
 }
 
+/// A queued custom job, less its body.
 struct CustomJob {
     id: u64,
     tenant: String,
     label: String,
     nodes: usize,
     submitted_s: f64,
-    run: CustomFn,
 }
 
 enum WorkItem {
     Batch(RequestSpec, PendingBatch),
-    Custom(CustomJob),
+    Custom(CustomJob, CustomFn),
+}
+
+/// Work a worker has prepared to run.
+enum Job {
+    Batch(Dispatch),
+    Custom(CustomJob, CustomFn),
 }
 
 struct ServeState {
     batch: BatchQueue,
-    custom: VecDeque<CustomJob>,
+    custom: VecDeque<(CustomJob, CustomFn)>,
     done: HashMap<u64, JobResult>,
     next_id: u64,
     outstanding: usize,
@@ -142,11 +163,12 @@ impl ServeState {
 }
 
 /// One non-blocking turn of a blocking call: its value, or the condition
-/// to park on with the state still locked (the wall clock must hold the
-/// lock from the check into the wait).
+/// to park on — until the absolute deadline, if one is given — with the
+/// state still locked (the wall clock must hold the lock from the check
+/// into the wait).
 enum Turn<'a, T> {
     Ready(T),
-    Park(MutexGuard<'a, ServeState>, Arc<Cv>),
+    Park(MutexGuard<'a, ServeState>, Arc<Cv>, Option<f64>),
 }
 
 static BATCHES: LazyCounter = LazyCounter::new("tfhpc_serve_batches_total");
@@ -167,7 +189,7 @@ pub struct SessionServer {
     plan_cache: Arc<SharedPlanCache>,
     state: Mutex<ServeState>,
     /// Idle workers park here for work, a batch deadline or the close.
-    work_cv: Cv,
+    work_cv: Arc<Cv>,
     /// `quiesce` parks here until nothing is outstanding.
     quiesced: Arc<Cv>,
     /// The simulation whose clock the server's conditions are on
@@ -206,7 +228,7 @@ impl SessionServer {
                 quiescing: 0,
                 latency: HashMap::new(),
             }),
-            work_cv: condition(sim.as_ref(), "serve.work"),
+            work_cv: Arc::new(condition(sim.as_ref(), "serve.work")),
             quiesced: Arc::new(condition(sim.as_ref(), "serve.quiesced")),
             sim,
             workers: Mutex::new(Vec::new()),
@@ -227,7 +249,7 @@ impl SessionServer {
             let srv = Arc::clone(&server);
             let handle = std::thread::Builder::new()
                 .name(format!("serve-worker-{w}"))
-                .spawn(move || srv.worker_loop(DeviceCtx::real(0), false))
+                .spawn(move || srv.worker_thread(DeviceCtx::real(0)))
                 .expect("spawn serve worker");
             handles.push(handle);
         }
@@ -235,9 +257,9 @@ impl SessionServer {
         server
     }
 
-    /// Start a simulated server inside `sim`: one worker DES process
-    /// per entry of `worker_nodes` (cluster node indices, e.g. from a
-    /// Slurm allocation), synthetic feeds, virtual-time stamps.
+    /// Start a simulated server inside `sim`: one worker DES leaf per
+    /// entry of `worker_nodes` (cluster node indices, e.g. from a Slurm
+    /// allocation), synthetic feeds, virtual-time stamps.
     pub fn start_sim(
         cfg: ServeConfig,
         sim: &Arc<Sim>,
@@ -246,11 +268,15 @@ impl SessionServer {
     ) -> Arc<SessionServer> {
         let server = Arc::new(SessionServer::new(cfg, Some(Arc::clone(sim))));
         for (w, &node) in worker_nodes.iter().enumerate() {
-            let srv = Arc::clone(&server);
-            let cl = Arc::clone(cluster);
-            sim.spawn(&format!("serve-worker-{w}"), move || {
-                srv.worker_loop(DeviceCtx::simulated(cl, node, Vec::new()), true);
-            });
+            let worker = SimWorker {
+                srv: Arc::clone(&server),
+                device: DeviceCtx::simulated(Arc::clone(cluster), node, Vec::new()),
+                steps: HashMap::new(),
+                parked: None,
+                running: None,
+                replay: Vec::new().into_iter(),
+            };
+            sim.spawn_leaf(&format!("serve-worker-{w}"), worker);
         }
         server
     }
@@ -341,14 +367,14 @@ impl SessionServer {
                 }
             }
             JobPayload::Custom { label, run, .. } => {
-                st.custom.push_back(CustomJob {
+                let job = CustomJob {
                     id,
                     tenant: tenant.to_string(),
                     label,
                     nodes,
                     submitted_s: now,
-                    run,
-                });
+                };
+                st.custom.push_back((job, run));
             }
         }
         let wake = st.idle > 0 && st.uncovered(now);
@@ -422,10 +448,13 @@ impl SessionServer {
     ) -> T {
         let mut st = self.state.lock();
         loop {
-            match turn(st) {
+            st = match turn(st) {
                 Turn::Ready(value) => return value,
-                Turn::Park(guard, cv) => st = cv.wait(&self.state, guard),
-            }
+                Turn::Park(guard, cv, None) => cv.wait(&self.state, guard),
+                Turn::Park(guard, cv, Some(deadline)) => {
+                    cv.wait_until(&self.state, guard, deadline, self.now()).0
+                }
+            };
         }
     }
 
@@ -437,9 +466,9 @@ impl SessionServer {
     ) -> std::result::Result<T, Step> {
         match turn(self.state.lock()) {
             Turn::Ready(value) => Ok(value),
-            Turn::Park(guard, cv) => {
+            Turn::Park(guard, cv, deadline) => {
                 drop(guard);
-                Err(cv.leaf_wait())
+                Err(cv.leaf_wait(deadline))
             }
         }
     }
@@ -498,7 +527,7 @@ impl SessionServer {
             }
         };
         *registered = true;
-        Turn::Park(st, cv)
+        Turn::Park(st, cv, None)
     }
 
     /// `quiesce`'s check: ready once nothing is outstanding. A caller
@@ -517,7 +546,7 @@ impl SessionServer {
         if !std::mem::replace(registered, true) {
             st.quiescing += 1;
         }
-        Turn::Park(st, Arc::clone(&self.quiesced))
+        Turn::Park(st, Arc::clone(&self.quiesced), None)
     }
 
     /// Stop accepting submissions; workers drain the queues and exit.
@@ -546,86 +575,91 @@ impl SessionServer {
         out
     }
 
-    fn worker_loop(self: Arc<SessionServer>, device: DeviceCtx, synthetic: bool) {
-        let mut steps: HashMap<RequestSpec, CachedStep> = HashMap::new();
+    /// A real-mode worker: takes work on its own thread, parking
+    /// between turns, and runs each job straight through.
+    fn worker_thread(self: Arc<SessionServer>, device: DeviceCtx) {
+        let mut steps = HashMap::new();
         loop {
-            let (work, wake) = self.next_work();
+            let mut parked = None;
+            let (work, wake) = self.block_on(|st| self.work_turn(st, &mut parked));
             if wake {
                 self.work_cv.notify_one();
             }
-            match work {
-                Some(WorkItem::Custom(job)) => self.run_custom(job),
-                Some(WorkItem::Batch(spec, batch)) => {
-                    self.run_step_batch(spec, batch, &device, synthetic, &mut steps)
+            let Some(work) = work else { return };
+            match self.prepare(work, &device, &mut steps) {
+                Job::Custom(job, run) => {
+                    let outcome = run();
+                    self.publish_custom(job, outcome);
                 }
-                None => return,
+                Job::Batch(mut dispatch) => {
+                    let step = &steps[&dispatch.spec];
+                    while let Some(act) = dispatch.next(&step.session) {
+                        match act {
+                            Act::Charge(dt) => clock::sleep(dt),
+                            Act::Run => dispatch.run_member(step),
+                        }
+                    }
+                    self.publish(dispatch);
+                }
             }
         }
     }
 
-    /// Park until there is work, or until the server is closed and
-    /// drained (`None`). Also says whether to wake one more idle worker:
-    /// for work this one leaves uncovered, or to pass the exit on.
-    fn next_work(&self) -> (Option<WorkItem>, bool) {
-        let mut st = self.state.lock();
-        loop {
-            let now = self.now();
-            let work = match st.custom.pop_front() {
-                Some(job) => Some(WorkItem::Custom(job)),
-                None => st
-                    .batch
-                    .pop_ready(now)
-                    .map(|(spec, b)| WorkItem::Batch(spec, b)),
-            };
-            if work.is_some() || (!st.open && st.batch.is_empty() && st.custom.is_empty()) {
-                let wake = st.idle > 0 && (work.is_none() || st.uncovered(now));
-                return (work, wake);
+    /// A worker's check for work: the work to take (`None`: closed and
+    /// drained) and whether to wake one more idle worker — for work this
+    /// one leaves uncovered, or to pass the exit on — or else park as an
+    /// idle worker, with a timer on the earliest batch deadline if no
+    /// parked worker covers it. `parked` records how this caller last
+    /// parked (`Some(timer)`); it starts `None` and is the caller's to
+    /// keep between turns.
+    fn work_turn<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, ServeState>,
+        parked: &mut Option<Option<f64>>,
+    ) -> Turn<'a, (Option<WorkItem>, bool)> {
+        if let Some(timer) = parked.take() {
+            if timer.is_some() && st.timer == timer {
+                st.timer = None;
             }
-            st.idle += 1;
-            st = match st.uncovered_deadline() {
-                Some(d) => {
-                    st.timer = Some(d);
-                    let (mut st, _) = self.work_cv.wait_until(&self.state, st, d, now);
-                    if st.timer == Some(d) {
-                        st.timer = None;
-                    }
-                    st
-                }
-                None => self.work_cv.wait(&self.state, st),
-            };
             st.idle -= 1;
         }
-    }
-
-    fn run_custom(&self, job: CustomJob) {
-        self.admission.on_dispatch(&job.tenant);
-        let outcome = (job.run)();
-        let finished = self.now();
-        self.admission.release(&job.tenant, job.nodes);
-        let (digest, error) = match outcome {
-            Ok(d) => (d, None),
-            Err(e) => (0, Some(e)),
+        let now = self.now();
+        let work = match st.custom.pop_front() {
+            Some((job, run)) => Some(WorkItem::Custom(job, run)),
+            None => st
+                .batch
+                .pop_ready(now)
+                .map(|(spec, b)| WorkItem::Batch(spec, b)),
         };
-        self.finish(vec![JobResult {
-            id: job.id,
-            tenant: job.tenant,
-            kind: job.label,
-            digest,
-            submitted_s: job.submitted_s,
-            finished_s: finished,
-            batch_size: 1,
-            error,
-        }]);
+        if work.is_some() || (!st.open && st.batch.is_empty() && st.custom.is_empty()) {
+            let wake = st.idle > 0 && (work.is_none() || st.uncovered(now));
+            return Turn::Ready((work, wake));
+        }
+        st.idle += 1;
+        let timer = st.uncovered_deadline();
+        if timer.is_some() {
+            st.timer = timer;
+        }
+        *parked = Some(timer);
+        Turn::Park(st, Arc::clone(&self.work_cv), timer)
     }
 
-    fn run_step_batch(
+    /// A job's first part: move its members to running and, for a
+    /// batch, fetch (or build) this worker's session for the spec and
+    /// generate every member's feeds — synthetic on a simulated device.
+    fn prepare(
         &self,
-        spec: RequestSpec,
-        batch: PendingBatch,
+        work: WorkItem,
         device: &DeviceCtx,
-        synthetic: bool,
         steps: &mut HashMap<RequestSpec, CachedStep>,
-    ) {
+    ) -> Job {
+        let (spec, batch) = match work {
+            WorkItem::Custom(job, run) => {
+                self.admission.on_dispatch(&job.tenant);
+                return Job::Custom(job, run);
+            }
+            WorkItem::Batch(spec, batch) => (spec, batch),
+        };
         for job in &batch.jobs {
             self.admission.on_dispatch(&job.tenant);
         }
@@ -647,6 +681,7 @@ impl SessionServer {
                 fetches: built.fetches,
             }
         });
+        let synthetic = device.sim.is_some();
         let feed_sets: Vec<Vec<(NodeId, Tensor)>> = batch
             .jobs
             .iter()
@@ -658,17 +693,30 @@ impl SessionServer {
                     .collect()
             })
             .collect();
-        let outputs = step.session.run_batch(&step.fetches, &feed_sets);
+        Job::Batch(Dispatch {
+            spec,
+            jobs: batch.jobs,
+            outputs: Vec::with_capacity(feed_sets.len()),
+            feed_sets,
+            dispatched: false,
+            fed: false,
+        })
+    }
+
+    /// A batch's last part: stamp it finished, release its quota and
+    /// publish one result per member.
+    fn publish(&self, dispatch: Dispatch) {
         let finished = self.now();
-        let size = batch.jobs.len();
+        let size = dispatch.jobs.len();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_jobs.fetch_add(size as u64, Ordering::Relaxed);
         BATCHES.add(1);
         BATCHED_JOBS.add(size as u64);
-        let results = batch
+        let kind = dispatch.spec.kind.name();
+        let results = dispatch
             .jobs
             .into_iter()
-            .zip(outputs)
+            .zip(dispatch.outputs)
             .map(|(job, out)| {
                 self.admission.release(&job.tenant, 1);
                 let (digest, error) = match out {
@@ -678,7 +726,7 @@ impl SessionServer {
                 JobResult {
                     id: job.id,
                     tenant: job.tenant,
-                    kind: spec.kind.name().to_string(),
+                    kind: kind.to_string(),
                     digest,
                     submitted_s: job.submitted_s,
                     finished_s: finished,
@@ -688,6 +736,26 @@ impl SessionServer {
             })
             .collect();
         self.finish(results);
+    }
+
+    /// A custom job's last part, once its body has run.
+    fn publish_custom(&self, job: CustomJob, outcome: std::result::Result<u64, String>) {
+        let finished = self.now();
+        self.admission.release(&job.tenant, job.nodes);
+        let (digest, error) = match outcome {
+            Ok(d) => (d, None),
+            Err(e) => (0, Some(e)),
+        };
+        self.finish(vec![JobResult {
+            id: job.id,
+            tenant: job.tenant,
+            kind: job.label,
+            digest,
+            submitted_s: job.submitted_s,
+            finished_s: finished,
+            batch_size: 1,
+            error,
+        }]);
     }
 
     /// Publish `results`: record the dispatched ones' latencies, then
@@ -721,6 +789,139 @@ impl SessionServer {
         }
         if quiesced {
             self.quiesced.notify_all();
+        }
+    }
+}
+
+/// What a batch's driver does next.
+enum Act {
+    /// Let `dt` virtual seconds pass.
+    Charge(f64),
+    /// Run the next member ([`Dispatch::run_member`]).
+    Run,
+}
+
+/// A batch between prepare and publish: its members' feeds, their
+/// results so far, and which charges are paid. Both drivers step it the
+/// same way; only how a charge is paid differs.
+struct Dispatch {
+    spec: RequestSpec,
+    jobs: Vec<QueuedJob>,
+    feed_sets: Vec<Vec<(NodeId, Tensor)>>,
+    outputs: Vec<Result<Vec<Tensor>>>,
+    /// The batch's one session dispatch is paid.
+    dispatched: bool,
+    /// The next member's feed charge is paid.
+    fed: bool,
+}
+
+impl Dispatch {
+    /// The next act: the dispatch charge, then per member its feed
+    /// charge and its run, in the order one `Session::run` pays them;
+    /// `None` once every member has run.
+    fn next(&mut self, session: &Session) -> Option<Act> {
+        let member = self.feed_sets.get(self.outputs.len())?;
+        if !self.dispatched {
+            self.dispatched = true;
+            if let Some(dt) = session.dispatch_charge() {
+                return Some(Act::Charge(dt));
+            }
+        }
+        if !self.fed {
+            self.fed = true;
+            if let Some(dt) = session.feed_charge(member) {
+                return Some(Act::Charge(dt));
+            }
+        }
+        self.fed = false;
+        Some(Act::Run)
+    }
+
+    /// Run the next member on `step`'s session, its charges paid.
+    fn run_member(&mut self, step: &CachedStep) {
+        let feeds = &self.feed_sets[self.outputs.len()];
+        let out = step.session.run_prepaid(&step.fetches, feeds);
+        self.outputs.push(out);
+    }
+}
+
+/// What a simulated worker is running, between prepare and publish.
+enum Running {
+    Batch(Dispatch),
+    /// A custom job whose body has run.
+    Custom(CustomJob, std::result::Result<u64, String>),
+}
+
+/// A simulated worker: a DES leaf that runs each job's host work inline
+/// under a [`des::ledger`] and replays the recorded charges as
+/// [`Step::Advance`]s, so it is dispatched exactly when a worker thread
+/// parking on each charge would be. A batch member's plan lookup reads
+/// the shared plan cache, so it runs only once the charges before it —
+/// the dispatch, then the member's feed — are replayed: at the instant
+/// a thread would make it.
+struct SimWorker {
+    srv: Arc<SessionServer>,
+    device: DeviceCtx,
+    steps: HashMap<RequestSpec, CachedStep>,
+    /// `work_turn`'s record of how this worker last parked.
+    parked: Option<Option<f64>>,
+    running: Option<Running>,
+    /// Charges the last ledger recorded, still to replay.
+    replay: std::vec::IntoIter<f64>,
+}
+
+impl Process for SimWorker {
+    fn resume(&mut self) -> Step {
+        let srv = &self.srv;
+        loop {
+            if let Some(dt) = self.replay.next() {
+                return Step::Advance(dt);
+            }
+            self.running = match self.running.take() {
+                None => {
+                    let turn = srv.leaf_turn(|st| srv.work_turn(st, &mut self.parked));
+                    let (work, wake) = match turn {
+                        Ok(taken) => taken,
+                        Err(park) => return park,
+                    };
+                    if wake {
+                        srv.work_cv.notify_one();
+                    }
+                    let Some(work) = work else {
+                        return Step::Done;
+                    };
+                    match srv.prepare(work, &self.device, &mut self.steps) {
+                        Job::Custom(job, run) => {
+                            let (outcome, charges) = des::ledger(run);
+                            self.replay = charges.into_iter();
+                            Some(Running::Custom(job, outcome))
+                        }
+                        Job::Batch(dispatch) => Some(Running::Batch(dispatch)),
+                    }
+                }
+                Some(Running::Custom(job, outcome)) => {
+                    srv.publish_custom(job, outcome);
+                    None
+                }
+                Some(Running::Batch(mut dispatch)) => {
+                    let step = &self.steps[&dispatch.spec];
+                    match dispatch.next(&step.session) {
+                        Some(Act::Charge(dt)) => {
+                            self.running = Some(Running::Batch(dispatch));
+                            return Step::Advance(dt);
+                        }
+                        Some(Act::Run) => {
+                            let ((), charges) = des::ledger(|| dispatch.run_member(step));
+                            self.replay = charges.into_iter();
+                            Some(Running::Batch(dispatch))
+                        }
+                        None => {
+                            srv.publish(dispatch);
+                            None
+                        }
+                    }
+                }
+            };
         }
     }
 }
@@ -780,5 +981,66 @@ mod tests {
             server.shutdown();
         });
         sim.run();
+    }
+
+    /// A one-worker simulated server running `run` as a custom job for
+    /// a client thread process that submits it at t = 0.5; returns its
+    /// result.
+    fn sim_custom(run: CustomFn) -> JobResult {
+        let sim = Sim::new();
+        let cluster = Arc::new(ClusterSim::new(&sim, tfhpc_sim::platform::tegner_k80(), 2));
+        let cfg = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = SessionServer::start_sim(cfg, &sim, &cluster, &[1]);
+        let seen = Arc::new(Mutex::new(None));
+        {
+            let seen = Arc::clone(&seen);
+            sim.spawn("client", move || {
+                clock::sleep(0.5);
+                let payload = JobPayload::Custom {
+                    label: "custom".into(),
+                    nodes: 1,
+                    run,
+                };
+                let id = server.submit("t", payload).unwrap();
+                *seen.lock() = Some(server.wait(id));
+                server.shutdown();
+            });
+        }
+        sim.run();
+        let result = seen.lock().take().expect("the client ran");
+        result
+    }
+
+    #[test]
+    fn a_sim_custom_job_is_finished_after_the_time_it_charged() {
+        let r = sim_custom(Box::new(|| {
+            let t0 = clock::now();
+            clock::sleep(0.25);
+            clock::sleep(0.125);
+            assert_eq!(clock::now(), t0 + 0.25 + 0.125);
+            Ok(7)
+        }));
+        assert_eq!((r.digest, r.error), (7, None));
+        assert_eq!((r.submitted_s, r.finished_s), (0.5, 0.875));
+    }
+
+    #[test]
+    fn a_sim_custom_job_that_waits_on_another_process_names_the_worker() {
+        let err = std::panic::catch_unwind(|| {
+            sim_custom(Box::new(|| {
+                let (m, cv) = (Mutex::new(()), Cv::here(String::new));
+                drop(cv.wait(&m, m.lock()));
+                Ok(0)
+            }))
+        })
+        .expect_err("the run fails");
+        let msg = err.downcast_ref::<String>().expect("a message");
+        assert!(
+            msg.contains("leaf process `serve-worker-0` called SimCondvar::wait"),
+            "{msg}"
+        );
     }
 }

@@ -140,12 +140,15 @@ impl Cv {
         }
     }
 
-    /// The step that parks a DES leaf here: a leaf's [`Cv::wait`], after
-    /// it has dropped its guard. Virtual clock only.
-    pub fn leaf_wait(&self) -> Step {
-        match self {
-            Cv::Sim(cv) => Step::Wait(cv.clone()),
-            Cv::Real(_) => panic!("a DES leaf cannot park on a wall-clock condition"),
+    /// The step that parks a DES leaf here, until the absolute
+    /// `deadline` if one is given: a leaf's [`Cv::wait`] or
+    /// [`Cv::wait_until`], after it has dropped its guard. Virtual clock
+    /// only.
+    pub fn leaf_wait(&self, deadline: Option<f64>) -> Step {
+        match (self, deadline) {
+            (Cv::Sim(cv), None) => Step::Wait(cv.clone()),
+            (Cv::Sim(cv), Some(deadline)) => Step::WaitUntil(cv.clone(), deadline),
+            (Cv::Real(_), _) => panic!("a DES leaf cannot park on a wall-clock condition"),
         }
     }
 

@@ -6,7 +6,10 @@
 //! ([`Sim::spawn`]) is backed by an OS thread of its own and runs
 //! arbitrary Rust code. A *leaf* ([`Sim::spawn_leaf`]) is a resumable
 //! state machine, a [`Process`], with no thread: it runs inline on
-//! whichever thread holds the baton and yields by returning a [`Step`].
+//! whichever thread holds the baton and yields by returning a [`Step`];
+//! host code that charges time (a session run) it runs under a
+//! [`ledger`], which records the charges for the leaf to replay as
+//! steps.
 //! Exactly one process executes at a time; whenever the running process
 //! *yields* (by advancing its clock, blocking on a [`SimCondvar`], or
 //! finishing) the scheduler resumes the runnable process with the
@@ -69,6 +72,11 @@ pub enum Step {
     Advance(f64),
     /// Park until `cv` is notified: the leaf's [`SimCondvar::wait`].
     Wait(SimCondvar),
+    /// Park until `cv` is notified or the clock reaches the absolute
+    /// deadline: the leaf's [`SimCondvar::wait_until`]. The next
+    /// `resume` reads which of the two it was from
+    /// [`CurrentProc::timed_out`].
+    WaitUntil(SimCondvar, f64),
 }
 
 /// The body of a leaf process: a state machine the scheduler resumes
@@ -79,8 +87,9 @@ pub enum Step {
 /// but it must not call anything that parks its thread (`advance`,
 /// [`SimCondvar::wait`], [`crate::clock::sleep`], [`crate::clock::Cv`]'s
 /// waits, [`SimResource::acquire_for`]); those panic, naming the leaf.
-/// It yields by returning the [`Step`] instead. It shares its host
-/// thread's thread-locals, so it must not lean on them.
+/// It yields by returning the [`Step`] instead, or runs code that
+/// advances its clock under a [`ledger`] and replays the charges. It
+/// shares its host thread's thread-locals, so it must not lean on them.
 pub trait Process: Send {
     /// Run up to the next yield point and say what it is.
     fn resume(&mut self) -> Step;
@@ -320,8 +329,31 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
+/// The process executing on this thread.
+struct Running {
+    sim: Arc<Sim>,
+    id: ProcId,
+    /// Inside a leaf's `resume` only: that resume's own state.
+    leaf: Option<LeafResume>,
+}
+
+struct LeafResume {
+    /// The deadline, not a notify, ended the `WaitUntil` this dispatch
+    /// resumed from.
+    timed_out: bool,
+    /// The open [`ledger`], if any.
+    ledger: Option<Ledger>,
+}
+
+/// Charges a leaf recorded instead of yielding, and its clock as they
+/// leave it.
+struct Ledger {
+    time: f64,
+    charges: Vec<f64>,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Option<(Arc<Sim>, ProcId)>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Running>> = const { RefCell::new(None) };
 }
 
 /// Handle to the sim process executing on the current thread.
@@ -334,23 +366,99 @@ pub struct CurrentProc {
 /// The current thread's sim process, if it is one.
 pub fn current() -> Option<CurrentProc> {
     CURRENT.with(|c| {
-        c.borrow().as_ref().map(|(sim, id)| CurrentProc {
-            sim: Arc::clone(sim),
-            id: *id,
+        c.borrow().as_ref().map(|r| CurrentProc {
+            sim: Arc::clone(&r.sim),
+            id: r.id,
         })
     })
 }
 
+/// Apply `f` to the leaf whose `resume` runs on this thread, if one
+/// does: its simulation, its id and that resume's own state.
+fn with_leaf<T>(f: impl FnOnce(&Arc<Sim>, ProcId, &mut LeafResume) -> T) -> Option<T> {
+    CURRENT.with(|c| match c.borrow_mut().as_mut() {
+        Some(Running {
+            sim,
+            id,
+            leaf: Some(leaf),
+        }) => Some(f(sim, *id, leaf)),
+        _ => None,
+    })
+}
+
+/// Run `f` inside the current leaf's `resume`, recording the clock
+/// charges it makes instead of yielding for them; returns `f`'s value
+/// and the charges in order. While `f` runs, [`CurrentProc::advance`]
+/// (and so [`crate::clock::sleep`]) appends `dt`, and
+/// [`CurrentProc::now`] reads the clock plus the charges so far, summed
+/// in the order a thread's `advance`s would sum them. Anything that
+/// would publish the clock to another process (notify, spawn,
+/// `reserve`) or park (waits, `acquire_for`) panics, naming the leaf:
+/// the scheduler still has the leaf at the instant the ledger opened.
+/// The leaf then returns one [`Step::Advance`] per charge, which
+/// dispatches exactly as the thread's `advance`s would have.
+///
+/// Panics outside a leaf's `resume`, or inside another ledger.
+pub fn ledger<R>(f: impl FnOnce() -> R) -> (R, Vec<f64>) {
+    let opened = with_leaf(|sim, id, leaf| {
+        assert!(leaf.ledger.is_none(), "des::ledger inside a ledger");
+        leaf.ledger = Some(Ledger {
+            time: sim.state.lock().procs[id].time,
+            charges: Vec::new(),
+        });
+    });
+    assert!(opened.is_some(), "des::ledger outside a leaf's resume");
+    let value = f();
+    let ledger = with_leaf(|_, _, leaf| leaf.ledger.take()).flatten();
+    (value, ledger.expect("the ledger is still open").charges)
+}
+
+/// Whether a ledger is open on this thread, i.e. the calling code runs
+/// inside [`ledger`]'s `f`.
+pub fn in_ledger() -> bool {
+    with_leaf(|_, _, leaf| leaf.ledger.is_some()).unwrap_or(false)
+}
+
 impl CurrentProc {
-    /// Local virtual time of this process, in seconds.
+    /// Apply `f` to this process's open ledger, if it has one.
+    fn with_ledger<T>(&self, f: impl FnOnce(&mut Ledger) -> T) -> Option<T> {
+        with_leaf(|sim, id, leaf| match &mut leaf.ledger {
+            Some(ledger) if id == self.id && Arc::ptr_eq(sim, &self.sim) => Some(f(ledger)),
+            _ => None,
+        })
+        .flatten()
+    }
+
+    /// Local virtual time of this process, in seconds (inside a
+    /// [`ledger`], plus the charges recorded so far).
     pub fn now(&self) -> f64 {
-        self.sim.state.lock().procs[self.id].time
+        match self.with_ledger(|l| l.time) {
+            Some(time) => time,
+            None => self.sim.state.lock().procs[self.id].time,
+        }
     }
 
     /// Advance this process's clock by `dt` seconds of modeled work,
-    /// yielding to any process whose clock is further behind.
+    /// yielding to any process whose clock is further behind; inside a
+    /// [`ledger`], record the charge instead.
     pub fn advance(&self, dt: f64) {
-        self.sim.advance_proc(self.id, dt);
+        let recorded = self.with_ledger(|l| {
+            assert!(dt >= 0.0, "cannot advance virtual time backwards ({dt})");
+            l.time += dt;
+            l.charges.push(dt);
+        });
+        if recorded.is_none() {
+            self.sim.advance_proc(self.id, dt);
+        }
+    }
+
+    /// In a leaf's `resume`: whether the deadline of the
+    /// [`Step::WaitUntil`] this dispatch resumed it from, rather than a
+    /// notify, ended that wait. Only the first `resume` after the wait
+    /// sees `true`; every later one, and a thread process (whose
+    /// [`SimCondvar::wait_until`] returns the flag), sees `false`.
+    pub fn timed_out(&self) -> bool {
+        with_leaf(|_, id, leaf| id == self.id && leaf.timed_out).unwrap_or(false)
     }
 
     /// The owning simulation.
@@ -407,6 +515,7 @@ impl Sim {
     where
         F: FnOnce() + Send + 'static,
     {
+        self.refuse_in_ledger("spawn");
         // The lock is held across the thread spawn so that the process
         // and its thread handle become visible to the scheduler
         // together; the new thread parks before it touches the lock.
@@ -427,6 +536,7 @@ impl Sim {
     /// thread holds the baton, and has no thread of its own. Pids, start
     /// clock and ordering are those of [`Sim::spawn`].
     pub fn spawn_leaf(self: &Arc<Sim>, name: &str, p: impl Process + 'static) -> ProcId {
+        self.refuse_in_ledger("spawn_leaf");
         let mut st = self.state.lock();
         self.register(&mut st, name, Body::Leaf(Some(Box::new(p))))
     }
@@ -452,10 +562,31 @@ impl Sim {
         id
     }
 
+    /// Panic if the calling thread runs a leaf of this simulation that
+    /// has a ledger open: `call` would act at an instant the scheduler
+    /// has not reached.
+    fn refuse_in_ledger(&self, call: &str) {
+        let in_ledger = |sim: &Arc<Sim>, id, leaf: &mut LeafResume| {
+            (leaf.ledger.is_some() && std::ptr::eq(Arc::as_ptr(sim), self)).then_some(id)
+        };
+        if let Some(id) = with_leaf(in_ledger).flatten() {
+            panic!(
+                "leaf process `{}` called {call} inside a ledger: its clock is ahead of the scheduler's",
+                self.state.lock().procs[id].name
+            );
+        }
+    }
+
     /// Body of a process thread: wait for the first dispatch, run `f`,
     /// pass the baton on.
     fn process_main(self: Arc<Sim>, id: ProcId, f: impl FnOnce()) {
-        CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&self), id)));
+        CURRENT.with(|c| {
+            *c.borrow_mut() = Some(Running {
+                sim: Arc::clone(&self),
+                id,
+                leaf: None,
+            })
+        });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             drop(self.await_dispatch(id));
             f()
@@ -506,8 +637,9 @@ impl Sim {
                 }
             };
             st.stats.inline_resumes += 1;
+            let timed_out = std::mem::take(&mut st.procs[next].timed_out);
             drop(st);
-            match self.run_leaf(next, leaf) {
+            match self.run_leaf(next, leaf, timed_out) {
                 Some(guard) => st = guard,
                 None => return,
             }
@@ -515,18 +647,22 @@ impl Sim {
     }
 
     /// Resume the just-dispatched leaf `id` until it yields, and apply
-    /// the step: `Wait` blocks it exactly as [`SimCondvar::wait`] does,
-    /// `Advance` follows `advance`'s rule (an advance that finds nobody
-    /// behind resumes the leaf again, no dispatch), `Done` finishes it.
-    /// Returns the lock with nothing Running, or `None` when the leaf
-    /// panicked and the run is aborted.
+    /// the step: `Wait` and `WaitUntil` block it exactly as
+    /// [`SimCondvar::wait`] and `wait_until` do, `Advance` follows
+    /// `advance`'s rule (an advance that finds nobody behind resumes the
+    /// leaf again, no dispatch), `Done` finishes it. `timed_out` is what
+    /// the first resume reads from [`CurrentProc::timed_out`]. Returns
+    /// the lock with nothing Running, or `None` when the leaf panicked
+    /// and the run is aborted.
     fn run_leaf(
         self: &Arc<Sim>,
         id: ProcId,
         mut leaf: Box<dyn Process>,
+        mut timed_out: bool,
     ) -> Option<MutexGuard<'_, SchedState>> {
         loop {
-            let mut st = match self.resume_leaf(id, &mut leaf) {
+            let resumed = self.resume_leaf(id, &mut leaf, std::mem::take(&mut timed_out));
+            let mut st = match resumed {
                 Ok(Step::Advance(dt)) => {
                     let mut st = self.state.lock();
                     if !st.advance(id, dt) {
@@ -537,6 +673,11 @@ impl Sim {
                 Ok(Step::Wait(cv)) => {
                     let mut st = self.state.lock();
                     st.block(id, cv.id, None);
+                    st
+                }
+                Ok(Step::WaitUntil(cv, deadline)) => {
+                    let mut st = self.state.lock();
+                    st.block(id, cv.id, Some(deadline));
                     st
                 }
                 finished => {
@@ -562,15 +703,24 @@ impl Sim {
         self: &Arc<Sim>,
         id: ProcId,
         leaf: &mut Box<dyn Process>,
+        timed_out: bool,
     ) -> std::thread::Result<Step> {
-        let host = CURRENT.with(|c| c.replace(Some((Arc::clone(self), id))));
+        let me = Running {
+            sim: Arc::clone(self),
+            id,
+            leaf: Some(LeafResume {
+                timed_out,
+                ledger: None,
+            }),
+        };
+        let host = CURRENT.with(|c| c.replace(Some(me)));
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let step = leaf.resume();
             match &step {
                 Step::Advance(dt) => {
                     assert!(*dt >= 0.0, "cannot advance virtual time backwards ({dt})")
                 }
-                Step::Wait(cv) => {
+                Step::Wait(cv) | Step::WaitUntil(cv, _) => {
                     assert!(
                         Arc::ptr_eq(&cv.sim, self),
                         "condvar used across simulations"
@@ -826,6 +976,7 @@ impl SimCondvar {
     /// Wake every waiter; their clocks jump to at least the notifier's.
     pub fn notify_all(&self) {
         let me = current().expect("SimCondvar::notify_all outside a sim process");
+        self.sim.refuse_in_ledger("SimCondvar::notify_all");
         let mut st = self.sim.state.lock();
         let now = st.procs[me.id].time;
         while let Some(w) = st.cv_waiters[self.id].pop_front() {
@@ -836,6 +987,7 @@ impl SimCondvar {
     /// Wake the longest-waiting process, if any.
     pub fn notify_one(&self) {
         let me = current().expect("SimCondvar::notify_one outside a sim process");
+        self.sim.refuse_in_ledger("SimCondvar::notify_one");
         let mut st = self.sim.state.lock();
         let now = st.procs[me.id].time;
         if let Some(w) = st.cv_waiters[self.id].pop_front() {
@@ -866,6 +1018,7 @@ impl SimResource {
         let start;
         {
             let mut st = self.sim.state.lock();
+            st.must_be_thread(me.id, "SimResource::acquire_for");
             let now = st.procs[me.id].time;
             start = st.res_available[self.id].max(now);
             st.res_available[self.id] = start + duration;
@@ -898,6 +1051,7 @@ impl SimResource {
             Arc::ptr_eq(&me.sim, &self.sim),
             "resource used across simulations"
         );
+        self.sim.refuse_in_ledger("SimResource::reserve");
         let mut st = self.sim.state.lock();
         let now = st.procs[me.id].time;
         let start = st.res_available[self.id].max(now);
@@ -1218,28 +1372,47 @@ mod tests {
         assert!((sim.resource_busy(&res) - 2.0).abs() < 1e-12);
     }
 
-    /// A leaf scripted as a closure over its resume count.
+    /// A leaf scripted as a closure over its resume count and whether
+    /// the deadline ended the wait it resumes from.
     struct Script<F>(usize, F);
 
-    impl<F: FnMut(usize) -> Step + Send> Process for Script<F> {
-        fn resume(&mut self) -> Step {
+    fn script<F: FnMut(usize, bool) -> Step + Send>(f: F) -> Script<F> {
+        Script(0, f)
+    }
+
+    impl<F: FnMut(usize, bool) -> Step + Send> Script<F> {
+        fn step(&mut self, timed_out: bool) -> Step {
             self.0 += 1;
-            (self.1)(self.0 - 1)
+            (self.1)(self.0 - 1, timed_out)
+        }
+    }
+
+    impl<F: FnMut(usize, bool) -> Step + Send> Process for Script<F> {
+        fn resume(&mut self) -> Step {
+            let timed_out = current().unwrap().timed_out();
+            self.step(timed_out)
         }
     }
 
     /// Spawn `p` as a leaf, or as a thread process that takes the same
     /// steps through the blocking calls.
-    fn spawn_as(sim: &Arc<Sim>, leaf: bool, name: &str, mut p: impl Process + 'static) {
+    fn spawn_as<F>(sim: &Arc<Sim>, leaf: bool, name: &str, mut p: Script<F>)
+    where
+        F: FnMut(usize, bool) -> Step + Send + 'static,
+    {
         if leaf {
             sim.spawn_leaf(name, p);
             return;
         }
-        sim.spawn(name, move || loop {
-            match p.resume() {
-                Step::Done => return,
-                Step::Advance(dt) => current().unwrap().advance(dt),
-                Step::Wait(cv) => cv.wait(),
+        sim.spawn(name, move || {
+            let mut timed_out = false;
+            loop {
+                match p.step(std::mem::take(&mut timed_out)) {
+                    Step::Done => return,
+                    Step::Advance(dt) => current().unwrap().advance(dt),
+                    Step::Wait(cv) => cv.wait(),
+                    Step::WaitUntil(cv, deadline) => timed_out = cv.wait_until(deadline),
+                }
             }
         });
     }
@@ -1251,9 +1424,8 @@ mod tests {
         dispatch_trace_with(false).0
     }
 
-    /// [`dispatch_trace`], with pids 0-6 and 10 run as leaves if
-    /// `leaves` (7-9 wait with deadlines, which only threads do), and
-    /// the run's stats.
+    /// [`dispatch_trace`], with all eleven processes run as leaves if
+    /// `leaves`, and the run's stats.
     fn dispatch_trace_with(leaves: bool) -> (Vec<(ProcId, u64)>, SimStats) {
         let sim = Sim::new();
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -1270,7 +1442,7 @@ mod tests {
         // pids 0-3: clocks collide at every multiple of 0.5.
         for i in 0..4usize {
             let mark = mark.clone();
-            let tick = Script(0, move |k| {
+            let tick = script(move |k, _| {
                 mark();
                 match k {
                     0..3 => Step::Advance(0.25 * (i % 2 + 1) as f64),
@@ -1282,7 +1454,7 @@ mod tests {
         // pids 4-6: a notify_one queue, registered in the order 6, 5, 4.
         for j in 0..3usize {
             let (mark, queue) = (mark.clone(), queue.clone());
-            let queued = Script(0, move |k| {
+            let queued = script(move |k, _| {
                 if k != 1 {
                     mark();
                 }
@@ -1299,53 +1471,73 @@ mod tests {
         // that fires.
         {
             let (mark, timed) = (mark.clone(), timed.clone());
-            sim.spawn("timed", move || {
+            let script = script(move |k, timed_out| {
                 mark();
-                assert!(!timed.wait_until(1.0), "a notify at the deadline wins");
-                mark();
-                assert!(timed.wait_until(1.5), "nobody notifies again");
-                mark();
+                match k {
+                    0 => Step::WaitUntil(timed.clone(), 1.0),
+                    1 => {
+                        assert!(!timed_out, "a notify at the deadline wins");
+                        Step::WaitUntil(timed.clone(), 1.5)
+                    }
+                    _ => {
+                        assert!(timed_out, "nobody notifies again");
+                        Step::Done
+                    }
+                }
             });
+            spawn_as(&sim, leaves, "timed", script);
         }
         // pid 8: the notifier; spawns pid 10 from inside.
         {
             let (mark, sim2) = (mark.clone(), Arc::clone(&sim));
             let (queue, timed, never) = (queue.clone(), timed.clone(), never.clone());
-            sim.spawn("notifier", move || {
-                let me = current().unwrap();
+            let script = script(move |k, timed_out| {
                 mark();
-                me.advance(1.0);
-                mark();
-                timed.notify_all();
-                queue.notify_one();
-                me.advance(0.5);
-                mark();
-                queue.notify_one();
-                queue.notify_one();
-                queue.notify_one(); // empty queue: no-op
-                let mark2 = mark.clone();
-                let late = Script(0, move |k| {
-                    mark2();
-                    match k {
-                        0 => Step::Advance(0.25),
-                        _ => Step::Done,
+                match k {
+                    0 => Step::Advance(1.0),
+                    1 => {
+                        timed.notify_all();
+                        queue.notify_one();
+                        Step::Advance(0.5)
                     }
-                });
-                spawn_as(&sim2, leaves, "late", late);
-                assert!(never.wait_until(1.75));
-                mark();
+                    2 => {
+                        queue.notify_one();
+                        queue.notify_one();
+                        queue.notify_one(); // empty queue: no-op
+                        let mark2 = mark.clone();
+                        let late = script(move |k, _| {
+                            mark2();
+                            match k {
+                                0 => Step::Advance(0.25),
+                                _ => Step::Done,
+                            }
+                        });
+                        spawn_as(&sim2, leaves, "late", late);
+                        Step::WaitUntil(never.clone(), 1.75)
+                    }
+                    _ => {
+                        assert!(timed_out);
+                        Step::Done
+                    }
+                }
             });
+            spawn_as(&sim, leaves, "notifier", script);
         }
         // pid 9: a timer that expires at an instant where others are Ready.
         {
             let (mark, never) = (mark.clone(), never.clone());
-            sim.spawn("sleeper", move || {
+            let script = script(move |k, timed_out| {
                 mark();
-                assert!(never.wait_until(0.5));
-                mark();
-                current().unwrap().advance(1.0);
-                mark();
+                match k {
+                    0 => Step::WaitUntil(never.clone(), 0.5),
+                    1 => {
+                        assert!(timed_out);
+                        Step::Advance(1.0)
+                    }
+                    _ => Step::Done,
+                }
             });
+            spawn_as(&sim, leaves, "sleeper", script);
         }
         assert_eq!(sim.run(), 1.75);
         let out = log.lock().clone();
@@ -1384,19 +1576,173 @@ mod tests {
 
     #[test]
     fn leaves_reproduce_the_golden_dispatch_trace() {
-        // Eight of the eleven processes as leaves, resumed on whichever
-        // thread holds the baton: the same baton order, the same count.
+        // All eleven processes as leaves, the three deadline waiters on
+        // `WaitUntil`, resumed on whichever thread holds the baton: the
+        // same baton order and the same counts, with no thread at all.
         let (threads, all_threads) = dispatch_trace_with(false);
         let (trace, stats) = dispatch_trace_with(true);
         assert_eq!(trace, threads);
+        assert_eq!(trace.len(), 37);
         assert_eq!(stats.dispatches, all_threads.dispatches);
         assert_eq!(stats.timers_fired, all_threads.timers_fired);
-        assert_eq!(
-            stats.thread_wakeups + stats.inline_resumes,
-            stats.dispatches
+        assert_eq!(stats.thread_wakeups, 0);
+        assert_eq!(stats.inline_resumes, stats.dispatches);
+    }
+
+    #[test]
+    fn wait_until_tells_a_leaf_timed_out_from_notified() {
+        // "late" is notified at t = 1 before its deadline at 2; "alone"
+        // waits out its deadline at 2.5. The flag holds for the first
+        // resume after the wait only.
+        let sim = Sim::new();
+        let (cv, never) = (sim.condvar("cv"), sim.condvar("never"));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for (name, wait_on, deadline) in [("late", &cv, 2.0), ("alone", &never, 2.5)] {
+            let (wait_on, seen) = (wait_on.clone(), Arc::clone(&seen));
+            sim.spawn_leaf(
+                name,
+                script(move |k, timed_out| {
+                    let me = current().unwrap();
+                    match k {
+                        0 => Step::WaitUntil(wait_on.clone(), deadline),
+                        1 => {
+                            seen.lock().push((name, timed_out, me.now()));
+                            Step::Advance(0.0)
+                        }
+                        _ => {
+                            assert!(!timed_out, "the flag does not outlive its resume");
+                            Step::Done
+                        }
+                    }
+                }),
+            );
+        }
+        sim.spawn_leaf(
+            "notifier",
+            script(move |k, _| match k {
+                0 => Step::Advance(1.0),
+                _ => {
+                    cv.notify_all();
+                    Step::Done
+                }
+            }),
         );
-        // The threads, pids 7-9, are dispatched 3 + 4 + 3 times.
-        assert_eq!(stats.thread_wakeups, 10);
+        assert_eq!(sim.run(), 2.5);
+        assert_eq!(*seen.lock(), [("late", false, 1.0), ("alone", true, 2.5)]);
+        assert_eq!(sim.stats().timers_fired, 1);
+    }
+
+    #[test]
+    fn a_ledger_reads_the_clock_a_thread_reads_after_the_same_advances() {
+        // Charges whose running sums round: the ledger must add them in
+        // the thread's order, one at a time, not re-derive the total.
+        const CHARGES: [f64; 6] = [0.1, 0.2, 1e-9, 0.3, 7.0 / 3.0, 1e-17];
+        let thread_clock = Arc::new(Mutex::new(Vec::new()));
+        let sim = Sim::new();
+        {
+            let clock = Arc::clone(&thread_clock);
+            sim.spawn("thread", move || {
+                let me = current().unwrap();
+                me.advance(0.05);
+                for dt in CHARGES {
+                    me.advance(dt);
+                    clock.lock().push(me.now().to_bits());
+                }
+            });
+        }
+        sim.run();
+        let leaf_clock = Arc::new(Mutex::new((Vec::new(), 0u64)));
+        let sim = Sim::new();
+        {
+            let clock = Arc::clone(&leaf_clock);
+            let mut replay = Vec::new().into_iter();
+            sim.spawn_leaf(
+                "leaf",
+                script(move |k, _| {
+                    if let Some(dt) = replay.next() {
+                        return Step::Advance(dt);
+                    }
+                    if k == 0 {
+                        return Step::Advance(0.05);
+                    }
+                    if clock.lock().0.is_empty() {
+                        let (seen, charges) = ledger(|| {
+                            let me = current().unwrap();
+                            CHARGES.map(|dt| {
+                                crate::clock::sleep(dt);
+                                me.now().to_bits()
+                            })
+                        });
+                        assert_eq!(charges, CHARGES);
+                        clock.lock().0 = seen.to_vec();
+                        replay = charges.into_iter();
+                        return Step::Advance(0.0);
+                    }
+                    clock.lock().1 = current().unwrap().now().to_bits();
+                    Step::Done
+                }),
+            );
+        }
+        sim.run();
+        let (seen, replayed) = leaf_clock.lock().clone();
+        let thread_clock = thread_clock.lock().clone();
+        assert_eq!(seen, thread_clock);
+        assert_eq!(
+            replayed,
+            *thread_clock.last().unwrap(),
+            "the replay lands there too"
+        );
+    }
+
+    #[test]
+    fn a_ledger_refuses_what_would_act_at_the_leafs_future_clock() {
+        type Call = fn(&Arc<Sim>, &SimCondvar, &SimResource);
+        let calls: [(&str, &str, Call); 6] = [
+            ("wait", "SimCondvar::wait", |_, cv, _| cv.wait()),
+            ("wait-until", "SimCondvar::wait", |_, cv, _| {
+                cv.wait_until(9.0);
+            }),
+            ("acquire", "SimResource::acquire_for", |_, _, res| {
+                res.acquire_for(1.0);
+            }),
+            (
+                "reserve",
+                "SimResource::reserve inside a ledger",
+                |_, _, res| {
+                    res.reserve(1.0);
+                },
+            ),
+            (
+                "notify",
+                "SimCondvar::notify_all inside a ledger",
+                |_, cv, _| cv.notify_all(),
+            ),
+            ("spawn", "spawn_leaf inside a ledger", |sim, _, _| {
+                sim.spawn_leaf("child", script(|_, _| Step::Done));
+            }),
+        ];
+        for (name, call, body) in calls {
+            let sim = Sim::new();
+            let (cv, res) = (sim.condvar("never"), sim.resource("pcie"));
+            sim.spawn("host", || current().unwrap().advance(1.0));
+            let sim2 = Arc::clone(&sim);
+            sim.spawn_leaf(
+                &format!("bad-{name}"),
+                script(move |_, _| {
+                    ledger(|| {
+                        current().unwrap().advance(0.5);
+                        body(&sim2, &cv, &res)
+                    });
+                    Step::Done
+                }),
+            );
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+                .expect_err("the run fails");
+            let msg = err.downcast_ref::<String>().unwrap();
+            let expected = format!("PANICKED: leaf process `bad-{name}` called {call}");
+            assert!(msg.contains(&expected), "{msg}");
+            assert!(sim.threads.lock().is_empty());
+        }
     }
 
     #[test]
@@ -1528,7 +1874,7 @@ mod tests {
     fn leaf_panic_fails_the_run_and_aborts_every_unfinished_leaf() {
         let msg = failed_run_with_leaves(
             4,
-            Script(0, |k| match k {
+            script(|k, _| match k {
                 0 => Step::Advance(1.0),
                 _ => panic!("leaf exploded"),
             }),
@@ -1542,7 +1888,7 @@ mod tests {
     fn deadlock_of_leaves_alone_dumps_each_leaf() {
         let msg = failed_run_with_leaves(
             0,
-            Script(0, |k| match k {
+            script(|k, _| match k {
                 0 => Step::Advance(1.0),
                 _ => Step::Done,
             }),
@@ -1577,7 +1923,7 @@ mod tests {
             sim.spawn("host", || current().unwrap().advance(1.0));
             sim.spawn_leaf(
                 &format!("bad-{name}"),
-                Script(0, move |_| {
+                script(move |_, _| {
                     body(&cv);
                     Step::Done
                 }),
@@ -1601,7 +1947,7 @@ mod tests {
                 current().unwrap().advance(7.0);
                 sim2.spawn_leaf(
                     "child",
-                    Script(0, move |_| {
+                    script(move |_, _| {
                         *started.lock() = Some(current().unwrap().now());
                         Step::Done
                     }),

@@ -391,10 +391,12 @@ fn load_report_equals_the_single_condvar_bytes() {
         report.to_json(),
         include_str!("golden/serving_tiny_seed1337.json")
     );
-    // The load generators are DES leaves, resumed without a wake-up.
+    // Every process of a `run_load` is a DES leaf, resumed without a
+    // wake-up; the dispatches and timers are those the run took when
+    // the serve workers were threads.
     let des = report.des;
-    assert_eq!(des.thread_wakeups + des.inline_resumes, des.dispatches);
-    assert!(des.inline_resumes > 0);
+    assert_eq!((des.dispatches, des.timers_fired), (132, 24));
+    assert_eq!((des.thread_wakeups, des.inline_resumes), (0, 132));
     // One idle worker holds the batch-deadline timer, so at most one
     // timer fires per dispatched batch (every idle worker held one when
     // they all parked on the same deadline: ~3.5 per batch).
@@ -404,6 +406,35 @@ fn load_report_equals_the_single_condvar_bytes() {
         report.des.timers_fired,
         report.batches
     );
+}
+
+#[test]
+fn a_one_plan_cache_reproduces_the_thread_workers_bytes() {
+    // Captured when the serve workers were threads. A one-plan cache
+    // evicts on every shape change, so hits depend on the order in
+    // which workers look plans up: a leaf worker must make each lookup
+    // at the virtual instant a thread made it.
+    let cfg = ServeConfig {
+        workers: 2,
+        plan_cache_cap: 1,
+        ..ServeConfig::default()
+    };
+    let report = run_load(&cfg, &tiny_load(), 1337).unwrap();
+    assert!(report.plan_cache.evictions > 0);
+    assert_eq!(
+        report.to_json(),
+        include_str!("golden/serving_tiny_cap1_seed1337.json")
+    );
+    let des = report.des;
+    assert_eq!(
+        (des.dispatches, des.timers_fired, des.thread_wakeups),
+        (132, 24, 0)
+    );
+    // At seed 5 another worker's lookup falls between two members of
+    // one batch: running a whole batch before replaying any of its
+    // charges gets 32 hits here, not the threads' 30.
+    let seed5 = run_load(&cfg, &tiny_load(), 5).unwrap().plan_cache;
+    assert_eq!((seed5.hits, seed5.misses, seed5.evictions), (30, 25, 24));
 }
 
 #[test]
