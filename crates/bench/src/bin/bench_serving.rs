@@ -37,8 +37,8 @@
 //!                    interactive p99 past 125% of the in-run baseline,
 //!                    the minority task fenced later than the
 //!                    heartbeat timeout + two sweeps, or the main run
-//!                    cost the DES more than 2.43 dispatches or 1.26
-//!                    thread wake-ups per job.
+//!                    cost the DES more than 2.43 dispatches per job
+//!                    or woke any DES thread at all.
 //!                    Portable: virtual-time numbers and DES counts are
 //!                    exact on every host.
 
@@ -245,11 +245,11 @@ fn dispatches_per_job(report: &LoadReport) -> f64 {
     report.des.dispatches as f64 / report.submitted.max(1) as f64
 }
 
-/// Ceiling on the main run's DES thread wake-ups per submitted job:
-/// 1.15 at seed 42 (1.13–1.20 over seeds 17/42/1337, smoke or full) +
-/// 10 %. Only the serve workers are threads; were the load generators
-/// threads again, their dispatches would add 1.06 per job.
-const MAX_WAKEUPS_PER_JOB: f64 = 1.26;
+/// The main run's DES thread wake-ups, exactly. Every `run_load`
+/// process, load generators and serve workers alike, is a DES leaf, so
+/// no seed wakes a thread. Serve workers on threads made 1.15 wake-ups
+/// per job at seed 42; load generators on threads would add 1.06.
+const THREAD_WAKEUPS: u64 = 0;
 
 fn wakeups_per_job(report: &LoadReport) -> f64 {
     report.des.thread_wakeups as f64 / report.submitted.max(1) as f64
@@ -462,10 +462,10 @@ fn main() {
         per_job <= MAX_DISPATCHES_PER_JOB,
         format!("{per_job:.2} DES dispatches per job <= {MAX_DISPATCHES_PER_JOB}"),
     );
-    let wakeups = wakeups_per_job(&report);
+    let wakeups = report.des.thread_wakeups;
     gates.check(
-        wakeups <= MAX_WAKEUPS_PER_JOB,
-        format!("{wakeups:.2} DES thread wake-ups per job <= {MAX_WAKEUPS_PER_JOB}"),
+        wakeups == THREAD_WAKEUPS,
+        format!("{wakeups} DES thread wake-ups == {THREAD_WAKEUPS}"),
     );
 
     // Overload drill: shedding must be brownout, not blackout —

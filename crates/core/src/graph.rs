@@ -220,20 +220,6 @@ impl Graph {
         .expect("builder")
     }
 
-    /// `tf.random_normal`.
-    pub fn random_normal(&mut self, dtype: DType, shape: impl Into<Shape>, seed: u64) -> NodeId {
-        self.add_node(
-            Op::RandomNormal {
-                dtype,
-                shape: shape.into(),
-                seed,
-            },
-            vec![],
-            vec![],
-        )
-        .expect("builder")
-    }
-
     // ---- variables -------------------------------------------------------
 
     /// Read variable `var`.
@@ -317,11 +303,6 @@ impl Graph {
         self.unary(Op::Sum, a)
     }
 
-    /// Euclidean norm.
-    pub fn norm2(&mut self, a: NodeId) -> NodeId {
-        self.unary(Op::Norm2, a)
-    }
-
     /// Scalar max reduction.
     pub fn max(&mut self, a: NodeId) -> NodeId {
         self.unary(Op::Max, a)
@@ -384,7 +365,7 @@ impl Graph {
             .expect("builder")
     }
 
-    // ---- queues / datasets / tiles ----------------------------------------
+    // ---- queues / datasets -----------------------------------------------
 
     /// Enqueue a tuple into queue `queue`.
     pub fn queue_enqueue(&mut self, queue: &str, values: &[NodeId]) -> NodeId {
@@ -420,30 +401,6 @@ impl Graph {
             .collect()
     }
 
-    /// Close queue `queue`.
-    pub fn queue_close(&mut self, queue: &str) -> NodeId {
-        self.add_node(
-            Op::QueueClose {
-                queue: queue.into(),
-            },
-            vec![],
-            vec![],
-        )
-        .expect("builder")
-    }
-
-    /// Current size of queue `queue`.
-    pub fn queue_size(&mut self, queue: &str) -> NodeId {
-        self.add_node(
-            Op::QueueSize {
-                queue: queue.into(),
-            },
-            vec![],
-            vec![],
-        )
-        .expect("builder")
-    }
-
     /// Next element of iterator `iterator` (arity components).
     pub fn dataset_next(&mut self, iterator: &str, arity: usize) -> Vec<NodeId> {
         let node = self
@@ -462,30 +419,6 @@ impl Graph {
                     .expect("builder")
             })
             .collect()
-    }
-
-    /// Read the tile keyed by `key` (i64 tensor) from `store`.
-    pub fn read_tile(&mut self, store: &str, key: NodeId) -> NodeId {
-        self.add_node(
-            Op::ReadTile {
-                store: store.into(),
-            },
-            vec![(key, 0)],
-            vec![],
-        )
-        .expect("builder")
-    }
-
-    /// Write `value` under `key` into `store`.
-    pub fn write_tile(&mut self, store: &str, key: NodeId, value: NodeId) -> NodeId {
-        self.add_node(
-            Op::WriteTile {
-                store: store.into(),
-            },
-            vec![(key, 0), (value, 0)],
-            vec![],
-        )
-        .expect("builder")
     }
 
     /// Host callback with `outputs` outputs (`tf.py_func`).

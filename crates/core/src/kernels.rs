@@ -72,9 +72,6 @@ pub fn execute(
         Op::RandomUniform { dtype, shape, seed } => {
             tfhpc_tensor::rng::random_uniform(*dtype, shape.clone(), mix_seed(*seed, run_seed))?
         }
-        Op::RandomNormal { dtype, shape, seed } => {
-            tfhpc_tensor::rng::random_normal(*dtype, shape.clone(), mix_seed(*seed, run_seed))?
-        }
         Op::VarRead { var } => resources.variable(var)?.read(),
         Op::Assign { var } => resources.variable(var)?.assign(inputs[0].clone())?,
         Op::AssignAdd { var } => resources.variable(var)?.assign_add(&inputs[0])?,
@@ -98,7 +95,6 @@ pub fn execute(
         Op::MatVec => matmul::matvec(&inputs[0], &inputs[1])?,
         Op::Dot => ops::dot(&inputs[0], &inputs[1])?,
         Op::Sum => ops::sum(&inputs[0])?,
-        Op::Norm2 => ops::norm2(&inputs[0])?,
         Op::Max => ops::max(&inputs[0])?,
         Op::Sqrt => {
             let x = &inputs[0];
@@ -149,11 +145,6 @@ pub fn execute(
             out.extend(tuple);
             return Ok(());
         }
-        Op::QueueClose { queue } => {
-            resources.queue(queue)?.close();
-            return Ok(());
-        }
-        Op::QueueSize { queue } => Tensor::scalar_i64(resources.queue(queue)?.len() as i64),
         Op::DatasetNext { iterator, arity } => {
             let tuple = resources.iterator(iterator)?.get_next()?;
             if tuple.len() != *arity {
@@ -163,15 +154,6 @@ pub fn execute(
                 )));
             }
             out.extend(tuple);
-            return Ok(());
-        }
-        Op::ReadTile { store } => {
-            let key = inputs[0].as_i64()?.to_vec();
-            resources.store(store)?.get(&key)?
-        }
-        Op::WriteTile { store } => {
-            let key = inputs[0].as_i64()?.to_vec();
-            resources.store(store)?.put(key, inputs[1].clone());
             return Ok(());
         }
         Op::PyFunc { func, outputs, .. } => {
@@ -303,14 +285,14 @@ pub fn fused_axpy_alpha(
 /// Bytes of output `op` will produce given `inputs`, for the session's
 /// pre-dispatch device-memory feasibility check. Returns 0 for ops
 /// whose output size cannot be known without running them (dequeues,
-/// tile reads, py_funcs, custom kernels) — the session re-checks those
-/// against the actual outputs after execution.
+/// py_funcs, custom kernels) — the session re-checks those against the
+/// actual outputs after execution.
 pub fn infer_output_bytes(op: &Op, inputs: &[Tensor]) -> u64 {
     let elem = |t: &Tensor| t.dtype().size_bytes() as u64;
     let first = |inputs: &[Tensor]| inputs.first().map(|t| t.byte_size() as u64).unwrap_or(0);
     match op {
         Op::Const { value } => value.byte_size() as u64,
-        Op::RandomUniform { dtype, shape, .. } | Op::RandomNormal { dtype, shape, .. } => {
+        Op::RandomUniform { dtype, shape, .. } => {
             (shape.num_elements() * dtype.size_bytes()) as u64
         }
         Op::Add
@@ -338,7 +320,7 @@ pub fn infer_output_bytes(op: &Op, inputs: &[Tensor]) -> u64 {
             Some(a) if a.shape().rank() == 2 => a.shape().dims()[0] as u64 * elem(a),
             _ => 0,
         },
-        Op::Dot | Op::Sum | Op::Norm2 | Op::Max => inputs.first().map(elem).unwrap_or(8),
+        Op::Dot | Op::Sum | Op::Max => inputs.first().map(elem).unwrap_or(8),
         Op::SliceRange { start, end } => {
             (end.saturating_sub(*start)) as u64 * inputs.first().map(elem).unwrap_or(0)
         }
@@ -353,7 +335,6 @@ pub fn infer_output_bytes(op: &Op, inputs: &[Tensor]) -> u64 {
             .first()
             .map(|t| (t.shape().num_elements() * to.size_bytes()) as u64)
             .unwrap_or(0),
-        Op::QueueSize { .. } => 8,
         // Reference-like or size-unknown: VarRead returns an existing
         // (Arc-shared) value; the rest are covered by the post-check.
         _ => 0,
@@ -399,14 +380,12 @@ pub fn cost_of(op: &Op, inputs: &[Tensor], outputs: &[Tensor]) -> Cost {
             bytes: io_bytes,
             class: KernelClass::Blas1,
         },
-        Op::Neg | Op::Scale { .. } | Op::MulScalar | Op::Sqrt | Op::Sum | Op::Norm2 | Op::Max => {
-            Cost {
-                flops: inputs[0].num_elements() as f64,
-                bytes: io_bytes,
-                class: KernelClass::Blas1,
-            }
-        }
-        Op::RandomUniform { .. } | Op::RandomNormal { .. } => Cost {
+        Op::Neg | Op::Scale { .. } | Op::MulScalar | Op::Sqrt | Op::Sum | Op::Max => Cost {
+            flops: inputs[0].num_elements() as f64,
+            bytes: io_bytes,
+            class: KernelClass::Blas1,
+        },
+        Op::RandomUniform { .. } => Cost {
             flops: outputs
                 .first()
                 .map(|t| t.num_elements() as f64)
@@ -427,8 +406,8 @@ pub fn cost_of(op: &Op, inputs: &[Tensor], outputs: &[Tensor]) -> Cost {
             host_cost_factor, ..
         } => Cost::bytes(bytes_of(inputs) * host_cost_factor),
         Op::Custom(k) => k.cost(inputs),
-        // Queues, datasets, tiles, reshape and control ops are charged
-        // elsewhere (transfers/PFS) or are free metadata ops.
+        // Queues, datasets, reshape and control ops are charged
+        // elsewhere (transfers) or are free metadata ops.
         _ => Cost::zero(),
     }
 }
@@ -536,8 +515,6 @@ mod tests {
             0,
         )
         .unwrap();
-        let size = execute(&Op::QueueSize { queue: "q".into() }, &[], &res, 0).unwrap();
-        assert_eq!(size[0].scalar_value_i64().unwrap(), 1);
         let out = execute(
             &Op::QueueDequeue {
                 queue: "q".into(),
@@ -549,7 +526,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 2);
-        execute(&Op::QueueClose { queue: "q".into() }, &[], &res, 0).unwrap();
+        res.queue("q").unwrap().close();
         assert!(matches!(
             execute(
                 &Op::QueueDequeue {
@@ -562,32 +539,6 @@ mod tests {
             ),
             Err(CoreError::QueueClosed(_))
         ));
-    }
-
-    #[test]
-    fn tile_kernels_roundtrip() {
-        let res = r();
-        res.create_store("tiles");
-        let key = Tensor::from_i64([2], vec![3, 4]).unwrap();
-        execute(
-            &Op::WriteTile {
-                store: "tiles".into(),
-            },
-            &[key.clone(), Tensor::scalar_f32(1.5)],
-            &res,
-            0,
-        )
-        .unwrap();
-        let out = execute(
-            &Op::ReadTile {
-                store: "tiles".into(),
-            },
-            &[key],
-            &res,
-            0,
-        )
-        .unwrap();
-        assert_eq!(out[0].scalar_value_f64().unwrap(), 1.5);
     }
 
     #[test]

@@ -19,16 +19,12 @@
 //! * [`kernels`] — op execution + roofline cost accounting.
 //! * [`optimizer`] — Grappler-style graph passes (constant folding,
 //!   CSE, identity elimination) — the §II "optimize execution" point.
-//! * [`eager`] — imperative execution (§II's future default mode).
 //! * [`debugger`] — tfdbg-style tensor watching (§II-B).
-//! * [`queue_runner`] — QueueRunners + Coordinator for background
-//!   input pipelines (§II-A / the §VIII GIL discussion).
 
 pub mod dataset;
 pub mod deadline;
 pub mod debugger;
 pub mod device;
-pub mod eager;
 pub mod env;
 pub mod error;
 pub mod graph;
@@ -37,7 +33,6 @@ pub mod op;
 pub mod optimizer;
 pub mod plan_cache;
 pub mod queue;
-pub mod queue_runner;
 pub mod resources;
 pub mod serialize;
 pub mod session;
@@ -45,14 +40,12 @@ pub mod session;
 pub use dataset::{Dataset, DatasetIterator};
 pub use debugger::{Debugger, TensorWatch};
 pub use device::{DeviceCtx, Placement};
-pub use eager::EagerContext;
 pub use error::{CoreError, Result};
 pub use graph::{Graph, NodeId};
 pub use op::{Op, OpKernel};
 pub use optimizer::{optimize, optimize_for, OptimizeStats, Optimized};
 pub use plan_cache::{PlanCacheStats, SharedPlanCache};
 pub use queue::FifoQueue;
-pub use queue_runner::{Coordinator, QueueRunner};
 pub use resources::{Resources, TileStore, Variable};
 pub use serialize::{graph_from_bytes, graph_to_bytes, Saver, TensorProto};
 pub use session::{RunMetadata, Session, SessionOptions};

@@ -55,15 +55,6 @@ pub enum Op {
         /// Graph-level seed.
         seed: u64,
     },
-    /// `tf.random_normal`.
-    RandomNormal {
-        /// Element type.
-        dtype: DType,
-        /// Output shape.
-        shape: Shape,
-        /// Graph-level seed.
-        seed: u64,
-    },
     /// Read a `tf.Variable`'s current value.
     VarRead {
         /// Variable name in the resource manager.
@@ -107,8 +98,6 @@ pub enum Op {
     Dot,
     /// Sum-reduce to a scalar.
     Sum,
-    /// Euclidean norm (rank-0 f64).
-    Norm2,
     /// Max-reduce to a scalar.
     Max,
     /// Elementwise square root.
@@ -160,32 +149,12 @@ pub enum Op {
         /// Number of tensors per queue element.
         arity: usize,
     },
-    /// Close a named queue.
-    QueueClose {
-        /// Queue name.
-        queue: String,
-    },
-    /// Current size of a named queue (rank-0 i64).
-    QueueSize {
-        /// Queue name.
-        queue: String,
-    },
     /// Pull the next element from a named dataset iterator.
     DatasetNext {
         /// Iterator name.
         iterator: String,
         /// Number of tensors per element.
         arity: usize,
-    },
-    /// Read a tile from a named tile store; input is the i64 key.
-    ReadTile {
-        /// Tile store name.
-        store: String,
-    },
-    /// Write a tile (inputs: key, value) to a named tile store.
-    WriteTile {
-        /// Tile store name.
-        store: String,
     },
     /// Host-side callback (the `tf.py_func` escape hatch the paper uses
     /// for FFT merging and reducer logic).
@@ -213,7 +182,6 @@ impl Op {
             Op::Placeholder { .. } => "Placeholder",
             Op::Const { .. } => "Const",
             Op::RandomUniform { .. } => "RandomUniform",
-            Op::RandomNormal { .. } => "RandomNormal",
             Op::VarRead { .. } => "VarRead",
             Op::Assign { .. } => "Assign",
             Op::AssignAdd { .. } => "AssignAdd",
@@ -229,7 +197,6 @@ impl Op {
             Op::MatVec => "MatVec",
             Op::Dot => "Dot",
             Op::Sum => "Sum",
-            Op::Norm2 => "Norm2",
             Op::Max => "Max",
             Op::Sqrt => "Sqrt",
             Op::Fft => "FFT",
@@ -243,11 +210,7 @@ impl Op {
             Op::NoOp => "NoOp",
             Op::QueueEnqueue { .. } => "QueueEnqueue",
             Op::QueueDequeue { .. } => "QueueDequeue",
-            Op::QueueClose { .. } => "QueueClose",
-            Op::QueueSize { .. } => "QueueSize",
             Op::DatasetNext { .. } => "DatasetNext",
-            Op::ReadTile { .. } => "ReadTile",
-            Op::WriteTile { .. } => "WriteTile",
             Op::PyFunc { .. } => "PyFunc",
             Op::Custom(k) => k.name(),
         }
@@ -256,7 +219,7 @@ impl Op {
     /// Number of output tensors this op produces.
     pub fn n_outputs(&self) -> usize {
         match self {
-            Op::NoOp | Op::QueueEnqueue { .. } | Op::QueueClose { .. } | Op::WriteTile { .. } => 0,
+            Op::NoOp | Op::QueueEnqueue { .. } => 0,
             Op::QueueDequeue { arity, .. } | Op::DatasetNext { arity, .. } => *arity,
             Op::PyFunc { outputs, .. } => *outputs,
             _ => 1,
@@ -278,7 +241,6 @@ impl Op {
             | Op::MatVec
             | Op::Dot
             | Op::Sum
-            | Op::Norm2
             | Op::Max
             | Op::Sqrt
             | Op::Fft
@@ -288,7 +250,6 @@ impl Op {
             | Op::SliceRows { .. }
             | Op::ConcatVecs
             | Op::RandomUniform { .. }
-            | Op::RandomNormal { .. }
             | Op::VarRead { .. }
             | Op::Assign { .. }
             | Op::AssignAdd { .. } => true,
@@ -324,10 +285,8 @@ impl Op {
             Op::Assign { .. }
                 | Op::AssignAdd { .. }
                 | Op::QueueEnqueue { .. }
-                | Op::QueueClose { .. }
                 | Op::QueueDequeue { .. }
                 | Op::DatasetNext { .. }
-                | Op::WriteTile { .. }
                 | Op::PyFunc { .. }
                 | Op::Custom(_)
         )

@@ -77,7 +77,6 @@ fn is_pure(op: &Op) -> bool {
             | Op::MatVec
             | Op::Dot
             | Op::Sum
-            | Op::Norm2
             | Op::Max
             | Op::Sqrt
             | Op::Fft

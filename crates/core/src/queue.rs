@@ -183,11 +183,6 @@ impl FifoQueue {
         self.len() == 0
     }
 
-    /// True once closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
     /// Blocking enqueue of one tuple.
     pub fn enqueue(&self, tuple: Vec<Tensor>) -> Result<()> {
         let mut st = self.state.lock();

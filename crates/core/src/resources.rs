@@ -191,12 +191,6 @@ impl Resources {
         q
     }
 
-    /// Register an externally-created queue (used by the distributed
-    /// runtime to expose a remote task's queue locally).
-    pub fn register_queue(&self, q: Arc<FifoQueue>) {
-        self.queues.write().insert(q.name().to_string(), q);
-    }
-
     /// Fetch a queue, creating it with `capacity` if absent — used by
     /// collectives where either side of a channel may arrive first.
     pub fn get_or_create_queue(&self, name: &str, capacity: usize) -> Arc<FifoQueue> {

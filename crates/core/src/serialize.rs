@@ -175,7 +175,7 @@ fn encode_node(g: &Graph, id: NodeId, enc: &mut Encoder) -> Result<()> {
                 enc.put_bool(14, true);
             }
         }
-        Op::RandomUniform { dtype, shape, seed } | Op::RandomNormal { dtype, shape, seed } => {
+        Op::RandomUniform { dtype, shape, seed } => {
             enc.put_u64(7, dtype.wire_id());
             enc.put_packed_u64(
                 8,
@@ -185,9 +185,7 @@ fn encode_node(g: &Graph, id: NodeId, enc: &mut Encoder) -> Result<()> {
         }
         Op::Scale { factor } => enc.put_f64(10, *factor),
         Op::VarRead { var } | Op::Assign { var } | Op::AssignAdd { var } => enc.put_str(11, var),
-        Op::QueueEnqueue { queue } | Op::QueueClose { queue } | Op::QueueSize { queue } => {
-            enc.put_str(11, queue)
-        }
+        Op::QueueEnqueue { queue } => enc.put_str(11, queue),
         Op::QueueDequeue { queue, arity } => {
             enc.put_str(11, queue);
             enc.put_u64(12, *arity as u64);
@@ -196,7 +194,6 @@ fn encode_node(g: &Graph, id: NodeId, enc: &mut Encoder) -> Result<()> {
             enc.put_str(11, iterator);
             enc.put_u64(12, *arity as u64);
         }
-        Op::ReadTile { store } | Op::WriteTile { store } => enc.put_str(11, store),
         Op::Reshape { shape } => enc.put_packed_u64(
             8,
             &shape.dims().iter().map(|d| *d as u64).collect::<Vec<_>>(),
@@ -283,11 +280,6 @@ fn decode_node(bytes: &[u8], g: &mut Graph) -> Result<()> {
             shape: Shape::new(dims.clone()),
             seed,
         },
-        "RandomNormal" => Op::RandomNormal {
-            dtype,
-            shape: Shape::new(dims.clone()),
-            seed,
-        },
         "VarRead" => Op::VarRead { var: resource },
         "Assign" => Op::Assign { var: resource },
         "AssignAdd" => Op::AssignAdd { var: resource },
@@ -303,7 +295,6 @@ fn decode_node(bytes: &[u8], g: &mut Graph) -> Result<()> {
         "MatVec" => Op::MatVec,
         "Dot" => Op::Dot,
         "Sum" => Op::Sum,
-        "Norm2" => Op::Norm2,
         "Max" => Op::Max,
         "Sqrt" => Op::Sqrt,
         "FFT" => Op::Fft,
@@ -328,14 +319,10 @@ fn decode_node(bytes: &[u8], g: &mut Graph) -> Result<()> {
             queue: resource,
             arity,
         },
-        "QueueClose" => Op::QueueClose { queue: resource },
-        "QueueSize" => Op::QueueSize { queue: resource },
         "DatasetNext" => Op::DatasetNext {
             iterator: resource,
             arity,
         },
-        "ReadTile" => Op::ReadTile { store: resource },
-        "WriteTile" => Op::WriteTile { store: resource },
         other => return Err(CoreError::Graph(format!("cannot deserialize op `{other}`"))),
     };
     let inputs = in_nodes
@@ -755,6 +742,26 @@ mod tests {
         let a = g.constant(Tensor::scalar_f64(1.0));
         g.py_func("m", &[a], 1, 0.0, Arc::new(|_, i| Ok(i.to_vec())));
         assert!(graph_to_bytes(&g).is_err());
+    }
+
+    #[test]
+    fn unknown_op_names_are_a_graph_error() {
+        // A `Norm2` node as an older build wrote it: name, op, one input.
+        let mut node = Encoder::new();
+        node.put_str(1, "norm");
+        node.put_str(2, "Norm2");
+        node.put_packed_u64(3, &[0]);
+        node.put_packed_u64(4, &[0]);
+        let mut g = Graph::new();
+        g.constant(Tensor::scalar_f64(3.0));
+        let mut bytes = graph_to_bytes(&g).unwrap();
+        let mut tail = Encoder::new();
+        tail.put_bytes(1, &node.finish().unwrap());
+        bytes.extend(tail.finish().unwrap());
+        match graph_from_bytes(&bytes) {
+            Err(CoreError::Graph(msg)) => assert_eq!(msg, "cannot deserialize op `Norm2`"),
+            other => panic!("expected a graph error, got {:?}", other.map(|g| g.len())),
+        }
     }
 
     #[test]

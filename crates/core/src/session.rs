@@ -1398,9 +1398,9 @@ impl Session {
         Ok(())
     }
 
-    /// What precedes a kernel: in simulated runs, transfer and PFS
-    /// charging and the pre-dispatch memory feasibility check; the
-    /// start timestamp when the run is timed.
+    /// What precedes a kernel: in simulated runs, transfer charging and
+    /// the pre-dispatch memory feasibility check; the start timestamp
+    /// when the run is timed.
     fn begin_op(
         &self,
         ctx: &RunCtx,
@@ -1410,25 +1410,12 @@ impl Session {
         from: impl Iterator<Item = Placement>,
     ) -> Result<Begun> {
         let mut input_bytes = 0;
-        if let Some(sim) = ctx.sim {
+        if ctx.sim.is_some() {
             // Charge host↔device transfers for inputs whose producer
             // sat on a different device.
             for (t, src_placement) in inputs.iter().zip(from) {
                 self.devices
                     .charge_transfer(src_placement, placement, t.byte_size() as u64);
-            }
-            // PFS traffic for tile I/O.
-            if let Op::ReadTile { store } = &node.op {
-                if let Ok(key) = inputs[0].as_i64() {
-                    if let Ok(tile) = self.resources.store(store)?.get(key) {
-                        sim.cluster.pfs.read(sim.node, tile.byte_size() as u64);
-                    }
-                }
-            }
-            if let Op::WriteTile { .. } = &node.op {
-                sim.cluster
-                    .pfs
-                    .write(sim.node, inputs[1].byte_size() as u64);
             }
             // Device-memory feasibility BEFORE dispatch: input working
             // set plus the inferred output size must fit. Catching

@@ -335,11 +335,6 @@ impl Membership {
         self.state(key) == Some(Liveness::Dead)
     }
 
-    /// When the member was declared dead, if it was.
-    pub fn dead_since(&self, key: &TaskKey) -> Option<f64> {
-        self.inner.lock().members.get(key).and_then(|r| r.dead_at_s)
-    }
-
     /// Snapshot of every member record, sorted by key.
     pub fn members(&self) -> Vec<(TaskKey, MemberRecord)> {
         self.inner

@@ -204,10 +204,9 @@ impl Reducer {
     }
 
     /// Close the reducer's queues (shutdown).
-    pub fn close(&self) -> Result<()> {
+    pub fn close(&self) {
         self.in_q.close();
         self.out_qs.iter().for_each(|q| q.close());
-        Ok(())
     }
 }
 
@@ -340,7 +339,7 @@ mod tests {
         let r2 = Arc::clone(&reducer);
         let svc = std::thread::spawn(move || r2.serve_until_closed().unwrap());
         await_parked_consumer(&reducer.in_q);
-        reducer.close().unwrap();
+        reducer.close();
         assert_eq!(svc.join().unwrap(), 0);
     }
 
@@ -414,7 +413,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        reducer.close().unwrap();
+        reducer.close();
         assert_eq!(svc.join().unwrap(), ROUNDS);
     }
 }

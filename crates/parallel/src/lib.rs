@@ -15,7 +15,7 @@
 //! and exercises the atomics/locks idioms from the domain guides.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -104,7 +104,6 @@ pub fn global_pool() -> &'static ThreadPool {
 struct ScopeState {
     pending: WaitGroup,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    _cv: Condvar,
 }
 
 /// Handle for spawning borrowed tasks inside [`scope`].
@@ -156,7 +155,6 @@ where
     let state = Arc::new(ScopeState {
         pending: WaitGroup::new(),
         panic: Mutex::new(None),
-        _cv: Condvar::new(),
     });
     let scope = Scope {
         pool: unsafe { std::mem::transmute::<&ThreadPool, &ThreadPool>(pool) },

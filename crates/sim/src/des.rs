@@ -1068,11 +1068,6 @@ impl SimResource {
         }
         start + duration
     }
-
-    /// Next instant the resource is free (diagnostics).
-    pub fn available_at(&self) -> f64 {
-        self.sim.state.lock().res_available[self.id]
-    }
 }
 
 #[cfg(test)]

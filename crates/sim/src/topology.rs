@@ -9,7 +9,6 @@
 //! Kebnekaise's sub-optimal matmul scaling.
 
 use crate::des::{Sim, SimResource};
-use crate::device::DeviceModel;
 use crate::net::{PathStage, Protocol, TransferModel};
 use crate::pfs::PfsSim;
 use crate::platform::Platform;
@@ -101,19 +100,6 @@ impl ClusterSim {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The GPU device model (identical across slots on these systems).
-    pub fn gpu_model(&self) -> &DeviceModel {
-        &self.platform.node.gpu
-    }
-
-    /// Device model at `loc`.
-    pub fn device_at(&self, loc: Loc) -> &DeviceModel {
-        match loc.gpu {
-            Some(_) => &self.platform.node.gpu,
-            None => &self.platform.node.cpu,
-        }
     }
 
     /// The PCIe slot resource serving GPU slot `g` on `node`.

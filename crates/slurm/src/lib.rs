@@ -238,27 +238,6 @@ impl SlurmCluster {
         }
     }
 
-    /// `squeue`-style listing of active jobs: (job id, node count,
-    /// compressed nodelist).
-    pub fn squeue(&self) -> Vec<(u64, usize, String)> {
-        self.active
-            .iter()
-            .map(|(id, nodes)| {
-                let hosts: Vec<String> =
-                    nodes.iter().map(|i| self.nodes[*i].name.clone()).collect();
-                (*id, nodes.len(), hostlist::compress(&hosts))
-            })
-            .collect()
-    }
-
-    /// `sinfo`-style partition summary: (partition, total, allocated,
-    /// idle).
-    pub fn sinfo(&self) -> (String, usize, usize, usize) {
-        let total = self.nodes.len();
-        let allocated = self.busy.iter().filter(|b| **b).count();
-        (self.partition.clone(), total, allocated, total - allocated)
-    }
-
     /// `scontrol show hostnames <compressed>` — expand a hostlist.
     pub fn scontrol_show_hostnames(compressed: &str) -> Vec<String> {
         hostlist::expand(compressed)
@@ -408,31 +387,6 @@ mod tests {
         c.release(a.job_id);
         assert_eq!(c.free_nodes(), 2);
         assert!(c.submit(&req).is_ok());
-    }
-
-    #[test]
-    fn squeue_and_sinfo_report_state() {
-        let mut c = cluster(3, 1);
-        let (p, total, alloc, idle) = c.sinfo();
-        assert_eq!((total, alloc, idle), (3, 0, 3));
-        assert_eq!(p, "gpu");
-        let a = c
-            .submit(&JobRequest {
-                nodes: 2,
-                ntasks: 2,
-                distribution: Distribution::Block,
-                gpus_per_task: 0,
-            })
-            .unwrap();
-        let q = c.squeue();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q[0].0, a.job_id);
-        assert_eq!(q[0].1, 2);
-        assert_eq!(q[0].2, "t01n[01-02]");
-        let (_, _, alloc, idle) = c.sinfo();
-        assert_eq!((alloc, idle), (2, 1));
-        c.release(a.job_id);
-        assert!(c.squeue().is_empty());
     }
 
     #[test]

@@ -204,52 +204,6 @@ fn combine_pair(even: Vec<Complex64>, odd: Vec<Complex64>) -> Vec<Complex64> {
     out
 }
 
-/// 2-D FFT of a rank-2 complex matrix by the row–column algorithm:
-/// FFT every row, transpose, FFT every (former) column, transpose back.
-/// Both dimensions must be powers of two. An extension beyond the
-/// paper's 1-D application, kept for PDE/spectral workloads.
-pub fn fft2_inplace(data: &mut [Complex64], rows: usize, cols: usize) {
-    assert_eq!(data.len(), rows * cols, "shape mismatch");
-    assert!(is_pow2(rows) && is_pow2(cols), "dims must be powers of two");
-    for r in 0..rows {
-        fft_inplace(&mut data[r * cols..(r + 1) * cols]);
-    }
-    // Column FFTs via transpose, row FFT, transpose back.
-    let mut t = vec![Complex64::ZERO; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            t[c * rows + r] = data[r * cols + c];
-        }
-    }
-    for c in 0..cols {
-        fft_inplace(&mut t[c * rows..(c + 1) * rows]);
-    }
-    for r in 0..rows {
-        for c in 0..cols {
-            data[r * cols + c] = t[c * rows + r];
-        }
-    }
-}
-
-/// O((MN)²) reference 2-D DFT used by tests.
-pub fn dft2_naive(input: &[Complex64], rows: usize, cols: usize) -> Vec<Complex64> {
-    let mut out = vec![Complex64::ZERO; rows * cols];
-    for u in 0..rows {
-        for v in 0..cols {
-            let mut acc = Complex64::ZERO;
-            for r in 0..rows {
-                for c in 0..cols {
-                    let phase =
-                        -2.0 * PI * ((u * r) as f64 / rows as f64 + (v * c) as f64 / cols as f64);
-                    acc += input[r * cols + c] * Complex64::cis(phase);
-                }
-            }
-            out[u * cols + v] = acc;
-        }
-    }
-    out
-}
-
 /// FFT over a rank-1 `C128` tensor (dense or synthetic).
 pub fn fft_tensor(t: &Tensor) -> Result<Tensor, TensorError> {
     if t.dtype() != DType::C128 || t.shape().rank() != 1 {
@@ -370,37 +324,6 @@ mod tests {
             let got = merge_interleaved(sub_ffts);
             close(&got, &want, 1e-8);
         }
-    }
-
-    #[test]
-    fn fft2_matches_naive_2d_dft() {
-        for (rows, cols) in [(2usize, 4usize), (4, 4), (8, 2), (16, 8)] {
-            let input: Vec<Complex64> = (0..rows * cols)
-                .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-                .collect();
-            let want = dft2_naive(&input, rows, cols);
-            let mut got = input;
-            fft2_inplace(&mut got, rows, cols);
-            close(&got, &want, 1e-8 * (rows * cols) as f64);
-        }
-    }
-
-    #[test]
-    fn fft2_of_constant_is_single_dc_bin() {
-        let (rows, cols) = (4usize, 8usize);
-        let mut x = vec![Complex64::ONE; rows * cols];
-        fft2_inplace(&mut x, rows, cols);
-        assert!((x[0] - Complex64::new((rows * cols) as f64, 0.0)).abs() < 1e-9);
-        for v in &x[1..] {
-            assert!(v.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "powers of two")]
-    fn fft2_non_pow2_rejected() {
-        let mut x = vec![Complex64::ZERO; 12];
-        fft2_inplace(&mut x, 3, 4);
     }
 
     #[test]

@@ -34,30 +34,6 @@ pub fn random_uniform(
     }
 }
 
-/// Dense float tensor with standard-normal elements (Box–Muller).
-pub fn random_normal(
-    dtype: DType,
-    shape: impl Into<Shape>,
-    seed: u64,
-) -> Result<Tensor, TensorError> {
-    let shape = shape.into();
-    let n = shape.num_elements();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut next_normal = move || -> f64 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    match dtype {
-        DType::F32 => Tensor::from_f32(shape, (0..n).map(|_| next_normal() as f32).collect()),
-        DType::F64 => Tensor::from_f64(shape, (0..n).map(|_| next_normal()).collect()),
-        _ => Err(TensorError::UnsupportedDType {
-            op: "random_normal",
-            dtype,
-        }),
-    }
-}
-
 /// A random symmetric positive-definite matrix (for CG tests):
 /// `A = Bᵀ·B/n + diag(shift)`.
 pub fn random_spd(n: usize, seed: u64, shift: f64) -> Tensor {
@@ -105,19 +81,8 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
-        let t = random_normal(DType::F64, [20_000], 11).unwrap();
-        let v = t.as_f64().unwrap();
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / v.len() as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
     fn unsupported_dtype_rejected() {
         assert!(random_uniform(DType::Bool, [2], 0).is_err());
-        assert!(random_normal(DType::I64, [2], 0).is_err());
     }
 
     #[test]

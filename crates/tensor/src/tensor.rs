@@ -243,11 +243,6 @@ impl Tensor {
         Tensor::dense(Shape::scalar(), TensorData::I64(vec![v])).unwrap()
     }
 
-    /// Rank-0 bool tensor.
-    pub fn scalar_bool(v: bool) -> Tensor {
-        Tensor::dense(Shape::scalar(), TensorData::Bool(vec![v])).unwrap()
-    }
-
     /// All-zeros dense tensor of the given dtype.
     pub fn zeros(dtype: DType, shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
@@ -269,13 +264,6 @@ impl Tensor {
         let shape = shape.into();
         let n = shape.num_elements();
         Tensor::dense(shape, TensorData::F64(vec![v; n])).unwrap()
-    }
-
-    /// Dense f32 tensor filled with `v`.
-    pub fn full_f32(shape: impl Into<Shape>, v: f32) -> Tensor {
-        let shape = shape.into();
-        let n = shape.num_elements();
-        Tensor::dense(shape, TensorData::F32(vec![v; n])).unwrap()
     }
 
     /// Metadata-only tensor for simulation-scale runs.

@@ -1,15 +1,11 @@
 //! Tour of the framework tooling beyond the four applications: the
-//! graph optimizer (§II's "optimize execution" claim), the tfdbg-style
-//! debugger (§II-B), eager execution (§II's projected default mode) and
-//! a QueueRunner-driven input pipeline (§II-A).
+//! graph optimizer (§II's "optimize execution" claim) and the
+//! tfdbg-style debugger (§II-B).
 //!
 //! Run with: `cargo run --release --example framework_tour`
 
 use std::sync::Arc;
-use tfhpc::core::{
-    optimize_for, Coordinator, Dataset, Debugger, DeviceCtx, EagerContext, Graph, QueueRunner,
-    Resources, Session,
-};
+use tfhpc::core::{optimize_for, Debugger, DeviceCtx, Graph, Resources, Session};
 use tfhpc::tensor::{DType, Tensor};
 
 fn main() {
@@ -60,42 +56,5 @@ fn main() {
         bad.node, bad.nonfinite, bad.min, bad.max
     );
 
-    // ---- 3. Eager execution -------------------------------------------------
-    let ctx = EagerContext::cpu();
-    ctx.variable("w", Tensor::scalar_f64(1.0));
-    for _ in 0..3 {
-        let w = ctx.read("w").unwrap();
-        let dw = ctx.mul(&w, &Tensor::scalar_f64(0.5)).unwrap();
-        ctx.assign_add("w", &dw).unwrap();
-    }
-    println!(
-        "eager: w after three 1.5x steps = {} (1.5^3 = 3.375)",
-        ctx.read("w").unwrap().scalar_value_f64().unwrap()
-    );
-
-    // ---- 4. QueueRunner input pipeline --------------------------------------
-    let mut g = Graph::new();
-    let next = g.dataset_next("src", 1);
-    let doubled = g.scale(next[0], 2.0);
-    let enq = g.queue_enqueue("work", &[doubled]);
-    let resources = Resources::new();
-    resources.create_iterator(
-        "src",
-        &Dataset::from_elements(
-            (1..=5)
-                .map(|i| vec![Tensor::scalar_f64(i as f64)])
-                .collect(),
-        ),
-    );
-    let work = resources.create_queue("work", 2);
-    let sess = Arc::new(Session::new(Arc::new(g), resources, DeviceCtx::real(0)));
-    let coord = Coordinator::new();
-    Arc::new(QueueRunner::new(enq, Some("work"))).spawn(sess, coord);
-    let mut drained = Vec::new();
-    while let Ok(t) = work.dequeue() {
-        drained.push(t[0].scalar_value_f64().unwrap());
-    }
-    println!("queue runner: background pipeline produced {drained:?}");
-    assert_eq!(drained, vec![2.0, 4.0, 6.0, 8.0, 10.0]);
-    println!("ok: optimizer, debugger, eager mode and queue runners all work.");
+    println!("ok: optimizer and debugger both work.");
 }
