@@ -485,12 +485,7 @@ mod tests {
         let (_report, store) = run_fft_with_store(&platform::tegner_k80(), &cfg).unwrap();
         let got = store.get(&[-1]).unwrap();
         // Reference: FFT of the same signal, unsplit.
-        let signal = populate_signal(
-            &tfhpc_core::Resources::new().create_store("ref"),
-            &cfg,
-            0xF0,
-        )
-        .unwrap();
+        let signal = populate_signal(&tfhpc_core::TileStore::new("ref"), &cfg, 0xF0).unwrap();
         let mut want = signal;
         fft::fft_inplace(&mut want);
         let gv = got.as_c128().unwrap();

@@ -151,34 +151,48 @@ impl RequestSpec {
     }
 }
 
+/// Dense values drawn in element order, bit for bit what `unit()` gives.
 fn dense_tensor(dtype: DType, shape: Shape, stream: &mut SeededStream) -> Tensor {
     let n = shape.num_elements();
-    let data = match dtype {
-        DType::F32 => TensorData::F32((0..n).map(|_| stream.unit() as f32).collect()),
-        DType::F64 => TensorData::F64((0..n).map(|_| stream.unit()).collect()),
-        DType::C128 => TensorData::C128(
-            (0..n)
-                .map(|_| Complex64::new(stream.unit(), stream.unit()))
-                .collect(),
-        ),
+    match dtype {
+        DType::F64 => {
+            let mut v = vec![0.0; n];
+            stream.fill_unit(&mut v);
+            Tensor::from_f64(shape, v)
+        }
+        DType::F32 => Tensor::from_f32(shape, drawn(stream, n, |[x]| *x as f32)),
+        DType::C128 => {
+            Tensor::from_c128(shape, drawn(stream, n, |[re, im]| Complex64::new(*re, *im)))
+        }
         other => panic!("no dense feed generator for {other:?}"),
-    };
-    match data {
-        TensorData::F32(v) => Tensor::from_f32(shape, v).expect("shape matches"),
-        TensorData::F64(v) => Tensor::from_f64(shape, v).expect("shape matches"),
-        TensorData::C128(v) => Tensor::from_c128(shape, v).expect("shape matches"),
-        _ => unreachable!(),
     }
+    .expect("shape matches")
 }
 
-/// Order-sensitive FNV-1a digest of a result tensor list — the compact
-/// value the serving plane stores per completed job (keeping thousands
-/// of results resident would defeat the load generator's scale).
-/// Dense payloads fold their exact bits; synthetic tensors fold their
-/// metadata + seed. Bit-identical results ⇒ equal digests.
+/// `n` values, each made from `PER` consecutive draws staged on the stack.
+fn drawn<const PER: usize, T>(
+    stream: &mut SeededStream,
+    n: usize,
+    make: impl Fn(&[f64; PER]) -> T,
+) -> Vec<T> {
+    let mut buf = [0.0; 256];
+    let mut v = Vec::with_capacity(n);
+    while v.len() < n {
+        let draws = &mut buf[..(PER * (n - v.len())).min(256 / PER * PER)];
+        stream.fill_unit(draws);
+        v.extend(draws.as_chunks::<PER>().0.iter().map(&make));
+    }
+    v
+}
+
+/// Order-sensitive digest of a result tensor list — the compact value
+/// the serving plane stores per completed job (keeping thousands of
+/// results resident would defeat the load generator's scale). One
+/// [`Fnv1a::eat_word`] step, a bijection in state and word, folds each
+/// of the dtype, the dims, the element bits (re, im apart) or the seed.
 pub fn digest_tensors(tensors: &[Tensor]) -> u64 {
     let mut h = Fnv1a::default();
-    let mut fold = |v: u64| h.eat_u64(v);
+    let mut fold = |v: u64| h.eat_word(v);
     for t in tensors {
         fold(t.dtype() as u64);
         for &d in t.shape().dims() {
@@ -235,6 +249,123 @@ mod tests {
         let s1 = spec.feeds(9, true);
         let s2 = spec.feeds(9, true);
         assert_eq!(digest_tensors(&s1), digest_tensors(&s2));
+    }
+
+    /// The dense feeds, element by element, against the sequential
+    /// draws of their substream: F32 rounds each draw, C128 takes them
+    /// in (re, im) order. Every consumer regenerates feeds with the
+    /// same function, so only this pins their values.
+    #[test]
+    fn dense_feeds_are_the_sequential_draws() {
+        let bytes = |t: &Tensor| {
+            let mut b = Vec::new();
+            t.visit_payload_bytes(|c| b.extend_from_slice(c));
+            b
+        };
+        for kind in [
+            RequestKind::Cg,
+            RequestKind::Matmul,
+            RequestKind::Fft,
+            RequestKind::Stream,
+        ] {
+            for n in [1, 7, 8, 9, 48] {
+                let (sq, vec) = (vec![n, n], vec![n]);
+                let layout = match kind {
+                    RequestKind::Cg => vec![(DType::F64, sq), (DType::F64, vec)],
+                    RequestKind::Matmul => vec![(DType::F32, sq.clone()), (DType::F32, sq)],
+                    RequestKind::Fft => vec![(DType::C128, vec)],
+                    RequestKind::Stream => vec![(DType::F64, vec.clone()), (DType::F64, vec)],
+                };
+                for seed in 0..8 {
+                    let feeds = RequestSpec::new(kind, n).feeds(seed, false);
+                    let mut s = SeededStream::substream(seed, 0x0004_A0B5);
+                    let want: Vec<Tensor> = layout
+                        .iter()
+                        .map(|&(dtype, ref dims)| {
+                            let (dims, len) = (dims.clone(), dims.iter().product());
+                            match dtype {
+                                DType::F32 => Tensor::from_f32(
+                                    dims,
+                                    (0..len).map(|_| s.unit() as f32).collect(),
+                                ),
+                                DType::F64 => {
+                                    Tensor::from_f64(dims, (0..len).map(|_| s.unit()).collect())
+                                }
+                                _ => {
+                                    let draw = |_| {
+                                        let re = s.unit();
+                                        Complex64::new(re, s.unit())
+                                    };
+                                    Tensor::from_c128(dims, (0..len).map(draw).collect())
+                                }
+                            }
+                            .unwrap()
+                        })
+                        .collect();
+                    assert_eq!(feeds.len(), want.len());
+                    for (got, want) in feeds.iter().zip(&want) {
+                        assert_eq!(bytes(got), bytes(want), "{kind:?} n {n} seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Any one flipped bit, any swap of two unequal words, and the
+    /// same bits under another shape or dtype all move the digest.
+    #[test]
+    fn digests_see_every_bit_order_shape_and_dtype() {
+        // A tensor of `dtype` whose element bits are `words`, a complex
+        // element taking two.
+        let make = |dtype: DType, words: &[u64]| match dtype {
+            DType::F32 => {
+                let v = words.iter().map(|&w| f32::from_bits(w as u32)).collect();
+                Tensor::from_f32(vec![words.len()], v).unwrap()
+            }
+            DType::F64 => {
+                let v = words.iter().map(|&w| f64::from_bits(w)).collect();
+                Tensor::from_f64(vec![words.len()], v).unwrap()
+            }
+            _ => {
+                let v = words
+                    .chunks_exact(2)
+                    .map(|p| Complex64::new(f64::from_bits(p[0]), f64::from_bits(p[1])))
+                    .collect();
+                Tensor::from_c128(vec![words.len() / 2], v).unwrap()
+            }
+        };
+        let digest = |t: Tensor| digest_tensors(&[t]);
+        for (dtype, width) in [(DType::F32, 32), (DType::F64, 64), (DType::C128, 64)] {
+            let words: Vec<u64> = (1..=6u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - width))
+                .collect();
+            let base = digest(make(dtype, &words));
+            for i in 0..words.len() {
+                for b in 0..width {
+                    let mut w = words.clone();
+                    w[i] ^= 1 << b;
+                    assert_ne!(digest(make(dtype, &w)), base, "{dtype:?} word {i} bit {b}");
+                }
+                for j in i + 1..words.len() {
+                    let mut w = words.clone();
+                    w.swap(i, j);
+                    assert_ne!(digest(make(dtype, &w)), base, "{dtype:?} swap {i} {j}");
+                }
+            }
+            let t = make(dtype, &words);
+            let n = t.num_elements();
+            assert_ne!(
+                digest(t.reshape(vec![1, n]).unwrap()),
+                base,
+                "{dtype:?} shape"
+            );
+        }
+        // The same element words under another dtype.
+        let words: Vec<u64> = (1..=6).map(|i| (i as f64 / 7.0).to_bits()).collect();
+        let as_f64 = digest(make(DType::F64, &words));
+        assert_ne!(as_f64, digest(make(DType::C128, &words)));
+        let as_i64 = Tensor::from_i64(vec![6], words.iter().map(|&w| w as i64).collect());
+        assert_ne!(as_f64, digest(as_i64.unwrap()));
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub(crate) fn run_app(
     };
     let body = move |ctx: TaskCtx| {
         let store = ctx.server.cluster().shared_store(name);
-        ctx.server.resources.register_store(Arc::clone(&store));
         body(&ctx, &store)
     };
     let launched = if launch.traced {

@@ -1,6 +1,6 @@
-//! The per-server resource manager: variables, queues, dataset
-//! iterators and tile stores, shared by every session attached to the
-//! same server (TensorFlow's resource-manager role).
+//! The per-server resource manager: variables, queues and dataset
+//! iterators, shared by every session attached to the same server
+//! (TensorFlow's resource-manager role). [`TileStore`]s live outside it.
 
 use crate::dataset::{Dataset, DatasetIterator};
 use crate::error::{CoreError, Result};
@@ -75,6 +75,14 @@ pub struct TileStore {
 }
 
 impl TileStore {
+    /// An empty store; every holder of the handle sees the same tiles.
+    pub fn new(name: &str) -> Arc<TileStore> {
+        Arc::new(TileStore {
+            name: name.to_string(),
+            tiles: RwLock::new(HashMap::new()),
+        })
+    }
+
     /// Store name.
     pub fn name(&self) -> &str {
         &self.name
@@ -118,7 +126,6 @@ pub struct Resources {
     variables: RwLock<HashMap<String, Arc<Variable>>>,
     queues: RwLock<HashMap<String, Arc<FifoQueue>>>,
     iterators: RwLock<HashMap<String, Arc<DatasetIterator>>>,
-    stores: RwLock<HashMap<String, Arc<TileStore>>>,
     /// Sticky task-level fault: once set (dead task, supervisor
     /// teardown), every existing queue is aborted with it and queues
     /// created afterwards are *born* aborted — so a straggler process
@@ -358,36 +365,6 @@ impl Resources {
             .cloned()
             .ok_or_else(|| CoreError::NotFound(format!("iterator `{name}`")))
     }
-
-    // ---- tile stores -----------------------------------------------------------
-
-    /// Create (or fetch) a tile store.
-    pub fn create_store(&self, name: &str) -> Arc<TileStore> {
-        let mut stores = self.stores.write();
-        stores
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(TileStore {
-                    name: name.to_string(),
-                    tiles: RwLock::new(HashMap::new()),
-                })
-            })
-            .clone()
-    }
-
-    /// Register a shared tile store (cluster-wide Lustre namespace).
-    pub fn register_store(&self, store: Arc<TileStore>) {
-        self.stores.write().insert(store.name().to_string(), store);
-    }
-
-    /// Look up a tile store.
-    pub fn store(&self, name: &str) -> Result<Arc<TileStore>> {
-        self.stores
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CoreError::NotFound(format!("tile store `{name}`")))
-    }
 }
 
 #[cfg(test)]
@@ -545,15 +522,13 @@ mod tests {
 
     #[test]
     fn tile_store_roundtrip() {
-        let r = Resources::new();
-        let s = r.create_store("tiles");
+        let s = TileStore::new("tiles");
+        assert!(s.is_empty());
         s.put(vec![1, 2], Tensor::scalar_f32(9.0));
         assert_eq!(s.get(&[1, 2]).unwrap().scalar_value_f64().unwrap(), 9.0);
         assert!(s.get(&[0, 0]).is_err());
         assert_eq!(s.keys(), vec![vec![1, 2]]);
-        // create_store is idempotent — same instance.
-        let s2 = r.create_store("tiles");
-        assert_eq!(s2.len(), 1);
+        assert_eq!((s.name(), s.len()), ("tiles", 1));
     }
 
     #[test]

@@ -327,15 +327,12 @@ impl TfCluster {
     /// A cluster-wide shared tile store (the Lustre namespace both
     /// systems mount; every task sees the same files).
     pub fn shared_store(&self, name: &str) -> Arc<TileStore> {
-        let mut stores = self.stores.write();
-        if let Some(s) = stores.get(name) {
-            return Arc::clone(s);
-        }
-        // Build through a scratch resource manager to reuse its ctor.
-        let tmp = Resources::new();
-        let store = tmp.create_store(name);
-        stores.insert(name.to_string(), Arc::clone(&store));
-        store
+        Arc::clone(
+            self.stores
+                .write()
+                .entry(name.to_string())
+                .or_insert_with(|| TileStore::new(name)),
+        )
     }
 }
 
@@ -1087,17 +1084,12 @@ mod tests {
 
     #[test]
     fn shared_store_is_cluster_wide() {
-        let (c, ps, worker) = two_task_cluster();
-        let store = c.shared_store("tiles");
-        ps.resources.register_store(Arc::clone(&store));
-        worker.resources.register_store(Arc::clone(&store));
-        ps.resources
-            .store("tiles")
-            .unwrap()
-            .put(vec![0], Tensor::scalar_f64(1.0));
-        assert!(worker.resources.store("tiles").unwrap().get(&[0]).is_ok());
-        // Idempotent.
-        assert!(Arc::ptr_eq(&c.shared_store("tiles"), &store));
+        let (c, _ps, _worker) = two_task_cluster();
+        let (a, b) = (c.shared_store("tiles"), c.shared_store("tiles"));
+        assert!(Arc::ptr_eq(&a, &b));
+        a.put(vec![0], Tensor::scalar_f64(1.0));
+        assert_eq!(b.get(&[0]).unwrap().scalar_value_f64().unwrap(), 1.0);
+        assert!(c.shared_store("other").is_empty());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! identity in the workspace: plan fingerprints, trace flow ids, wire
 //! message ids, serve result digests, and the jitter of retry backoffs
 //! and breaker probes. A DES run replays byte-for-byte because none of
-//! these ever reads the wall clock or a random seed.
+//! these ever reads the wall clock or a random seed. Serve result
+//! digests fold a word per step ([`Fnv::eat_word`]); every other value
+//! eats bytes and keeps the value it always had.
 //!
 //! Two multipliers are in use, and each value must keep the one it has
 //! always been computed with: [`Fnv1a`] is the standard prime
@@ -45,6 +47,11 @@ impl<const P: u64> Fnv<P> {
     pub fn eat_u64(&mut self, v: u64) {
         self.eat(&v.to_le_bytes());
     }
+
+    /// Mix a word in as one step, `h = (h ^ w) · P`.
+    pub fn eat_word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(P);
+    }
 }
 
 impl<const P: u64> std::fmt::Write for Fnv<P> {
@@ -71,5 +78,8 @@ mod tests {
         let mut w = Fnv1a::default();
         w.eat_u64(0x0102);
         assert_eq!(w.0, Fnv1a::hash(&[2, 1, 0, 0, 0, 0, 0, 0]));
+        let mut w = Fnv1a::default();
+        w.eat_word(0x61);
+        assert_eq!(w.0, Fnv1a::hash(b"a"));
     }
 }

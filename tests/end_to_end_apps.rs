@@ -167,12 +167,8 @@ fn fft_distributed_equals_whole_transform() {
     };
     let (_r, store) = run_fft_with_store(&tegner_k80(), &cfg).expect("fft");
     let got = store.get(&[-1]).unwrap();
-    let signal = tfhpc_apps::fft::populate_signal(
-        &tfhpc_core::Resources::new().create_store("ref"),
-        &cfg,
-        0xF0,
-    )
-    .unwrap();
+    let signal =
+        tfhpc_apps::fft::populate_signal(&tfhpc_core::TileStore::new("ref"), &cfg, 0xF0).unwrap();
     let mut want = signal;
     tfhpc_tensor::fft::fft_inplace(&mut want);
     let gv = got.as_c128().unwrap();
