@@ -350,8 +350,24 @@ mod tests {
                     let mut w = words.clone();
                     w.swap(i, j);
                     assert_ne!(digest(make(dtype, &w)), base, "{dtype:?} swap {i} {j}");
+                    // Two flips among the sign and exponent bits (the top
+                    // 12 of an f64 word, the top 9 of an f32 word).
+                    let top = if width == 32 { 9 } else { 12 };
+                    for bi in width - top..width {
+                        for bj in width - top..width {
+                            let mut w = words.clone();
+                            w[i] ^= 1 << bi;
+                            w[j] ^= 1 << bj;
+                            let d = digest(make(dtype, &w));
+                            assert_ne!(d, base, "{dtype:?} word {i} bit {bi}, word {j} bit {bj}");
+                        }
+                    }
                 }
             }
+            // Every element negated: an even number of sign flips.
+            let sign = 1u64 << (width - 1);
+            let negated: Vec<u64> = words.iter().map(|w| w ^ sign).collect();
+            assert_ne!(digest(make(dtype, &negated)), base, "{dtype:?} negated");
             let t = make(dtype, &words);
             let n = t.num_elements();
             assert_ne!(
@@ -360,6 +376,18 @@ mod tests {
                 "{dtype:?} shape"
             );
         }
+        // +0.0 turned -0.0 twice, and a conjugated pair of c128 elements.
+        let zeros = [0.0f64, 0.0, 1.5, -2.0].map(f64::to_bits);
+        let signed = [-0.0f64, -0.0, 1.5, -2.0].map(f64::to_bits);
+        assert_ne!(
+            digest(make(DType::F64, &zeros)),
+            digest(make(DType::F64, &signed))
+        );
+        let conj = [0.0f64, -0.0, 1.5, 2.0].map(f64::to_bits);
+        assert_ne!(
+            digest(make(DType::C128, &zeros)),
+            digest(make(DType::C128, &conj))
+        );
         // The same element words under another dtype.
         let words: Vec<u64> = (1..=6).map(|i| (i as f64 / 7.0).to_bits()).collect();
         let as_f64 = digest(make(DType::F64, &words));

@@ -48,9 +48,12 @@ impl<const P: u64> Fnv<P> {
         self.eat(&v.to_le_bytes());
     }
 
-    /// Mix a word in as one step, `h = (h ^ w) · P`.
+    /// Mix a word in as one step, `h = (h ^ w) · P; h ^= h >> 32`. The
+    /// shift brings bit 63 (an f64 sign), which `· P` never carries
+    /// lower, back down, so two sign flips cannot cancel.
     pub fn eat_word(&mut self, w: u64) {
         self.0 = (self.0 ^ w).wrapping_mul(P);
+        self.0 ^= self.0 >> 32;
     }
 }
 
@@ -80,6 +83,7 @@ mod tests {
         assert_eq!(w.0, Fnv1a::hash(&[2, 1, 0, 0, 0, 0, 0, 0]));
         let mut w = Fnv1a::default();
         w.eat_word(0x61);
-        assert_eq!(w.0, Fnv1a::hash(b"a"));
+        let a = Fnv1a::hash(b"a");
+        assert_eq!(w.0, a ^ a >> 32);
     }
 }
